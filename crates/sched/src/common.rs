@@ -24,16 +24,6 @@ pub fn free_nodes(state: &SimState) -> Vec<NodeId> {
         .collect()
 }
 
-/// Ids of the in-service nodes, ascending — the bin list the
-/// vector-packing schedulers slice the cluster down to before calling
-/// `dfrs_packing` (bin `b` of a packing over `avail.len()` bins maps
-/// back to physical node `avail[b]`). Reuses `buf` so per-event callers
-/// pay no allocation.
-pub fn available_nodes_into(state: &SimState, buf: &mut Vec<NodeId>) {
-    buf.clear();
-    buf.extend(state.cluster.available_nodes());
-}
-
 /// Jobs waiting to be (re)placed, ascending id (= submission) order —
 /// the queue the batch schedulers rebuild after a platform event.
 /// Covers `Pending` (killed under [`dfrs_sim::FailurePolicy::Restart`],

@@ -31,9 +31,10 @@
 //!   cadence; arrivals and failure victims wait for the next tick).
 
 use dfrs_core::constants::{DEFAULT_PERIOD_SECS, MIN_STRETCH_PER_YIELD, YIELD_SEARCH_ACCURACY};
-use dfrs_core::ids::{JobId, NodeId};
 use dfrs_packing::{max_min_dominant_share, DrfJob, DrfSearchScratch};
 use dfrs_sim::{Plan, RepackStats, SchedEvent, Scheduler, SimState};
+
+use crate::evict::{EvictionFront, VictimOrder};
 
 /// Reusable buffers for the DRF repack pipeline, plus the clean-epoch
 /// skip shared with the classic family. The DRF search runs cold (no
@@ -41,12 +42,9 @@ use dfrs_sim::{Plan, RepackStats, SchedEvent, Scheduler, SimState};
 /// different, larger state than the uniform-yield memo covers.
 #[derive(Debug, Default)]
 struct DrfRepackScratch {
+    front: EvictionFront,
     search: DrfSearchScratch,
     djobs: Vec<DrfJob>,
-    candidates: Vec<JobId>,
-    /// Available-node slice of the last repack (bin `b` → `avail[b]`;
-    /// identity with every node up — see `dynmcb8::packed_allocation`).
-    avail: Vec<NodeId>,
     /// Searches run (for [`RepackStats`]; every one is cold).
     searches: u64,
     /// Epoch of the last eviction-free repack (see
@@ -60,6 +58,7 @@ impl DrfRepackScratch {
     fn observe_epoch(&mut self, epoch: u64) {
         if epoch < self.last_seen_epoch {
             self.last_clean_epoch = None;
+            self.front.forget_platform();
         }
         self.last_seen_epoch = self.last_seen_epoch.max(epoch);
     }
@@ -74,27 +73,24 @@ impl DrfRepackScratch {
     }
 }
 
-/// The DRF repack pipeline: eviction loop + dominant-share bisection,
-/// then a plan with **per-job** yields (no uniform-yield improvement
-/// pass — the search already assigns each job the yield its dominant
-/// demand warrants, and a CPU-only improvement step would skew the GPU
-/// shares it just balanced).
+/// The DRF repack pipeline: eviction front (DRF preemption ordering)
+/// and dominant-share bisection, then a plan with **per-job** yields (no
+/// uniform-yield improvement pass — the search already assigns each job
+/// the yield its dominant demand warrants, and a CPU-only improvement
+/// step would skew the GPU shares it just balanced).
 fn drf_repack_all(state: &SimState, scratch: &mut DrfRepackScratch) -> Plan {
     let epoch = state.change_epoch();
     if scratch.last_clean_epoch == Some(epoch) {
         return Plan::noop();
     }
-    crate::common::available_nodes_into(state, &mut scratch.avail);
-    let nodes = scratch.avail.len();
-    let candidates = &mut scratch.candidates;
-    candidates.clear();
-    if nodes > 0 {
-        candidates.extend(state.jobs_in_system().map(|j| j.spec.id));
-    }
-    let in_system = state.jobs_in_system().count();
-
-    let alloc = loop {
-        let djobs = &mut scratch.djobs;
+    let DrfRepackScratch {
+        front,
+        search,
+        djobs,
+        searches,
+        ..
+    } = scratch;
+    let alloc = front.pack(state, VictimOrder::DominantDemand, |candidates, nodes| {
         djobs.clear();
         djobs.extend(candidates.iter().map(|&id| {
             let s = &state.job(id).spec;
@@ -106,59 +102,25 @@ fn drf_repack_all(state: &SimState, scratch: &mut DrfRepackScratch) -> Plan {
                 gpu_need: s.gpu_need,
             }
         }));
-        scratch.searches += 1;
-        match max_min_dominant_share(
+        *searches += 1;
+        max_min_dominant_share(
             djobs,
-            nodes.max(1),
+            nodes,
             YIELD_SEARCH_ACCURACY,
             MIN_STRETCH_PER_YIELD,
-            &mut scratch.search,
-        ) {
-            Some(alloc) => break alloc,
-            None => {
-                // DRF preemption ordering: drop the candidate with the
-                // largest total dominant-share demand (ties to the
-                // lower paper priority key) and retry. An empty set
-                // packs trivially, so this terminates.
-                let victim = candidates
-                    .iter()
-                    .copied()
-                    .max_by(|&a, &b| {
-                        let d = |id: JobId| {
-                            let s = &state.job(id).spec;
-                            s.dominant_fluid_need() * s.tasks as f64
-                        };
-                        d(a).total_cmp(&d(b)).then_with(|| {
-                            // max_by keeps the *later* of equal
-                            // elements; compare reversed so the lower
-                            // priority key wins the tie.
-                            state
-                                .job(b)
-                                .priority_key(state.now)
-                                .cmp(&state.job(a).priority_key(state.now))
-                        })
-                    })
-                    .expect("an empty candidate set packs trivially");
-                candidates.retain(|&c| c != victim);
-            }
-        }
-    };
+            search,
+        )
+    });
 
-    let clean = alloc.allocations.len() == in_system;
+    let clean = alloc.allocations.len() == state.jobs_in_system().count();
     scratch.last_clean_epoch = clean.then_some(epoch);
 
     let mut plan = Plan::noop();
-    for j in state.running_jobs() {
-        // `candidates` is ascending (see `packed_allocation`), so
-        // membership is a binary search.
-        if candidates.binary_search(&j.spec.id).is_err() {
-            plan = plan.pause(j.spec.id);
-        }
+    for id in front.evicted_running(state) {
+        plan = plan.pause(id);
     }
-    let avail = &scratch.avail;
     for (id, yld, bins) in alloc.allocations {
-        let placement: Vec<NodeId> = bins.into_iter().map(|b| avail[b as usize]).collect();
-        plan = plan.run(id, placement, yld);
+        plan = plan.run(id, front.nodes_of(&bins), yld);
     }
     plan
 }
@@ -250,6 +212,7 @@ impl Scheduler for DynMcb8DrfPer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfrs_core::ids::{JobId, NodeId};
     use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
 

@@ -25,6 +25,7 @@ use dfrs_packing::{
 use dfrs_sim::{Plan, RepackStats, SchedEvent, Scheduler, SimState};
 
 use crate::common::{AllocSet, NodeScratch};
+use crate::evict::{EvictionFront, VictimOrder};
 
 /// Which vector-packing heuristic the DYNMCB8 family uses inside the
 /// yield binary search. The paper uses MCB8 everywhere; the alternatives
@@ -78,26 +79,13 @@ pub(crate) struct PackedAllocation {
 /// reused across every event of a simulation run.
 #[derive(Debug, Default)]
 pub(crate) struct RepackScratch {
+    front: EvictionFront,
     search: SearchScratch,
     /// Cross-event warm-start state: identical `(job set, nodes)`
-    /// searches — including the infeasible verdicts of the eviction
-    /// loop — replay their stored result with zero packs
+    /// searches replay their stored result with zero packs
     /// (`dfrs_packing::memo` has the exactness argument).
     pub(crate) memo: RepackMemo,
     loads: Vec<JobLoad>,
-    candidates: Vec<JobId>,
-    /// The available-node slice of the last repack: packing runs over
-    /// `avail.len()` anonymous bins and bin `b` maps to physical node
-    /// `avail[b]`. With no failures this is the identity.
-    avail: Vec<NodeId>,
-    /// [`ClusterState::membership_epoch`] the `avail` slice and its
-    /// platform identity were computed at. While unchanged, both are
-    /// still exact (the slice is a pure function of the membership), so
-    /// per-event repacks skip the cluster-sized rebuild and rehash —
-    /// the dominant per-event cost on very large clusters.
-    avail_membership: Option<u64>,
-    /// `RepackMemo::caps_identity` of `avail`, cached alongside it.
-    avail_identity: u64,
     /// [`SimState::change_epoch`] recorded at the last *eviction-free*
     /// repack decision. A clean repack is a pure function of the
     /// candidate set and the cluster size — not of time — so while the
@@ -128,10 +116,7 @@ impl RepackScratch {
             // new-run detection is hygiene (a fresh trace shares no job
             // sets with the old one, so the entries are dead weight).
             self.memo.clear();
-            // The new run's cluster may share a membership counter with
-            // the old one's; the cached available-node slice must not
-            // answer for it.
-            self.avail_membership = None;
+            self.front.forget_platform();
         }
         self.last_seen_epoch = self.last_seen_epoch.max(epoch);
     }
@@ -139,21 +124,6 @@ impl RepackScratch {
     /// The warm-start accounting in the engine's vocabulary.
     pub(crate) fn stats(&self) -> RepackStats {
         memo_stats(&self.memo)
-    }
-
-    /// The node set changed (a failure or repair). The clean-repack
-    /// epoch memo is stale by construction — the epoch bumped — but is
-    /// dropped here explicitly for clarity. The warm-start memo is
-    /// **not** flushed: every entry carries the platform identity of
-    /// the available-node set it was recorded against (see
-    /// [`RepackMemo::set_caps_identity`], folded into each fingerprint
-    /// by [`packed_allocation`]), so entries from other memberships can
-    /// never answer — and when an identity returns (a repaired node
-    /// restores a previous set) its entries resume answering instead of
-    /// having been thrown away. Correctness no longer depends on this
-    /// hook being called at all.
-    pub(crate) fn on_node_set_change(&mut self) {
-        self.last_clean_epoch = None;
     }
 }
 
@@ -170,10 +140,9 @@ pub(crate) fn memo_stats(memo: &RepackMemo) -> RepackStats {
     }
 }
 
-/// Eviction loop + yield binary search over all jobs in the system
-/// (Section III-B): when memory alone cannot be packed, the
-/// lowest-priority job is dropped from consideration and the search
-/// retries.
+/// Eviction front + yield binary search over all jobs in the system
+/// (Section III-B): while memory alone cannot be packed, the
+/// lowest-priority job is dropped from consideration.
 ///
 /// Packing runs over the **available-node slice**: `avail.len()`
 /// anonymous bins, bin `b` landing on physical node `avail[b]`. With
@@ -186,35 +155,15 @@ pub(crate) fn packed_allocation(
     packer: &'static dyn VectorPacker,
     scratch: &mut RepackScratch,
 ) -> PackedAllocation {
-    // The slice and its identity are pure functions of the node
-    // membership: recompute them only when it changed (both are
-    // cluster-sized, and most events change no membership).
-    let membership = state.cluster.membership_epoch();
-    if scratch.avail_membership != Some(membership) {
-        crate::common::available_nodes_into(state, &mut scratch.avail);
-        // Key the warm memo by the *identity* of the available-node set,
-        // not just its size: two memberships of equal size are different
-        // platforms, and an entry recorded under one must not answer
-        // under the other (same-count churn keeps `nodes` — and thus
-        // the rest of the fingerprint — unchanged).
-        scratch.avail_identity =
-            RepackMemo::caps_identity(scratch.avail.iter().map(|n| n.index() as u64));
-        scratch.avail_membership = Some(membership);
-    }
-    scratch.memo.set_caps_identity(scratch.avail_identity);
-    let avail = &scratch.avail;
-    let nodes = avail.len();
-    let candidates = &mut scratch.candidates;
-    candidates.clear();
-    // With no node in service nothing can be packed (possible only
-    // transiently under heavy churn): every candidate would be evicted
-    // one by one, so skip straight to the empty allocation.
-    if nodes > 0 {
-        candidates.extend(state.jobs_in_system().map(|j| j.spec.id));
-    }
-
-    loop {
-        let loads = &mut scratch.loads;
+    let RepackScratch {
+        front,
+        search,
+        memo,
+        loads,
+        ..
+    } = scratch;
+    memo.set_caps_identity(front.platform_identity(state));
+    let alloc = front.pack(state, VictimOrder::Priority, |candidates, nodes| {
         loads.clear();
         loads.extend(candidates.iter().map(|&id| {
             let s = &state.job(id).spec;
@@ -225,55 +174,24 @@ pub(crate) fn packed_allocation(
                 mem_req: s.mem_req,
             }
         }));
-        match max_min_yield_warm(
+        max_min_yield_warm(
             loads,
-            nodes.max(1),
+            nodes,
             packer,
             YIELD_SEARCH_ACCURACY,
             MIN_STRETCH_PER_YIELD,
-            &mut scratch.search,
-            &mut scratch.memo,
-        ) {
-            Some(alloc) => {
-                let placements: Vec<(JobId, Vec<NodeId>)> = alloc
-                    .placements
-                    .into_iter()
-                    .map(|(id, bins)| (id, bins.into_iter().map(|b| avail[b as usize]).collect()))
-                    .collect();
-                // `candidates` is ascending (built from `jobs_in_system`,
-                // pruned with `retain`), so membership is a binary search —
-                // the linear scan made this loop O(running × candidates).
-                let evicted_running = state
-                    .running_jobs()
-                    .map(|j| j.spec.id)
-                    .filter(|id| candidates.binary_search(id).is_err())
-                    .collect();
-                return PackedAllocation {
-                    yield_: alloc.yield_,
-                    placements,
-                    evicted_running,
-                };
-            }
-            None => {
-                // Evict the lowest-priority candidate and retry. On the
-                // full cluster a lone job always packs (traces are
-                // validated against it), so this cannot drain the
-                // candidate set; under failures it can — and the empty
-                // set then packs trivially, pausing everything until
-                // capacity returns.
-                let victim = candidates
-                    .iter()
-                    .copied()
-                    .min_by(|&a, &b| {
-                        state
-                            .job(a)
-                            .priority_key(state.now)
-                            .cmp(&state.job(b).priority_key(state.now))
-                    })
-                    .expect("an empty candidate set packs trivially");
-                candidates.retain(|&c| c != victim);
-            }
-        }
+            search,
+            memo,
+        )
+    });
+    PackedAllocation {
+        yield_: alloc.yield_,
+        placements: alloc
+            .placements
+            .into_iter()
+            .map(|(id, bins)| (id, front.nodes_of(&bins)))
+            .collect(),
+        evicted_running: front.evicted_running(state).collect(),
     }
 }
 
@@ -371,17 +289,15 @@ impl Scheduler for DynMcb8 {
     fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
         self.scratch.observe_epoch(state.change_epoch());
         match ev {
-            SchedEvent::Submit(_) | SchedEvent::Complete(_) => {
-                repack_all(state, self.packer.packer(), &mut self.scratch)
-            }
             // The event-driven variant treats a platform change like any
-            // other membership change: flush the warm memo (the node
-            // set it was recorded against is gone) and repack globally
-            // — killed jobs re-enter, paused victims may resume.
-            SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => {
-                self.scratch.on_node_set_change();
-                repack_all(state, self.packer.packer(), &mut self.scratch)
-            }
+            // other membership change: repack globally — killed jobs
+            // re-enter, paused victims may resume. Nothing is flushed:
+            // the change epoch bumped, and the warm memo's entries are
+            // keyed by the node set's identity.
+            SchedEvent::Submit(_)
+            | SchedEvent::Complete(_)
+            | SchedEvent::NodeDown(_)
+            | SchedEvent::NodeUp(_) => repack_all(state, self.packer.packer(), &mut self.scratch),
             _ => Plan::noop(),
         }
     }
@@ -449,12 +365,8 @@ impl Scheduler for DynMcb8Per {
         match ev {
             SchedEvent::Tick => repack_all(state, self.packer.packer(), &mut self.scratch),
             // Periodic semantics: victims of a failure wait in the
-            // queue like fresh arrivals until the next tick; only the
-            // warm memo is flushed (its node set is gone).
-            SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => {
-                self.scratch.on_node_set_change();
-                Plan::noop()
-            }
+            // queue like fresh arrivals until the next tick (nothing is
+            // flushed, see `DynMcb8`).
             _ => Plan::noop(),
         }
     }
@@ -522,14 +434,13 @@ impl Scheduler for DynMcb8AsapPer {
         match ev {
             SchedEvent::Tick => repack_all(state, self.packer.packer(), &mut self.scratch),
             SchedEvent::Submit(id) => asap_admit(state, &[id]),
-            // ASAP semantics apply to re-arrivals too: flush the warm
-            // memo, then greedily admit every waiting job — pending
-            // (killed under the restart policy, or backlogged) *and*
-            // paused (preserve-policy victims, which re-enter as
-            // resumes) — that fits the surviving nodes; anything that
-            // does not fit queues for the next tick as usual.
+            // ASAP semantics apply to re-arrivals too: greedily admit
+            // every waiting job — pending (killed under the restart
+            // policy, or backlogged) *and* paused (preserve-policy
+            // victims, which re-enter as resumes) — that fits the
+            // surviving nodes; anything that does not fit queues for
+            // the next tick as usual.
             SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => {
-                self.scratch.on_node_set_change();
                 asap_admit(state, &crate::common::waiting_jobs(state))
             }
             _ => Plan::noop(),

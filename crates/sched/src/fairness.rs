@@ -163,12 +163,8 @@ impl Scheduler for DynMcb8FairPer {
         self.scratch.observe_epoch(state.change_epoch());
         match ev {
             SchedEvent::Tick => self.repack(state),
-            // Periodic semantics: victims wait for the next tick; only
-            // the warm memo is flushed (see `DynMcb8Per`).
-            SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => {
-                self.scratch.on_node_set_change();
-                Plan::noop()
-            }
+            // Periodic semantics: failure victims wait for the next
+            // tick (see `DynMcb8Per`).
             _ => Plan::noop(),
         }
     }

@@ -56,6 +56,7 @@ pub mod common;
 pub mod conservative;
 pub mod drf;
 pub mod dynmcb8;
+mod evict;
 pub mod fairness;
 pub mod greedy;
 pub mod registry;

@@ -18,6 +18,8 @@ use dfrs_core::ids::{JobId, NodeId};
 use dfrs_packing::{min_max_estimated_stretch_warm, Mcb8, RepackMemo, SearchScratch, StretchJob};
 use dfrs_sim::{Plan, RepackStats, SchedEvent, Scheduler, SimState};
 
+use crate::evict::{EvictionFront, VictimOrder};
+
 /// The scheduler. Period defaults to the paper's 600 s.
 #[derive(Debug)]
 pub struct DynMcb8StretchPer {
@@ -33,10 +35,7 @@ pub struct DynMcb8StretchPer {
     /// reused for a fresh simulation and the memo is dropped.
     last_seen_epoch: u64,
     sjobs: Vec<StretchJob>,
-    candidates: Vec<JobId>,
-    /// Available-node slice of the last repack (bin `b` → `avail[b]`;
-    /// identity with every node up).
-    avail: Vec<NodeId>,
+    front: EvictionFront,
 }
 
 impl DynMcb8StretchPer {
@@ -54,8 +53,7 @@ impl DynMcb8StretchPer {
             memo: RepackMemo::new(),
             last_seen_epoch: 0,
             sjobs: Vec::new(),
-            candidates: Vec::new(),
-            avail: Vec::new(),
+            front: EvictionFront::default(),
         }
     }
 
@@ -70,30 +68,25 @@ impl DynMcb8StretchPer {
     fn observe_epoch(&mut self, epoch: u64) {
         if epoch < self.last_seen_epoch {
             self.memo.clear();
+            self.front.forget_platform();
         }
         self.last_seen_epoch = self.last_seen_epoch.max(epoch);
     }
 
     fn repack(&mut self, state: &SimState) -> Plan {
-        // Pack over the available-node slice: `avail.len()` anonymous
-        // bins, bin `b` on physical node `avail[b]` (identity with
-        // every node up; see `dynmcb8::packed_allocation`).
-        crate::common::available_nodes_into(state, &mut self.avail);
+        let DynMcb8StretchPer {
+            period,
+            search,
+            memo,
+            sjobs,
+            front,
+            ..
+        } = self;
         // Fold the available-node-set identity into every memo
         // fingerprint (see `dynmcb8::packed_allocation`): entries from
         // other memberships never answer, returning identities resume.
-        self.memo.set_caps_identity(RepackMemo::caps_identity(
-            self.avail.iter().map(|n| n.index() as u64),
-        ));
-        let nodes = self.avail.len();
-        let candidates = &mut self.candidates;
-        candidates.clear();
-        if nodes > 0 {
-            candidates.extend(state.jobs_in_system().map(|j| j.spec.id));
-        }
-
-        loop {
-            let sjobs = &mut self.sjobs;
+        memo.set_caps_identity(front.platform_identity(state));
+        let alloc = front.pack(state, VictimOrder::Priority, |candidates, nodes| {
             sjobs.clear();
             sjobs.extend(candidates.iter().map(|&id| {
                 let j = state.job(id);
@@ -106,71 +99,31 @@ impl DynMcb8StretchPer {
                     virtual_time: j.virtual_time,
                 }
             }));
-            match min_max_estimated_stretch_warm(
-                sjobs,
-                nodes.max(1),
-                self.period,
-                &Mcb8,
-                0.01,
-                &mut self.search,
-                &mut self.memo,
-            ) {
-                Some(alloc) => {
-                    let avail = &self.avail;
-                    let mut assignments: Vec<(JobId, f64, Vec<NodeId>)> = alloc
-                        .assignments
-                        .into_iter()
-                        .map(|(id, y, bins)| {
-                            (
-                                id,
-                                y,
-                                bins.into_iter()
-                                    .map(|b| avail[b as usize])
-                                    .collect::<Vec<_>>(),
-                            )
-                        })
-                        .collect();
-                    improve_average_stretch(
-                        self.period,
-                        state,
-                        &mut assignments,
-                        state.cluster.nodes().len(),
-                    );
-                    // Stretch optimization is GPU-oblivious like the
-                    // yield family's; clamp GPU consumers to capacity
-                    // (guarded no-op on GPU-free workloads).
-                    crate::common::gpu_clamp_assignments(
-                        state.cluster.nodes().len(),
-                        |id| state.job(id).spec.gpu_need,
-                        &mut assignments,
-                    );
-                    let mut plan = Plan::noop();
-                    for j in state.running_jobs() {
-                        // `candidates` is ascending; binary search.
-                        if candidates.binary_search(&j.spec.id).is_err() {
-                            plan = plan.pause(j.spec.id);
-                        }
-                    }
-                    for (id, yld, placement) in assignments {
-                        plan = plan.run(id, placement, yld);
-                    }
-                    return plan;
-                }
-                None => {
-                    let victim = candidates
-                        .iter()
-                        .copied()
-                        .min_by(|&a, &b| {
-                            state
-                                .job(a)
-                                .priority_key(state.now)
-                                .cmp(&state.job(b).priority_key(state.now))
-                        })
-                        .expect("a lone job always packs");
-                    candidates.retain(|&c| c != victim);
-                }
-            }
+            min_max_estimated_stretch_warm(sjobs, nodes, *period, &Mcb8, 0.01, search, memo)
+        });
+        let mut assignments: Vec<(JobId, f64, Vec<NodeId>)> = alloc
+            .assignments
+            .into_iter()
+            .map(|(id, y, bins)| (id, y, front.nodes_of(&bins)))
+            .collect();
+        let nodes = state.cluster.nodes().len();
+        improve_average_stretch(*period, state, &mut assignments, nodes);
+        // Stretch optimization is GPU-oblivious like the yield
+        // family's; clamp GPU consumers to capacity (guarded no-op on
+        // GPU-free workloads).
+        crate::common::gpu_clamp_assignments(
+            nodes,
+            |id| state.job(id).spec.gpu_need,
+            &mut assignments,
+        );
+        let mut plan = Plan::noop();
+        for id in front.evicted_running(state) {
+            plan = plan.pause(id);
         }
+        for (id, yld, placement) in assignments {
+            plan = plan.run(id, placement, yld);
+        }
+        plan
     }
 }
 
