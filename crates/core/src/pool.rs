@@ -2,10 +2,9 @@
 //!
 //! The sharded coordinator used to spawn one OS thread per shard per
 //! tick (`std::thread::scope`), which at huge scale means millions of
-//! short-lived spawns; the packing searches could not afford even that.
-//! This module keeps a small set of **long-lived workers** alive for
-//! the whole process and hands them closures over a queue, so a tick
-//! fan-out or a speculative search probe costs one enqueue instead of
+//! short-lived spawns. This module keeps a small set of **long-lived
+//! workers** alive for the whole process and hands them closures over
+//! a queue, so a tick fan-out costs one enqueue per shard instead of
 //! one `clone(2)`.
 //!
 //! ## Determinism
@@ -29,11 +28,12 @@
 //!
 //! ## Nested scopes
 //!
-//! A task may itself open a scope on the same pool (the sharded tick
-//! fan-out runs inner schedulers whose searches submit speculative
-//! probes). A waiting scope **helps**: while its tasks are pending it
-//! drains the shared queue and runs tasks inline, so the pool cannot
-//! deadlock even when every worker is blocked inside a nested wait.
+//! A task may itself open a scope on the same pool. A waiting scope
+//! **helps**: while its tasks are pending it drains the shared queue
+//! and runs tasks inline, so the caller's thread works during a
+//! fan-out and the pool cannot deadlock even when every worker is
+//! blocked inside a nested wait. (The sharded tick fan-out, the one
+//! caller in the tree, does not nest; the unit tests below do.)
 //!
 //! ## One-core behavior
 //!
@@ -288,10 +288,9 @@ pub fn available_threads() -> usize {
         .min(MAX_WORKERS)
 }
 
-/// The process-wide pool shared by the sharded tick fan-out and the
-/// speculative search probes. Initialized on first use, sized by
-/// [`available_threads`], and never torn down (workers park on the
-/// condvar when idle).
+/// The process-wide pool behind the sharded tick fan-out. Initialized
+/// on first use, sized by [`available_threads`], and never torn down
+/// (workers park on the condvar when idle).
 pub fn global() -> &'static WorkerPool {
     static GLOBAL: OnceLock<WorkerPool> = OnceLock::new();
     GLOBAL.get_or_init(WorkerPool::sized_for_machine)

@@ -31,10 +31,14 @@
 use dfrs_core::ids::JobId;
 use dfrs_core::yield_math::yield_for_dominant_share;
 
+use crate::bisect::bisect;
 use crate::vecpack::{McbVec, VecItem, VecPackScratch};
 
 /// Resource dimensionality of the DRF instance (CPU, memory, GPU).
 pub const DRF_DIMS: usize = 3;
+
+/// Capacity of every node, in every dimension.
+const UNIT: [f64; DRF_DIMS] = [1.0; DRF_DIMS];
 
 /// Aggregate demand of one job for the DRF search: `tasks` identical
 /// tasks with a three-resource per-task demand.
@@ -84,29 +88,14 @@ pub struct DrfAllocation {
     pub allocations: Vec<(JobId, f64, Vec<u32>)>,
 }
 
-/// One self-contained DRF probe slot: its own runs, yields and packer
-/// scratch, so speculative bisection probes can pack concurrently (see
-/// [`crate::scratch::ProbeSlot`] for the two-dimensional analog).
-#[derive(Debug, Clone, Default)]
-struct DrfProbeSlot {
-    runs: Vec<(VecItem<DRF_DIMS>, u32)>,
-    yields: Vec<f64>,
-    pack: VecPackScratch<DRF_DIMS>,
-    ok: bool,
-}
-
 /// Buffers for one DRF search caller.
 #[derive(Debug, Clone, Default)]
 pub struct DrfSearchScratch {
     runs: Vec<(VecItem<DRF_DIMS>, u32)>,
     pack: VecPackScratch<DRF_DIMS>,
-    caps: Vec<[f64; DRF_DIMS]>,
     best: Vec<u32>,
     yields: Vec<f64>,
     best_yields: Vec<f64>,
-    /// Speculative side-probe slots (left and right successors of the
-    /// current bisection probe).
-    side: [DrfProbeSlot; 2],
     /// Monotone count of packer invocations (bench accounting).
     pub packs: u64,
 }
@@ -169,26 +158,6 @@ pub fn max_min_dominant_share(
     min_yield: f64,
     scratch: &mut DrfSearchScratch,
 ) -> Option<DrfAllocation> {
-    max_min_dominant_share_on(
-        jobs,
-        nodes,
-        accuracy,
-        min_yield,
-        scratch,
-        dfrs_core::pool::global(),
-    )
-}
-
-/// [`max_min_dominant_share`] on an explicit worker pool (tests inject
-/// a multi-worker pool to exercise the speculative path on any host).
-pub(crate) fn max_min_dominant_share_on(
-    jobs: &[DrfJob],
-    nodes: usize,
-    accuracy: f64,
-    min_yield: f64,
-    scratch: &mut DrfSearchScratch,
-    pool: &dfrs_core::pool::WorkerPool,
-) -> Option<DrfAllocation> {
     debug_assert!(accuracy > 0.0 && min_yield > 0.0 && min_yield <= 1.0);
     if jobs.is_empty() {
         return Some(DrfAllocation {
@@ -199,148 +168,41 @@ pub(crate) fn max_min_dominant_share_on(
         });
     }
 
-    scratch.caps.clear();
-    scratch.caps.resize(nodes, [1.0; DRF_DIMS]);
     let DrfSearchScratch {
         runs,
         pack,
-        caps,
         best,
         yields,
         best_yields,
-        side,
         packs,
     } = scratch;
-    fn probe(
-        jobs: &[DrfJob],
-        share: f64,
-        min_yield: f64,
-        caps: &[[f64; DRF_DIMS]],
-        runs: &mut Vec<(VecItem<DRF_DIMS>, u32)>,
-        yields: &mut Vec<f64>,
-        pack: &mut VecPackScratch<DRF_DIMS>,
-    ) -> bool {
-        fill_runs_at_share(jobs, share, min_yield, runs, yields);
-        McbVec::<DRF_DIMS>.pack_runs_into(runs, caps, pack)
-    }
-
     // The largest meaningful target: every job at full speed.
     let d_max = jobs
         .iter()
         .map(|j| j.dominant_need())
         .fold(0.0f64, f64::max);
-
-    // Fast path: everything fits at full speed.
-    *packs += 1;
-    if probe(jobs, d_max, min_yield, caps, runs, yields, pack) {
-        let min_share = min_achieved_share(jobs, yields);
-        return Some(DrfAllocation {
-            min_dominant_share: min_share,
-            target_share: d_max,
-            infeasible_share: None,
-            allocations: allocations_from(jobs, yields, pack.bin_of()),
-        });
-    }
-
     // The floor probe (share 0 → every yield clamps to `min_yield`)
     // doubles as the memory-feasibility check.
-    *packs += 1;
-    if !probe(jobs, 0.0, min_yield, caps, runs, yields, pack) {
-        return None;
-    }
-    best.clear();
-    best.extend_from_slice(pack.bin_of());
-    best_yields.clone_from(yields);
-    let mut lo = 0.0;
-    let mut hi = d_max;
-    // Speculative parallel bisection, mirroring `yield_search`: the
-    // caller packs `mid` while the pool packs both possible successors;
-    // targets use the exact sequential arithmetic, the unused successor
-    // is discarded, and `packs` counts only sequential-equivalent
-    // probes, so the result is bit-identical to the sequential search.
-    let speculate =
-        jobs.len() >= crate::yield_search::PARALLEL_PROBE_MIN_JOBS && pool.workers() >= 2;
-    while hi - lo > accuracy {
-        let mid = 0.5 * (lo + hi);
-        if !speculate {
+    let (target_share, infeasible_share) = bisect(
+        d_max,
+        0.0,
+        |lo, hi| hi - lo > accuracy,
+        |share| {
             *packs += 1;
-            if probe(jobs, mid, min_yield, caps, runs, yields, pack) {
+            fill_runs_at_share(jobs, share, min_yield, runs, yields);
+            let ok = McbVec::<DRF_DIMS>.pack_runs_uniform(runs, UNIT, nodes, pack);
+            if ok {
                 best.clear();
                 best.extend_from_slice(pack.bin_of());
                 best_yields.clone_from(yields);
-                lo = mid;
-            } else {
-                hi = mid;
             }
-            continue;
-        }
-        let left = 0.5 * (lo + mid);
-        let right = 0.5 * (mid + hi);
-        let [sl, sr] = side;
-        let mid_ok = pool.scope(|s| {
-            s.execute(|| {
-                sl.ok = probe(
-                    jobs,
-                    left,
-                    min_yield,
-                    caps,
-                    &mut sl.runs,
-                    &mut sl.yields,
-                    &mut sl.pack,
-                );
-            });
-            s.execute(|| {
-                sr.ok = probe(
-                    jobs,
-                    right,
-                    min_yield,
-                    caps,
-                    &mut sr.runs,
-                    &mut sr.yields,
-                    &mut sr.pack,
-                );
-            });
-            probe(jobs, mid, min_yield, caps, runs, yields, pack)
-        });
-        *packs += 1;
-        if mid_ok {
-            best.clear();
-            best.extend_from_slice(pack.bin_of());
-            best_yields.clone_from(yields);
-            lo = mid;
-            if hi - lo <= accuracy {
-                break;
-            }
-            *packs += 1;
-            if sr.ok {
-                best.clear();
-                best.extend_from_slice(sr.pack.bin_of());
-                best_yields.clone_from(&sr.yields);
-                lo = right;
-            } else {
-                hi = right;
-            }
-        } else {
-            hi = mid;
-            if hi - lo <= accuracy {
-                break;
-            }
-            *packs += 1;
-            if sl.ok {
-                best.clear();
-                best.extend_from_slice(sl.pack.bin_of());
-                best_yields.clone_from(&sl.yields);
-                lo = left;
-            } else {
-                hi = left;
-            }
-        }
-    }
-    let min_share = min_achieved_share(jobs, best_yields);
+            ok
+        },
+    )?;
     Some(DrfAllocation {
-        min_dominant_share: min_share,
-        target_share: lo,
-        infeasible_share: Some(hi),
+        min_dominant_share: min_achieved_share(jobs, best_yields),
+        target_share,
+        infeasible_share,
         allocations: allocations_from(jobs, best_yields, best),
     })
 }
@@ -349,7 +211,6 @@ pub(crate) fn max_min_dominant_share_on(
 /// so tests can certify the returned share is maximal within tolerance.
 pub fn drf_feasible_at_share(jobs: &[DrfJob], nodes: usize, share: f64, min_yield: f64) -> bool {
     let mut scratch = DrfSearchScratch::new();
-    scratch.caps.resize(nodes, [1.0; DRF_DIMS]);
     fill_runs_at_share(
         jobs,
         share,
@@ -357,7 +218,7 @@ pub fn drf_feasible_at_share(jobs: &[DrfJob], nodes: usize, share: f64, min_yiel
         &mut scratch.runs,
         &mut scratch.yields,
     );
-    McbVec::<DRF_DIMS>.pack_runs_into(&scratch.runs, &scratch.caps, &mut scratch.pack)
+    McbVec::<DRF_DIMS>.pack_runs_uniform(&scratch.runs, UNIT, nodes, &mut scratch.pack)
 }
 
 fn min_achieved_share(jobs: &[DrfJob], yields: &[f64]) -> f64 {
@@ -481,90 +342,6 @@ mod tests {
         for (_, y, _) in &a.allocations {
             assert!(*y >= 0.01);
             assert!(*y <= 0.125 + 1e-9);
-        }
-    }
-
-    mod speculative_parity {
-        use super::*;
-        use dfrs_core::pool::WorkerPool;
-        use proptest::prelude::*;
-
-        fn search_on(
-            jobs: &[DrfJob],
-            nodes: usize,
-            pool: &WorkerPool,
-        ) -> (Option<DrfAllocation>, u64) {
-            let mut scratch = DrfSearchScratch::new();
-            let out = max_min_dominant_share_on(jobs, nodes, 0.01, 0.01, &mut scratch, pool);
-            (out, scratch.packs)
-        }
-
-        fn assert_parity(jobs: &[DrfJob], nodes: usize) {
-            let serial = WorkerPool::new(1);
-            let parallel = WorkerPool::new(4);
-            assert!(serial.workers() == 0 && parallel.workers() >= 2);
-            let (a, packs_a) = search_on(jobs, nodes, &serial);
-            let (b, packs_b) = search_on(jobs, nodes, &parallel);
-            assert_eq!(packs_a, packs_b, "pack counters diverged");
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(
-                        x.target_share.to_bits(),
-                        y.target_share.to_bits(),
-                        "target share bits diverged"
-                    );
-                    assert_eq!(x.infeasible_share, y.infeasible_share);
-                    assert_eq!(
-                        x.min_dominant_share.to_bits(),
-                        y.min_dominant_share.to_bits()
-                    );
-                    assert_eq!(x.allocations, y.allocations, "allocations diverged");
-                }
-                (a, b) => panic!(
-                    "feasibility diverged: {:?} vs {:?}",
-                    a.is_some(),
-                    b.is_some()
-                ),
-            }
-        }
-
-        #[test]
-        fn speculative_search_is_bit_identical_to_sequential() {
-            let jobs: Vec<_> = (0..96)
-                .map(|i| {
-                    let c = 0.1 + 0.85 * f64::from((i * 37) % 11) / 11.0;
-                    let m = 0.02 + 0.3 * f64::from((i * 17) % 7) / 7.0;
-                    let g = if i % 3 == 0 {
-                        0.2 + 0.7 * f64::from((i * 5) % 9) / 9.0
-                    } else {
-                        0.0
-                    };
-                    job(i, 1 + i % 3, c, m, g)
-                })
-                .collect();
-            for nodes in [9, 23, 48] {
-                assert_parity(&jobs, nodes);
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(16))]
-            #[test]
-            fn prop_speculative_equals_sequential(
-                raw in proptest::collection::vec(
-                    (1u32..4, 0.05f64..1.0, 0.02f64..0.55, 0.0f64..1.0),
-                    crate::yield_search::PARALLEL_PROBE_MIN_JOBS..120,
-                ),
-                nodes in 1usize..24,
-            ) {
-                let jobs: Vec<DrfJob> = raw
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(t, c, m, g))| job(i as u32, t, c, m, g))
-                    .collect();
-                assert_parity(&jobs, nodes);
-            }
         }
     }
 

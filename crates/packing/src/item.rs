@@ -159,16 +159,14 @@ pub trait VectorPacker: Send + Sync {
         bins: usize,
         scratch: &mut crate::scratch::PackScratch,
     ) -> bool {
+        let bin_of = &mut scratch.kernel.bin_of;
+        bin_of.clear();
         match self.pack(items, bins) {
             Some(p) => {
-                scratch.bin_of.clear();
-                scratch.bin_of.extend_from_slice(&p.bin_of);
+                bin_of.extend_from_slice(&p.bin_of);
                 true
             }
-            None => {
-                scratch.bin_of.clear();
-                false
-            }
+            None => false,
         }
     }
 

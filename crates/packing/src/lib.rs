@@ -1,19 +1,22 @@
 //! # dfrs-packing
 //!
-//! Bi-dimensional vector packing for DFRS resource allocation
-//! (Section III-B of the IPDPS 2010 paper).
+//! Vector packing for DFRS resource allocation (Section III-B of the
+//! IPDPS 2010 paper), over the paper's (CPU, memory) pair and over
+//! (CPU, memory, GPU).
 //!
-//! The allocation problem — place tasks with a (CPU, memory) requirement
-//! pair onto unit-capacity nodes — is *vector packing*. The paper's jobs
-//! have **fluid CPU needs**, which is resolved by fixing a yield `Y`
+//! The allocation problem — place tasks with a requirement vector onto
+//! unit-capacity nodes — is *vector packing*. The paper's jobs have
+//! **fluid CPU needs**, which is resolved by fixing a yield `Y`
 //! (turning each CPU need into the requirement `need × Y`) and binary
 //! searching for the largest feasible `Y`. This crate provides:
 //!
-//! * [`mcb8::Mcb8`] — the MCB8 multi-capacity bin-packing heuristic of
-//!   Leinberger, Karypis and Kumar (ICPP 1999), as specialized by the
-//!   paper: two lists split by dominant requirement, sorted by
-//!   non-increasing largest component, placement steered *against* the
-//!   current imbalance of the open node;
+//! * [`vecpack::McbVec`] — the multi-capacity bin-packing heuristic of
+//!   Leinberger, Karypis and Kumar (ICPP 1999) over `D` dimensions: one
+//!   list per dominant requirement, sorted by non-increasing largest
+//!   component, placement steered *against* the current imbalance of
+//!   the open node. It is the only MCB implementation;
+//! * [`mcb8::Mcb8`] — the paper's MCB8: `McbVec` at `D = 2` on unit
+//!   bins, behind the [`VectorPacker`] interface;
 //! * [`fit::FirstFitDecreasing`] and [`fit::BestFitDecreasing`] — classic
 //!   baselines used for ablation;
 //! * [`yield_search::max_min_yield`] — the binary search on the yield
@@ -21,7 +24,15 @@
 //!   minimum yield;
 //! * [`stretch_search::min_max_estimated_stretch`] — the analogous binary
 //!   search minimizing the estimated max stretch used by
-//!   `DYNMCB8-STRETCH-PER`.
+//!   `DYNMCB8-STRETCH-PER`;
+//! * [`drf_search::max_min_dominant_share`] — the analogous search
+//!   maximizing the minimum dominant share (DRF) over three resources;
+//! * [`memo::RepackMemo`] — replay of searches and probes whose exact
+//!   inputs recur across scheduling events;
+//! * [`bounds`] — lower bounds on the bins an instance needs.
+//!
+//! The three searches are one sequential bisection (probe the ideal
+//! target, probe the floor, then halve) with one objective each.
 //!
 //! Everything is deterministic; ties are broken by item order, which
 //! callers fix (the schedulers pass tasks grouped by job id).
@@ -41,6 +52,7 @@
 //! assert_eq!(alloc.placements.len(), 2);
 //! ```
 
+mod bisect;
 pub mod bounds;
 pub mod drf_search;
 pub mod fit;

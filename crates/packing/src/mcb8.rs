@@ -1,220 +1,35 @@
-//! The MCB8 multi-capacity bin-packing heuristic.
+//! MCB8, the paper's packer: [`McbVec`] at `D = 2` on unit bins.
 //!
 //! MCB8 is the two-resource instance of the *Multi-Capacity Bin packing*
 //! family of Leinberger, Karypis and Kumar (ICPP 1999), in the variant
-//! used by Stillwell et al. (Section III-B):
-//!
-//! 1. split the tasks into a CPU-dominant list (CPU requirement > memory
-//!    requirement) and a memory-dominant list (the rest);
-//! 2. sort each list by non-increasing *largest* requirement;
-//! 3. open nodes one at a time; on the open node, repeatedly pick the
-//!    first fitting task from the list that goes **against** the node's
-//!    current imbalance (if free memory exceeds free CPU, prefer a
-//!    memory-dominant task, and vice versa), falling back to the other
-//!    list; when neither list has a fitting task, open the next node.
-//!
-//! The point of step 3 is to keep each node's two residual capacities in
-//! balance so that neither resource is depleted while the other sits idle.
-//!
-//! The heuristic is deterministic: exact ties in the sort are broken by
-//! item id, and the "arbitrary" initial pick on an empty node prefers the
-//! list whose head has the larger requirement (big rocks first), then the
-//! memory-dominant list.
+//! used by Stillwell et al. (Section III-B): tasks split into a
+//! CPU-dominant and a memory-dominant list (ties are memory-dominant),
+//! each sorted by non-increasing largest requirement, and on the open
+//! node the next task comes from the list that goes **against** the
+//! node's current imbalance. The heuristic, its tie-breaks and the
+//! exactness of its accelerators are documented where the code is, in
+//! [`crate::vecpack`]; this type only gives the `D = 2` instantiation
+//! its historical name and the [`VectorPacker`] interface the yield and
+//! stretch searches pack through.
 
-use crate::item::{Bin, PackItem, Packing, VectorPacker};
+use crate::item::{PackItem, Packing, VectorPacker};
 use crate::scratch::PackScratch;
+use crate::vecpack::{push_as_run, McbVec, VecItem};
 
 /// The MCB8 packer. Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Mcb8;
 
-/// One dominance list: items sorted by the MCB8 comparator with O(α)
-/// amortized removal/successor lookup (a path-compressed skip array)
-/// and two exact scan accelerators. Storage is borrowed from the
-/// caller's [`PackScratch`], so repeated packs allocate nothing.
-///
-/// Scans stay **byte-identical** to a naive scan-from-head:
-///
-/// * the list is sorted (descending) by exactly its dominant
-///   requirement (`cpu` for CPU-dominant items, `mem` for memory-
-///   dominant ones — the max component *is* the dominant one), and the
-///   primary-capacity check of [`Bin::fits`] is monotone along it, so
-///   the items failing that check form a prefix that a binary search
-///   with the *same arithmetic* can skip;
-/// * bin capacities only shrink while a bin is open and `fits` is
-///   monotone in them, so an item that failed the open bin once can
-///   never fit it later — the per-bin `cursor` resumes past it.
-struct AliveList<'a> {
-    items: &'a [PackItem],
-    /// `skip[i]` = a known lower bound on the first alive index `>= i`
-    /// (path-compressed); `skip[i] == i` means alive. Slot `n` is the
-    /// tail sentinel.
-    skip: &'a mut Vec<u32>,
-    /// Secondary requirement of each sorted item (memory for the
-    /// CPU-dominant list, CPU for the memory-dominant one) — a flat
-    /// array so the post-jump walk is a tight sequential scan.
-    sec: &'a [f64],
-    /// `sufmin[i] = min(sec[i..])` over **all** items (removed ones
-    /// included, so it lower-bounds the alive suffix): when even that
-    /// minimum cannot fit the remaining secondary capacity, no item
-    /// ahead can, and the walk stops early.
-    sufmin: &'a [f64],
-    /// `run[i]` = end (exclusive) of the maximal run of items with the
-    /// same `(cpu, mem)` as item `i`: identical items produce identical
-    /// fit verdicts, so one failure skips the whole run (a wide job's
-    /// tasks are identical and adjacent in sort order).
-    run: &'a [u32],
-    /// Sorted by CPU (true) or memory (false); selects the primary
-    /// dimension of the prefix jump.
-    primary_cpu: bool,
-    /// Every alive item with index `< cursor` is already known not to
-    /// fit the **current** bin. Reset via [`AliveList::open_bin`].
-    cursor: usize,
+fn as_vec_item(it: &PackItem) -> VecItem<2> {
+    VecItem {
+        id: it.id,
+        req: [it.cpu, it.mem],
+    }
 }
 
-impl<'a> AliveList<'a> {
-    /// Sort `runs` with the MCB8 comparator and expand into the sorted
-    /// task-item arrays, (re)building the skip array and the
-    /// secondary-requirement column.
-    ///
-    /// Sorting happens at **run** level — one entry per maximal group
-    /// of identical items with consecutive ids (a job's tasks) — which
-    /// is exactly equivalent to sorting the expanded tasks: within a
-    /// run the comparator ties break by ascending id (the expansion
-    /// order), and runs with equal keys cannot interleave because their
-    /// id ranges are disjoint, so the run-level id tie-break orders
-    /// whole blocks just as the task-level one would.
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        runs: &mut [(PackItem, u32)],
-        items: &'a mut Vec<PackItem>,
-        skip: &'a mut Vec<u32>,
-        sec: &'a mut Vec<f64>,
-        sufmin: &'a mut Vec<f64>,
-        run: &'a mut Vec<u32>,
-        primary_cpu: bool,
-    ) -> Self {
-        // The comparator is a total order (first ids are unique), so
-        // the unstable sort is deterministic.
-        runs.sort_unstable_by(|a, b| {
-            b.0.max_component()
-                .total_cmp(&a.0.max_component())
-                .then(a.0.id.cmp(&b.0.id))
-        });
-        items.clear();
-        sec.clear();
-        for &(it, count) in runs.iter() {
-            for k in 0..count {
-                items.push(PackItem {
-                    id: it.id + k,
-                    cpu: it.cpu,
-                    mem: it.mem,
-                });
-                sec.push(if primary_cpu { it.mem } else { it.cpu });
-            }
-        }
-        skip.clear();
-        skip.extend(0..=items.len() as u32);
-        let n = items.len();
-        sufmin.clear();
-        sufmin.resize(n, f64::INFINITY);
-        run.clear();
-        run.resize(n, 0);
-        let mut acc = f64::INFINITY;
-        for i in (0..n).rev() {
-            acc = acc.min(sec[i]);
-            sufmin[i] = acc;
-            let same_as_next =
-                i + 1 < n && items[i].cpu == items[i + 1].cpu && items[i].mem == items[i + 1].mem;
-            run[i] = if same_as_next {
-                run[i + 1]
-            } else {
-                i as u32 + 1
-            };
-        }
-        AliveList {
-            items,
-            skip,
-            sec,
-            sufmin,
-            run,
-            primary_cpu,
-            cursor: 0,
-        }
-    }
-
-    /// Forget the failed-item prefix of the previous bin.
-    fn open_bin(&mut self) {
-        self.cursor = 0;
-    }
-
-    /// First alive index `>= i` (the sentinel index for an empty tail),
-    /// halving lookup paths as it goes.
-    fn first_alive(&mut self, mut i: usize) -> usize {
-        loop {
-            let p = self.skip[i] as usize;
-            if p == i {
-                return i;
-            }
-            let gp = self.skip[p];
-            self.skip[i] = gp;
-            i = gp as usize;
-        }
-    }
-
-    /// Largest alive item, if any.
-    fn head(&mut self) -> Option<&PackItem> {
-        let i = self.first_alive(0);
-        self.items.get(i)
-    }
-
-    /// Find and remove the first (largest) alive item that fits in
-    /// `bin`. Exact-equivalent to a scan from the head (see type docs).
-    fn take_first_fit(&mut self, bin: &Bin) -> Option<PackItem> {
-        let n = self.items.len();
-        // Jump the prefix failing the primary-capacity check, using the
-        // same `used + req <= 1 + EPS` arithmetic as `Bin::fits`.
-        let (p_used, s_used) = if self.primary_cpu {
-            (bin.cpu_used, bin.mem_used)
-        } else {
-            (bin.mem_used, bin.cpu_used)
-        };
-        let primary_cpu = self.primary_cpu;
-        let start = if p_used == 0.0 {
-            // Empty primary dimension: no item can fail it (oversized
-            // items were rejected up front), so the prefix is empty.
-            0
-        } else {
-            self.items.partition_point(|it| {
-                let req = if primary_cpu { it.cpu } else { it.mem };
-                p_used + req > 1.0 + dfrs_core::approx::EPS
-            })
-        };
-        // Every item at `>= start` passes the primary check while this
-        // bin's capacities hold, so the walk only tests the secondary
-        // dimension (same arithmetic as `Bin::fits`) from the flat
-        // column, jumping removed runs through the skip links.
-        let mut i = self.first_alive(start.max(self.cursor));
-        while i < n {
-            // If even the smallest secondary requirement ahead cannot
-            // fit, no item ahead can — stop (sound: the suffix minimum
-            // only underestimates the alive suffix's minimum).
-            if s_used + self.sufmin[i] > 1.0 + dfrs_core::approx::EPS {
-                break;
-            }
-            if s_used + self.sec[i] <= 1.0 + dfrs_core::approx::EPS {
-                let item = self.items[i];
-                debug_assert!(bin.fits(&item));
-                self.skip[i] = i as u32 + 1;
-                self.cursor = i;
-                return Some(item);
-            }
-            // Identical items fail identically: skip the whole run.
-            i = self.first_alive(self.run[i] as usize);
-        }
-        self.cursor = n;
-        None
-    }
+/// Pack `scratch.runs` onto `bins` unit bins.
+fn pack_scratch_runs(bins: usize, scratch: &mut PackScratch) -> bool {
+    McbVec::<2>.pack_runs_uniform(&scratch.runs, [1.0; 2], bins, &mut scratch.kernel)
 }
 
 impl VectorPacker for Mcb8 {
@@ -226,7 +41,7 @@ impl VectorPacker for Mcb8 {
         let mut scratch = PackScratch::new();
         self.pack_into(items, bins, &mut scratch).then(|| {
             let packing = Packing {
-                bin_of: std::mem::take(&mut scratch.bin_of),
+                bin_of: std::mem::take(&mut scratch.kernel.bin_of),
             };
             debug_assert!(packing.is_valid(items, bins));
             packing
@@ -248,23 +63,13 @@ impl VectorPacker for Mcb8 {
             },
             "item ids must be dense 0..n and unique"
         );
-        // Compress consecutive identical items into runs and delegate;
-        // hot-path callers (the searches) build runs directly.
-        let mut runs = std::mem::take(&mut scratch.input_runs);
-        runs.clear();
+        // Compress consecutive identical items into runs; hot-path
+        // callers (the searches) build runs directly.
+        scratch.runs.clear();
         for it in items {
-            match runs.last_mut() {
-                Some((first, count))
-                    if first.cpu == it.cpu && first.mem == it.mem && first.id + *count == it.id =>
-                {
-                    *count += 1;
-                }
-                _ => runs.push((*it, 1)),
-            }
+            push_as_run(&mut scratch.runs, as_vec_item(it));
         }
-        let ok = self.pack_runs_into(&runs, bins, scratch);
-        scratch.input_runs = runs;
-        ok
+        pack_scratch_runs(bins, scratch)
     }
 
     fn pack_runs_into(
@@ -273,121 +78,11 @@ impl VectorPacker for Mcb8 {
         bins: usize,
         scratch: &mut PackScratch,
     ) -> bool {
-        scratch.bin_of.clear();
-        if runs.is_empty() {
-            return true;
-        }
-
-        // Cheap necessary conditions before the O(n·m) work, evaluated
-        // with the exact per-item addition sequence (items within a run
-        // are identical, so the repeated adds match an item-level
-        // loop). The big-item counts are a pairwise-conflict bound made
-        // sound against the `fits` tolerance: two items above `1/2 +
-        // EPS` in the same dimension sum past `1 + EPS`, so each needs
-        // its own bin and exceeding `bins` of them forces failure —
-        // rejecting early returns exactly what the full loop would.
-        let mut n = 0usize;
-        let (mut cpu_sum, mut mem_sum) = (0.0, 0.0);
-        let (mut big_cpu, mut big_mem) = (0usize, 0usize);
-        for &(it, count) in runs {
-            if it.cpu > 1.0 + dfrs_core::approx::EPS || it.mem > 1.0 + dfrs_core::approx::EPS {
-                return false;
-            }
-            for _ in 0..count {
-                cpu_sum += it.cpu;
-                mem_sum += it.mem;
-            }
-            n += count as usize;
-            big_cpu += ((it.cpu > 0.5 + dfrs_core::approx::EPS) as usize) * count as usize;
-            big_mem += ((it.mem > 0.5 + dfrs_core::approx::EPS) as usize) * count as usize;
-        }
-        let cap = bins as f64 + dfrs_core::approx::EPS;
-        if cpu_sum > cap || mem_sum > cap || big_cpu > bins || big_mem > bins {
-            return false;
-        }
-
-        let PackScratch {
-            cpu_dom,
-            mem_dom,
-            skip_cpu,
-            skip_mem,
-            sec_cpu,
-            sec_mem,
-            sufmin_cpu,
-            sufmin_mem,
-            run_cpu,
-            run_mem,
-            cpu_runs,
-            mem_runs,
-            bin_of,
-            ..
-        } = scratch;
-        // Partition the runs into the two dominance lists — the sort
-        // then costs O(runs log runs) (one run per job), not
-        // O(tasks log tasks).
-        cpu_runs.clear();
-        mem_runs.clear();
-        for &(it, count) in runs {
-            if it.cpu_dominant() {
-                cpu_runs.push((it, count));
-            } else {
-                mem_runs.push((it, count));
-            }
-        }
-        let mut list_cpu = AliveList::build(
-            cpu_runs, cpu_dom, skip_cpu, sec_cpu, sufmin_cpu, run_cpu, true,
-        );
-        let mut list_mem = AliveList::build(
-            mem_runs, mem_dom, skip_mem, sec_mem, sufmin_mem, run_mem, false,
-        );
-
-        bin_of.resize(n, u32::MAX); // cleared above, so all-MAX
-        let mut placed = 0usize;
-        for b in 0..bins {
-            if placed == n {
-                break;
-            }
-            let mut bin = Bin::empty();
-            list_cpu.open_bin();
-            list_mem.open_bin();
-            loop {
-                // Prefer the list that counteracts the bin's imbalance.
-                let prefer_mem = if dfrs_core::approx::eq(bin.mem_free(), bin.cpu_free()) {
-                    // Balanced (e.g. empty) bin: take the list with the
-                    // larger head so big items are placed early.
-                    match (list_cpu.head(), list_mem.head()) {
-                        (Some(c), Some(m)) => m.max_component() >= c.max_component(),
-                        (None, _) => true,
-                        (_, None) => false,
-                    }
-                } else {
-                    bin.mem_free() > bin.cpu_free()
-                };
-
-                let (first, second) = if prefer_mem {
-                    (&mut list_mem, &mut list_cpu)
-                } else {
-                    (&mut list_cpu, &mut list_mem)
-                };
-
-                let picked = first
-                    .take_first_fit(&bin)
-                    .or_else(|| second.take_first_fit(&bin));
-
-                match picked {
-                    Some(item) => {
-                        bin.place(&item);
-                        bin_of[item.id as usize] = b as u32;
-                        placed += 1;
-                        if placed == n {
-                            break;
-                        }
-                    }
-                    None => break, // nothing fits; open the next bin
-                }
-            }
-        }
-        placed == n
+        scratch.runs.clear();
+        scratch
+            .runs
+            .extend(runs.iter().map(|(it, count)| (as_vec_item(it), *count)));
+        pack_scratch_runs(bins, scratch)
     }
 }
 
@@ -495,6 +190,24 @@ mod tests {
         let p1 = Mcb8.pack(&a, 2).unwrap();
         let p2 = Mcb8.pack(&a, 2).unwrap();
         assert_eq!(p1, p2);
+    }
+
+    #[test]
+    fn cost_is_independent_of_the_bin_count() {
+        // A uniform cluster is a capacity and a count, never a per-bin
+        // array: 2^40 bins would not fit in memory (or in the test
+        // budget) if anything were allocated or scanned per bin.
+        let runs = [(
+            PackItem {
+                id: 0,
+                cpu: 0.5,
+                mem: 0.5,
+            },
+            1,
+        )];
+        let mut scratch = PackScratch::new();
+        assert!(Mcb8.pack_runs_into(&runs, 1 << 40, &mut scratch));
+        assert_eq!(scratch.bin_of(), [0]);
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! Reusable scratch buffers for the packing hot path.
 //!
 //! Every `DynMCB8*` scheduling decision runs a binary search whose each
-//! probe expands jobs into task items and packs them. Naively that is
-//! five heap allocations per probe (item list, two dominance lists, the
-//! liveness links, the output); at ~10 probes per decision and one
-//! decision per event this dominated the allocator profile. Callers
+//! probe expands jobs into item runs and packs them. Naively that is
+//! a handful of heap allocations per probe (the runs, the dominance
+//! lists and their accelerators, the output); at ~10 probes per
+//! decision and one decision per event this dominated the allocator
+//! profile. Callers
 //! that decide repeatedly hold one [`SearchScratch`] (schedulers keep
 //! it across events) and every probe reuses the same buffers.
 
 use crate::item::PackItem;
+use crate::vecpack::{VecItem, VecPackScratch};
 
 /// Buffers reused by a single packer invocation ([`crate::VectorPacker::pack_into`]).
 ///
@@ -17,41 +19,12 @@ use crate::item::PackItem;
 /// into amortized-free buffer reuse.
 #[derive(Debug, Default, Clone)]
 pub struct PackScratch {
-    /// CPU-dominant items, sorted by the MCB8 comparator.
-    pub(crate) cpu_dom: Vec<PackItem>,
-    /// Memory-dominant items, sorted by the MCB8 comparator.
-    pub(crate) mem_dom: Vec<PackItem>,
-    /// Path-compressed liveness skips of the CPU-dominant list.
-    pub(crate) skip_cpu: Vec<u32>,
-    /// Path-compressed liveness skips of the memory-dominant list.
-    pub(crate) skip_mem: Vec<u32>,
-    /// Secondary requirement (memory) of each sorted CPU-dominant item.
-    pub(crate) sec_cpu: Vec<f64>,
-    /// Secondary requirement (CPU) of each sorted memory-dominant item.
-    pub(crate) sec_mem: Vec<f64>,
-    /// Suffix minima of `sec_cpu` (over all items, removed included —
-    /// a sound lower bound for the alive suffix).
-    pub(crate) sufmin_cpu: Vec<f64>,
-    /// Suffix minima of `sec_mem`.
-    pub(crate) sufmin_mem: Vec<f64>,
-    /// `run_cpu[i]` = end (exclusive) of the maximal run of items
-    /// identical to item `i` in the sorted CPU-dominant list (a job's
-    /// tasks are identical and adjacent; one failed fit rules out the
-    /// whole run).
-    pub(crate) run_cpu: Vec<u32>,
-    /// Run ends of the memory-dominant list.
-    pub(crate) run_mem: Vec<u32>,
-    /// Input compressed to `(first item, count)` runs of identical
-    /// items with consecutive ids — sorting happens at run level
-    /// (one entry per job instead of one per task).
-    pub(crate) cpu_runs: Vec<(PackItem, u32)>,
-    /// Memory-dominant runs.
-    pub(crate) mem_runs: Vec<(PackItem, u32)>,
-    /// Run buffer for the item-slice compatibility path
-    /// ([`crate::VectorPacker::pack_into`]).
-    pub(crate) input_runs: Vec<(PackItem, u32)>,
-    /// Output: bin of the item with id `i`, `u32::MAX` while unplaced.
-    pub(crate) bin_of: Vec<u32>,
+    /// The instance as the MCB kernel takes it: `(first item, count)`
+    /// runs of identical 2-vectors with consecutive ids.
+    pub(crate) runs: Vec<(VecItem<2>, u32)>,
+    /// The kernel's buffers. Its `bin_of` is this scratch's output,
+    /// whichever packer filled it.
+    pub(crate) kernel: VecPackScratch<2>,
 }
 
 impl PackScratch {
@@ -64,23 +37,8 @@ impl PackScratch {
     /// [`crate::VectorPacker::pack_into`]: `bin_of()[i]` is the bin of
     /// the item with id `i`.
     pub fn bin_of(&self) -> &[u32] {
-        &self.bin_of
+        self.kernel.bin_of()
     }
-}
-
-/// One self-contained probe evaluation slot: its own runs buffer and
-/// packer scratch, so speculative bisection probes can pack
-/// concurrently without sharing mutable state (`yield_search` submits
-/// the two possible successors of the current probe to the worker pool
-/// while the caller packs the probe itself).
-#[derive(Debug, Default, Clone)]
-pub struct ProbeSlot {
-    /// Per-job item runs of this slot's probe.
-    pub(crate) runs: Vec<(PackItem, u32)>,
-    /// Packer-internal buffers of this slot.
-    pub(crate) pack: PackScratch,
-    /// Verdict of this slot's probe.
-    pub(crate) ok: bool,
 }
 
 /// Buffers for one binary-search caller (yield or stretch search):
@@ -92,10 +50,6 @@ pub struct SearchScratch {
     pub(crate) runs: Vec<(PackItem, u32)>,
     /// Packer-internal buffers.
     pub(crate) pack: PackScratch,
-    /// Speculative side-probe slots (left and right successors of the
-    /// current bisection probe), used only when the worker pool has
-    /// parallelism to offer.
-    pub(crate) side: [ProbeSlot; 2],
     /// `bin_of` of the best feasible probe so far.
     pub(crate) best: Vec<u32>,
     /// Runs of the most recent *feasible* probe (stretch search:

@@ -15,6 +15,7 @@ use dfrs_core::constants::MIN_STRETCH_PER_YIELD;
 use dfrs_core::ids::JobId;
 use dfrs_core::yield_math;
 
+use crate::bisect::bisect;
 use crate::item::{PackItem, VectorPacker};
 use crate::scratch::SearchScratch;
 
@@ -238,37 +239,25 @@ pub(crate) fn search_with(
         .fold(f64::NEG_INFINITY, f64::max)
         .max(s_min);
 
-    let build = |target: f64, bin_of: &[u32]| {
-        let mut assignments = Vec::with_capacity(jobs.len());
-        let mut cursor = 0usize;
-        for j in jobs {
-            let nodes_of = bin_of[cursor..cursor + j.tasks as usize].to_vec();
-            cursor += j.tasks as usize;
-            assignments.push((j.job, clamped_yield(j, target, period), nodes_of));
-        }
-        StretchAllocation {
-            target,
-            assignments,
-        }
-    };
-
-    if probes.probe(jobs, s_min, period, nodes, best) {
-        return Some(build(s_min, best));
+    // `s_min` is the ideal, `s_max` the floor: the feasible end of the
+    // bracket is the upper one here.
+    let (target, _) = bisect(
+        s_min,
+        s_max,
+        |hi, lo| hi - lo > accuracy * lo.max(1.0),
+        |target| probes.probe(jobs, target, period, nodes, best),
+    )?;
+    let mut assignments = Vec::with_capacity(jobs.len());
+    let mut cursor = 0usize;
+    for j in jobs {
+        let nodes_of = best[cursor..cursor + j.tasks as usize].to_vec();
+        cursor += j.tasks as usize;
+        assignments.push((j.job, clamped_yield(j, target, period), nodes_of));
     }
-    if !probes.probe(jobs, s_max, period, nodes, best) {
-        return None;
-    }
-    let mut hi = s_max; // feasible
-    let mut lo = s_min; // infeasible
-    while hi - lo > accuracy * lo.max(1.0) {
-        let mid = 0.5 * (lo + hi);
-        if probes.probe(jobs, mid, period, nodes, best) {
-            hi = mid;
-        } else {
-            lo = mid;
-        }
-    }
-    Some(build(hi, best))
+    Some(StretchAllocation {
+        target,
+        assignments,
+    })
 }
 
 #[cfg(test)]

@@ -1,52 +1,89 @@
-//! The dimension-generic MCB packer: `McbVec<D>`.
+//! The MCB packer: `McbVec<D>`, the one implementation of the heuristic.
 //!
-//! [`crate::Mcb8`] is the hand-specialized two-resource engine on the
-//! golden hot path; this module is the same heuristic written against a
-//! compile-time dimension count `D`, so the scheduling stack can pack
-//! (CPU, memory, GPU) — or any future vector — through one code path:
+//! MCB is the *Multi-Capacity Bin packing* family of Leinberger, Karypis
+//! and Kumar (ICPP 1999). Stillwell et al. (Section III-B) use its
+//! two-resource instance, MCB8, inside the yield search; this module is
+//! that heuristic written against a compile-time dimension count `D`, so
+//! the paper's (CPU, memory) packer ([`crate::Mcb8`], `D = 2`) and the
+//! (CPU, memory, GPU) packer of the DRF search (`D = 3`) are one code
+//! path:
 //!
+//! 0. reject instances that cannot pack — an item larger than the
+//!    largest bin in some dimension; a dimension whose requirements,
+//!    added in input order, exceed its total capacity (`bins × cap` for
+//!    uniform bins, the sum of the capacities otherwise); and, for
+//!    uniform bins only, more items above half a bin in one dimension
+//!    than there are bins. Every comparison carries the `+ EPS` of
+//!    `fits`;
 //! 1. split the tasks into `D` dominance lists, one per **dominant
 //!    dimension** (the index of the largest requirement, ties toward
-//!    the higher index — exactly MCB8's "CPU-dominant iff `cpu > mem`"
-//!    split when `D = 2`);
-//! 2. sort each list by non-increasing largest requirement;
-//! 3. on the open bin, try the lists in order of the bin's residual
-//!    capacities, **most-depleted dimension's opposing list first**
-//!    (i.e. dimensions ordered by free capacity descending): picking an
-//!    item whose dominant demand sits in the freest dimension steers
-//!    every residual back toward balance, the generalization of MCB8's
-//!    two-list imbalance rule.
+//!    the higher index — MCB8's "CPU-dominant iff `cpu > mem`" when
+//!    `D = 2`);
+//! 2. sort each list by non-increasing largest requirement, exact ties
+//!    by item id;
+//! 3. open the bins one at a time, in order; on the open bin,
+//!    repeatedly place the first fitting task of the first list that
+//!    has one, trying the lists in order of the bin's residual
+//!    capacities, **freest dimension first**: an item whose dominant
+//!    demand sits in the freest dimension steers every residual back
+//!    toward balance, so no resource is depleted while another sits
+//!    idle (MCB8's "go against the imbalance" rule). The order is an
+//!    insertion sort of the dimensions `0..D` under a pairwise
+//!    predicate: the freer dimension first; when the two free
+//!    capacities are equal within `EPS` (an empty bin, say), the list
+//!    whose head has the larger requirement (big rocks first); then
+//!    the higher dimension index (at `D = 2`: ties go to the memory
+//!    list). When no list has a fitting task, open the next bin.
 //!
-//! Bins carry an explicit capacity vector — heterogeneous nodes pack
-//! through the same code, and the unit-capacity instance reproduces the
-//! historical arithmetic exactly.
+//! The pack succeeds when every task is placed. Bins carry an explicit
+//! capacity vector, so heterogeneous nodes pack through the same code;
+//! a uniform cluster is passed as one capacity and a count, and nothing
+//! is then allocated or scanned per bin.
 //!
 //! ## Exactness of the accelerators
 //!
-//! Every `Mcb8` scan accelerator generalizes per-dimension with the
-//! same arguments (see `mcb8.rs`):
+//! The kernel returns exactly what scanning every list from its head
+//! would (`tests/mcb_reference.rs` checks that against such a scan,
+//! byte for byte), but does less work:
 //!
-//! * each list is sorted by exactly its primary requirement (for items
-//!   in list `d`, the max component *is* `req[d]`), so the items
-//!   failing the primary-capacity check form a prefix a binary search
-//!   with the same arithmetic skips;
-//! * suffix minima are kept for every **secondary** dimension: when for
-//!   any secondary dimension even the smallest requirement ahead
-//!   overflows, no item ahead can fit and the walk stops;
-//! * identical items produce identical verdicts, so one failure skips
-//!   the whole run;
-//! * bin capacities only shrink while a bin is open and `fits` is
-//!   monotone, so a per-bin cursor resumes past known failures.
-//!
-//! ## Degeneracy
-//!
-//! `McbVec::<2>` is **byte-identical** to `Mcb8` on every instance (the
-//! `vecpack_degenerate` proptests machine-check this): the split, the
-//! sort comparator, the list preference order (free-capacity tie →
-//! larger head → higher dimension index, reproducing "ties are
-//! memory-dominant" and the `(None, _) => prefer mem` corner), the
-//! early rejects and every capacity comparison use the same arithmetic
-//! in the same sequence.
+//! * **Run-level sort.** Callers pass runs — maximal groups of
+//!   identical items with consecutive ids, a job's tasks — and the sort
+//!   orders runs, one entry per job rather than one per task. That
+//!   equals sorting the expanded tasks: within a run the comparator
+//!   ties break by ascending id, which is the expansion order, and runs
+//!   with equal keys cannot interleave because their id ranges are
+//!   disjoint, so the run-level id tie-break orders whole blocks as the
+//!   task-level one would. The comparator is a total order (first ids
+//!   are unique), so the unstable sort is deterministic.
+//! * **Skip array.** Placed items are unlinked through a
+//!   path-compressed "first alive index `>= i`" array: O(α) amortized
+//!   removal and successor lookup, same visiting order.
+//! * **Prefix jump.** Each list is sorted by exactly its primary
+//!   requirement (for items in list `d` the largest component *is*
+//!   `req[d]`) and the primary-capacity check of `fits` is monotone
+//!   along it, so the items failing that check form a prefix, which a
+//!   binary search with the *same arithmetic* skips. An empty primary
+//!   dimension whose capacity admits the list's largest item has an
+//!   empty prefix; a heterogeneous bin smaller than the widest one
+//!   must still search.
+//! * **Suffix minima.** For every secondary dimension the list keeps
+//!   the minimum requirement over `items[i..]` — over all items,
+//!   removed ones included, so it only underestimates the alive
+//!   suffix. When even that minimum overflows the bin, no item ahead
+//!   can fit and the walk stops.
+//! * **Run skip.** Identical items produce identical verdicts, so one
+//!   failure skips the whole run.
+//! * **Per-bin cursor.** A bin's usage only grows while it is open and
+//!   `fits` is monotone in it, so an item that failed the open bin
+//!   once can never fit it later; the walk resumes past known
+//!   failures and forgets them when the next bin opens.
+//! * **Early rejections** (step 0) return exactly what the bin loop
+//!   would for the oversized-item and over-half tests: an item above
+//!   every capacity fits nowhere, and two items above `cap/2 + EPS` in
+//!   one dimension sum past `cap + EPS`, so each needs its own bin. The
+//!   volume test is part of the heuristic's definition rather than an
+//!   accelerator: `fits` tolerates `EPS` per bin, so the loop alone
+//!   could place up to `bins × EPS` more than the test admits.
 
 use dfrs_core::approx::EPS;
 use dfrs_core::resources::dominant_dim;
@@ -169,8 +206,7 @@ impl<const D: usize> Default for ListBufs<D> {
 
 impl<const D: usize> ListBufs<D> {
     /// Sort this list's runs with the MCB comparator and rebuild the
-    /// expanded arrays and accelerators (see `AliveList::build` in
-    /// `mcb8.rs` for why run-level sorting equals task-level sorting).
+    /// expanded arrays and accelerators.
     fn build(&mut self) {
         self.runs.sort_unstable_by(|a, b| {
             b.0.max_component()
@@ -249,10 +285,8 @@ impl<const D: usize> ListBufs<D> {
         {
             // Empty primary dimension and the largest primary demand
             // fits this bin's capacity: no item can fail the primary
-            // check. (Uniform-capacity packs always land here, matching
-            // Mcb8's `p_used == 0.0` fast path byte-for-byte; a
-            // heterogeneous bin smaller than the cluster maximum must
-            // still run the prefix search.)
+            // check. (Uniform bins always land here; a heterogeneous
+            // bin smaller than the widest one must still search.)
             0
         } else {
             self.req_cols[dim].partition_point(|&r| p_used + r > p_cap + EPS)
@@ -291,7 +325,7 @@ impl<const D: usize> ListBufs<D> {
 pub struct VecPackScratch<const D: usize> {
     lists: Vec<ListBufs<D>>,
     /// Output: bin of the item with id `i`, `u32::MAX` while unplaced.
-    bin_of: Vec<u32>,
+    pub(crate) bin_of: Vec<u32>,
 }
 
 impl<const D: usize> Default for VecPackScratch<D> {
@@ -317,7 +351,64 @@ impl<const D: usize> VecPackScratch<D> {
     }
 }
 
-/// The dimension-generic MCB packer. Stateless; construct freely.
+/// Bin capacities as the kernel reads them.
+#[derive(Clone, Copy)]
+enum Caps<'a, const D: usize> {
+    /// That many bins of one capacity: nothing is stored or scanned per
+    /// bin, so a pack costs the same on 8 nodes and on 100 000.
+    Uniform([f64; D], usize),
+    /// One capacity vector per bin.
+    PerBin(&'a [[f64; D]]),
+}
+
+impl<const D: usize> Caps<'_, D> {
+    fn bins(&self) -> usize {
+        match *self {
+            Caps::Uniform(_, bins) => bins,
+            Caps::PerBin(caps) => caps.len(),
+        }
+    }
+
+    fn of_bin(&self, b: usize) -> [f64; D] {
+        match *self {
+            Caps::Uniform(cap, _) => cap,
+            Caps::PerBin(caps) => caps[b],
+        }
+    }
+
+    /// Per dimension, the largest capacity of any bin and the total
+    /// capacity of all bins (`bins × cap` when uniform — exact for unit
+    /// bins — and the running sum otherwise).
+    fn widest_and_total(&self) -> ([f64; D], [f64; D]) {
+        match *self {
+            Caps::Uniform(cap, bins) => (cap, cap.map(|c| bins as f64 * c)),
+            Caps::PerBin(caps) => {
+                let mut widest = [f64::NEG_INFINITY; D];
+                let mut total = [0.0f64; D];
+                for cap in caps {
+                    for d in 0..D {
+                        widest[d] = widest[d].max(cap[d]);
+                        total[d] += cap[d];
+                    }
+                }
+                (widest, total)
+            }
+        }
+    }
+}
+
+/// Append `item` to `runs`, extending the last run when `item` is
+/// identical to it and carries the next id.
+pub(crate) fn push_as_run<const D: usize>(runs: &mut Vec<(VecItem<D>, u32)>, item: VecItem<D>) {
+    match runs.last_mut() {
+        Some((first, count)) if first.req == item.req && first.id + *count == item.id => {
+            *count += 1;
+        }
+        _ => runs.push((item, 1)),
+    }
+}
+
+/// The MCB packer over `D` dimensions. Stateless; construct freely.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct McbVec<const D: usize>;
 
@@ -332,33 +423,49 @@ impl<const D: usize> McbVec<D> {
         caps: &[[f64; D]],
         scratch: &mut VecPackScratch<D>,
     ) -> bool {
+        let view = match caps.first() {
+            Some(first) if caps.iter().all(|cap| cap == first) => Caps::Uniform(*first, caps.len()),
+            _ => Caps::PerBin(caps),
+        };
+        self.pack(runs, view, scratch)
+    }
+
+    /// [`pack_runs_into`](Self::pack_runs_into) for `bins` bins of the
+    /// same capacity `cap`, at a cost independent of `bins`.
+    pub(crate) fn pack_runs_uniform(
+        &self,
+        runs: &[(VecItem<D>, u32)],
+        cap: [f64; D],
+        bins: usize,
+        scratch: &mut VecPackScratch<D>,
+    ) -> bool {
+        self.pack(runs, Caps::Uniform(cap, bins), scratch)
+    }
+
+    fn pack(
+        &self,
+        runs: &[(VecItem<D>, u32)],
+        caps: Caps<'_, D>,
+        scratch: &mut VecPackScratch<D>,
+    ) -> bool {
         scratch.bin_of.clear();
         if runs.is_empty() {
             return true;
         }
-        let bins = caps.len();
-
-        // Cheap necessary conditions, evaluated with the exact
-        // per-item addition sequence (`mcb8.rs` documents why the
-        // big-item pairwise bound is sound against the fits tolerance;
-        // it needs uniform capacities, so it is gated on them).
-        let uniform = caps.windows(2).all(|w| w[0] == w[1]);
-        let mut max_cap = [f64::NEG_INFINITY; D];
-        for cap in caps {
-            for d in 0..D {
-                max_cap[d] = max_cap[d].max(cap[d]);
-            }
+        let bins = caps.bins();
+        if bins == 0 {
+            return false;
         }
+
+        // Step 0 (module docs), evaluated with the exact per-item
+        // addition sequence: items within a run are identical, so the
+        // repeated adds match an item-level loop.
+        let (widest, total) = caps.widest_and_total();
         let mut n = 0usize;
         let mut sums = [0.0f64; D];
         let mut big = [0usize; D];
         for &(it, count) in runs {
-            if it
-                .req
-                .iter()
-                .zip(max_cap.iter())
-                .any(|(&r, &c)| r > c + EPS)
-            {
+            if it.req.iter().zip(widest.iter()).any(|(&r, &c)| r > c + EPS) {
                 return false;
             }
             for _ in 0..count {
@@ -367,24 +474,14 @@ impl<const D: usize> McbVec<D> {
                 }
             }
             n += count as usize;
-            if uniform {
+            if let Caps::Uniform(cap, _) = caps {
                 for d in 0..D {
-                    big[d] += ((it.req[d] > 0.5 * caps[0][d] + EPS) as usize) * count as usize;
+                    big[d] += ((it.req[d] > 0.5 * cap[d] + EPS) as usize) * count as usize;
                 }
             }
         }
         for d in 0..D {
-            // Uniform capacities use the historical `bins × cap` total
-            // (exact for the unit case); heterogeneous bins sum.
-            let total = if uniform {
-                bins as f64 * caps[0][d]
-            } else {
-                caps.iter().map(|c| c[d]).sum()
-            };
-            if sums[d] > total + EPS {
-                return false;
-            }
-            if uniform && big[d] > bins {
+            if sums[d] > total[d] + EPS || big[d] > bins {
                 return false;
             }
         }
@@ -403,11 +500,11 @@ impl<const D: usize> McbVec<D> {
         scratch.bin_of.resize(n, u32::MAX);
         let mut placed = 0usize;
 
-        for (b, cap) in caps.iter().enumerate() {
+        for b in 0..bins {
             if placed == n {
                 break;
             }
-            let mut bin = VecBin::new(*cap);
+            let mut bin = VecBin::new(caps.of_bin(b));
             for list in scratch.lists.iter_mut() {
                 list.cursor = 0;
             }
@@ -415,8 +512,7 @@ impl<const D: usize> McbVec<D> {
                 // Order the lists by the bin's residual capacities,
                 // freest dimension first; a free-capacity tie prefers
                 // the list with the larger head, then the higher
-                // dimension index (module docs: this degenerates to
-                // MCB8's `prefer_mem` rule exactly).
+                // dimension index (step 3 of the module docs).
                 let mut heads = [f64::NEG_INFINITY; D];
                 for (d, h) in heads.iter_mut().enumerate() {
                     *h = scratch.lists[d].head_key();
@@ -477,17 +573,11 @@ impl<const D: usize> McbVec<D> {
     /// (tests, examples). Returns the assignment when everything fits.
     pub fn pack_unit(&self, items: &[VecItem<D>], bins: usize) -> Option<Vec<u32>> {
         let mut scratch = VecPackScratch::new();
-        let caps = vec![[1.0; D]; bins];
-        let mut runs: Vec<(VecItem<D>, u32)> = Vec::new();
-        for it in items {
-            match runs.last_mut() {
-                Some((first, count)) if first.req == it.req && first.id + *count == it.id => {
-                    *count += 1;
-                }
-                _ => runs.push((*it, 1)),
-            }
+        let mut runs = Vec::new();
+        for &it in items {
+            push_as_run(&mut runs, it);
         }
-        self.pack_runs_into(&runs, &caps, &mut scratch)
+        self.pack_runs_uniform(&runs, [1.0; D], bins, &mut scratch)
             .then(|| scratch.bin_of.clone())
     }
 }
@@ -603,8 +693,7 @@ mod tests {
     #[test]
     fn zero_gpu_degenerates_to_two_dimensional_behavior() {
         // With every GPU requirement zero, the GPU dominance list stays
-        // empty and packing matches the 2-dim problem (the proptests in
-        // tests/vecpack_degenerate.rs pin byte-identity against Mcb8).
+        // empty and packing matches the 2-dim problem.
         let its = items3(&[
             [0.9, 0.1, 0.0],
             [0.1, 0.9, 0.0],

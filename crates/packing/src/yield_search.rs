@@ -15,6 +15,7 @@
 
 use dfrs_core::ids::JobId;
 
+use crate::bisect::bisect;
 use crate::item::{PackItem, VectorPacker};
 use crate::scratch::SearchScratch;
 
@@ -132,29 +133,6 @@ pub fn max_min_yield_with(
     min_yield: f64,
     scratch: &mut SearchScratch,
 ) -> Option<YieldAllocation> {
-    max_min_yield_on(
-        jobs,
-        nodes,
-        packer,
-        accuracy,
-        min_yield,
-        scratch,
-        dfrs_core::pool::global(),
-    )
-}
-
-/// [`max_min_yield_with`] on an explicit worker pool (tests inject a
-/// multi-worker pool to exercise the speculative path on any host; the
-/// public entry points use the process-global pool).
-pub(crate) fn max_min_yield_on(
-    jobs: &[JobLoad],
-    nodes: usize,
-    packer: &dyn VectorPacker,
-    accuracy: f64,
-    min_yield: f64,
-    scratch: &mut SearchScratch,
-    pool: &dfrs_core::pool::WorkerPool,
-) -> Option<YieldAllocation> {
     debug_assert!(accuracy > 0.0 && min_yield > 0.0 && min_yield <= 1.0);
     if jobs.is_empty() {
         return Some(YieldAllocation {
@@ -167,114 +145,31 @@ pub(crate) fn max_min_yield_on(
         runs,
         pack,
         best,
-        side,
         packs,
         ..
     } = scratch;
-    fn probe(
-        jobs: &[JobLoad],
-        yld: f64,
-        nodes: usize,
-        packer: &dyn VectorPacker,
-        runs: &mut Vec<(PackItem, u32)>,
-        pack: &mut crate::scratch::PackScratch,
-    ) -> bool {
-        fill_runs_at_yield(jobs, yld, runs);
-        packer.pack_runs_into(runs, nodes, pack)
-    }
-
-    // Fast path: everything fits at full speed.
-    *packs += 1;
-    if probe(jobs, 1.0, nodes, packer, runs, pack) {
-        return Some(YieldAllocation {
-            yield_: 1.0,
-            placements: placements_from(jobs, pack.bin_of()),
-        });
-    }
-
-    // The lower probe doubles as the memory-feasibility check.
-    *packs += 1;
-    if !probe(jobs, min_yield, nodes, packer, runs, pack) {
-        return None;
-    }
-    best.clear();
-    best.extend_from_slice(pack.bin_of());
-    let mut lo = min_yield;
-    let mut hi = 1.0;
-    // Speculative parallel bisection: while this thread packs the
-    // probe at `mid`, the worker pool packs both possible successors
-    // (`left` if `mid` fails, `right` if it succeeds), advancing two
-    // bisection levels per round. The probe *schedule* is fixed — the
-    // successor targets are computed with the exact arithmetic the
-    // sequential loop would use (`0.5 * (lo + hi)` over the updated
-    // bracket) — so the accepted bracket sequence, the surviving
-    // `best` assignment, and the returned yield are bit-identical to
-    // the sequential search; the unused successor is discarded, and
-    // `packs` counts only the probes the sequential search would have
-    // made (the warm-memo accounting stays byte-stable).
-    let speculate = jobs.len() >= PARALLEL_PROBE_MIN_JOBS && pool.workers() >= 2;
-    while hi - lo > accuracy {
-        let mid = 0.5 * (lo + hi);
-        if !speculate {
+    // Everything fitting at full speed is the common case; the probe
+    // at `min_yield` doubles as the memory-feasibility check.
+    let (yield_, _) = bisect(
+        1.0,
+        min_yield,
+        |lo, hi| hi - lo > accuracy,
+        |yld| {
             *packs += 1;
-            if probe(jobs, mid, nodes, packer, runs, pack) {
+            fill_runs_at_yield(jobs, yld, runs);
+            let ok = packer.pack_runs_into(runs, nodes, pack);
+            if ok {
                 best.clear();
                 best.extend_from_slice(pack.bin_of());
-                lo = mid;
-            } else {
-                hi = mid;
             }
-            continue;
-        }
-        let left = 0.5 * (lo + mid);
-        let right = 0.5 * (mid + hi);
-        let [sl, sr] = side;
-        let mid_ok = pool.scope(|s| {
-            s.execute(|| sl.ok = probe(jobs, left, nodes, packer, &mut sl.runs, &mut sl.pack));
-            s.execute(|| sr.ok = probe(jobs, right, nodes, packer, &mut sr.runs, &mut sr.pack));
-            probe(jobs, mid, nodes, packer, runs, pack)
-        });
-        *packs += 1;
-        if mid_ok {
-            best.clear();
-            best.extend_from_slice(pack.bin_of());
-            lo = mid;
-            if hi - lo <= accuracy {
-                break;
-            }
-            *packs += 1;
-            if sr.ok {
-                best.clear();
-                best.extend_from_slice(sr.pack.bin_of());
-                lo = right;
-            } else {
-                hi = right;
-            }
-        } else {
-            hi = mid;
-            if hi - lo <= accuracy {
-                break;
-            }
-            *packs += 1;
-            if sl.ok {
-                best.clear();
-                best.extend_from_slice(sl.pack.bin_of());
-                lo = left;
-            } else {
-                hi = left;
-            }
-        }
-    }
+            ok
+        },
+    )?;
     Some(YieldAllocation {
-        yield_: lo,
+        yield_,
         placements: placements_from(jobs, best),
     })
 }
-
-/// Below this instance size a probe is cheaper than coordinating a
-/// speculative round, so the search stays sequential (the verdict
-/// sequence is identical either way — this is purely a cost gate).
-pub(crate) const PARALLEL_PROBE_MIN_JOBS: usize = 64;
 
 #[cfg(test)]
 mod tests {
@@ -379,82 +274,6 @@ mod tests {
         let fine = max_min_yield(&jobs, 1, &Mcb8, 0.001, 0.01).unwrap();
         assert!(fine.yield_ >= coarse.yield_ - 1e-9);
         assert!((fine.yield_ - 1.0 / 3.0).abs() < 0.002);
-    }
-
-    mod speculative_parity {
-        use super::*;
-        use dfrs_core::pool::WorkerPool;
-        use proptest::prelude::*;
-
-        fn search_on(
-            jobs: &[JobLoad],
-            nodes: usize,
-            pool: &WorkerPool,
-        ) -> (Option<YieldAllocation>, u64) {
-            let mut scratch = SearchScratch::new();
-            let out = max_min_yield_on(jobs, nodes, &Mcb8, 0.01, 0.01, &mut scratch, pool);
-            (out, scratch.packs)
-        }
-
-        fn assert_parity(jobs: &[JobLoad], nodes: usize) {
-            let serial = WorkerPool::new(1);
-            let parallel = WorkerPool::new(4);
-            assert!(serial.workers() == 0 && parallel.workers() >= 2);
-            let (a, packs_a) = search_on(jobs, nodes, &serial);
-            let (b, packs_b) = search_on(jobs, nodes, &parallel);
-            assert_eq!(packs_a, packs_b, "pack counters diverged");
-            match (a, b) {
-                (None, None) => {}
-                (Some(x), Some(y)) => {
-                    assert_eq!(
-                        x.yield_.to_bits(),
-                        y.yield_.to_bits(),
-                        "yield bits diverged"
-                    );
-                    assert_eq!(x.placements, y.placements, "placements diverged");
-                }
-                (a, b) => panic!(
-                    "feasibility diverged: {:?} vs {:?}",
-                    a.is_some(),
-                    b.is_some()
-                ),
-            }
-        }
-
-        #[test]
-        fn speculative_search_is_bit_identical_to_sequential() {
-            // Enough jobs to open the cost gate; mixed shapes so the
-            // bisection takes both branches along the way.
-            let jobs: Vec<_> = (0..96)
-                .map(|i| {
-                    let c = 0.15 + 0.8 * f64::from((i * 37) % 11) / 11.0;
-                    let m = 0.02 + 0.3 * f64::from((i * 17) % 7) / 7.0;
-                    job(i, 1 + i % 3, c, m)
-                })
-                .collect();
-            for nodes in [7, 19, 40] {
-                assert_parity(&jobs, nodes);
-            }
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(24))]
-            #[test]
-            fn prop_speculative_equals_sequential(
-                raw in proptest::collection::vec(
-                    (1u32..4, 0.05f64..1.0, 0.02f64..0.55),
-                    PARALLEL_PROBE_MIN_JOBS..140,
-                ),
-                nodes in 1usize..24,
-            ) {
-                let jobs: Vec<JobLoad> = raw
-                    .iter()
-                    .enumerate()
-                    .map(|(i, &(t, c, m))| job(i as u32, t, c, m))
-                    .collect();
-                assert_parity(&jobs, nodes);
-            }
-        }
     }
 
     #[test]

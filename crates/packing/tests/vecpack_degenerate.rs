@@ -1,16 +1,13 @@
-//! Properties of the dimension-generic packer and the DRF search.
-//!
-//! The load-bearing one is **degeneracy**: `McbVec::<2>` must be
-//! byte-identical to the hand-specialized `Mcb8` — same feasibility
-//! verdict, same `bin_of` assignment — on arbitrary instances. That is
-//! the contract that lets the stack carry one generic engine for the
-//! N-dimensional schedulers while the golden-trace suite keeps pinning
-//! the historical two-resource path.
+//! Properties of the MCB packer at `D = 3` and of the DRF search that
+//! need no reference: no bin oversubscribed, per-bin capacities
+//! respected, the returned share maximal within the search tolerance.
+//! (Byte-identity of the kernel against a textbook MCB, `D = 2`
+//! included, is `mcb_reference.rs`.)
 
 use dfrs_core::ids::JobId;
 use dfrs_packing::{
     assignment_is_valid, drf_feasible_at_share, max_min_dominant_share, DrfJob, DrfSearchScratch,
-    Mcb8, McbVec, PackItem, PackScratch, VecItem, VecPackScratch, VectorPacker,
+    McbVec, VecItem, VecPackScratch,
 };
 use proptest::prelude::*;
 
@@ -26,11 +23,6 @@ fn arb_items3(max_items: usize) -> impl Strategy<Value = Vec<VecItem<3>>> {
                 .collect()
         },
     )
-}
-
-/// Random 2-dim instances as parallel (PackItem, VecItem<2>) lists.
-fn arb_items2(max_items: usize) -> impl Strategy<Value = Vec<(f64, f64)>> {
-    prop::collection::vec((0.0f64..=1.0, 0.001f64..=1.0), 0..max_items)
 }
 
 fn arb_drf_jobs(max_jobs: usize) -> impl Strategy<Value = Vec<DrfJob>> {
@@ -84,36 +76,6 @@ proptest! {
             prop_assert!(
                 assignment_is_valid(&items, &caps, scratch.bin_of()),
                 "cap overflow: items {:?} caps {:?}", items, caps
-            );
-        }
-    }
-
-    /// The 2-dim degenerate instance is byte-identical to `Mcb8`: same
-    /// verdict, same assignment, item for item.
-    #[test]
-    fn mcbvec2_is_byte_identical_to_mcb8(
-        reqs in arb_items2(48),
-        bins in 0usize..12,
-    ) {
-        let pack_items: Vec<PackItem> = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, &(cpu, mem))| PackItem { id: i as u32, cpu, mem })
-            .collect();
-        let vec_items: Vec<VecItem<2>> = reqs
-            .iter()
-            .enumerate()
-            .map(|(i, &(cpu, mem))| VecItem { id: i as u32, req: [cpu, mem] })
-            .collect();
-        let mut scratch = PackScratch::new();
-        let ok8 = Mcb8.pack_into(&pack_items, bins, &mut scratch);
-        let vec_result = McbVec::<2>.pack_unit(&vec_items, bins);
-        prop_assert_eq!(ok8, vec_result.is_some(), "verdicts differ: {:?} bins {}", reqs, bins);
-        if let Some(bin_of) = vec_result {
-            prop_assert_eq!(
-                scratch.bin_of(),
-                &bin_of[..],
-                "assignments differ: {:?} bins {}", reqs, bins
             );
         }
     }

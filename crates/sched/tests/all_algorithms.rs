@@ -146,6 +146,34 @@ fn deterministic_across_runs() {
 }
 
 #[test]
+fn repack_probe_counts_are_pinned() {
+    // The three packing searches (yield, estimated stretch, dominant
+    // share) must probe the same targets in the same order whatever
+    // drives their bisection: search and pack counts of one fixed run
+    // are part of the behaviour, not of the implementation.
+    let jobs = workload(7, 80, 0.8);
+    let cfg = SimConfig {
+        validate: true,
+        ..SimConfig::default()
+    };
+    let reg = dfrs_sched::SchedulerRegistry::builtin();
+    for (spec, want) in [
+        ("dynmcb8", (160, 497, 53, 170)),
+        ("dynmcb8-stretch-per", (92, 322, 32, 28)),
+        ("dynmcb8-drf", (160, 475, 0, 0)),
+    ] {
+        let mut sched = reg.build_str(spec).unwrap();
+        let out = simulate(small_cluster(), &jobs, sched.as_mut(), &cfg);
+        let r = out.repack.expect(spec);
+        assert_eq!(
+            (r.searches, r.packs, r.search_hits, r.packs_saved),
+            want,
+            "{spec}: (searches, packs, search_hits, packs_saved)"
+        );
+    }
+}
+
+#[test]
 fn greedy_pmtn_starts_jobs_no_later_than_greedy() {
     // Forced admission: every job's first start under GREEDY-PMTN is at
     // its submission (modulo identical-instant processing), never later
