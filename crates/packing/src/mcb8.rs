@@ -211,6 +211,26 @@ mod tests {
     }
 
     #[test]
+    fn identical_tasks_cost_two_bin_fills_however_many_there_are() {
+        // Three tasks to a bin: the first bin is filled task by task,
+        // 33 332 bins are copies of it, and the one task left over
+        // fills the last.
+        let runs = [(
+            PackItem {
+                id: 0,
+                cpu: 0.3,
+                mem: 0.3,
+            },
+            100_000,
+        )];
+        let mut scratch = PackScratch::new();
+        assert!(Mcb8.pack_runs_into(&runs, 1 << 40, &mut scratch));
+        assert!(scratch.bins_filled() <= 2, "{}", scratch.bins_filled());
+        let expected: Vec<u32> = (0..100_000).map(|id| id / 3).collect();
+        assert_eq!(scratch.bin_of(), expected);
+    }
+
+    #[test]
     fn respects_memory_even_with_free_cpu() {
         // CPU requirements are 0 but memory binds: 5 half-memory items
         // need 3 bins.

@@ -1,13 +1,13 @@
 //! Reusable scratch buffers for the packing hot path.
 //!
 //! Every `DynMCB8*` scheduling decision runs a binary search whose each
-//! probe expands jobs into item runs and packs them. Naively that is
-//! a handful of heap allocations per probe (the runs, the dominance
-//! lists and their accelerators, the output); at ~10 probes per
-//! decision and one decision per event this dominated the allocator
-//! profile. Callers
-//! that decide repeatedly hold one [`SearchScratch`] (schedulers keep
-//! it across events) and every probe reuses the same buffers.
+//! probe writes one item run per job and packs the runs. Naively that
+//! is a handful of heap allocations per probe (the runs, the kernel's
+//! per-run dominance lists and their accelerators, the per-task
+//! output); at ~10 probes per decision and one decision per event this
+//! dominated the allocator profile. Callers that decide repeatedly
+//! hold one [`SearchScratch`] (schedulers keep it across events) and
+//! every probe reuses the same buffers.
 
 use crate::item::PackItem;
 use crate::vecpack::{VecItem, VecPackScratch};
@@ -39,10 +39,16 @@ impl PackScratch {
     pub fn bin_of(&self) -> &[u32] {
         self.kernel.bin_of()
     }
+
+    /// How many bins the last MCB pack filled item by item
+    /// ([`VecPackScratch::bins_filled`]).
+    pub fn bins_filled(&self) -> usize {
+        self.kernel.bins_filled()
+    }
 }
 
 /// Buffers for one binary-search caller (yield or stretch search):
-/// the expanded task items, the packer scratch, and the best feasible
+/// the per-job item runs, the packer scratch, and the best feasible
 /// assignment found so far.
 #[derive(Debug, Default, Clone)]
 pub struct SearchScratch {

@@ -42,41 +42,65 @@
 //!
 //! ## Exactness of the accelerators
 //!
-//! The kernel returns exactly what scanning every list from its head
-//! would (`tests/mcb_reference.rs` checks that against such a scan,
-//! byte for byte), but does less work:
+//! The kernel returns exactly what scanning every list of tasks from
+//! its head would (`tests/mcb_reference.rs` checks that against such a
+//! scan, byte for byte), but never holds a task: callers pass **runs**
+//! — groups of identical items with consecutive ids, a job's tasks —
+//! and every list, column and index below has one entry per run. Only
+//! the output `bin_of` is per task.
 //!
-//! * **Run-level sort.** Callers pass runs — maximal groups of
-//!   identical items with consecutive ids, a job's tasks — and the sort
-//!   orders runs, one entry per job rather than one per task. That
-//!   equals sorting the expanded tasks: within a run the comparator
-//!   ties break by ascending id, which is the expansion order, and runs
-//!   with equal keys cannot interleave because their id ranges are
-//!   disjoint, so the run-level id tie-break orders whole blocks as the
+//! * **Run-level lists.** A list is its runs, sorted with the MCB
+//!   comparator; a run is `(next item, items left)`, and taking an item
+//!   advances the id and decrements the count. That equals the sorted
+//!   task list: within a run the comparator ties break by ascending id,
+//!   which is the order a run hands its items out in, and runs with
+//!   equal keys cannot interleave because their id ranges are disjoint,
+//!   so the run-level id tie-break orders whole blocks as the
 //!   task-level one would. The comparator is a total order (first ids
-//!   are unique), so the unstable sort is deterministic.
-//! * **Skip array.** Placed items are unlinked through a
-//!   path-compressed "first alive index `>= i`" array: O(α) amortized
-//!   removal and successor lookup, same visiting order.
+//!   are unique), so the unstable sort is deterministic. A run with no
+//!   item is dropped before anything reads it.
+//! * **Skip array.** A run whose last item was placed is unlinked
+//!   through a path-compressed "first alive run `>= i`" array: O(α)
+//!   amortized removal and successor lookup, same visiting order. The
+//!   head key of the free-capacity tie-break is the first alive run's
+//!   largest requirement.
 //! * **Prefix jump.** Each list is sorted by exactly its primary
 //!   requirement (for items in list `d` the largest component *is*
 //!   `req[d]`) and the primary-capacity check of `fits` is monotone
-//!   along it, so the items failing that check form a prefix, which a
+//!   along it, so the runs failing that check form a prefix, which a
 //!   binary search with the *same arithmetic* skips. An empty primary
 //!   dimension whose capacity admits the list's largest item has an
 //!   empty prefix; a heterogeneous bin smaller than the widest one
 //!   must still search.
 //! * **Suffix minima.** For every secondary dimension the list keeps
-//!   the minimum requirement over `items[i..]` — over all items,
-//!   removed ones included, so it only underestimates the alive
+//!   the minimum requirement over `runs[i..]` — over all runs,
+//!   exhausted ones included, so it only underestimates the alive
 //!   suffix. When even that minimum overflows the bin, no item ahead
 //!   can fit and the walk stops.
-//! * **Run skip.** Identical items produce identical verdicts, so one
-//!   failure skips the whole run.
+//! * **Group skip.** Identical items produce identical verdicts, so one
+//!   failure skips the run and every neighbour with the same
+//!   requirements, however the caller cut them.
 //! * **Per-bin cursor.** A bin's usage only grows while it is open and
-//!   `fits` is monotone in it, so an item that failed the open bin
-//!   once can never fit it later; the walk resumes past known
-//!   failures and forgets them when the next bin opens.
+//!   `fits` is monotone in it, so a run that failed the open bin once
+//!   can never fit it later; the walk resumes at the run last taken
+//!   from, past known failures, and forgets them when the next bin
+//!   opens.
+//! * **Bin replication** (uniform bins only). What an open bin takes is
+//!   a function of its capacity, the alive runs in list order and their
+//!   requirements — never of how many items a run has left, as long as
+//!   it has one. So when filling bin `b` took `k` items from each of
+//!   some runs and exhausted none, bin `b + 1` starts from the same
+//!   empty bin, capacity, alive set and heads, and repeats every
+//!   freest-dimension order, `EPS` tie-break and `fits` verdict bit for
+//!   bit for as long as each of those runs keeps an item *after* its
+//!   last pick (a run that dies mid-bin changes its list's head key).
+//!   That holds for `min((left − 1) / k)` further bins, `left` counted
+//!   after bin `b`; their ids go straight into `bin_of`. The fill after
+//!   them meets a run with at most `k` items left and exhausts it, so
+//!   fills that exhaust nothing are at most every other one: **real
+//!   fills ≤ 2 × non-empty runs** ([`VecPackScratch::bins_filled`]),
+//!   whatever the task and bin counts. An instance without a run of two
+//!   items has nothing to replicate and keeps no record of its picks.
 //! * **Early rejections** (step 0) return exactly what the bin loop
 //!   would for the oversized-item and over-half tests: an item above
 //!   every capacity fits nowhere, and two items above `cap/2 + EPS` in
@@ -164,29 +188,30 @@ impl<const D: usize> VecBin<D> {
     }
 }
 
-/// Per-dominance-list buffers, reused across packs.
+/// One dominance list, reused across packs. Every vector is indexed by
+/// the run's position in the sorted list; nothing here is per task.
 #[derive(Debug, Clone)]
 struct ListBufs<const D: usize> {
-    /// Input runs `(first item, count)` whose dominant dimension is
-    /// this list's.
+    /// The non-empty input runs whose dominant dimension is this
+    /// list's, sorted, as `(next item to hand out, items left)`.
     runs: Vec<(VecItem<D>, u32)>,
-    /// Sorted expanded items.
-    items: Vec<VecItem<D>>,
     /// Structure-of-arrays mirror of the requirements: `req_cols[d][i]
-    /// = items[i].req[d]`. The hot `take_first_fit` scans touch one
+    /// = runs[i].0.req[d]`. The hot `take_first_fit` scans touch one
     /// dimension at a time; a dense per-dimension column keeps those
     /// scans on sequential cache lines instead of striding through
     /// `D`-wide structs (values identical, so verdicts are too).
     req_cols: Vec<Vec<f64>>,
-    /// Path-compressed liveness skips (`items.len() + 1` slots).
+    /// Path-compressed liveness skips (`runs.len() + 1` slots); a run
+    /// is unlinked when its last item is taken.
     skip: Vec<u32>,
-    /// `sufmin[s][i] = min(req[s] over items[i..])`, one column per
-    /// secondary dimension (the primary column stays empty).
+    /// `sufmin[s][i] = min(req[s] over runs[i..])`; the walk reads the
+    /// secondary dimensions' columns only.
     sufmin: Vec<Vec<f64>>,
-    /// `run[i]` = end (exclusive) of the maximal run of items identical
-    /// to item `i`.
-    run: Vec<u32>,
-    /// Alive-prefix cursor for the current bin.
+    /// `group[i]` = end (exclusive) of the maximal block of neighbouring
+    /// runs with the requirements of run `i`.
+    group: Vec<u32>,
+    /// The run the open bin last took from: everything alive before it
+    /// has failed this bin.
     cursor: usize,
 }
 
@@ -194,11 +219,10 @@ impl<const D: usize> Default for ListBufs<D> {
     fn default() -> Self {
         ListBufs {
             runs: Vec::new(),
-            items: Vec::new(),
             req_cols: (0..D).map(|_| Vec::new()).collect(),
             skip: Vec::new(),
             sufmin: (0..D).map(|_| Vec::new()).collect(),
-            run: Vec::new(),
+            group: Vec::new(),
             cursor: 0,
         }
     }
@@ -206,26 +230,17 @@ impl<const D: usize> Default for ListBufs<D> {
 
 impl<const D: usize> ListBufs<D> {
     /// Sort this list's runs with the MCB comparator and rebuild the
-    /// expanded arrays and accelerators.
+    /// per-run columns and accelerators.
     fn build(&mut self) {
         self.runs.sort_unstable_by(|a, b| {
             b.0.max_component()
                 .total_cmp(&a.0.max_component())
                 .then(a.0.id.cmp(&b.0.id))
         });
-        self.items.clear();
-        for &(it, count) in self.runs.iter() {
-            for k in 0..count {
-                self.items.push(VecItem {
-                    id: it.id + k,
-                    req: it.req,
-                });
-            }
-        }
-        let n = self.items.len();
+        let n = self.runs.len();
         for (d, col) in self.req_cols.iter_mut().enumerate() {
             col.clear();
-            col.extend(self.items.iter().map(|it| it.req[d]));
+            col.extend(self.runs.iter().map(|(it, _)| it.req[d]));
         }
         self.skip.clear();
         self.skip.extend(0..=n as u32);
@@ -233,17 +248,18 @@ impl<const D: usize> ListBufs<D> {
             col.clear();
             col.resize(n, f64::INFINITY);
         }
-        self.run.clear();
-        self.run.resize(n, 0);
+        self.group.clear();
+        self.group.resize(n, 0);
         let mut acc = [f64::INFINITY; D];
         for i in (0..n).rev() {
+            let req = self.runs[i].0.req;
             for (s, col) in self.sufmin.iter_mut().enumerate() {
-                acc[s] = acc[s].min(self.items[i].req[s]);
+                acc[s] = acc[s].min(req[s]);
                 col[i] = acc[s];
             }
-            let same_as_next = i + 1 < n && self.items[i].req == self.items[i + 1].req;
-            self.run[i] = if same_as_next {
-                self.run[i + 1]
+            let same_as_next = i + 1 < n && req == self.runs[i + 1].0.req;
+            self.group[i] = if same_as_next {
+                self.group[i + 1]
             } else {
                 i as u32 + 1
             };
@@ -251,7 +267,7 @@ impl<const D: usize> ListBufs<D> {
         self.cursor = 0;
     }
 
-    /// First alive index `>= i`, with path compression.
+    /// First alive run `>= i`, with path compression.
     fn first_alive(&mut self, mut i: usize) -> usize {
         loop {
             let p = self.skip[i] as usize;
@@ -268,17 +284,18 @@ impl<const D: usize> ListBufs<D> {
     /// head key of the balanced-bin tie-break.
     fn head_key(&mut self) -> f64 {
         let i = self.first_alive(0);
-        match self.items.get(i) {
-            Some(it) => it.max_component(),
+        match self.runs.get(i) {
+            Some((it, _)) => it.max_component(),
             None => f64::NEG_INFINITY,
         }
     }
 
     /// Find and remove the first (largest) alive item that fits `bin`,
-    /// where `dim` is this list's primary dimension. Exact-equivalent
-    /// to a scan from the head (module docs).
+    /// where `dim` is this list's primary dimension; `cursor` is then
+    /// the run it came from. Exact-equivalent to a scan from the head
+    /// (module docs).
     fn take_first_fit(&mut self, dim: usize, bin: &VecBin<D>) -> Option<VecItem<D>> {
-        let n = self.items.len();
+        let n = self.runs.len();
         let p_used = bin.used[dim];
         let p_cap = bin.cap[dim];
         let start = if p_used == 0.0 && self.req_cols[dim].first().is_none_or(|&r| r <= p_cap + EPS)
@@ -306,13 +323,18 @@ impl<const D: usize> ListBufs<D> {
                 }
             }
             if ok {
-                let item = self.items[i];
+                let (next, left) = &mut self.runs[i];
+                let item = *next;
                 debug_assert!(bin.fits(&item));
-                self.skip[i] = i as u32 + 1;
+                next.id += 1;
+                *left -= 1;
+                if *left == 0 {
+                    self.skip[i] = i as u32 + 1;
+                }
                 self.cursor = i;
                 return Some(item);
             }
-            i = self.first_alive(self.run[i] as usize);
+            i = self.first_alive(self.group[i] as usize);
         }
         self.cursor = n;
         None
@@ -324,6 +346,11 @@ impl<const D: usize> ListBufs<D> {
 #[derive(Debug, Clone)]
 pub struct VecPackScratch<const D: usize> {
     lists: Vec<ListBufs<D>>,
+    /// The `(list, run, items taken)` picks of the bin being filled,
+    /// one entry per distinct run (bin replication, module docs).
+    picks: Vec<(usize, usize, u32)>,
+    /// Bins the last pack filled item by item.
+    bins_filled: usize,
     /// Output: bin of the item with id `i`, `u32::MAX` while unplaced.
     pub(crate) bin_of: Vec<u32>,
 }
@@ -332,6 +359,8 @@ impl<const D: usize> Default for VecPackScratch<D> {
     fn default() -> Self {
         VecPackScratch {
             lists: (0..D).map(|_| ListBufs::default()).collect(),
+            picks: Vec::new(),
+            bins_filled: 0,
             bin_of: Vec::new(),
         }
     }
@@ -348,6 +377,13 @@ impl<const D: usize> VecPackScratch<D> {
     /// with id `i`.
     pub fn bin_of(&self) -> &[u32] {
         &self.bin_of
+    }
+
+    /// How many bins the last pack filled item by item; the other bins
+    /// it used were copies of one of those (module docs, "Bin
+    /// replication"). At most twice the non-empty runs on uniform bins.
+    pub fn bins_filled(&self) -> usize {
+        self.bins_filled
     }
 }
 
@@ -449,22 +485,20 @@ impl<const D: usize> McbVec<D> {
         scratch: &mut VecPackScratch<D>,
     ) -> bool {
         scratch.bin_of.clear();
-        if runs.is_empty() {
-            return true;
-        }
+        scratch.bins_filled = 0;
         let bins = caps.bins();
-        if bins == 0 {
-            return false;
-        }
 
         // Step 0 (module docs), evaluated with the exact per-item
         // addition sequence: items within a run are identical, so the
-        // repeated adds match an item-level loop.
+        // repeated adds match an item-level loop. A run of no items
+        // constrains nothing, and no items at all pack onto no bins.
+        let live = runs.iter().copied().filter(|&(_, count)| count > 0);
         let (widest, total) = caps.widest_and_total();
         let mut n = 0usize;
+        let mut live_runs = 0usize;
         let mut sums = [0.0f64; D];
         let mut big = [0usize; D];
-        for &(it, count) in runs {
+        for (it, count) in live.clone() {
             if it.req.iter().zip(widest.iter()).any(|(&r, &c)| r > c + EPS) {
                 return false;
             }
@@ -474,6 +508,7 @@ impl<const D: usize> McbVec<D> {
                 }
             }
             n += count as usize;
+            live_runs += 1;
             if let Caps::Uniform(cap, _) = caps {
                 for d in 0..D {
                     big[d] += ((it.req[d] > 0.5 * cap[d] + EPS) as usize) * count as usize;
@@ -490,7 +525,7 @@ impl<const D: usize> McbVec<D> {
         for list in scratch.lists.iter_mut() {
             list.runs.clear();
         }
-        for &(it, count) in runs {
+        for (it, count) in live {
             scratch.lists[it.dominant()].runs.push((it, count));
         }
         for list in scratch.lists.iter_mut() {
@@ -498,16 +533,20 @@ impl<const D: usize> McbVec<D> {
         }
 
         scratch.bin_of.resize(n, u32::MAX);
+        // Bin replication (module docs) needs equal bins and a run of
+        // two or more items.
+        let replicate = matches!(caps, Caps::Uniform(..)) && n > live_runs;
         let mut placed = 0usize;
+        let mut b = 0usize;
 
-        for b in 0..bins {
-            if placed == n {
-                break;
-            }
+        while b < bins && placed < n {
             let mut bin = VecBin::new(caps.of_bin(b));
             for list in scratch.lists.iter_mut() {
                 list.cursor = 0;
             }
+            scratch.bins_filled += 1;
+            scratch.picks.clear();
+            let mut exhausted = false;
             loop {
                 // Order the lists by the bin's residual capacities,
                 // freest dimension first; a free-capacity tie prefers
@@ -548,21 +587,55 @@ impl<const D: usize> McbVec<D> {
                 let mut picked = None;
                 for &d in order.iter() {
                     if let Some(item) = scratch.lists[d].take_first_fit(d, &bin) {
-                        picked = Some(item);
+                        picked = Some((d, item));
                         break;
                     }
                 }
-                match picked {
-                    Some(item) => {
-                        bin.place(&item);
-                        scratch.bin_of[item.id as usize] = b as u32;
-                        placed += 1;
-                        if placed == n {
-                            break;
-                        }
+                // Nothing fits: open the next bin.
+                let Some((d, item)) = picked else { break };
+                bin.place(&item);
+                scratch.bin_of[item.id as usize] = b as u32;
+                placed += 1;
+                if replicate && !exhausted {
+                    let run = scratch.lists[d].cursor;
+                    if scratch.lists[d].runs[run].1 == 0 {
+                        exhausted = true;
+                    } else if let Some(pick) = scratch
+                        .picks
+                        .iter_mut()
+                        .find(|pick| (pick.0, pick.1) == (d, run))
+                    {
+                        pick.2 += 1;
+                    } else {
+                        scratch.picks.push((d, run, 1));
                     }
-                    None => break, // nothing fits; open the next bin
                 }
+                if placed == n {
+                    break;
+                }
+            }
+            b += 1;
+
+            if replicate && !exhausted {
+                // Every picked run outlives each copy by an item, so
+                // the copies repeat this bin pick for pick.
+                let mut copies = bins - b;
+                for &(d, run, k) in scratch.picks.iter() {
+                    copies = copies.min(((scratch.lists[d].runs[run].1 - 1) / k) as usize);
+                }
+                for &(d, run, k) in scratch.picks.iter() {
+                    let (next, left) = &mut scratch.lists[d].runs[run];
+                    let taken = copies as u32 * k;
+                    let ids = next.id as usize..(next.id + taken) as usize;
+                    let per_copy = scratch.bin_of[ids].chunks_exact_mut(k as usize);
+                    for (copy, slots) in per_copy.enumerate() {
+                        slots.fill((b + copy) as u32);
+                    }
+                    next.id += taken;
+                    *left -= taken;
+                    placed += taken as usize;
+                }
+                b += copies;
             }
         }
 
@@ -637,6 +710,23 @@ mod tests {
                 "dim {d}"
             );
         }
+    }
+
+    #[test]
+    fn a_run_of_no_items_is_skipped_everywhere() {
+        // Its requirement is oversized, but it holds no item: the
+        // instance is the two real runs around it.
+        let item = |id, req| VecItem::<3> { id, req };
+        let runs = [
+            (item(0, [0.4, 0.2, 0.1]), 2),
+            (item(2, [1.2, 0.1, 0.1]), 0),
+            (item(2, [0.1, 0.6, 0.0]), 1),
+        ];
+        let mut scratch = VecPackScratch::new();
+        assert!(McbVec::<3>.pack_runs_into(&runs, &[[1.0; 3]; 2], &mut scratch));
+        assert_eq!(scratch.bin_of(), [0, 0, 0]);
+        assert!(McbVec::<3>.pack_runs_into(&runs[1..2], &[[1.0; 3]], &mut scratch));
+        assert!(scratch.bin_of().is_empty());
     }
 
     #[test]

@@ -3,10 +3,14 @@
 //! `reference_mcb` is the heuristic written straight from the steps and
 //! tie-breaks in the `vecpack` module docs: task-level sort, every scan
 //! from the head of its list, `Vec::remove` for a placed task. It has
-//! none of the kernel's accelerators (no skip array, prefix jump, suffix
-//! minima, run skip, per-bin cursor or run-level sort), so byte-identical
-//! `bin_of` on random instances is evidence that those are exact — for
-//! `Mcb8` (the `D = 2` adapter) and for `McbVec::<3>` alike.
+//! none of the kernel's accelerators (no run-level lists, skip array,
+//! prefix jump, suffix minima, group skip, per-bin cursor or bin
+//! replication), so byte-identical `bin_of` on random instances is
+//! evidence that those are exact — for `Mcb8` (the `D = 2` adapter) and
+//! for `McbVec::<3>` alike. The first three properties draw runs of one
+//! to four tasks; the last two draw the long runs of small tasks that
+//! bin replication lives on, and hold the kernel to its count guard,
+//! `bins_filled <= 2 × non-empty runs` on uniform bins.
 
 use dfrs_core::approx::{self, EPS};
 use dfrs_packing::{Mcb8, McbVec, PackItem, PackScratch, VecItem, VecPackScratch, VectorPacker};
@@ -158,6 +162,63 @@ fn arb_instance3(max_runs: usize) -> impl Strategy<Value = Instance<3>> {
     .prop_map(|raw| instance(raw.into_iter().map(|(c, m, g, n)| ([c, m, g], n)).collect()))
 }
 
+/// One requirement of a small task — a bin takes three or more: exactly
+/// zero, on a grid of sixteenths up to a quarter (whole items, list
+/// heads and the free capacities of an empty bin tie; 4, 8 or 16 to a
+/// bin exactly), or anywhere up to 0.3.
+fn arb_small_req() -> impl Strategy<Value = f64> {
+    (0u32..4, 0u32..=4, 0.0..=0.3).prop_map(|(kind, grid, any)| match kind {
+        0 => 0.0,
+        1 => f64::from(grid) / 16.0,
+        _ => any,
+    })
+}
+
+/// A run length up to 200: none, short, a multiple of twelve (so of the
+/// 2, 3, 4, 6 or 12 items a bin takes from it — the run ends exactly
+/// where a copied bin does), or anything.
+fn arb_run_len() -> impl Strategy<Value = u32> {
+    (0u32..8, 1u32..=16, 1u32..=200).prop_map(|(kind, dozens, any)| match kind {
+        0 => 0,
+        1 => any % 5,
+        2..=4 => 12 * dozens,
+        _ => any,
+    })
+}
+
+/// Long runs of small `D`-vectors. One run in four is followed by a
+/// second run of the same requirements and its own length; another one
+/// in four by its mirror image — the requirements reversed, as long or
+/// of its own length — so that the two lists' heads tie, a bin that
+/// took one of each has tied free capacities, and the order of the
+/// lists turns on which of the two runs is still alive.
+fn arb_long_runs<const D: usize>(max_runs: usize) -> impl Strategy<Value = Instance<D>> {
+    let req = prop::collection::vec(arb_small_req(), D);
+    prop::collection::vec((req, arb_run_len(), 0u32..8, arb_run_len()), 1..max_runs).prop_map(
+        |raw| {
+            let mut cut = Vec::new();
+            for (req, len, twin, twin_len) in raw {
+                let req: [f64; D] = std::array::from_fn(|d| req[d]);
+                let mirror: [f64; D] = std::array::from_fn(|d| req[D - 1 - d]);
+                cut.push((req, len));
+                match twin {
+                    0 | 1 => cut.push((req, twin_len)),
+                    2 => cut.push((mirror, len)),
+                    3 => cut.push((mirror, twin_len)),
+                    _ => {}
+                }
+            }
+            instance(cut)
+        },
+    )
+}
+
+/// The count guard: on uniform bins a pack fills at most two bins per
+/// non-empty run item by item, whatever the task and bin counts.
+fn fills_allowed<const D: usize>(runs: &[(VecItem<D>, u32)]) -> usize {
+    2 * runs.iter().filter(|run| run.1 > 0).count()
+}
+
 /// Per-bin capacities: unit, on a grid, or anything — GPU down to zero.
 fn arb_caps3(max_bins: usize) -> impl Strategy<Value = Vec<[f64; 3]>> {
     let cap = |lo: f64| {
@@ -169,6 +230,29 @@ fn arb_caps3(max_bins: usize) -> impl Strategy<Value = Vec<[f64; 3]>> {
     };
     prop::collection::vec((cap(0.5), cap(0.5), cap(0.0)), 0..max_bins)
         .prop_map(|caps| caps.into_iter().map(|(c, m, g)| [c, m, g]).collect())
+}
+
+/// The `(left − 1) / k` edge of bin replication, by hand. Bin 0 takes
+/// one `x`, one `y`, then — free capacities tied at a quarter, heads
+/// tied at a half, so the memory list goes first — one `w`. No run is
+/// exhausted, but bin 1 is no copy: it takes the *last* `x`, the memory
+/// list's head drops to `w`'s 0.2, the same tie now goes to the CPU
+/// list, and `v` is placed where `w` was. A run may be copied only
+/// while it keeps an item after the copy.
+#[test]
+fn a_run_that_ends_with_the_bin_is_not_copied() {
+    let (items, runs) = instance(vec![
+        ([0.25, 0.5], 2), // x: ids 0, 1
+        ([0.5, 0.25], 4), // y: ids 2..=5
+        ([0.1, 0.2], 4),  // w: ids 6..=9
+        ([0.2, 0.1], 4),  // v: ids 10..=13
+    ]);
+    let caps = [[1.0; 2]; 4];
+    let expected = reference_mcb(&items, &caps).expect("packs");
+    assert_eq!(expected, [0, 1, 0, 1, 2, 3, 0, 2, 2, 2, 1, 2, 3, 3]);
+    let mut scratch = VecPackScratch::new();
+    assert!(McbVec::<2>.pack_runs_into(&runs, &caps, &mut scratch));
+    assert_eq!(scratch.bin_of(), expected);
 }
 
 proptest! {
@@ -237,5 +321,70 @@ proptest! {
             prop_assert_eq!(scratch.bin_of(), &bin_of[..], "{:?} caps {:?}", items, caps);
         }
     }
+}
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(768))]
+
+    /// Long runs through `Mcb8`: most bins are copies, and the result is
+    /// still the reference's, within the count guard.
+    #[test]
+    fn mcb8_replicates_bins_byte_identically_to_the_reference(
+        instance in arb_long_runs::<2>(7),
+        slack in 0usize..6,
+    ) {
+        let (items, runs) = instance;
+        let bins = bins_near_the_bound(&items, slack);
+        let expected = reference_mcb(&items, &vec![[1.0; 2]; bins]);
+        let pack_item = |it: &VecItem<2>| PackItem { id: it.id, cpu: it.req[0], mem: it.req[1] };
+        let pack_runs: Vec<(PackItem, u32)> =
+            runs.iter().map(|(it, n)| (pack_item(it), *n)).collect();
+        let mut scratch = PackScratch::new();
+        let ok = Mcb8.pack_runs_into(&pack_runs, bins, &mut scratch);
+        prop_assert_eq!(ok, expected.is_some(), "verdict: {:?} bins {}", runs, bins);
+        if let Some(bin_of) = &expected {
+            prop_assert_eq!(scratch.bin_of(), &bin_of[..], "{:?} bins {}", runs, bins);
+        }
+        prop_assert!(
+            scratch.bins_filled() <= fills_allowed(&runs),
+            "{} fills: {:?} bins {}", scratch.bins_filled(), runs, bins
+        );
+    }
+
+    /// The same at `D = 3`; and once one bin differs from the rest the
+    /// bins are no longer copies of each other, so nothing may be
+    /// replicated.
+    #[test]
+    fn mcbvec3_replicates_uniform_bins_only(
+        instance in arb_long_runs::<3>(6),
+        slack in 0usize..6,
+        odd_bin in (0usize..1000, 0.5..1.0f64),
+    ) {
+        let (items, runs) = instance;
+        let bins = bins_near_the_bound(&items, slack);
+        let mut caps = vec![[1.0; 3]; bins];
+        let mut scratch = VecPackScratch::new();
+
+        let expected = reference_mcb(&items, &caps);
+        let ok = McbVec::<3>.pack_runs_into(&runs, &caps, &mut scratch);
+        prop_assert_eq!(ok, expected.is_some(), "verdict: {:?} bins {}", runs, bins);
+        if let Some(bin_of) = &expected {
+            prop_assert_eq!(scratch.bin_of(), &bin_of[..], "{:?} bins {}", runs, bins);
+        }
+        prop_assert!(
+            scratch.bins_filled() <= fills_allowed(&runs),
+            "{} fills: {:?} bins {}", scratch.bins_filled(), runs, bins
+        );
+
+        if bins >= 2 {
+            let (at, memory) = odd_bin;
+            caps[at % bins][1] = memory;
+            let expected = reference_mcb(&items, &caps);
+            let ok = McbVec::<3>.pack_runs_into(&runs, &caps, &mut scratch);
+            prop_assert_eq!(ok, expected.is_some(), "verdict: {:?} caps {:?}", runs, caps);
+            if let Some(bin_of) = &expected {
+                prop_assert_eq!(scratch.bin_of(), &bin_of[..], "{:?} caps {:?}", runs, caps);
+            }
+        }
+    }
 }
