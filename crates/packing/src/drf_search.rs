@@ -66,7 +66,8 @@ impl DrfJob {
 }
 
 /// Result of the DRF maximization: per-job yields (no longer uniform —
-/// each job's yield is set by the common share target) and placements.
+/// each job's yield is set by the common share target) and the node
+/// hosting every task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DrfAllocation {
     /// The achieved minimum dominant share `min_i d_i·y_i`. This can
@@ -83,9 +84,19 @@ pub struct DrfAllocation {
     /// fast path succeeded and no infeasible target exists. This is the
     /// certificate the maximality proptest checks.
     pub infeasible_share: Option<f64>,
-    /// `allocations[i]` = `(job, yield, node of each task)` for input
-    /// job `i` (same order).
-    pub allocations: Vec<(JobId, f64, Vec<u32>)>,
+    /// `allocations[i]` = `(job, yield, index in `bins` of its first
+    /// task)` for input job `i` (same order).
+    pub allocations: Vec<(JobId, f64, u32)>,
+    /// The node of every task, the input jobs' tasks back to back in
+    /// input order (the packer's `bin_of`).
+    pub bins: Vec<u32>,
+}
+
+impl DrfAllocation {
+    /// The node of each task of input job `i`.
+    pub fn placement(&self, i: usize) -> &[u32] {
+        crate::row_span(&self.bins, &self.allocations, i)
+    }
 }
 
 /// Buffers for one DRF search caller.
@@ -165,6 +176,7 @@ pub fn max_min_dominant_share(
             target_share: 1.0,
             infeasible_share: None,
             allocations: Vec::new(),
+            bins: Vec::new(),
         });
     }
 
@@ -203,7 +215,12 @@ pub fn max_min_dominant_share(
         min_dominant_share: min_achieved_share(jobs, best_yields),
         target_share,
         infeasible_share,
-        allocations: allocations_from(jobs, best_yields, best),
+        allocations: crate::rows_of(
+            jobs.iter()
+                .zip(&*best_yields)
+                .map(|(j, &y)| (j.job, y, j.tasks)),
+        ),
+        bins: best.clone(),
     })
 }
 
@@ -226,21 +243,6 @@ fn min_achieved_share(jobs: &[DrfJob], yields: &[f64]) -> f64 {
         .zip(yields.iter())
         .map(|(j, y)| j.dominant_need() * y)
         .fold(f64::INFINITY, f64::min)
-}
-
-fn allocations_from(
-    jobs: &[DrfJob],
-    yields: &[f64],
-    bin_of: &[u32],
-) -> Vec<(JobId, f64, Vec<u32>)> {
-    let mut out = Vec::with_capacity(jobs.len());
-    let mut cursor = 0usize;
-    for (j, &y) in jobs.iter().zip(yields.iter()) {
-        let nodes = bin_of[cursor..cursor + j.tasks as usize].to_vec();
-        cursor += j.tasks as usize;
-        out.push((j.job, y, nodes));
-    }
-    out
 }
 
 #[cfg(test)]

@@ -49,8 +49,10 @@
 //! ];
 //! let alloc = max_min_yield(&jobs, 1, &Mcb8, 0.01, 0.01).unwrap();
 //! assert!(alloc.yield_ <= 0.5 && alloc.yield_ > 0.48);
-//! assert_eq!(alloc.placements.len(), 2);
+//! assert_eq!(alloc.bins, [0, 0]);
 //! ```
+
+use dfrs_core::ids::JobId;
 
 mod bisect;
 pub mod bounds;
@@ -81,3 +83,37 @@ pub use stretch_search::{
 };
 pub use vecpack::{assignment_is_valid, McbVec, VecBin, VecItem, VecPackScratch};
 pub use yield_search::{max_min_yield, max_min_yield_with, JobLoad, YieldAllocation};
+
+/// The per-job slices of a flat per-task vector (a packing's `bin_of`,
+/// a search result's `bins`): `tasks` are the task counts of the jobs in
+/// the order their tasks were laid out.
+pub fn split_tasks<'a, T>(
+    flat: &'a [T],
+    tasks: impl IntoIterator<Item = u32> + 'a,
+) -> impl Iterator<Item = &'a [T]> + 'a {
+    let mut rest = flat;
+    tasks.into_iter().map(move |n| {
+        let (head, tail) = rest.split_at(n as usize);
+        rest = tail;
+        head
+    })
+}
+
+/// `(job, yield, index of the job's first task)` rows from `(job,
+/// yield, tasks)` in input order — the per-job half of the DRF and
+/// stretch results.
+fn rows_of(jobs: impl Iterator<Item = (JobId, f64, u32)>) -> Vec<(JobId, f64, u32)> {
+    let mut first = 0;
+    jobs.map(|(job, yld, tasks)| {
+        let row = (job, yld, first);
+        first += tasks;
+        row
+    })
+    .collect()
+}
+
+/// The slice of `flat` belonging to row `i` of [`rows_of`].
+fn row_span<'a>(flat: &'a [u32], rows: &[(JobId, f64, u32)], i: usize) -> &'a [u32] {
+    let end = rows.get(i + 1).map_or(flat.len(), |next| next.2 as usize);
+    &flat[rows[i].2 as usize..end]
+}

@@ -95,40 +95,17 @@ impl MemoStats {
 /// One memoized whole yield search: exact inputs, exact output, and how
 /// many packs the cold computation spent (the savings of a replay).
 ///
-/// The result is stored *flat* — the achieved yield plus the
-/// concatenated per-task node assignment in input-job order — rather
-/// than as a [`YieldAllocation`], so a miss costs one buffer copy
-/// instead of one allocation per job; entry buffers are recycled
-/// through LRU eviction, so steady-state misses allocate nothing.
+/// Entry buffers are recycled through LRU eviction, so a steady-state
+/// miss allocates nothing beyond what the cold search itself does.
 #[derive(Debug, Clone, Default)]
 struct YieldEntry {
     fingerprint: u64,
     nodes: usize,
     caps: u64,
     jobs: Vec<JobLoad>,
-    /// `Some((yield, flat assignment))` when feasible, `None` when the
-    /// search reported infeasibility.
-    result: Option<(f64, Vec<u32>)>,
+    /// What the search returned (`None`: infeasible).
+    result: Option<YieldAllocation>,
     packs: u64,
-}
-
-impl YieldEntry {
-    /// Rebuild the public allocation (same shape the cold search
-    /// returns; the per-job split is recovered from the task counts).
-    fn unflatten(&self) -> Option<YieldAllocation> {
-        let (yield_, flat) = self.result.as_ref()?;
-        let mut placements = Vec::with_capacity(self.jobs.len());
-        let mut cursor = 0usize;
-        for j in &self.jobs {
-            let nodes = flat[cursor..cursor + j.tasks as usize].to_vec();
-            cursor += j.tasks as usize;
-            placements.push((j.job, nodes));
-        }
-        Some(YieldAllocation {
-            yield_: *yield_,
-            placements,
-        })
-    }
 }
 
 /// One memoized stretch probe: exact expanded instance, verdict, and
@@ -410,7 +387,7 @@ pub fn max_min_yield_warm(
         if let Some(entry) = hit {
             memo.stats.search_hits += 1;
             memo.stats.packs_saved += entry.packs;
-            let result = entry.unflatten();
+            let result = entry.result.clone();
             memo.yields.push_front(entry); // LRU: refresh on hit
             return result;
         }
@@ -433,15 +410,11 @@ pub fn max_min_yield_warm(
         entry.jobs.extend_from_slice(jobs);
         entry.packs = packs;
         match (&result, &mut entry.result) {
-            (Some(a), slot) => {
-                let (y, flat) = slot.get_or_insert_with(|| (a.yield_, Vec::new()));
-                *y = a.yield_;
-                flat.clear();
-                for (_, nodes_of) in &a.placements {
-                    flat.extend_from_slice(nodes_of);
-                }
+            (Some(found), Some(slot)) => {
+                slot.yield_ = found.yield_;
+                slot.bins.clone_from(&found.bins);
             }
-            (None, slot) => *slot = None,
+            (found, slot) => *slot = found.clone(),
         }
         memo.yields.push_front(entry);
         return result;

@@ -36,14 +36,25 @@ pub struct StretchJob {
     pub virtual_time: f64,
 }
 
-/// Result: the achieved estimated-stretch bound, plus per-job yields and
-/// task placements (aligned with the input order).
+/// Result: the achieved estimated-stretch bound, plus per-job yields
+/// (aligned with the input order) and the node hosting every task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StretchAllocation {
     /// The minimized bound on the estimated max stretch.
     pub target: f64,
-    /// Per job: (job, assigned yield, node of each task).
-    pub assignments: Vec<(JobId, f64, Vec<u32>)>,
+    /// Per job: `(job, assigned yield, index in `bins` of its first
+    /// task)`.
+    pub assignments: Vec<(JobId, f64, u32)>,
+    /// The node of every task, the input jobs' tasks back to back in
+    /// input order (the packer's `bin_of`).
+    pub bins: Vec<u32>,
+}
+
+impl StretchAllocation {
+    /// The node of each task of input job `i`.
+    pub fn placement(&self, i: usize) -> &[u32] {
+        crate::row_span(&self.bins, &self.assignments, i)
+    }
 }
 
 /// The clamped yield a job needs to meet estimate bound `target`.
@@ -222,6 +233,7 @@ pub(crate) fn search_with(
         return Some(StretchAllocation {
             target: 1.0,
             assignments: Vec::new(),
+            bins: Vec::new(),
         });
     }
 
@@ -247,16 +259,13 @@ pub(crate) fn search_with(
         |hi, lo| hi - lo > accuracy * lo.max(1.0),
         |target| probes.probe(jobs, target, period, nodes, best),
     )?;
-    let mut assignments = Vec::with_capacity(jobs.len());
-    let mut cursor = 0usize;
-    for j in jobs {
-        let nodes_of = best[cursor..cursor + j.tasks as usize].to_vec();
-        cursor += j.tasks as usize;
-        assignments.push((j.job, clamped_yield(j, target, period), nodes_of));
-    }
+    let yields = jobs
+        .iter()
+        .map(|j| (j.job, clamped_yield(j, target, period), j.tasks));
     Some(StretchAllocation {
         target,
-        assignments,
+        assignments: crate::rows_of(yields),
+        bins: best.clone(),
     })
 }
 
@@ -360,10 +369,8 @@ mod tests {
             sjob(1, 2, 0.9, 0.6, 700.0, 3.0),
         ];
         let a = min_max_estimated_stretch(&jobs, 4, T, &Mcb8, 0.01).unwrap();
-        for (_, _, nodes) in &a.assignments {
-            assert!(nodes.iter().all(|&n| n < 4));
-        }
-        assert_eq!(a.assignments[0].2.len(), 5);
-        assert_eq!(a.assignments[1].2.len(), 2);
+        assert!(a.bins.iter().all(|&n| n < 4));
+        assert_eq!(a.placement(0).len(), 5);
+        assert_eq!(a.placement(1).len(), 2);
     }
 }

@@ -32,14 +32,26 @@ pub struct JobLoad {
     pub mem_req: f64,
 }
 
-/// Result of the yield maximization: a single uniform yield plus, for
-/// every input job (same order), the node hosting each of its tasks.
+/// Result of the yield maximization: a single uniform yield plus the
+/// node hosting every task.
 #[derive(Debug, Clone, PartialEq)]
 pub struct YieldAllocation {
     /// The maximized minimum yield, in `[min_yield, 1]`.
     pub yield_: f64,
-    /// `placements[i][k]` = node of task `k` of input job `i`.
-    pub placements: Vec<(JobId, Vec<u32>)>,
+    /// The node of every task, the input jobs' tasks back to back in
+    /// input order (the packer's `bin_of`).
+    pub bins: Vec<u32>,
+}
+
+impl YieldAllocation {
+    /// `(job, node of each of its tasks)` for the `jobs` searched.
+    pub fn placements<'a>(
+        &'a self,
+        jobs: &'a [JobLoad],
+    ) -> impl Iterator<Item = (JobId, &'a [u32])> + 'a {
+        let per_job = crate::split_tasks(&self.bins, jobs.iter().map(|j| j.tasks));
+        jobs.iter().map(|j| j.job).zip(per_job)
+    }
 }
 
 /// Expand jobs into per-job item runs at a given yield, reusing `runs`
@@ -79,18 +91,6 @@ fn items_at_yield(jobs: &[JobLoad], yld: f64) -> Vec<PackItem> {
         }
     }
     items
-}
-
-/// Translate a bin assignment back into per-job task placements.
-fn placements_from(jobs: &[JobLoad], bin_of: &[u32]) -> Vec<(JobId, Vec<u32>)> {
-    let mut out = Vec::with_capacity(jobs.len());
-    let mut cursor = 0usize;
-    for j in jobs {
-        let nodes = bin_of[cursor..cursor + j.tasks as usize].to_vec();
-        cursor += j.tasks as usize;
-        out.push((j.job, nodes));
-    }
-    out
 }
 
 /// Maximize the minimum yield over all jobs.
@@ -137,7 +137,7 @@ pub fn max_min_yield_with(
     if jobs.is_empty() {
         return Some(YieldAllocation {
             yield_: 1.0,
-            placements: Vec::new(),
+            bins: Vec::new(),
         });
     }
 
@@ -167,7 +167,7 @@ pub fn max_min_yield_with(
     )?;
     Some(YieldAllocation {
         yield_,
-        placements: placements_from(jobs, best),
+        bins: best.clone(),
     })
 }
 
@@ -194,15 +194,14 @@ mod tests {
     fn empty_system_yields_one() {
         let a = run(&[], 16).unwrap();
         assert_eq!(a.yield_, 1.0);
-        assert!(a.placements.is_empty());
+        assert!(a.bins.is_empty());
     }
 
     #[test]
     fn underloaded_cluster_gives_full_yield() {
         let a = run(&[job(0, 4, 0.25, 0.1), job(1, 2, 1.0, 0.3)], 8).unwrap();
         assert_eq!(a.yield_, 1.0);
-        let total_tasks: usize = a.placements.iter().map(|(_, p)| p.len()).sum();
-        assert_eq!(total_tasks, 6);
+        assert_eq!(a.bins.len(), 6);
     }
 
     #[test]
@@ -238,16 +237,7 @@ mod tests {
         ];
         let a = run(&jobs, 4).unwrap();
         let items = items_at_yield(&jobs, a.yield_);
-        // Rebuild the bin assignment from placements and check capacities.
-        let mut cursor = 0;
-        let mut bin_of = vec![0u32; items.len()];
-        for (_, nodes) in &a.placements {
-            for &n in nodes {
-                bin_of[cursor] = n;
-                cursor += 1;
-            }
-        }
-        let packing = Packing { bin_of };
+        let packing = Packing { bin_of: a.bins };
         assert!(packing.is_valid(&items, 4));
     }
 
@@ -280,13 +270,11 @@ mod tests {
     fn placements_cover_every_task_exactly_once() {
         let jobs = vec![job(0, 7, 0.5, 0.1), job(1, 3, 0.2, 0.2)];
         let a = run(&jobs, 4).unwrap();
-        assert_eq!(a.placements.len(), 2);
-        assert_eq!(a.placements[0].1.len(), 7);
-        assert_eq!(a.placements[1].1.len(), 3);
-        assert!(a
-            .placements
-            .iter()
-            .flat_map(|(_, p)| p)
-            .all(|&n| (n as usize) < 4));
+        let per_job: Vec<(JobId, &[u32])> = a.placements(&jobs).collect();
+        assert_eq!(per_job.len(), 2);
+        assert_eq!((per_job[0].0, per_job[0].1.len()), (JobId(0), 7));
+        assert_eq!((per_job[1].0, per_job[1].1.len()), (JobId(1), 3));
+        assert_eq!(a.bins.len(), 10);
+        assert!(a.bins.iter().all(|&n| (n as usize) < 4));
     }
 }

@@ -122,7 +122,8 @@ proptest! {
             // Recompute node usage from placements.
             let mut cpu = vec![0.0; nodes];
             let mut mem = vec![0.0; nodes];
-            for (load, (_, placement)) in loads.iter().zip(a.placements.iter()) {
+            for (load, (job, placement)) in loads.iter().zip(a.placements(&loads)) {
+                prop_assert_eq!(job, load.job);
                 prop_assert_eq!(placement.len(), load.tasks as usize);
                 for &n in placement {
                     cpu[n as usize] += load.cpu_need * a.yield_;
@@ -172,9 +173,10 @@ proptest! {
         if let Some(a) = min_max_estimated_stretch(&sjobs, nodes, 600.0, &Mcb8, 0.01) {
             let mut cpu = vec![0.0; nodes];
             let mut mem = vec![0.0; nodes];
-            for (j, (_, y, placement)) in sjobs.iter().zip(a.assignments.iter()) {
+            for (i, (j, (_, y, _))) in sjobs.iter().zip(a.assignments.iter()).enumerate() {
                 prop_assert!(*y >= 0.01 - 1e-12 && *y <= 1.0, "yield {y}");
-                for &n in placement {
+                prop_assert_eq!(a.placement(i).len(), j.tasks as usize);
+                for &n in a.placement(i) {
                     cpu[n as usize] += j.cpu_need * y;
                     mem[n as usize] += j.mem_req;
                 }

@@ -104,9 +104,9 @@ proptest! {
         // Yields in range, per-job share consistent with the minimum.
         let mut expanded: Vec<VecItem<3>> = Vec::new();
         let mut id = 0u32;
-        for (j, (jid, y, places)) in jobs.iter().zip(alloc.allocations.iter()) {
+        for (i, (j, (jid, y, _))) in jobs.iter().zip(alloc.allocations.iter()).enumerate() {
             prop_assert_eq!(j.job, *jid);
-            prop_assert_eq!(places.len(), j.tasks as usize);
+            prop_assert_eq!(alloc.placement(i).len(), j.tasks as usize);
             prop_assert!(*y >= min_yield - 1e-12 && *y <= 1.0 + 1e-12, "yield {}", y);
             prop_assert!(
                 j.dominant_need() * *y >= alloc.min_dominant_share - 1e-12,
@@ -124,13 +124,8 @@ proptest! {
                 id += 1;
             }
         }
-        let bin_of: Vec<u32> = alloc
-            .allocations
-            .iter()
-            .flat_map(|(_, _, places)| places.iter().copied())
-            .collect();
         let caps = vec![[1.0f64; 3]; nodes];
-        prop_assert!(assignment_is_valid(&expanded, &caps, &bin_of));
+        prop_assert!(assignment_is_valid(&expanded, &caps, &alloc.bins));
         // Maximality within tolerance, via the bracket certificate: the
         // returned target packs, the terminal infeasible target (at
         // most `accuracy` above it) does not. A share level above a

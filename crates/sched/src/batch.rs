@@ -21,7 +21,7 @@
 
 use std::collections::VecDeque;
 
-use dfrs_core::ids::{JobId, NodeId};
+use dfrs_core::ids::JobId;
 use dfrs_sim::{JobStatus, Plan, SchedEvent, Scheduler, SimState};
 
 use crate::common::{free_nodes, waiting_jobs};
@@ -46,8 +46,7 @@ impl Fcfs {
             if tasks > free.len() {
                 break; // strict FIFO: nothing may overtake the head
             }
-            let placement: Vec<NodeId> = free.drain(..tasks).collect();
-            plan = plan.run(head, placement, 1.0);
+            plan.push_run(head, 1.0, free.drain(..tasks));
             self.queue.pop_front();
         }
         plan
@@ -118,9 +117,8 @@ impl Easy {
             if spec.tasks as usize > free.len() {
                 break;
             }
-            let placement: Vec<NodeId> = free.drain(..spec.tasks as usize).collect();
             releases.push((state.now + spec.oracle_runtime(), spec.tasks));
-            plan = plan.run(head, placement, 1.0);
+            plan.push_run(head, 1.0, free.drain(..spec.tasks as usize));
             self.queue.pop_front();
         }
 
@@ -166,8 +164,7 @@ impl Easy {
             let finishes_before_shadow = state.now + spec.oracle_runtime() <= shadow;
             let fits_extra = spec.tasks <= extra;
             if finishes_before_shadow || fits_extra {
-                let placement: Vec<NodeId> = free.drain(..tasks).collect();
-                plan = plan.run(cand, placement, 1.0);
+                plan.push_run(cand, 1.0, free.drain(..tasks));
                 started.push(cand);
                 if !finishes_before_shadow {
                     extra -= spec.tasks;
@@ -209,6 +206,7 @@ impl Scheduler for Easy {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfrs_core::ids::NodeId;
     use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
 

@@ -7,7 +7,7 @@
 use dfrs_core::approx;
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_core::yield_math;
-use dfrs_sim::SimState;
+use dfrs_sim::{Plan, SimState};
 
 /// Ids of the in-service, completely idle nodes, ascending — the
 /// whole-node free list the batch schedulers (FCFS, EASY, conservative
@@ -158,6 +158,8 @@ impl NodeScratch {
 #[derive(Debug, Clone, Default)]
 pub struct AllocSet {
     jobs: Vec<AllocJob>,
+    /// Every job's placement, back to back in insertion order.
+    nodes: Vec<NodeId>,
     n_nodes: usize,
 }
 
@@ -166,40 +168,50 @@ struct AllocJob {
     id: JobId,
     cpu_need: f64,
     gpu_need: f64,
-    placement: Vec<NodeId>,
+    /// This job's placement is `nodes[start..end]`.
+    start: usize,
+    end: usize,
 }
 
 impl AllocSet {
-    /// Empty set. `n_nodes` is the cluster size the caller works over,
-    /// but the per-node buffers are sized by the highest node actually
-    /// pushed: they are only ever indexed at placement nodes and folded
-    /// with identities (zero load, zero demand) elsewhere, so the
-    /// tighter bound is outcome-identical — and a mostly-idle huge
-    /// cluster doesn't pay cluster-sized zeroing per allocation set.
-    pub fn new(n_nodes: usize) -> Self {
-        let _ = n_nodes;
-        AllocSet {
-            jobs: Vec::new(),
-            n_nodes: 0,
-        }
+    /// Empty set. The per-node buffers are sized by the highest node
+    /// actually pushed, not by the cluster: they are only ever indexed
+    /// at placement nodes and folded with identities (zero load, zero
+    /// demand) elsewhere, so a mostly-idle huge cluster doesn't pay
+    /// cluster-sized zeroing per allocation set.
+    pub fn new() -> Self {
+        AllocSet::default()
     }
 
-    /// Add a job with its (planned or current) placement. `gpu_need`
-    /// is the job's fluid GPU demand (0 for the paper's CPU+memory
-    /// workloads); it never steers the yield optimization — the yield
-    /// family stays GPU-oblivious in its objective — but it feeds the
-    /// final feasibility clamp (see [`gpu_clamp`](Self::optimized_yields)).
-    pub fn push(&mut self, id: JobId, cpu_need: f64, gpu_need: f64, placement: Vec<NodeId>) {
+    /// Add a job with its (planned or current) placement, copied into
+    /// the set's arena. `gpu_need` is the job's fluid GPU demand (0 for
+    /// the paper's CPU+memory workloads); it never steers the yield
+    /// optimization — the yield family stays GPU-oblivious in its
+    /// objective — but it feeds the final feasibility clamp (see
+    /// [`gpu_clamp`](Self::optimized_yields)).
+    pub fn push(&mut self, id: JobId, cpu_need: f64, gpu_need: f64, placement: &[NodeId]) {
         debug_assert!(!placement.is_empty());
-        for n in &placement {
+        for n in placement {
             self.n_nodes = self.n_nodes.max(n.index() + 1);
         }
+        let start = self.nodes.len();
+        self.nodes.extend_from_slice(placement);
         self.jobs.push(AllocJob {
             id,
             cpu_need,
             gpu_need,
-            placement,
+            start,
+            end: self.nodes.len(),
         });
+    }
+
+    /// The placement of the `i`-th job pushed.
+    pub fn placement(&self, i: usize) -> &[NodeId] {
+        self.nodes_of(&self.jobs[i])
+    }
+
+    fn nodes_of(&self, job: &AllocJob) -> &[NodeId] {
+        &self.nodes[job.start..job.end]
     }
 
     /// Number of jobs.
@@ -216,7 +228,7 @@ impl AllocSet {
     fn cpu_loads(&self) -> Vec<f64> {
         let mut loads = vec![0.0; self.n_nodes];
         for j in &self.jobs {
-            for &n in &j.placement {
+            for &n in self.nodes_of(j) {
                 loads[n.index()] += j.cpu_need;
             }
         }
@@ -251,7 +263,7 @@ impl AllocSet {
         // Allocated CPU per node under the base yield.
         let mut alloc = vec![0.0; self.n_nodes];
         for j in &self.jobs {
-            for &node in &j.placement {
+            for &node in self.nodes_of(j) {
                 alloc[node.index()] += j.cpu_need * base;
             }
         }
@@ -264,8 +276,8 @@ impl AllocSet {
                 if frozen[i] || yields[i] >= 1.0 - approx::EPS {
                     continue;
                 }
-                let has_slack = j
-                    .placement
+                let has_slack = self
+                    .nodes_of(j)
                     .iter()
                     .all(|&node| approx::pos(1.0 - alloc[node.index()]));
                 if !has_slack {
@@ -275,8 +287,8 @@ impl AllocSet {
                     None => true,
                     Some(p) => {
                         let (tp, ti) = (
-                            self.jobs[p].cpu_need * self.jobs[p].placement.len() as f64,
-                            j.cpu_need * j.placement.len() as f64,
+                            self.jobs[p].cpu_need * self.placement(p).len() as f64,
+                            j.cpu_need * self.nodes_of(j).len() as f64,
                         );
                         ti < tp - approx::EPS || (approx::eq(ti, tp) && j.id < self.jobs[p].id)
                     }
@@ -286,17 +298,17 @@ impl AllocSet {
                 }
             }
             let Some(i) = pick else { break };
-            let job = &self.jobs[i];
+            let (job, placement) = (&self.jobs[i], self.placement(i));
             // Tightest increase over hosting nodes: slack / (need × count
             // of this job's tasks on that node). Placements are short, so
             // unique nodes are found by scanning (no per-step map); the
             // running minimum is order-independent.
             let mut delta = 1.0 - yields[i];
-            for (k, &node) in job.placement.iter().enumerate() {
-                if job.placement[..k].contains(&node) {
+            for (k, &node) in placement.iter().enumerate() {
+                if placement[..k].contains(&node) {
                     continue; // already counted
                 }
-                let count = job.placement[k..].iter().filter(|&&n| n == node).count() as u32;
+                let count = placement[k..].iter().filter(|&&n| n == node).count() as u32;
                 let slack = 1.0 - alloc[node.index()];
                 delta = delta.min(yield_math::max_yield_increase(
                     slack,
@@ -307,7 +319,7 @@ impl AllocSet {
                 frozen[i] = true;
                 continue;
             }
-            for &node in &job.placement {
+            for &node in placement {
                 alloc[node.index()] += job.cpu_need * delta;
             }
             yields[i] += delta;
@@ -326,7 +338,7 @@ impl AllocSet {
         if self.jobs.iter().any(|j| j.gpu_need > 0.0) {
             let mut gpu = vec![0.0; self.n_nodes];
             for (j, y) in self.jobs.iter().zip(&yields) {
-                for &node in &j.placement {
+                for &node in self.nodes_of(j) {
                     gpu[node.index()] += j.gpu_need * y;
                 }
             }
@@ -335,7 +347,7 @@ impl AllocSet {
                     continue;
                 }
                 let mut factor = 1.0f64;
-                for &node in &j.placement {
+                for &node in self.nodes_of(j) {
                     let load = gpu[node.index()];
                     if load > 1.0 {
                         factor = factor.min(load.recip());
@@ -355,48 +367,49 @@ impl AllocSet {
     pub fn greedy_yields(&self) -> Vec<(JobId, f64)> {
         self.optimized_yields(self.equal_share_yield())
     }
+
+    /// `plan` plus one run per job of the set, in insertion order, at
+    /// the [`greedy_yields`](Self::greedy_yields).
+    pub fn run_all(&self, mut plan: Plan) -> Plan {
+        for (i, (id, yld)) in self.greedy_yields().into_iter().enumerate() {
+            plan.push_run(id, yld, self.placement(i).iter().copied());
+        }
+        plan
+    }
 }
 
 /// Build an [`AllocSet`] from the currently running jobs (used by the
 /// greedy algorithms after membership changes have been decided).
 pub fn alloc_set_of_running(state: &SimState) -> AllocSet {
-    let mut set = AllocSet::new(state.cluster.nodes().len());
+    let mut set = AllocSet::new();
     for j in state.running_jobs() {
-        set.push(
-            j.spec.id,
-            j.spec.cpu_need,
-            j.spec.gpu_need,
-            state.placement(j.spec.id).to_vec(),
-        );
+        let placement = state.placement(j.spec.id);
+        set.push(j.spec.id, j.spec.cpu_need, j.spec.gpu_need, placement);
     }
     set
 }
 
 /// The GPU feasibility clamp of [`AllocSet::optimized_yields`] for the
-/// `(job, yield, placement)` assignment shape the stretch scheduler
-/// works in: scale each GPU consumer's yield down by the worst
-/// oversubscription among its hosting nodes. A guarded no-op on
+/// run entries of a plan, the shape the stretch and fairness schedulers
+/// settle their yields in: scale each GPU consumer's yield down by the
+/// worst oversubscription among its hosting nodes. A guarded no-op on
 /// GPU-free workloads (bit-identical runs).
-pub fn gpu_clamp_assignments(
-    n_nodes: usize,
-    gpu_of: impl Fn(JobId) -> f64,
-    assignments: &mut [(JobId, f64, Vec<NodeId>)],
-) {
-    if !assignments.iter().any(|(id, _, _)| gpu_of(*id) > 0.0) {
+pub fn gpu_clamp_assignments(n_nodes: usize, gpu_of: impl Fn(JobId) -> f64, plan: &mut Plan) {
+    if !plan.runs_mut().any(|(id, _, _)| gpu_of(id) > 0.0) {
         return;
     }
     let mut gpu = vec![0.0; n_nodes];
-    for (id, yld, placement) in assignments.iter() {
+    for (id, placement, yld) in plan.runs_mut() {
         for &node in placement {
-            gpu[node.index()] += gpu_of(*id) * yld;
+            gpu[node.index()] += gpu_of(id) * *yld;
         }
     }
-    for (id, yld, placement) in assignments.iter_mut() {
-        if gpu_of(*id) <= 0.0 {
+    for (id, placement, yld) in plan.runs_mut() {
+        if gpu_of(id) <= 0.0 {
             continue;
         }
         let mut factor = 1.0f64;
-        for &node in placement.iter() {
+        for &node in placement {
             let load = gpu[node.index()];
             if load > 1.0 {
                 factor = factor.min(load.recip());
@@ -500,10 +513,10 @@ mod tests {
 
     #[test]
     fn equal_share_yield_of_allocation() {
-        let mut set = AllocSet::new(2);
-        set.push(JobId(0), 1.0, 0.0, vec![NodeId(0)]);
-        set.push(JobId(1), 1.0, 0.0, vec![NodeId(0)]);
-        set.push(JobId(2), 0.5, 0.0, vec![NodeId(1)]);
+        let mut set = AllocSet::new();
+        set.push(JobId(0), 1.0, 0.0, &[NodeId(0)]);
+        set.push(JobId(1), 1.0, 0.0, &[NodeId(0)]);
+        set.push(JobId(2), 0.5, 0.0, &[NodeId(1)]);
         assert!((set.equal_share_yield() - 0.5).abs() < 1e-12);
     }
 
@@ -511,10 +524,10 @@ mod tests {
     fn improvement_raises_unconstrained_jobs_to_full_yield() {
         // Node 0 overloaded (2 × need 1.0), node 1 has one small job: the
         // small job must end at yield 1.0, the others stay at 0.5.
-        let mut set = AllocSet::new(2);
-        set.push(JobId(0), 1.0, 0.0, vec![NodeId(0)]);
-        set.push(JobId(1), 1.0, 0.0, vec![NodeId(0)]);
-        set.push(JobId(2), 0.5, 0.0, vec![NodeId(1)]);
+        let mut set = AllocSet::new();
+        set.push(JobId(0), 1.0, 0.0, &[NodeId(0)]);
+        set.push(JobId(1), 1.0, 0.0, &[NodeId(0)]);
+        set.push(JobId(2), 0.5, 0.0, &[NodeId(1)]);
         let yields = set.greedy_yields();
         assert!((yields[0].1 - 0.5).abs() < 1e-9);
         assert!((yields[1].1 - 0.5).abs() < 1e-9);
@@ -530,11 +543,11 @@ mod tests {
         // Use two nodes: job A (need 1.0) on node 0; jobs B,C (need 0.4,
         // 0.2) on node 1. Base = 1/1.0 = 1.0... loads: n0=1.0, n1=0.6 →
         // base 1.0, everyone full. Overload n0: A,D both need 1.0.
-        let mut set = AllocSet::new(2);
-        set.push(JobId(0), 1.0, 0.0, vec![NodeId(0)]); // A
-        set.push(JobId(1), 1.0, 0.0, vec![NodeId(0)]); // D
-        set.push(JobId(2), 0.4, 0.0, vec![NodeId(1)]); // B
-        set.push(JobId(3), 0.2, 0.0, vec![NodeId(1)]); // C
+        let mut set = AllocSet::new();
+        set.push(JobId(0), 1.0, 0.0, &[NodeId(0)]); // A
+        set.push(JobId(1), 1.0, 0.0, &[NodeId(0)]); // D
+        set.push(JobId(2), 0.4, 0.0, &[NodeId(1)]); // B
+        set.push(JobId(3), 0.2, 0.0, &[NodeId(1)]); // C
         let yields = set.greedy_yields();
         // Base = 0.5. Node 1 slack = 1 − 0.3 = 0.7. C (total need 0.2)
         // picked first → raised to 1.0 (consumes 0.1); B raised with
@@ -548,9 +561,9 @@ mod tests {
     fn improvement_handles_partial_slack() {
         // One node: jobs with needs 1.0 + 0.5 → base yield 1/1.5 = 2/3.
         // alloc = 1.0 exactly; no slack; yields stay at base.
-        let mut set = AllocSet::new(1);
-        set.push(JobId(0), 1.0, 0.0, vec![NodeId(0)]);
-        set.push(JobId(1), 0.5, 0.0, vec![NodeId(0)]);
+        let mut set = AllocSet::new();
+        set.push(JobId(0), 1.0, 0.0, &[NodeId(0)]);
+        set.push(JobId(1), 0.5, 0.0, &[NodeId(0)]);
         let yields = set.greedy_yields();
         assert!((yields[0].1 - 2.0 / 3.0).abs() < 1e-9);
         assert!((yields[1].1 - 2.0 / 3.0).abs() < 1e-9);
@@ -563,9 +576,9 @@ mod tests {
         // loads: n0 = 0.5, n1 = 0.5 + 1.0 = 1.5 → base = 2/3.
         // Slack n0 = 1 − 1/3 = 2/3; slack n1 = 0. Nothing improvable on
         // n1 → job 0 frozen by n1, job 1 frozen by n1.
-        let mut set = AllocSet::new(2);
-        set.push(JobId(0), 0.5, 0.0, vec![NodeId(0), NodeId(1)]);
-        set.push(JobId(1), 1.0, 0.0, vec![NodeId(1)]);
+        let mut set = AllocSet::new();
+        set.push(JobId(0), 0.5, 0.0, &[NodeId(0), NodeId(1)]);
+        set.push(JobId(1), 1.0, 0.0, &[NodeId(1)]);
         let yields = set.greedy_yields();
         assert!((yields[0].1 - 2.0 / 3.0).abs() < 1e-9);
         assert!((yields[1].1 - 2.0 / 3.0).abs() < 1e-9);
@@ -575,9 +588,9 @@ mod tests {
     fn two_tasks_same_node_count_double() {
         // Job 0 has both tasks on node 0 (need 0.4 each), job 1 need 1.0
         // also on node 0: load = 1.8, base = 1/1.8. Slack = 0. Frozen.
-        let mut set = AllocSet::new(1);
-        set.push(JobId(0), 0.4, 0.0, vec![NodeId(0), NodeId(0)]);
-        set.push(JobId(1), 1.0, 0.0, vec![NodeId(0)]);
+        let mut set = AllocSet::new();
+        set.push(JobId(0), 0.4, 0.0, &[NodeId(0), NodeId(0)]);
+        set.push(JobId(1), 1.0, 0.0, &[NodeId(0)]);
         let yields = set.greedy_yields();
         for (_, y) in yields {
             assert!((y - 1.0 / 1.8).abs() < 1e-9);
@@ -588,10 +601,10 @@ mod tests {
     fn gpu_clamp_scales_consumers_to_capacity() {
         // Two GPU-1.0 jobs on one node would allocate 2.0 GPUs at
         // yield 1.0 → each ends at 0.5; the GPU-free job is untouched.
-        let mut set = AllocSet::new(1);
-        set.push(JobId(0), 0.2, 1.0, vec![NodeId(0)]);
-        set.push(JobId(1), 0.2, 1.0, vec![NodeId(0)]);
-        set.push(JobId(2), 0.2, 0.0, vec![NodeId(0)]);
+        let mut set = AllocSet::new();
+        set.push(JobId(0), 0.2, 1.0, &[NodeId(0)]);
+        set.push(JobId(1), 0.2, 1.0, &[NodeId(0)]);
+        set.push(JobId(2), 0.2, 0.0, &[NodeId(0)]);
         let yields = set.greedy_yields();
         assert!((yields[0].1 - 0.5).abs() < 1e-9, "{}", yields[0].1);
         assert!((yields[1].1 - 0.5).abs() < 1e-9, "{}", yields[1].1);
@@ -601,22 +614,22 @@ mod tests {
     #[test]
     fn gpu_clamp_assignments_uses_worst_hosting_node() {
         let gpu = |id: JobId| if id.0 == 2 { 0.0 } else { 0.8 };
-        let mut a = vec![
-            (JobId(0), 1.0, vec![NodeId(0), NodeId(1)]),
-            (JobId(1), 1.0, vec![NodeId(1)]),
-            (JobId(2), 1.0, vec![NodeId(0)]),
-        ];
-        gpu_clamp_assignments(2, gpu, &mut a);
+        let mut plan = Plan::noop()
+            .run(JobId(0), vec![NodeId(0), NodeId(1)], 1.0)
+            .run(JobId(1), vec![NodeId(1)], 1.0)
+            .run(JobId(2), vec![NodeId(0)], 1.0);
+        gpu_clamp_assignments(2, gpu, &mut plan);
+        let a: Vec<f64> = plan.runs_mut().map(|(_, _, yld)| *yld).collect();
         // Node 1's load is 1.6 → jobs 0 and 1 scale by 1/1.6; node 0
         // (0.8) is fine and the GPU-free job keeps its full yield.
-        assert!((a[0].1 - 1.0 / 1.6).abs() < 1e-9, "{}", a[0].1);
-        assert!((a[1].1 - 1.0 / 1.6).abs() < 1e-9, "{}", a[1].1);
-        assert_eq!(a[2].1, 1.0);
+        assert!((a[0] - 1.0 / 1.6).abs() < 1e-9, "{}", a[0]);
+        assert!((a[1] - 1.0 / 1.6).abs() < 1e-9, "{}", a[1]);
+        assert_eq!(a[2], 1.0);
     }
 
     #[test]
     fn empty_alloc_set_is_trivial() {
-        let set = AllocSet::new(4);
+        let set = AllocSet::new();
         assert!(set.is_empty());
         assert_eq!(set.equal_share_yield(), 1.0);
         assert!(set.greedy_yields().is_empty());

@@ -10,7 +10,7 @@
 
 use std::collections::VecDeque;
 
-use dfrs_core::ids::{JobId, NodeId};
+use dfrs_core::ids::JobId;
 use dfrs_sim::{JobStatus, Plan, SchedEvent, Scheduler, SimState};
 
 use crate::common::{free_nodes, waiting_jobs};
@@ -139,8 +139,7 @@ impl ConservativeBf {
             };
             profile.reserve(start, spec.oracle_runtime(), spec.tasks);
             if (start - state.now).abs() < 1e-9 {
-                let placement: Vec<NodeId> = free.drain(..spec.tasks as usize).collect();
-                plan = plan.run(id, placement, 1.0);
+                plan.push_run(id, 1.0, free.drain(..spec.tasks as usize));
                 started.push(id);
             }
         }
@@ -181,6 +180,7 @@ impl Scheduler for ConservativeBf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfrs_core::ids::NodeId;
     use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
 

@@ -112,17 +112,8 @@ fn drf_repack_all(state: &SimState, scratch: &mut DrfRepackScratch) -> Plan {
         )
     });
 
-    let clean = alloc.allocations.len() == state.jobs_in_system().count();
-    scratch.last_clean_epoch = clean.then_some(epoch);
-
-    let mut plan = Plan::noop();
-    for id in front.evicted_running(state) {
-        plan = plan.pause(id);
-    }
-    for (id, yld, bins) in alloc.allocations {
-        plan = plan.run(id, front.nodes_of(&bins), yld);
-    }
-    plan
+    scratch.last_clean_epoch = front.kept_all(state).then_some(epoch);
+    front.plan(state, &alloc.bins, |i| alloc.allocations[i].1)
 }
 
 /// `DYNMCB8-DRF`: dominant-share repack at every submission,

@@ -61,17 +61,19 @@ impl PackerChoice {
     }
 }
 
-/// Raw result of the eviction loop + yield binary search: the uniform
-/// yield, each surviving job's task placement, and the running jobs that
-/// had to be evicted to make the packing feasible.
+/// Raw result of the eviction loop + yield binary search.
 #[derive(Debug, Clone)]
 pub(crate) struct PackedAllocation {
-    /// The maximized minimum yield of the packing.
+    /// The maximized minimum yield of the packing, in `[min_yield, 1]`.
     pub yield_: f64,
-    /// `(job, node per task)` for every surviving candidate.
-    pub placements: Vec<(JobId, Vec<NodeId>)>,
-    /// Currently running jobs excluded from the packing (to be paused).
-    pub evicted_running: Vec<JobId>,
+    /// The packing as a plan ([`EvictionFront::plan`]): the running jobs
+    /// that had to be evicted paused, every surviving candidate run on
+    /// its packed nodes at the uniform `yield_` — the callers settle
+    /// the per-job yields in place.
+    pub plan: Plan,
+    /// Every in-system job was packed: no candidate dropped, no running
+    /// job evicted.
+    pub clean: bool,
 }
 
 /// Reusable buffers for [`packed_allocation`], plus the change-epoch
@@ -186,12 +188,8 @@ pub(crate) fn packed_allocation(
     });
     PackedAllocation {
         yield_: alloc.yield_,
-        placements: alloc
-            .placements
-            .into_iter()
-            .map(|(id, bins)| (id, front.nodes_of(&bins)))
-            .collect(),
-        evicted_running: front.evicted_running(state).collect(),
+        plan: front.plan(state, &alloc.bins, |_| alloc.yield_),
+        clean: front.kept_all(state),
     }
 }
 
@@ -207,44 +205,32 @@ pub(crate) fn repack_all(
     if scratch.last_clean_epoch == Some(epoch) {
         return Plan::noop();
     }
-    let in_system = state.jobs_in_system().count();
-    let packed = packed_allocation(state, packer, scratch);
-    // Clean = every in-system job was packed (no candidate dropped, no
-    // running job evicted) — the only case whose outcome is
-    // time-independent and therefore memoizable.
-    let clean = packed.placements.len() == in_system;
+    let PackedAllocation {
+        yield_,
+        mut plan,
+        clean,
+    } = packed_allocation(state, packer, scratch);
+    // Only a clean repack's outcome is time-independent and therefore
+    // memoizable.
     scratch.last_clean_epoch = clean.then_some(epoch);
     // At full yield with no GPU demand the improvement pass is the
-    // identity (see `AllocSet::optimized_yields`' fast path), so skip
-    // building the `AllocSet` — and its per-job placement clones — on
-    // the underloaded hot path. Bit-identical to the general path.
-    let base = packed.yield_.min(1.0);
-    let full_speed = base >= 1.0 - dfrs_core::approx::EPS
-        && packed
-            .placements
-            .iter()
-            .all(|(id, _)| state.job(*id).spec.gpu_need <= 0.0);
-    let yields: Vec<(JobId, f64)> = if full_speed {
-        packed
-            .placements
-            .iter()
-            .map(|(id, _)| (*id, base))
-            .collect()
-    } else {
-        let mut set = AllocSet::new(state.cluster.nodes().len());
-        for (id, placement) in &packed.placements {
-            let spec = &state.job(*id).spec;
-            set.push(*id, spec.cpu_need, spec.gpu_need, placement.clone());
+    // identity (see `AllocSet::optimized_yields`' fast path), so the
+    // packed plan stands as it is on the underloaded hot path.
+    // Bit-identical to the general path.
+    let full_speed = yield_ >= 1.0 - dfrs_core::approx::EPS
+        && plan
+            .runs_mut()
+            .all(|(id, ..)| state.job(id).spec.gpu_need <= 0.0);
+    if !full_speed {
+        let mut set = AllocSet::new();
+        for (id, placement, _) in plan.runs_mut() {
+            let spec = &state.job(id).spec;
+            set.push(id, spec.cpu_need, spec.gpu_need, placement);
         }
-        set.optimized_yields(packed.yield_)
-    };
-    let mut plan = Plan::noop();
-    for id in &packed.evicted_running {
-        plan = plan.pause(*id);
-    }
-    for ((id, placement), (yid, yld)) in packed.placements.into_iter().zip(yields) {
-        debug_assert_eq!(id, yid);
-        plan = plan.run(id, placement, yld);
+        for ((id, _, yld), (yid, improved)) in plan.runs_mut().zip(set.optimized_yields(yield_)) {
+            debug_assert_eq!(id, yid);
+            *yld = improved;
+        }
     }
     plan
 }
@@ -469,28 +455,16 @@ fn asap_admit(state: &SimState, arrivals: &[JobId]) -> Plan {
     if admitted.is_empty() {
         return Plan::noop(); // wait for the next tick
     }
-    let mut set = AllocSet::new(state.cluster.nodes().len());
-    let mut placements = std::collections::HashMap::new();
+    let mut set = AllocSet::new();
     for j in state.running_jobs() {
-        let placement = state.placement(j.spec.id).to_vec();
-        set.push(
-            j.spec.id,
-            j.spec.cpu_need,
-            j.spec.gpu_need,
-            placement.clone(),
-        );
-        placements.insert(j.spec.id, placement);
+        let placement = state.placement(j.spec.id);
+        set.push(j.spec.id, j.spec.cpu_need, j.spec.gpu_need, placement);
     }
-    for (id, placement) in admitted {
-        let spec = &state.job(id).spec;
-        set.push(id, spec.cpu_need, spec.gpu_need, placement.clone());
-        placements.insert(id, placement);
+    for (id, placement) in &admitted {
+        let spec = &state.job(*id).spec;
+        set.push(*id, spec.cpu_need, spec.gpu_need, placement);
     }
-    let mut plan = Plan::noop();
-    for (jid, yld) in set.greedy_yields() {
-        plan = plan.run(jid, placements.remove(&jid).expect("recorded"), yld);
-    }
-    plan
+    set.run_all(Plan::noop())
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 use dfrs_core::approx::EPS;
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_core::priority::PriorityKey;
-use dfrs_packing::RepackMemo;
-use dfrs_sim::{JobState, SimState};
+use dfrs_packing::{split_tasks, RepackMemo};
+use dfrs_sim::{JobState, Plan, SimState};
 
 /// Relative slack on the memory-total test. A valid packing holds at
 /// most `1 + EPS` per bin *as the packers sum it*; this covers that
@@ -91,20 +91,32 @@ impl EvictionFront {
         self.avail_at = None;
     }
 
-    /// The physical nodes behind a packing's bin indices (bin `b` of
-    /// the last [`pack`](Self::pack) is `avail[b]`).
-    pub(crate) fn nodes_of(&self, bins: &[u32]) -> Vec<NodeId> {
-        bins.iter().map(|&b| self.avail[b as usize]).collect()
+    /// Whether the last [`pack`](Self::pack) kept every job in the
+    /// system: no candidate dropped, so no running job to pause.
+    pub(crate) fn kept_all(&self, state: &SimState) -> bool {
+        self.candidates.len() == state.in_system_len()
     }
 
-    /// Running jobs the last [`pack`](Self::pack) left out (to be
-    /// paused), ascending id.
-    pub(crate) fn evicted_running<'a>(
-        &'a self,
-        state: &'a SimState,
-    ) -> impl Iterator<Item = JobId> + 'a {
-        let running = state.running_jobs().map(|j| j.spec.id);
-        running.filter(|id| self.candidates.binary_search(id).is_err())
+    /// The decision of the last [`pack`](Self::pack) as a plan: a pause
+    /// for every running job it left out (ascending id), then a run
+    /// for every surviving candidate (ascending id). `bins` is the
+    /// search's per-task bin vector over those candidates — bin `b`
+    /// goes into the plan as physical node `avail[b]` — and `yld(i)`
+    /// the yield of candidate `i`.
+    pub(crate) fn plan(&self, state: &SimState, bins: &[u32], yld: impl Fn(usize) -> f64) -> Plan {
+        let mut plan = Plan::with_capacity(self.candidates.len(), bins.len());
+        if !self.kept_all(state) {
+            let running = state.running_jobs().map(|j| j.spec.id);
+            for id in running.filter(|id| self.candidates.binary_search(id).is_err()) {
+                plan = plan.pause(id);
+            }
+        }
+        let tasks = self.candidates.iter().map(|&id| state.job(id).spec.tasks);
+        let per_job = self.candidates.iter().zip(split_tasks(bins, tasks));
+        for (i, (&id, bins)) in per_job.enumerate() {
+            plan.push_run(id, yld(i), bins.iter().map(|&b| self.avail[b as usize]));
+        }
+        plan
     }
 
     /// Run `search(candidates, bins)` on the jobs in the system minus

@@ -20,11 +20,10 @@
 
 use dfrs_core::approx;
 use dfrs_core::constants::{DEFAULT_PERIOD_SECS, MIN_STRETCH_PER_YIELD};
-use dfrs_core::ids::{JobId, NodeId};
 use dfrs_sim::{Plan, SchedEvent, Scheduler, SimState};
 
 use crate::common::AllocSet;
-use crate::dynmcb8::{packed_allocation, PackerChoice, RepackScratch};
+use crate::dynmcb8::{packed_allocation, PackedAllocation, PackerChoice, RepackScratch};
 
 /// Periodic repacker with long-job yield damping (see module docs).
 #[derive(Debug)]
@@ -76,27 +75,21 @@ impl DynMcb8FairPer {
     }
 
     fn repack(&mut self, state: &SimState) -> Plan {
-        let packed = packed_allocation(state, self.packer.packer(), &mut self.scratch);
+        let PackedAllocation {
+            yield_, mut plan, ..
+        } = packed_allocation(state, self.packer.packer(), &mut self.scratch);
         let nodes = state.cluster.nodes().len();
 
         // Base yields: uniform Y, damped for long-running jobs.
-        let mut yields: Vec<f64> = packed
-            .placements
-            .iter()
-            .map(|(id, _)| self.damped(packed.yield_, state.job(*id).virtual_time))
-            .collect();
-
-        // Redistribute: improvement restricted to young jobs first.
-        let mut set_young = AllocSet::new(nodes);
-        let mut young_idx = Vec::new();
-        for (i, (id, placement)) in packed.placements.iter().enumerate() {
-            if state.job(*id).virtual_time <= self.vt_threshold {
-                let spec = &state.job(*id).spec;
-                set_young.push(*id, spec.cpu_need, spec.gpu_need, placement.clone());
-                young_idx.push(i);
-            }
+        for (id, _, yld) in plan.runs_mut() {
+            *yld = self.damped(yield_, state.job(id).virtual_time);
         }
-        if !set_young.is_empty() {
+
+        // Redistribute, unless every job is long-running.
+        let any_young = plan
+            .runs_mut()
+            .any(|(id, ..)| state.job(id).virtual_time <= self.vt_threshold);
+        if any_young {
             // Feasible head-room for young jobs: account the damped
             // allocation of long jobs as background load by lowering the
             // improvement's starting point appropriately. We approximate
@@ -104,15 +97,15 @@ impl DynMcb8FairPer {
             // damped yields as the floor; AllocSet starts from a uniform
             // base, so use the smallest damped yield as base and then
             // re-damp long jobs afterwards (reductions stay feasible).
-            let mut set_all = AllocSet::new(nodes);
-            for (id, placement) in &packed.placements {
-                let spec = &state.job(*id).spec;
-                set_all.push(*id, spec.cpu_need, spec.gpu_need, placement.clone());
+            let mut set_all = AllocSet::new();
+            for (id, placement, _) in plan.runs_mut() {
+                let spec = &state.job(id).spec;
+                set_all.push(id, spec.cpu_need, spec.gpu_need, placement);
             }
-            let improved = set_all.optimized_yields(packed.yield_);
-            for (i, (_, y)) in improved.iter().enumerate() {
-                let vt = state.job(packed.placements[i].0).virtual_time;
-                yields[i] = self.damped(*y, vt).max(yields[i].min(*y));
+            let improved = set_all.optimized_yields(yield_);
+            for ((id, _, yld), (_, y)) in plan.runs_mut().zip(improved) {
+                let vt = state.job(id).virtual_time;
+                *yld = self.damped(y, vt).max(yld.min(y));
             }
         }
 
@@ -120,24 +113,10 @@ impl DynMcb8FairPer {
         // ran through `AllocSet`'s clamp, so clamp the assembled
         // assignments here (a no-op on GPU-free workloads, and on
         // yields the improvement path already clamped).
-        let mut assignments: Vec<(JobId, f64, Vec<NodeId>)> = packed
-            .placements
-            .into_iter()
-            .zip(yields)
-            .map(|((id, placement), yld)| (id, yld, placement))
-            .collect();
-        crate::common::gpu_clamp_assignments(
-            nodes,
-            |id| state.job(id).spec.gpu_need,
-            &mut assignments,
-        );
-        let mut plan = Plan::noop();
-        for id in &packed.evicted_running {
-            plan = plan.pause(*id);
-        }
-        for (id, yld, placement) in assignments {
-            debug_assert!(yld > 0.0 && yld <= 1.0 + approx::EPS);
-            plan = plan.run(id, placement, yld.min(1.0));
+        crate::common::gpu_clamp_assignments(nodes, |id| state.job(id).spec.gpu_need, &mut plan);
+        for (_, _, yld) in plan.runs_mut() {
+            debug_assert!(*yld > 0.0 && *yld <= 1.0 + approx::EPS);
+            *yld = yld.min(1.0);
         }
         plan
     }

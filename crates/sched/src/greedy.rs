@@ -66,8 +66,7 @@ impl GreedyCore {
         paused: Vec<JobId>,
         new_runs: Vec<(JobId, Vec<NodeId>)>,
     ) -> Plan {
-        let mut set = AllocSet::new(state.cluster.nodes().len());
-        let mut placements: HashMap<JobId, Vec<NodeId>> = HashMap::new();
+        let mut set = AllocSet::new();
         for j in state.running_jobs() {
             if paused.contains(&j.spec.id) {
                 continue;
@@ -77,28 +76,18 @@ impl GreedyCore {
             if new_runs.iter().any(|(id, _)| *id == j.spec.id) {
                 continue;
             }
-            let placement = state.placement(j.spec.id).to_vec();
-            set.push(
-                j.spec.id,
-                j.spec.cpu_need,
-                j.spec.gpu_need,
-                placement.clone(),
-            );
-            placements.insert(j.spec.id, placement);
+            let placement = state.placement(j.spec.id);
+            set.push(j.spec.id, j.spec.cpu_need, j.spec.gpu_need, placement);
         }
-        for (id, placement) in new_runs {
-            let spec = &state.job(id).spec;
-            set.push(id, spec.cpu_need, spec.gpu_need, placement.clone());
-            placements.insert(id, placement);
+        for (id, placement) in &new_runs {
+            let spec = &state.job(*id).spec;
+            set.push(*id, spec.cpu_need, spec.gpu_need, placement);
         }
         let mut plan = Plan::noop();
         for id in paused {
             plan = plan.pause(id);
         }
-        for (id, yld) in set.greedy_yields() {
-            plan = plan.run(id, placements.remove(&id).expect("placement recorded"), yld);
-        }
-        plan
+        set.run_all(plan)
     }
 
     /// Resume paused jobs in decreasing priority order onto `scratch`,

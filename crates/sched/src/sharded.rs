@@ -1,6 +1,6 @@
 //! Sharded scheduling: partition the cluster, run one independent
 //! inner scheduler per shard, coordinate through a thin deterministic
-//! layer (ROADMAP item 2).
+//! layer (its cost is ROADMAP item 5).
 //!
 //! ## Model
 //!
@@ -41,6 +41,10 @@
 //! final view state and its pre-plan global state. The engine's own
 //! diffing then classifies starts, resumes, migrations, and yield
 //! adjustments exactly as if the net entry had been written directly.
+//! Inner plans are read in place (the touched jobs go into one list,
+//! sorted and deduplicated once at emission) and a changed job's
+//! placement is translated from its view straight into the outgoing
+//! plan's node arena.
 //!
 //! ## Wide jobs
 //!
@@ -81,7 +85,7 @@ use dfrs_core::pool::WorkerPool;
 use dfrs_core::JobSpec;
 
 use dfrs_sim::shard::{partition, ShardView};
-use dfrs_sim::{JobStatus, Plan, RepackStats, SchedEvent, Scheduler, SimState};
+use dfrs_sim::{JobStatus, Plan, PlanEntry, RepackStats, SchedEvent, Scheduler, SimState};
 
 /// The sharded coordinator. Built via the registry's
 /// `sharded:<inner>:shards=N` spec family (see [`crate::spec`]); the
@@ -287,13 +291,10 @@ impl Sharded {
     /// Mirror an already-obtained plan for shard `s` (tick fan-out path).
     fn absorb(&mut self, s: usize, plan: Plan, out: &mut MergeState) {
         let view = &mut self.views[s];
-        for e in &plan.entries {
-            let local = match e {
-                dfrs_sim::PlanEntry::Run { job, .. } => *job,
-                dfrs_sim::PlanEntry::Pause { job } => *job,
-            };
-            out.touched.insert(view.global_job(local));
-        }
+        out.touched.extend(plan.entries.iter().map(|e| {
+            let (PlanEntry::Run { job, .. } | PlanEntry::Pause { job }) = e;
+            view.global_job(*job)
+        }));
         for &(local, at) in &plan.timers {
             out.timers.push((view.global_job(local), at));
         }
@@ -489,13 +490,14 @@ impl Sharded {
     /// id, diffing the job's final view state against its pre-plan
     /// global state (see module docs), plus the coordinator's own wide
     /// placements.
-    fn emit(&self, state: &SimState, out: MergeState) -> Plan {
+    fn emit(&self, state: &SimState, mut out: MergeState) -> Plan {
+        out.touched.sort_unstable();
+        out.touched.dedup();
         let mut plan = Plan::noop();
         // Most touched jobs turn out unchanged (an inner's full repack
-        // re-runs every job it knows), so the translated placement is
-        // assembled in one reused buffer and only promoted to an owned
-        // `Vec` for the entries actually emitted.
-        let mut pbuf: Vec<NodeId> = Vec::new();
+        // re-runs every job it knows): compare the view's placement,
+        // translated node by node, with the global one, and write only
+        // the changed ones into the plan.
         for g in out.touched {
             let Some(&(s, local)) = self.assign.get(&g) else {
                 continue;
@@ -505,18 +507,13 @@ impl Sharded {
             let gj = state.job(g);
             match vj.status {
                 JobStatus::Running => {
-                    pbuf.clear();
-                    pbuf.extend(
-                        view.state()
-                            .placement(local)
-                            .iter()
-                            .map(|&n| view.global_node(n)),
-                    );
+                    let placement = view.state().placement(local).iter();
+                    let placement = placement.map(|&n| view.global_node(n));
                     let unchanged = gj.status == JobStatus::Running
                         && gj.yld == vj.yld
-                        && state.placement(g) == pbuf.as_slice();
+                        && placement.clone().eq(state.placement(g).iter().copied());
                     if !unchanged {
-                        plan = plan.run(g, std::mem::take(&mut pbuf), vj.yld);
+                        plan.push_run(g, vj.yld, placement);
                     }
                 }
                 JobStatus::Paused if gj.status == JobStatus::Running => {
@@ -538,7 +535,8 @@ impl Sharded {
 /// wide placements (jobs no inner knows about).
 #[derive(Default)]
 struct MergeState {
-    touched: BTreeSet<JobId>,
+    /// In delivery order, with repeats, until `emit` sorts it.
+    touched: Vec<JobId>,
     timers: Vec<(JobId, f64)>,
     wide: Vec<(JobId, Vec<NodeId>, f64)>,
 }

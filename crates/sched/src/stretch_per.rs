@@ -101,53 +101,35 @@ impl DynMcb8StretchPer {
             }));
             min_max_estimated_stretch_warm(sjobs, nodes, *period, &Mcb8, 0.01, search, memo)
         });
-        let mut assignments: Vec<(JobId, f64, Vec<NodeId>)> = alloc
-            .assignments
-            .into_iter()
-            .map(|(id, y, bins)| (id, y, front.nodes_of(&bins)))
-            .collect();
+        let mut plan = front.plan(state, &alloc.bins, |i| alloc.assignments[i].1);
         let nodes = state.cluster.nodes().len();
-        improve_average_stretch(*period, state, &mut assignments, nodes);
+        improve_average_stretch(*period, state, &mut plan, nodes);
         // Stretch optimization is GPU-oblivious like the yield
         // family's; clamp GPU consumers to capacity (guarded no-op on
         // GPU-free workloads).
-        crate::common::gpu_clamp_assignments(
-            nodes,
-            |id| state.job(id).spec.gpu_need,
-            &mut assignments,
-        );
-        let mut plan = Plan::noop();
-        for id in front.evicted_running(state) {
-            plan = plan.pause(id);
-        }
-        for (id, yld, placement) in assignments {
-            plan = plan.run(id, placement, yld);
-        }
+        crate::common::gpu_clamp_assignments(nodes, |id| state.job(id).spec.gpu_need, &mut plan);
         plan
     }
 }
 
-/// Spend leftover CPU on the jobs with the best marginal reduction of
-/// estimated stretch per unit of CPU.
-fn improve_average_stretch(
-    period: f64,
-    state: &SimState,
-    assignments: &mut [(JobId, f64, Vec<NodeId>)],
-    nodes: usize,
-) {
+/// Spend leftover CPU on the running jobs of `plan` with the best
+/// marginal reduction of estimated stretch per unit of CPU.
+fn improve_average_stretch(period: f64, state: &SimState, plan: &mut Plan, nodes: usize) {
     let t = period;
+    let mut assignments: Vec<(JobId, &[NodeId], &mut f64)> = plan.runs_mut().collect();
     let mut alloc = vec![0.0; nodes];
-    for (id, yld, placement) in assignments.iter() {
+    for (id, placement, yld) in assignments.iter() {
         let need = state.job(*id).spec.cpu_need;
-        for n in placement {
-            alloc[n.index()] += need * yld;
+        for n in placement.iter() {
+            alloc[n.index()] += need * **yld;
         }
     }
     let mut frozen = vec![false; assignments.len()];
     loop {
         let mut best: Option<(usize, f64)> = None;
-        for (i, (id, yld, placement)) in assignments.iter().enumerate() {
-            if frozen[i] || *yld >= 1.0 - approx::EPS {
+        for (i, (id, placement, yld)) in assignments.iter().enumerate() {
+            let yld = **yld;
+            if frozen[i] || yld >= 1.0 - approx::EPS {
                 continue;
             }
             let j = state.job(*id);
@@ -167,11 +149,11 @@ fn improve_average_stretch(
             }
         }
         let Some((i, _)) = best else { break };
-        let (id, yld, placement) = &assignments[i];
+        let (id, placement, yld) = &mut assignments[i];
         let need = state.job(*id).spec.cpu_need;
         // Unique hosting nodes by scanning (placements are short); the
         // running minimum is order-independent.
-        let mut delta = 1.0 - yld;
+        let mut delta = 1.0 - **yld;
         for (k, &n) in placement.iter().enumerate() {
             if placement[..k].contains(&n) {
                 continue; // already counted
@@ -183,11 +165,10 @@ fn improve_average_stretch(
             frozen[i] = true;
             continue;
         }
-        for k in 0..assignments[i].2.len() {
-            let n = assignments[i].2[k];
+        for n in placement.iter() {
             alloc[n.index()] += need * delta;
         }
-        assignments[i].1 = (assignments[i].1 + delta).min(1.0);
+        **yld = (**yld + delta).min(1.0);
     }
 }
 

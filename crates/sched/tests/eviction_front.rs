@@ -81,12 +81,8 @@ fn decision_of(plan: &Plan, with_yields: bool) -> Decision {
     for e in &plan.entries {
         match e {
             PlanEntry::Pause { job } => d.pauses.push(*job),
-            PlanEntry::Run {
-                job,
-                placement,
-                yld,
-            } => {
-                d.runs.push((*job, placement.clone()));
+            PlanEntry::Run { job, yld, .. } => {
+                d.runs.push((*job, plan.placement(e).to_vec()));
                 if let Some(y) = d.yields.as_mut() {
                     y.push(yld.to_bits());
                 }
@@ -169,7 +165,10 @@ fn reference_decision(state: &SimState, family: Family) -> (Decision, u64) {
                         YIELD_SEARCH_ACCURACY,
                         MIN_STRETCH_PER_YIELD,
                     )
-                    .map(|a| (a.placements, None))
+                    .map(|a| {
+                        let bins = a.placements(&loads);
+                        (bins.map(|(id, b)| (id, b.to_vec())).collect(), None)
+                    })
                 }
                 Family::Drf => {
                     let djobs: Vec<DrfJob> = ids
@@ -194,10 +193,8 @@ fn reference_decision(state: &SimState, family: Family) -> (Decision, u64) {
                     )
                     .map(|a| {
                         let yields = a.allocations.iter().map(|(_, y, _)| y.to_bits()).collect();
-                        let bins = a
-                            .allocations
-                            .into_iter()
-                            .map(|(id, _, b)| (id, b))
+                        let bins = (0..a.allocations.len())
+                            .map(|i| (a.allocations[i].0, a.placement(i).to_vec()))
                             .collect();
                         (bins, Some(yields))
                     })
@@ -218,10 +215,8 @@ fn reference_decision(state: &SimState, family: Family) -> (Decision, u64) {
                         })
                         .collect();
                     min_max_estimated_stretch(&sjobs, nodes, PERIOD, &Mcb8, 0.01).map(|a| {
-                        let bins = a
-                            .assignments
-                            .into_iter()
-                            .map(|(id, _, b)| (id, b))
+                        let bins = (0..a.assignments.len())
+                            .map(|i| (a.assignments[i].0, a.placement(i).to_vec()))
                             .collect();
                         (bins, None)
                     })

@@ -77,7 +77,7 @@ fn strip(plan: &mut Plan, job: JobId) {
 /// under the engine's in-order application).
 fn capacity_culprit(plan: &Plan, node: dfrs_core::ids::NodeId) -> Option<JobId> {
     plan.entries.iter().rev().find_map(|e| match e {
-        PlanEntry::Run { job, placement, .. } if placement.contains(&node) => Some(*job),
+        PlanEntry::Run { job, .. } if plan.placement(e).contains(&node) => Some(*job),
         _ => None,
     })
 }

@@ -748,7 +748,6 @@ impl EngineCore {
         ev: SchedEvent,
         config: &SimConfig,
     ) -> Plan {
-        let in_system = self.state.jobs_in_system().count() as u32;
         let start = Instant::now();
         let plan = scheduler.on_event(ev, &self.state);
         let wall = start.elapsed().as_secs_f64();
@@ -757,7 +756,7 @@ impl EngineCore {
         self.sched_calls += 1;
         if config.record_decisions {
             self.decisions.push(DecisionSample {
-                jobs_in_system: in_system,
+                jobs_in_system: self.state.in_system_len() as u32,
                 wall_secs: wall,
             });
         }
@@ -784,11 +783,8 @@ impl EngineCore {
         for (idx, e) in plan.entries.iter().enumerate() {
             match e {
                 PlanEntry::Pause { job } => pauses.push(*job),
-                PlanEntry::Run {
-                    job,
-                    placement,
-                    yld,
-                } => {
+                PlanEntry::Run { job, yld, .. } => {
+                    let placement = plan.placement(e);
                     let js = &self.state.jobs[job.index()];
                     assert_eq!(
                         placement.len(),
@@ -891,10 +887,7 @@ impl EngineCore {
             if matches!(a.kind, RunKind::Adjust) && a.yld < a.old_yld {
                 continue; // already applied in phase 1
             }
-            let placement = match &plan.entries[a.entry as usize] {
-                PlanEntry::Run { placement, .. } => placement.as_slice(),
-                PlanEntry::Pause { .. } => unreachable!("run actions index run entries"),
-            };
+            let placement = plan.placement(&plan.entries[a.entry as usize]);
             self.do_run(a, placement, config);
         }
         self.actions = actions;

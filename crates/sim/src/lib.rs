@@ -86,7 +86,7 @@ pub use engine::{
 pub use error::SimError;
 pub use event::{EventKind, EventQueue};
 pub use outcome::{DecisionSample, JobRecord, SimOutcome};
-pub use plan::{Plan, PlanEntry, RepackStats, SchedEvent, Scheduler};
+pub use plan::{NodeSpan, Plan, PlanEntry, RepackStats, SchedEvent, Scheduler};
 pub use session::{snapshot_spec, SimSession, SNAPSHOT_SCHEMA};
 pub use shard::{partition, ShardView};
 pub use source::{DiscardRecords, FnSink, IterSource, RecordSink, SliceSource, SubmissionSource};

@@ -6,6 +6,11 @@
 //! (preemption/migration counting, penalty charging, bandwidth metering).
 //! This keeps every algorithm honest: the only way to affect the world is
 //! through auditable plan entries.
+//!
+//! A plan's placements share one node arena the plan owns (see
+//! [`Plan`]): a scheduler writes each job's nodes into it once, and the
+//! validator, the engine, the shard views and the serve quarantine read
+//! them in place.
 
 use dfrs_core::ids::{JobId, NodeId};
 
@@ -39,8 +44,23 @@ pub enum SchedEvent {
     Withdraw(JobId),
 }
 
+/// Where one run entry's placement sits in its plan's node arena. Only
+/// [`Plan`] makes these, so a span always lies inside the arena of the
+/// plan that holds its entry; read it with [`Plan::placement`].
+#[derive(Debug, Clone, Copy)]
+pub struct NodeSpan {
+    start: u32,
+    len: u32,
+}
+
+impl NodeSpan {
+    fn range(self) -> std::ops::Range<usize> {
+        self.start as usize..self.start as usize + self.len as usize
+    }
+}
+
 /// One desired state change.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy)]
 pub enum PlanEntry {
     /// Ensure `job` runs with this placement (one node per task, same
     /// order as task indices) and yield. Covers first starts, resumes,
@@ -49,8 +69,9 @@ pub enum PlanEntry {
     Run {
         /// Target job.
         job: JobId,
-        /// Hosting node per task.
-        placement: Vec<NodeId>,
+        /// Hosting node per task, as a span of the plan's arena
+        /// ([`Plan::placement`]).
+        nodes: NodeSpan,
         /// Yield in `(0, 1]`.
         yld: f64,
     },
@@ -66,13 +87,54 @@ pub enum PlanEntry {
 /// The engine applies **all pauses first**, then runs in the order given
 /// (so a plan may move job B into memory freed by pausing job A). Jobs
 /// not mentioned keep their current placement and yield.
-#[derive(Debug, Clone, Default, PartialEq)]
+///
+/// Every placement of a plan lives in one node arena the plan owns: a
+/// run entry holds a [`NodeSpan`] of it, written once when the entry is
+/// added ([`Plan::push_run`] appends in place, [`Plan::run`] copies a
+/// `Vec` in) and read in place by everything downstream
+/// ([`Plan::placement`]). Removing an entry from [`Plan::entries`] (the
+/// serve stack's quarantine does) leaves its nodes in the arena,
+/// referenced by nothing; they are dropped with the plan.
+///
+/// Two plans are equal when they make the same changes in the same
+/// order — entry by entry the same job, yield and placement *contents*,
+/// and the same timers — wherever the placements sit in either arena.
+#[derive(Debug, Clone, Default)]
 pub struct Plan {
     /// State changes.
     pub entries: Vec<PlanEntry>,
     /// Absolute times at which to deliver [`SchedEvent::Timer`] for a job
     /// (used for bounded exponential backoff).
     pub timers: Vec<(JobId, f64)>,
+    /// The placements of the run entries, back to back in entry order.
+    nodes: Vec<NodeId>,
+}
+
+impl PartialEq for Plan {
+    fn eq(&self, other: &Self) -> bool {
+        self.timers == other.timers
+            && self.entries.len() == other.entries.len()
+            && self
+                .entries
+                .iter()
+                .zip(&other.entries)
+                .all(|(a, b)| match (a, b) {
+                    (PlanEntry::Pause { job: a }, PlanEntry::Pause { job: b }) => a == b,
+                    (
+                        PlanEntry::Run { job, yld, .. },
+                        PlanEntry::Run {
+                            job: other_job,
+                            yld: other_yld,
+                            ..
+                        },
+                    ) => {
+                        job == other_job
+                            && yld == other_yld
+                            && self.placement(a) == other.placement(b)
+                    }
+                    _ => false,
+                })
+    }
 }
 
 impl Plan {
@@ -81,14 +143,60 @@ impl Plan {
         Plan::default()
     }
 
+    /// An empty plan with room for `entries` entries placing `tasks`
+    /// tasks in total.
+    pub fn with_capacity(entries: usize, tasks: usize) -> Self {
+        Plan {
+            entries: Vec::with_capacity(entries),
+            timers: Vec::new(),
+            nodes: Vec::with_capacity(tasks),
+        }
+    }
+
     /// Add a run entry (builder style).
     pub fn run(mut self, job: JobId, placement: Vec<NodeId>, yld: f64) -> Self {
-        self.entries.push(PlanEntry::Run {
-            job,
-            placement,
-            yld,
-        });
+        self.push_run(job, yld, placement);
         self
+    }
+
+    /// Add a run entry, writing its placement straight into the arena.
+    pub fn push_run(&mut self, job: JobId, yld: f64, placement: impl IntoIterator<Item = NodeId>) {
+        let start = self.nodes.len();
+        self.nodes.extend(placement);
+        let span = |n: usize| u32::try_from(n).expect("a plan places fewer than 2^32 tasks");
+        let nodes = NodeSpan {
+            start: span(start),
+            len: span(self.nodes.len() - start),
+        };
+        self.entries.push(PlanEntry::Run { job, nodes, yld });
+    }
+
+    /// The placement of `entry`, which must be one of this plan's
+    /// entries: one node per task for a run, empty for a pause.
+    pub fn placement(&self, entry: &PlanEntry) -> &[NodeId] {
+        match entry {
+            PlanEntry::Run { nodes, .. } => &self.nodes[nodes.range()],
+            PlanEntry::Pause { .. } => &[],
+        }
+    }
+
+    /// Every run entry as `(job, placement, yield)`, in entry order,
+    /// with the yield open to adjustment — for the passes that settle
+    /// yields over placements already written.
+    pub fn runs_mut(&mut self) -> impl Iterator<Item = (JobId, &[NodeId], &mut f64)> {
+        let arena = &self.nodes;
+        self.entries.iter_mut().filter_map(move |e| match e {
+            PlanEntry::Run { job, nodes, yld } => Some((*job, &arena[nodes.range()], yld)),
+            PlanEntry::Pause { .. } => None,
+        })
+    }
+
+    /// Rewrite every node of every placement through `f` (a shard
+    /// view's local → global translation).
+    pub(crate) fn map_nodes(&mut self, f: impl Fn(NodeId) -> NodeId) {
+        for n in &mut self.nodes {
+            *n = f(*n);
+        }
     }
 
     /// Add a pause entry (builder style).
@@ -162,6 +270,31 @@ mod tests {
         assert!(matches!(p.entries[0], PlanEntry::Pause { job: JobId(1) }));
         assert!(matches!(p.entries[1], PlanEntry::Run { job: JobId(2), .. }));
         assert_eq!(p.timers, vec![(JobId(3), 42.0)]);
+    }
+
+    #[test]
+    fn placements_read_back_in_place_and_compare_by_content() {
+        let mut a = Plan::noop().run(JobId(0), vec![NodeId(4), NodeId(5)], 0.5);
+        a.push_run(JobId(1), 1.0, [NodeId(7)]);
+        let read: Vec<&[NodeId]> = a.entries.iter().map(|e| a.placement(e)).collect();
+        assert_eq!(read, [&[NodeId(4), NodeId(5)][..], &[NodeId(7)]]);
+        for (_, placement, yld) in a.runs_mut() {
+            *yld = 1.0 / placement.len() as f64;
+        }
+        // The same changes, with an entry (and its nodes) stripped in
+        // between: another arena layout, an equal plan.
+        let mut b = Plan::noop()
+            .run(JobId(9), vec![NodeId(1)], 1.0)
+            .pause(JobId(3))
+            .run(JobId(0), vec![NodeId(4), NodeId(5)], 0.5)
+            .run(JobId(1), vec![NodeId(7)], 1.0);
+        b.entries.drain(..2);
+        assert_eq!(a, b);
+        assert_ne!(a, b.clone().pause(JobId(3)));
+        assert_ne!(
+            a,
+            Plan::noop().run(JobId(0), vec![NodeId(4), NodeId(6)], 0.5)
+        );
     }
 
     #[test]

@@ -319,17 +319,14 @@ impl ShardView {
                     self.state
                         .index_transition(*job, JobStatus::Running, JobStatus::Paused);
                 }
-                PlanEntry::Run {
-                    job,
-                    placement,
-                    yld,
-                } => {
+                PlanEntry::Run { job, yld, .. } => {
+                    let placement = plan.placement(e);
                     let js = &self.state.jobs[job.index()];
                     if js.status != JobStatus::Running {
                         continue;
                     }
                     let (need, gpu, old_yld) = (js.spec.cpu_need, js.spec.gpu_need, js.yld);
-                    if placement.as_slice() == self.state.placement_raw(*job) {
+                    if placement == self.state.placement_raw(*job) {
                         // Pure yield change; decreases release in
                         // phase 1, increases wait for phase 2.
                         if *yld < old_yld {
@@ -356,14 +353,10 @@ impl ShardView {
         }
         // Phase 2: additions and upward adjustments.
         for e in &plan.entries {
-            let PlanEntry::Run {
-                job,
-                placement,
-                yld,
-            } = e
-            else {
+            let PlanEntry::Run { job, yld, .. } = e else {
                 continue;
             };
+            let placement = plan.placement(e);
             let js = &self.state.jobs[job.index()];
             let spec = js.spec;
             let yld = yld.min(1.0);
@@ -387,7 +380,7 @@ impl ShardView {
                     self.state.index_transition(*job, from, JobStatus::Running);
                 }
                 JobStatus::Running => {
-                    if placement.as_slice() == self.state.placement_raw(*job) {
+                    if placement == self.state.placement_raw(*job) {
                         let old_yld = js.yld;
                         if yld > old_yld {
                             for k in 0..placement.len() {
@@ -442,38 +435,17 @@ impl ShardView {
         }
     }
 
-    /// Translate a local plan into global ids (jobs and nodes).
-    pub fn translate_plan(&self, plan: Plan) -> Plan {
-        Plan {
-            entries: plan
-                .entries
-                .into_iter()
-                .map(|e| match e {
-                    PlanEntry::Run {
-                        job,
-                        mut placement,
-                        yld,
-                    } => {
-                        for n in placement.iter_mut() {
-                            *n = self.global_node(*n);
-                        }
-                        PlanEntry::Run {
-                            job: self.global_job(job),
-                            placement,
-                            yld,
-                        }
-                    }
-                    PlanEntry::Pause { job } => PlanEntry::Pause {
-                        job: self.global_job(job),
-                    },
-                })
-                .collect(),
-            timers: plan
-                .timers
-                .into_iter()
-                .map(|(j, t)| (self.global_job(j), t))
-                .collect(),
+    /// Translate a local plan into global ids (jobs and nodes), in place.
+    pub fn translate_plan(&self, mut plan: Plan) -> Plan {
+        plan.map_nodes(|n| self.global_node(n));
+        for e in &mut plan.entries {
+            let (PlanEntry::Run { job, .. } | PlanEntry::Pause { job }) = e;
+            *job = self.global_job(*job);
         }
+        for (job, _) in &mut plan.timers {
+            *job = self.global_job(*job);
+        }
+        plan
     }
 
     /// Evict the completed window prefix (records are the global
@@ -569,9 +541,9 @@ mod tests {
         let l = v.admit(&gjob(42, 1));
         let p = v.translate_plan(Plan::noop().run(l, vec![NodeId(2)], 0.5).timer(l, 9.0));
         match &p.entries[0] {
-            PlanEntry::Run { job, placement, .. } => {
+            PlanEntry::Run { job, .. } => {
                 assert_eq!(*job, JobId(42));
-                assert_eq!(placement.as_slice(), &[NodeId(6)]);
+                assert_eq!(p.placement(&p.entries[0]), &[NodeId(6)]);
             }
             other => panic!("unexpected {other:?}"),
         }

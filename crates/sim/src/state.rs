@@ -688,6 +688,13 @@ impl SimState {
         self.live.iter().map(|&i| &self.jobs[i as usize])
     }
 
+    /// How many jobs [`jobs_in_system`](Self::jobs_in_system) yields,
+    /// without walking them.
+    #[inline]
+    pub fn in_system_len(&self) -> usize {
+        self.live.len()
+    }
+
     /// Running jobs, in ascending id order.
     pub fn running_jobs(&self) -> impl Iterator<Item = &JobState> {
         self.running.iter().map(|&i| &self.jobs[i as usize])

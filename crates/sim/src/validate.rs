@@ -502,11 +502,8 @@ pub fn check_plan(state: &SimState, plan: &Plan) -> Result<(), PlanError> {
                     return Err(PlanError::PauseNotRunning { job: *job, status });
                 }
             }
-            PlanEntry::Run {
-                job,
-                placement,
-                yld,
-            } => {
+            PlanEntry::Run { job, yld, .. } => {
+                let placement = plan.placement(e);
                 check_job(*job)?;
                 let Some(j) = state.jobs.get(job.index()) else {
                     return Err(PlanError::InvalidStatus {
@@ -578,14 +575,9 @@ pub fn check_plan(state: &SimState, plan: &Plan) -> Result<(), PlanError> {
         }
     }
     for e in &plan.entries {
-        if let PlanEntry::Run {
-            job,
-            placement,
-            yld,
-        } = e
-        {
+        if let PlanEntry::Run { job, yld, .. } = e {
             let spec = &state.job(*job).spec;
-            for &node in placement {
+            for &node in plan.placement(e) {
                 let m = &mut mem[node.index()];
                 *m += spec.mem_req;
                 if !approx::le(*m, 1.0) {
