@@ -2,12 +2,11 @@
 //!
 //! The build environment has no registry access, so `serde` is not
 //! available; this module implements the small slice of JSON the
-//! workspace needs — `BENCH_sim.json` emission, the perf regression
-//! guard that reads it back, the golden-trace snapshot suites, the
-//! engine's snapshot/restore format, and the `dfrs-serve` line
-//! protocol. Floats that must round-trip **bit-exactly** (golden
-//! metrics, snapshot state) are stored as `"0x<16 hex digits>"` bit
-//! strings, not JSON numbers.
+//! workspace needs — the benchmark's run records, the golden-trace
+//! snapshot suites, the engine's snapshot/restore format, and the
+//! `dfrs-serve` line protocol. Floats that must round-trip
+//! **bit-exactly** (golden metrics, snapshot state) are stored as
+//! `"0x<16 hex digits>"` bit strings, not JSON numbers.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;

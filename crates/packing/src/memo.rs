@@ -179,7 +179,6 @@ impl PartialEq for MemoParams {
 /// [`clear`]: RepackMemo::clear
 #[derive(Debug)]
 pub struct RepackMemo {
-    enabled: bool,
     yield_cap: usize,
     probe_cap: usize,
     yields: VecDeque<YieldEntry>,
@@ -204,10 +203,9 @@ impl Default for RepackMemo {
 }
 
 impl RepackMemo {
-    /// An enabled memo with the default capacities.
+    /// An empty memo with the default capacities.
     pub fn new() -> Self {
         RepackMemo {
-            enabled: true,
             yield_cap: YIELD_CAP,
             probe_cap: PROBE_CAP,
             yields: VecDeque::new(),
@@ -216,30 +214,6 @@ impl RepackMemo {
             caps: UNIT_CAPS,
             stats: MemoStats::default(),
         }
-    }
-
-    /// A memo that never hits (every search runs cold) but still counts
-    /// searches and packs — the baseline side of warm-vs-cold benches.
-    pub fn disabled() -> Self {
-        RepackMemo {
-            enabled: false,
-            ..RepackMemo::new()
-        }
-    }
-
-    /// Enable or disable memoization (stats keep accumulating either
-    /// way). Disabling drops stored entries.
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-        if !enabled {
-            self.yields.clear();
-            self.probes.clear();
-        }
-    }
-
-    /// Whether lookups are active.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     /// Drop every stored entry (stats survive).
@@ -374,54 +348,48 @@ pub fn max_min_yield_warm(
 ) -> Option<YieldAllocation> {
     memo.stats.searches += 1;
     memo.check_params(accuracy, min_yield, packer);
-    if memo.enabled {
-        let caps = memo.caps;
-        let fingerprint = fingerprint_jobs(jobs, nodes, caps);
-        let hit = memo
-            .yields
-            .iter()
-            .position(|e| {
-                e.fingerprint == fingerprint && e.nodes == nodes && e.caps == caps && e.jobs == jobs
-            })
-            .and_then(|i| memo.yields.remove(i));
-        if let Some(entry) = hit {
-            memo.stats.search_hits += 1;
-            memo.stats.packs_saved += entry.packs;
-            let result = entry.result.clone();
-            memo.yields.push_front(entry); // LRU: refresh on hit
-            return result;
-        }
-        let packs_before = scratch.packs;
-        let result = max_min_yield_with(jobs, nodes, packer, accuracy, min_yield, scratch);
-        let packs = scratch.packs - packs_before;
-        memo.stats.packs += packs;
-        // Recycle the evicted entry's buffers: steady-state misses
-        // allocate nothing beyond what the cold search itself does. A
-        // zero-cap memo recycles one slot forever instead of panicking.
-        let mut entry = if memo.yields.len() >= memo.yield_cap {
-            memo.yields.pop_back().unwrap_or_default()
-        } else {
-            YieldEntry::default()
-        };
-        entry.fingerprint = fingerprint;
-        entry.nodes = nodes;
-        entry.caps = caps;
-        entry.jobs.clear();
-        entry.jobs.extend_from_slice(jobs);
-        entry.packs = packs;
-        match (&result, &mut entry.result) {
-            (Some(found), Some(slot)) => {
-                slot.yield_ = found.yield_;
-                slot.bins.clone_from(&found.bins);
-            }
-            (found, slot) => *slot = found.clone(),
-        }
-        memo.yields.push_front(entry);
+    let caps = memo.caps;
+    let fingerprint = fingerprint_jobs(jobs, nodes, caps);
+    let hit = memo
+        .yields
+        .iter()
+        .position(|e| {
+            e.fingerprint == fingerprint && e.nodes == nodes && e.caps == caps && e.jobs == jobs
+        })
+        .and_then(|i| memo.yields.remove(i));
+    if let Some(entry) = hit {
+        memo.stats.search_hits += 1;
+        memo.stats.packs_saved += entry.packs;
+        let result = entry.result.clone();
+        memo.yields.push_front(entry); // LRU: refresh on hit
         return result;
     }
     let packs_before = scratch.packs;
     let result = max_min_yield_with(jobs, nodes, packer, accuracy, min_yield, scratch);
-    memo.stats.packs += scratch.packs - packs_before;
+    let packs = scratch.packs - packs_before;
+    memo.stats.packs += packs;
+    // Recycle the evicted entry's buffers: steady-state misses allocate
+    // nothing beyond what the cold search itself does. A zero-cap memo
+    // recycles one slot forever instead of panicking.
+    let mut entry = if memo.yields.len() >= memo.yield_cap {
+        memo.yields.pop_back().unwrap_or_default()
+    } else {
+        YieldEntry::default()
+    };
+    entry.fingerprint = fingerprint;
+    entry.nodes = nodes;
+    entry.caps = caps;
+    entry.jobs.clear();
+    entry.jobs.extend_from_slice(jobs);
+    entry.packs = packs;
+    match (&result, &mut entry.result) {
+        (Some(found), Some(slot)) => {
+            slot.yield_ = found.yield_;
+            slot.bins.clone_from(&found.bins);
+        }
+        (found, slot) => *slot = found.clone(),
+    }
+    memo.yields.push_front(entry);
     result
 }
 
@@ -533,13 +501,6 @@ pub fn min_max_estimated_stretch_warm(
 ) -> Option<StretchAllocation> {
     memo.stats.searches += 1;
     memo.check_params(accuracy, period, packer);
-    if !memo.enabled {
-        let packs_before = scratch.packs;
-        let result =
-            crate::min_max_estimated_stretch_with(jobs, nodes, period, packer, accuracy, scratch);
-        memo.stats.packs += scratch.packs - packs_before;
-        return result;
-    }
     let SearchScratch {
         runs,
         pack,
@@ -681,19 +642,6 @@ mod tests {
             "saturated probes should replay across ticks: {:?}",
             memo.stats()
         );
-    }
-
-    #[test]
-    fn disabled_memo_never_hits_but_counts() {
-        let jobs = vec![job(0, 2, 1.0, 0.3)];
-        let mut scratch = SearchScratch::new();
-        let mut memo = RepackMemo::disabled();
-        let a = max_min_yield_warm(&jobs, 2, &Mcb8, 0.01, 0.01, &mut scratch, &mut memo);
-        let b = max_min_yield_warm(&jobs, 2, &Mcb8, 0.01, 0.01, &mut scratch, &mut memo);
-        assert_eq!(a, b);
-        assert_eq!(memo.stats().search_hits, 0);
-        assert_eq!(memo.stats().searches, 2);
-        assert!(memo.stats().packs > 0);
     }
 
     #[test]

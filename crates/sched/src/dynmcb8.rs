@@ -86,7 +86,7 @@ pub(crate) struct RepackScratch {
     /// Cross-event warm-start state: identical `(job set, nodes)`
     /// searches replay their stored result with zero packs
     /// (`dfrs_packing::memo` has the exactness argument).
-    pub(crate) memo: RepackMemo,
+    memo: RepackMemo,
     loads: Vec<JobLoad>,
     /// [`SimState::change_epoch`] recorded at the last *eviction-free*
     /// repack decision. A clean repack is a pure function of the
@@ -255,14 +255,6 @@ impl DynMcb8 {
             scratch: RepackScratch::default(),
         }
     }
-
-    /// Enable or disable cross-event warm starting (on by default;
-    /// results are bit-identical either way — disabling exists for the
-    /// warm-vs-cold benchmarks).
-    pub fn warm(mut self, enabled: bool) -> Self {
-        self.scratch.memo.set_enabled(enabled);
-        self
-    }
 }
 
 impl Scheduler for DynMcb8 {
@@ -320,13 +312,6 @@ impl DynMcb8Per {
             packer,
             scratch: RepackScratch::default(),
         }
-    }
-
-    /// Enable or disable cross-event warm starting (see
-    /// [`DynMcb8::warm`]).
-    pub fn warm(mut self, enabled: bool) -> Self {
-        self.scratch.memo.set_enabled(enabled);
-        self
     }
 }
 
@@ -389,13 +374,6 @@ impl DynMcb8AsapPer {
             packer,
             scratch: RepackScratch::default(),
         }
-    }
-
-    /// Enable or disable cross-event warm starting (see
-    /// [`DynMcb8::warm`]).
-    pub fn warm(mut self, enabled: bool) -> Self {
-        self.scratch.memo.set_enabled(enabled);
-        self
     }
 }
 

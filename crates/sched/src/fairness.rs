@@ -56,14 +56,6 @@ impl DynMcb8FairPer {
         }
     }
 
-    /// Enable or disable cross-event warm starting (on by default;
-    /// results are bit-identical either way — disabling exists for the
-    /// warm-vs-cold benchmarks, see [`crate::DynMcb8::warm`]).
-    pub fn warm(mut self, enabled: bool) -> Self {
-        self.scratch.memo.set_enabled(enabled);
-        self
-    }
-
     /// The damped yield of a job with virtual time `vt`, given base `y`.
     fn damped(&self, y: f64, vt: f64) -> f64 {
         if self.alpha == 0.0 || vt <= self.vt_threshold {

@@ -57,14 +57,6 @@ impl DynMcb8StretchPer {
         }
     }
 
-    /// Enable or disable cross-tick warm starting (on by default;
-    /// results are bit-identical either way — disabling exists for the
-    /// warm-vs-cold benchmarks).
-    pub fn warm(mut self, enabled: bool) -> Self {
-        self.memo.set_enabled(enabled);
-        self
-    }
-
     fn observe_epoch(&mut self, epoch: u64) {
         if epoch < self.last_seen_epoch {
             self.memo.clear();

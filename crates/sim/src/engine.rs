@@ -161,16 +161,6 @@ impl Default for SimConfig {
     }
 }
 
-impl SimConfig {
-    /// Config with the paper's 5-minute penalty.
-    pub fn with_penalty() -> Self {
-        SimConfig {
-            penalty: dfrs_core::constants::RESCHEDULING_PENALTY_SECS,
-            ..SimConfig::default()
-        }
-    }
-}
-
 /// The engine proper, shared between the one-shot drivers
 /// ([`simulate_stream`]) and the long-lived [`crate::SimSession`]. Holds
 /// no reference to the config or the scheduler — both are passed into

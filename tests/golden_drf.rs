@@ -21,7 +21,7 @@ mod golden_util;
 use dfrs::core::ids::JobId;
 use dfrs::core::{ClusterSpec, JobSpec};
 use dfrs::scenario::{Scenario, ScenarioBuilder};
-use dfrs_bench::json::Value;
+use dfrs_core::json::Value;
 use golden_util::snapshot;
 
 const GOLDEN_PATH: &str = "tests/golden/golden_drf.json";
@@ -109,7 +109,7 @@ fn golden_drf_covers_both_scenarios_and_all_pinned_specs() {
     let text = std::fs::read_to_string(golden_util::golden_file(GOLDEN_PATH)).unwrap_or_else(|e| {
         panic!("cannot read {GOLDEN_PATH}: {e} (regenerate first)");
     });
-    let golden = dfrs_bench::json::parse(&text).expect("golden file parses");
+    let golden = dfrs_core::json::parse(&text).expect("golden file parses");
     let top = golden.as_obj().expect("top-level object");
     assert_eq!(
         top.keys().cloned().collect::<Vec<_>>(),

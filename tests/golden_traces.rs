@@ -19,7 +19,7 @@ use dfrs::core::ids::JobId;
 use dfrs::core::{ClusterSpec, JobSpec};
 use dfrs::scenario::{Scenario, ScenarioBuilder};
 use dfrs::sched::Algorithm;
-use dfrs_bench::json::{self, Value};
+use dfrs_core::json::{self, Value};
 use golden_util::snapshot;
 
 const GOLDEN_PATH: &str = "tests/golden/golden_traces.json";

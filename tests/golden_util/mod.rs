@@ -6,7 +6,7 @@
 #![allow(dead_code)]
 
 use dfrs::sim::SimOutcome;
-use dfrs_bench::json::{self, bits, obj, Value};
+use dfrs_core::json::{self, bits, obj, Value};
 
 /// One float metric: exact bits plus a human-readable decimal.
 pub fn metric(x: f64) -> Value {
