@@ -22,6 +22,12 @@
 //! carried the lowest sequence numbers when submissions lived in the
 //! materialized queue — and completions before either.
 //!
+//! The iteration itself is written once, as `EngineCore::step`: pick the
+//! next instant, count it, advance the clock, settle the completions due
+//! there. The streaming loop and every [`crate::SimSession`] command run
+//! through it and keep only their own rule for what else fires at the
+//! instant.
+//!
 //! Hot-path internals (indexed state, per-job placement slots, versioned
 //! timers, why completions stay derived) are documented in DESIGN.md
 //! §"Engine internals".
@@ -168,9 +174,6 @@ impl Default for SimConfig {
 pub(crate) struct EngineCore {
     pub(crate) state: SimState,
     pub(crate) queue: EventQueue,
-    /// Jobs admitted so far (= `state.jobs.len()`, kept as a counter for
-    /// symmetry with `completed`).
-    pub(crate) admitted: usize,
     pub(crate) completed: usize,
     // Accounting.
     pub(crate) pmtn_count: u64,
@@ -203,6 +206,10 @@ pub(crate) struct EngineCore {
     pauses: Vec<JobId>,
     moved_a: Vec<NodeId>,
     moved_b: Vec<NodeId>,
+    /// Running-index entries handed to the per-event scans (the visit
+    /// guard in `tests`).
+    #[cfg(test)]
+    running_visits: std::cell::Cell<usize>,
 }
 
 /// Run `scheduler` over `jobs` (sorted by submit time, dense ids) on
@@ -267,7 +274,6 @@ impl EngineCore {
         EngineCore {
             state: SimState::empty(cluster),
             queue: EventQueue::new(),
-            admitted: 0,
             completed: 0,
             pmtn_count: 0,
             migr_count: 0,
@@ -293,6 +299,8 @@ impl EngineCore {
             pauses: Vec::new(),
             moved_a: Vec::new(),
             moved_b: Vec::new(),
+            #[cfg(test)]
+            running_visits: Default::default(),
         }
     }
 
@@ -321,8 +329,8 @@ impl EngineCore {
         }
     }
 
-    /// The full streaming loop: pull, advance, settle completions, admit
-    /// or dispatch one queue event — until source and live set are both
+    /// The full streaming loop: pull, step, then admit the arrival or
+    /// dispatch one queue event — until source and live set are both
     /// drained.
     pub(crate) fn run_stream(
         &mut self,
@@ -332,42 +340,19 @@ impl EngineCore {
         config: &SimConfig,
     ) -> Result<(), SimError> {
         let mut pending = self.pull(source)?;
-        while pending.is_some() || self.completed < self.admitted {
-            self.bump_events(config)?;
-
-            let mut t_next = f64::INFINITY;
-            if let Some((tc, _)) = self.next_completion() {
-                t_next = t_next.min(tc);
-            }
-            if let Some(te) = self.queue.peek_time() {
-                t_next = t_next.min(te);
-            }
-            if let Some(j) = pending.as_ref() {
-                t_next = t_next.min(j.submit_time);
-            }
-            if t_next == f64::INFINITY {
-                return Err(self.deadlock());
-            }
-            self.advance_to(t_next);
-
-            // Finalize every completion due now, one scheduler round each.
-            self.settle_completions(scheduler, config, sink);
-            if pending.is_none() && self.completed == self.admitted {
+        while pending.is_some() || !self.state.live.is_empty() {
+            let arrival = pending.as_ref().map_or(f64::INFINITY, |j| j.submit_time);
+            self.step(scheduler, config, sink, arrival, f64::INFINITY)?;
+            if pending.is_none() && self.state.live.is_empty() {
                 return Ok(());
             }
 
             // Then at most one arrival or queue event at this instant;
-            // the loop re-checks completions before the next one.
+            // the next step re-checks completions before the next one.
             // Arrivals go first — they carried the lowest sequence
             // numbers when submissions lived in the materialized queue.
-            if pending
-                .as_ref()
-                .is_some_and(|j| j.submit_time <= self.state.now)
-            {
-                let spec = pending.take().expect("checked is_some");
-                let id = self.admit(spec);
-                let plan = self.call_scheduler(scheduler, SchedEvent::Submit(id), config);
-                self.apply_plan(plan, config);
+            if let Some(spec) = pending.take_if(|j| j.submit_time <= self.state.now) {
+                self.admit(spec, scheduler, config);
                 pending = self.pull(source)?;
             } else {
                 self.handle_due_queue_event(scheduler, config);
@@ -376,25 +361,58 @@ impl EngineCore {
         Ok(())
     }
 
-    /// Count one engine iteration against the runaway guard.
-    pub(crate) fn bump_events(&mut self, config: &SimConfig) -> Result<(), SimError> {
+    /// One engine iteration, shared by the streaming loop and every
+    /// session command. The next instant is
+    /// the earliest of the next derived completion, the queue head and
+    /// the caller's `external` instant (`INFINITY` for none). When it
+    /// lies past `limit` nothing happens and the step returns `false`,
+    /// uncounted. Otherwise it counts against the runaway guard, advances
+    /// the clock and settles every completion due there; what else fires
+    /// at the instant is the caller's rule.
+    ///
+    /// # Errors
+    /// [`SimError::EventCapExceeded`] from the guard;
+    /// [`SimError::Deadlock`] when no instant is left at all.
+    pub(crate) fn step(
+        &mut self,
+        scheduler: &mut dyn Scheduler,
+        config: &SimConfig,
+        sink: &mut dyn RecordSink,
+        external: f64,
+        limit: f64,
+    ) -> Result<bool, SimError> {
+        let t_next = external
+            .min(self.next_completion())
+            .min(self.queue.peek_time().unwrap_or(f64::INFINITY));
+        if t_next > limit {
+            return Ok(false);
+        }
         self.events_processed += 1;
         if self.events_processed > config.max_events {
             return Err(SimError::EventCapExceeded {
                 max_events: config.max_events,
             });
         }
-        Ok(())
+        if t_next == f64::INFINITY {
+            return Err(self.deadlock());
+        }
+        let mut due = self.advance_to(t_next);
+        // One scheduler round per completion, streaming records out as
+        // the completed prefix grows. The index is scanned again after
+        // each round: a `Complete` round can pause or resume a job that
+        // is already due.
+        while let Some(job) = due {
+            self.finish_job(job, config);
+            self.round(scheduler, SchedEvent::Complete(job), config);
+            self.drain_completed(sink);
+            due = self.due_completion();
+        }
+        Ok(true)
     }
 
-    /// Pull and validate the next submission from the source.
-    pub(crate) fn pull(
-        &mut self,
-        source: &mut dyn SubmissionSource,
-    ) -> Result<Option<JobSpec>, SimError> {
-        let Some(spec) = source.next_job() else {
-            return Ok(None);
-        };
+    /// Check a submission against the contract: dense ids in admission
+    /// order, finite submit times no earlier than the clock.
+    pub(crate) fn check_submission(&self, spec: &JobSpec) -> Result<(), SimError> {
         let expected = JobId(self.state.jobs.len() as u32);
         if spec.id != expected {
             return Err(SimError::NonDenseSubmission {
@@ -409,39 +427,36 @@ impl EngineCore {
                 now: self.state.now,
             });
         }
-        Ok(Some(spec))
+        Ok(())
     }
 
-    /// Admit `spec` into the live set as `Pending` (the caller delivers
-    /// the `Submit` scheduler round).
-    pub(crate) fn admit(&mut self, spec: JobSpec) -> JobId {
+    /// Pull and check the next submission from the source.
+    fn pull(&self, source: &mut dyn SubmissionSource) -> Result<Option<JobSpec>, SimError> {
+        let spec = source.next_job();
+        if let Some(spec) = &spec {
+            self.check_submission(spec)?;
+        }
+        Ok(spec)
+    }
+
+    /// Admit `spec` into the live set as `Pending` and run its `Submit`
+    /// scheduler round.
+    pub(crate) fn admit(
+        &mut self,
+        spec: JobSpec,
+        scheduler: &mut dyn Scheduler,
+        config: &SimConfig,
+    ) -> JobId {
         let id = spec.id;
         let mut js = JobState::new(spec);
         js.status = JobStatus::Pending;
         self.state.jobs.push(js);
         self.state
             .index_transition(id, JobStatus::Unsubmitted, JobStatus::Pending);
-        self.admitted += 1;
         self.peak_live = self.peak_live.max(self.state.live.len());
         self.peak_resident = self.peak_resident.max(self.state.jobs.resident());
+        self.round(scheduler, SchedEvent::Submit(id), config);
         id
-    }
-
-    /// Finalize every completion due at the current instant, one
-    /// scheduler round each, streaming records out as the completed
-    /// prefix grows.
-    pub(crate) fn settle_completions(
-        &mut self,
-        scheduler: &mut dyn Scheduler,
-        config: &SimConfig,
-        sink: &mut dyn RecordSink,
-    ) {
-        while let Some(job) = self.due_completion() {
-            self.finish_job(job, config);
-            let plan = self.call_scheduler(scheduler, SchedEvent::Complete(job), config);
-            self.apply_plan(plan, config);
-            self.drain_completed(sink);
-        }
     }
 
     /// Emit and evict the completed prefix of the job store: records
@@ -493,9 +508,6 @@ impl EngineCore {
         }
         let (_, kind, valid) = self.queue.pop().expect("peeked");
         match kind {
-            EventKind::Submit(job) => {
-                unreachable!("streaming queue holds no submissions ({job})")
-            }
             EventKind::Timer(job) => {
                 // Stale timers (cancelled when their job started, or
                 // retired with an evicted job) are dropped silently; the
@@ -508,8 +520,7 @@ impl EngineCore {
                         .get(job.index())
                         .is_some_and(|j| j.status == JobStatus::Pending)
                 {
-                    let plan = self.call_scheduler(scheduler, SchedEvent::Timer(job), config);
-                    self.apply_plan(plan, config);
+                    self.round(scheduler, SchedEvent::Timer(job), config);
                 }
             }
             EventKind::Tick => {
@@ -522,93 +533,139 @@ impl EngineCore {
                 if let Some(period) = scheduler.period() {
                     self.queue.push(self.state.now + period, EventKind::Tick);
                 }
-                let plan = self.call_scheduler(scheduler, SchedEvent::Tick, config);
-                self.apply_plan(plan, config);
+                self.round(scheduler, SchedEvent::Tick, config);
             }
-            EventKind::NodeDown(node) => {
-                // Duplicate transitions (explicit availability traces
-                // may contain them) are dropped silently.
-                if self.state.cluster.is_up(node) {
-                    self.fail_node(node, config);
-                    let plan = self.call_scheduler(scheduler, SchedEvent::NodeDown(node), config);
-                    self.apply_plan(plan, config);
-                }
-            }
-            EventKind::NodeUp(node) => {
-                if !self.state.cluster.is_up(node) {
-                    self.state.cluster.set_node_up(node, true);
-                    let plan = self.call_scheduler(scheduler, SchedEvent::NodeUp(node), config);
-                    self.apply_plan(plan, config);
-                }
-            }
+            EventKind::NodeDown(node) => self.node_transition(node, false, scheduler, config),
+            EventKind::NodeUp(node) => self.node_transition(node, true, scheduler, config),
         }
         true
     }
 
-    /// Earliest completion among running jobs (ties: smallest id).
-    /// Scans the sorted running index — ascending id order, exactly as
-    /// a full job-table scan would.
-    pub(crate) fn next_completion(&self) -> Option<(f64, JobId)> {
-        let mut best: Option<(f64, JobId)> = None;
-        for &i in self.state.running_ids() {
-            let j = &self.state.jobs[i as usize];
-            if let Some(t) = j.completion_time(self.state.now) {
-                if best.is_none_or(|(bt, _)| t < bt) {
-                    best = Some((t, j.spec.id));
-                }
-            }
-        }
-        best
-    }
-
-    /// A running job whose remaining virtual time is (numerically) zero
-    /// (smallest id first, via the sorted running index).
-    pub(crate) fn due_completion(&self) -> Option<JobId> {
-        for &i in self.state.running_ids() {
-            let j = &self.state.jobs[i as usize];
-            if j.remaining() <= COMPLETION_TOLERANCE {
-                return Some(j.spec.id);
-            }
-        }
-        None
-    }
-
-    pub(crate) fn advance_to(&mut self, t: f64) {
-        let now = self.state.now;
-        debug_assert!(t + approx::EPS >= now, "time went backwards: {now} -> {t}");
-        if t <= now {
+    /// Take `node` out of service (`up == false`) or return it, with its
+    /// scheduler round. A duplicate transition (down on a down node, up
+    /// on an up node — explicit availability traces may contain them) is
+    /// dropped silently.
+    pub(crate) fn node_transition(
+        &mut self,
+        node: NodeId,
+        up: bool,
+        scheduler: &mut dyn Scheduler,
+        config: &SimConfig,
+    ) {
+        if self.state.cluster.is_up(node) == up {
             return;
         }
-        let dt = t - now;
-        self.idle_ns += self.state.cluster.idle_nodes() as f64 * dt;
-        self.busy_ns += self.state.cluster.total_cpu_alloc() * dt;
-        self.down_ns += self.state.cluster.down_nodes() as f64 * dt;
-        for k in 0..self.state.running_ids().len() {
+        let ev = if up {
+            self.state.cluster.set_node_up(node, true);
+            SchedEvent::NodeUp(node)
+        } else {
+            self.fail_node(node, config);
+            SchedEvent::NodeDown(node)
+        };
+        self.round(scheduler, ev, config);
+    }
+
+    /// The running index, for the per-event scans (ascending id order,
+    /// exactly as a full job-table scan would visit). Unit tests count
+    /// the entries it hands out.
+    #[inline]
+    fn running_scan(&self) -> &[u32] {
+        #[cfg(test)]
+        self.running_visits
+            .set(self.running_visits.get() + self.state.running_ids().len());
+        self.state.running_ids()
+    }
+
+    /// Earliest completion instant among running jobs (`INFINITY` when
+    /// none is progressing).
+    fn next_completion(&self) -> f64 {
+        self.running_scan()
+            .iter()
+            .filter_map(|&i| self.state.jobs[i as usize].completion_time(self.state.now))
+            .fold(f64::INFINITY, f64::min)
+    }
+
+    /// The smallest-id running job whose remaining virtual time is
+    /// (numerically) zero.
+    fn due_completion(&self) -> Option<JobId> {
+        self.running_scan()
+            .iter()
+            .map(|&i| &self.state.jobs[i as usize])
+            .find(|j| j.remaining() <= COMPLETION_TOLERANCE)
+            .map(|j| j.spec.id)
+    }
+
+    /// Move the clock to `t`, integrating the node-second integrals and
+    /// every running job's virtual time, and return the job
+    /// [`Self::due_completion`] would now return — found in the same
+    /// pass, which still visits every job after a hit. At `t <= now`
+    /// nothing is integrated, but the pass still looks for a due job.
+    pub(crate) fn advance_to(&mut self, t: f64) -> Option<JobId> {
+        let now = self.state.now;
+        debug_assert!(t + approx::EPS >= now, "time went backwards: {now} -> {t}");
+        if t > now {
+            let dt = t - now;
+            self.idle_ns += self.state.cluster.idle_nodes() as f64 * dt;
+            self.busy_ns += self.state.cluster.total_cpu_alloc() * dt;
+            self.down_ns += self.state.cluster.down_nodes() as f64 * dt;
+            self.state.now = t;
+        }
+        let mut due = None;
+        for k in 0..self.running_scan().len() {
             let i = self.state.running_ids()[k] as usize;
             let j = &mut self.state.jobs[i];
+            // `from >= now`, so nothing integrates when `t <= now`.
             let from = now.max(j.penalty_until);
             if t > from {
                 j.virtual_time += j.yld * (t - from);
             }
+            if due.is_none() && j.remaining() <= COMPLETION_TOLERANCE {
+                due = Some(j.spec.id);
+            }
         }
-        self.state.now = t;
+        due
+    }
+
+    /// Take every task of `id` off the cluster; `yld` is the yield the
+    /// tasks were allocated at.
+    fn vacate(&mut self, id: JobId, yld: f64) {
+        let spec = self.state.jobs[id.index()].spec;
+        for k in 0..spec.tasks as usize {
+            let node = self.state.placement_raw(id)[k];
+            self.state
+                .cluster
+                .remove_task(node, spec.cpu_need, spec.mem_req, spec.gpu_need, yld);
+        }
+    }
+
+    /// Put every task of `id` on `placement` at yield `yld`.
+    fn place(&mut self, id: JobId, placement: &[NodeId], yld: f64) {
+        let spec = self.state.jobs[id.index()].spec;
+        for &n in placement {
+            self.state
+                .cluster
+                .add_task(n, spec.cpu_need, spec.mem_req, spec.gpu_need, yld);
+        }
+        self.state.placement_slot(id).copy_from_slice(placement);
+        self.state.jobs[id.index()].yld = yld;
+    }
+
+    /// Change the yield of `id`'s tasks in place, from `old` to `new`.
+    fn retarget(&mut self, id: JobId, old: f64, new: f64) {
+        let spec = self.state.jobs[id.index()].spec;
+        for k in 0..spec.tasks as usize {
+            let node = self.state.placement_raw(id)[k];
+            self.state
+                .cluster
+                .retarget_task(node, spec.cpu_need, spec.gpu_need, old, new);
+        }
+        self.state.jobs[id.index()].yld = new;
     }
 
     fn finish_job(&mut self, id: JobId, config: &SimConfig) {
         let now = self.state.now;
-        let j = &self.state.jobs[id.index()];
-        debug_assert_eq!(j.status, JobStatus::Running);
-        let (need, mem, gpu, yld, tasks) = (
-            j.spec.cpu_need,
-            j.spec.mem_req,
-            j.spec.gpu_need,
-            j.yld,
-            j.spec.tasks,
-        );
-        for k in 0..tasks as usize {
-            let node = self.state.placement_raw(id)[k];
-            self.state.cluster.remove_task(node, need, mem, gpu, yld);
-        }
+        debug_assert_eq!(self.state.jobs[id.index()].status, JobStatus::Running);
+        self.vacate(id, self.state.jobs[id.index()].yld);
         let j = &mut self.state.jobs[id.index()];
         j.status = JobStatus::Completed;
         j.completion = Some(now);
@@ -628,7 +685,7 @@ impl EngineCore {
     /// synchronized state) under the configured [`FailurePolicy`], then
     /// the node is marked down. The scheduler is notified *after* this
     /// bookkeeping, mirroring how completions are delivered.
-    pub(crate) fn fail_node(&mut self, node: NodeId, config: &SimConfig) {
+    fn fail_node(&mut self, node: NodeId, config: &SimConfig) {
         // Victims in ascending id order (the running index's order).
         let mut victims: Vec<JobId> = Vec::new();
         for &i in self.state.running_ids() {
@@ -650,19 +707,8 @@ impl EngineCore {
     /// the job with its progress discarded. Unlike a pause, nothing
     /// crosses storage — the state died with the node.
     fn kill_job(&mut self, id: JobId, config: &SimConfig) {
-        let j = &self.state.jobs[id.index()];
-        debug_assert_eq!(j.status, JobStatus::Running);
-        let (need, mem, gpu, yld, tasks) = (
-            j.spec.cpu_need,
-            j.spec.mem_req,
-            j.spec.gpu_need,
-            j.yld,
-            j.spec.tasks,
-        );
-        for k in 0..tasks as usize {
-            let node = self.state.placement_raw(id)[k];
-            self.state.cluster.remove_task(node, need, mem, gpu, yld);
-        }
+        debug_assert_eq!(self.state.jobs[id.index()].status, JobStatus::Running);
+        self.vacate(id, self.state.jobs[id.index()].yld);
         let j = &mut self.state.jobs[id.index()];
         self.lost_vt += j.virtual_time;
         j.virtual_time = 0.0;
@@ -693,19 +739,7 @@ impl EngineCore {
         let status = j.status;
         let was_running = status == JobStatus::Running;
         match status {
-            JobStatus::Running => {
-                let (need, mem, gpu, yld, tasks) = (
-                    j.spec.cpu_need,
-                    j.spec.mem_req,
-                    j.spec.gpu_need,
-                    j.yld,
-                    j.spec.tasks,
-                );
-                for k in 0..tasks as usize {
-                    let node = self.state.placement_raw(id)[k];
-                    self.state.cluster.remove_task(node, need, mem, gpu, yld);
-                }
-            }
+            JobStatus::Running => self.vacate(id, j.yld),
             JobStatus::Pending | JobStatus::Paused => {}
             st => {
                 return Err(SimError::NotCancelable {
@@ -732,12 +766,14 @@ impl EngineCore {
         Ok(was_running)
     }
 
-    pub(crate) fn call_scheduler(
+    /// One scheduler round: deliver `ev`, time the decision, and apply
+    /// its plan.
+    pub(crate) fn round(
         &mut self,
         scheduler: &mut dyn Scheduler,
         ev: SchedEvent,
         config: &SimConfig,
-    ) -> Plan {
+    ) {
         let start = Instant::now();
         let plan = scheduler.on_event(ev, &self.state);
         let wall = start.elapsed().as_secs_f64();
@@ -750,7 +786,7 @@ impl EngineCore {
                 wall_secs: wall,
             });
         }
-        plan
+        self.apply_plan(plan, config);
     }
 
     /// Apply a plan in two phases — all removals (pauses, migration
@@ -832,21 +868,7 @@ impl EngineCore {
         }
         for a in &actions {
             match a.kind {
-                RunKind::Migrate { .. } => {
-                    let j = &self.state.jobs[a.job.index()];
-                    let (need, mem, gpu, tasks) = (
-                        j.spec.cpu_need,
-                        j.spec.mem_req,
-                        j.spec.gpu_need,
-                        j.spec.tasks,
-                    );
-                    for k in 0..tasks as usize {
-                        let node = self.state.placement_raw(a.job)[k];
-                        self.state
-                            .cluster
-                            .remove_task(node, need, mem, gpu, a.old_yld);
-                    }
-                }
+                RunKind::Migrate { .. } => self.vacate(a.job, a.old_yld),
                 RunKind::Adjust if a.yld < a.old_yld => {
                     // Applied here in phase 1 (a release); recorded here
                     // too — phase 2 skips this action entirely.
@@ -857,16 +879,7 @@ impl EngineCore {
                             crate::timeline::AllocEvent::Adjust { yld: a.yld },
                         );
                     }
-                    let need = self.state.jobs[a.job.index()].spec.cpu_need;
-                    let gpu = self.state.jobs[a.job.index()].spec.gpu_need;
-                    let tasks = self.state.jobs[a.job.index()].spec.tasks;
-                    for k in 0..tasks as usize {
-                        let node = self.state.placement_raw(a.job)[k];
-                        self.state
-                            .cluster
-                            .retarget_task(node, need, gpu, a.old_yld, a.yld);
-                    }
-                    self.state.jobs[a.job.index()].yld = a.yld;
+                    self.retarget(a.job, a.old_yld, a.yld);
                 }
                 _ => {}
             }
@@ -906,17 +919,8 @@ impl EngineCore {
             JobStatus::Running,
             "plan pauses non-running job {id}"
         );
-        let (need, mem, gpu, yld, tasks) = (
-            j.spec.cpu_need,
-            j.spec.mem_req,
-            j.spec.gpu_need,
-            j.yld,
-            j.spec.tasks,
-        );
-        for k in 0..tasks as usize {
-            let node = self.state.placement_raw(id)[k];
-            self.state.cluster.remove_task(node, need, mem, gpu, yld);
-        }
+        let (yld, tasks, mem) = (j.yld, j.spec.tasks, j.spec.mem_req);
+        self.vacate(id, yld);
         let j = &mut self.state.jobs[id.index()];
         j.status = JobStatus::Paused;
         j.yld = 0.0;
@@ -962,20 +966,10 @@ impl EngineCore {
         match a.kind {
             RunKind::Start => {
                 // First start: free (no VM state to move yet).
-                for &n in placement {
-                    self.state.cluster.add_task(
-                        n,
-                        spec.cpu_need,
-                        spec.mem_req,
-                        spec.gpu_need,
-                        a.yld,
-                    );
-                }
-                self.state.placement_slot(a.job).copy_from_slice(placement);
+                self.place(a.job, placement, a.yld);
                 let j = &mut self.state.jobs[a.job.index()];
                 j.status = JobStatus::Running;
                 j.first_start.get_or_insert(now);
-                j.yld = a.yld;
                 self.state
                     .index_transition(a.job, JobStatus::Pending, JobStatus::Running);
                 // Any outstanding backoff timer is now obsolete.
@@ -983,21 +977,11 @@ impl EngineCore {
             }
             RunKind::Resume => {
                 // Restore from storage, charge the penalty.
-                for &n in placement {
-                    self.state.cluster.add_task(
-                        n,
-                        spec.cpu_need,
-                        spec.mem_req,
-                        spec.gpu_need,
-                        a.yld,
-                    );
-                }
+                self.place(a.job, placement, a.yld);
                 self.pmtn_gb +=
                     spec.tasks as f64 * self.state.cluster.spec.task_move_gb(spec.mem_req);
-                self.state.placement_slot(a.job).copy_from_slice(placement);
                 let j = &mut self.state.jobs[a.job.index()];
                 j.status = JobStatus::Running;
-                j.yld = a.yld;
                 j.penalty_until = now + config.penalty;
                 self.state
                     .index_transition(a.job, JobStatus::Paused, JobStatus::Running);
@@ -1005,32 +989,12 @@ impl EngineCore {
             RunKind::Adjust => {
                 // Pure yield adjustment; placement is unchanged.
                 if (a.yld - a.old_yld).abs() > 0.0 {
-                    let tasks = spec.tasks as usize;
-                    for k in 0..tasks {
-                        let node = self.state.placement_raw(a.job)[k];
-                        self.state.cluster.retarget_task(
-                            node,
-                            spec.cpu_need,
-                            spec.gpu_need,
-                            a.old_yld,
-                            a.yld,
-                        );
-                    }
-                    self.state.jobs[a.job.index()].yld = a.yld;
+                    self.retarget(a.job, a.old_yld, a.yld);
                 }
             }
             RunKind::Migrate { moved } => {
                 // Old tasks were removed in phase 1.
-                for &n in placement {
-                    self.state.cluster.add_task(
-                        n,
-                        spec.cpu_need,
-                        spec.mem_req,
-                        spec.gpu_need,
-                        a.yld,
-                    );
-                }
-                self.state.placement_slot(a.job).copy_from_slice(placement);
+                self.place(a.job, placement, a.yld);
                 let gb_per_task = self.state.cluster.spec.task_move_gb(spec.mem_req);
                 let (gb, freeze) = match config.migration_mode {
                     MigrationMode::StopAndCopy => {
@@ -1045,7 +1009,6 @@ impl EngineCore {
                 self.migr_gb += gb;
                 self.migr_count += 1;
                 let j = &mut self.state.jobs[a.job.index()];
-                j.yld = a.yld;
                 j.migrations += 1;
                 j.penalty_until = now + freeze;
             }
@@ -1167,5 +1130,73 @@ mod tests {
         assert_eq!(mt(&[0, 0, 1], &[0, 1, 1]), 1, "multiplicity matters");
         assert_eq!(mt(&[4, 5], &[6, 7]), 2);
         assert_eq!(mt(&[], &[]), 0);
+    }
+
+    /// Starts every pending job at full yield on node `id % nodes`.
+    struct StartAll;
+    impl Scheduler for StartAll {
+        fn name(&self) -> String {
+            "start-all".into()
+        }
+        fn on_event(&mut self, _ev: SchedEvent, state: &SimState) -> Plan {
+            let mut plan = Plan::noop();
+            for j in state.jobs_in_system() {
+                if j.status == JobStatus::Pending {
+                    let node = NodeId(j.spec.id.0 % state.cluster.spec.nodes);
+                    plan = plan.run(j.spec.id, vec![node; j.spec.tasks as usize], 1.0);
+                }
+            }
+            plan
+        }
+    }
+
+    /// The per-event cost of derived completions: one iteration hands
+    /// the running index to `next_completion` and to the fused
+    /// integrate-and-find pass of `advance_to` — `2R` entries for `R`
+    /// running jobs — plus one `due_completion` rescan per settled
+    /// completion.
+    #[test]
+    fn step_visits_running_index_twice_plus_once_per_completion() {
+        let mut core = EngineCore::new(ClusterSpec::new(4, 4, 8.0).unwrap());
+        let (mut sched, config) = (StartAll, SimConfig::default());
+        let mut sink: Vec<crate::JobRecord> = Vec::new();
+        // Twelve jobs, three per node; jobs 0, 4 and 8 finish at t = 50,
+        // the rest at t = 100.
+        for i in 0..12u32 {
+            let runtime = if i % 4 == 0 { 50.0 } else { 100.0 };
+            let spec = JobSpec::new(JobId(i), 0.0, 1, 0.25, 0.1, runtime).unwrap();
+            core.admit(spec, &mut sched, &config);
+        }
+        let r = core.state.running_ids().len();
+        assert_eq!(r, 12);
+
+        core.running_visits.set(0);
+        assert!(core
+            .step(&mut sched, &config, &mut sink, 10.0, f64::INFINITY)
+            .unwrap());
+        assert_eq!((core.state.now, core.completed), (10.0, 0));
+        assert_eq!(core.running_visits.get(), 2 * r, "dt > 0, nothing settled");
+
+        core.running_visits.set(0);
+        assert!(core
+            .step(&mut sched, &config, &mut sink, f64::INFINITY, f64::INFINITY)
+            .unwrap());
+        let k = core.completed;
+        assert_eq!((core.state.now, k), (50.0, 3));
+        assert!(
+            core.running_visits.get() <= (2 + k) * r,
+            "{} visits settling {k} of {r}",
+            core.running_visits.get()
+        );
+
+        // Past the caller's limit: uncounted, and nothing is scanned
+        // beyond picking the instant.
+        let events = core.events_processed;
+        core.running_visits.set(0);
+        assert!(!core
+            .step(&mut sched, &config, &mut sink, f64::INFINITY, 60.0)
+            .unwrap());
+        assert_eq!(core.events_processed, events);
+        assert_eq!(core.running_visits.get(), r - k);
     }
 }

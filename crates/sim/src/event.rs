@@ -1,13 +1,15 @@
 //! External-event queue with versioned entries.
 //!
-//! Only *external* events live in the queue: submissions (known from the
-//! trace), per-job timers (scheduler backoff), periodic ticks, and
-//! platform events (node failures and repairs, known from the scenario's
-//! availability trace). Job completions are **derived** — between
-//! decisions yields are constant, so the engine computes the earliest
-//! completion analytically and merges it with the queue head (see
-//! DESIGN.md §"Engine internals" for why they must stay derived; §9 for
-//! why failures, like submissions, are external). A monotonically
+//! Only *external* events live in the queue: per-job timers (scheduler
+//! backoff), periodic ticks, and platform events (node failures and
+//! repairs, known from the scenario's availability trace). Submissions
+//! are pulled from a [`crate::SubmissionSource`] or arrive as session
+//! commands, and reach the engine as the caller's external instant of
+//! `EngineCore::step`, never as queue entries. Job completions are
+//! **derived** — between decisions yields are constant, so the engine
+//! computes the earliest completion analytically and merges it with the
+//! queue head (see DESIGN.md §"Engine internals" for why they must stay
+//! derived; §9 for why failures are external). A monotonically
 //! increasing sequence number makes same-instant ordering deterministic
 //! (FIFO).
 //!
@@ -31,8 +33,6 @@ use dfrs_core::ids::{JobId, NodeId};
 /// What an external event does when it fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventKind {
-    /// A job from the trace arrives.
-    Submit(JobId),
     /// A scheduler-requested wake-up for a postponed job (GREEDY's
     /// bounded exponential backoff).
     Timer(JobId),
@@ -231,9 +231,9 @@ mod tests {
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
         q.push(30.0, EventKind::Tick);
-        q.push(10.0, EventKind::Submit(JobId(0)));
+        q.push(10.0, EventKind::Timer(JobId(0)));
         q.push(20.0, EventKind::Timer(JobId(1)));
-        assert_eq!(q.pop().unwrap(), (10.0, EventKind::Submit(JobId(0)), true));
+        assert_eq!(q.pop().unwrap(), (10.0, EventKind::Timer(JobId(0)), true));
         assert_eq!(q.pop().unwrap(), (20.0, EventKind::Timer(JobId(1)), true));
         assert_eq!(q.pop().unwrap(), (30.0, EventKind::Tick, true));
         assert!(q.pop().is_none());
@@ -242,11 +242,11 @@ mod tests {
     #[test]
     fn same_instant_is_fifo() {
         let mut q = EventQueue::new();
-        q.push(5.0, EventKind::Submit(JobId(1)));
-        q.push(5.0, EventKind::Submit(JobId(2)));
+        q.push(5.0, EventKind::Timer(JobId(1)));
+        q.push(5.0, EventKind::Timer(JobId(2)));
         q.push(5.0, EventKind::Tick);
-        assert_eq!(q.pop().unwrap().1, EventKind::Submit(JobId(1)));
-        assert_eq!(q.pop().unwrap().1, EventKind::Submit(JobId(2)));
+        assert_eq!(q.pop().unwrap().1, EventKind::Timer(JobId(1)));
+        assert_eq!(q.pop().unwrap().1, EventKind::Timer(JobId(2)));
         assert_eq!(q.pop().unwrap().1, EventKind::Tick);
     }
 

@@ -8,16 +8,27 @@
 //!
 //! ## Determinism contract
 //!
-//! A session is driven by the **same iteration rule** as
-//! [`crate::simulate_stream`]: every pump iteration counts once against
-//! `events_processed`, advances the clock to the earliest of the next
-//! derived completion / queue event / command instant, settles all due
-//! completions, and then dispatches at most one discrete event — with
-//! submissions winning ties against queue events, exactly as in the
-//! batch loop. A session fed the jobs of a trace via [`SimSession::submit`]
-//! and finished with [`SimSession::drain`] therefore produces an outcome
+//! A session runs the **same engine step** as [`crate::simulate_stream`]:
+//! each iteration counts once against `events_processed`, advances the
+//! clock to the earliest of the next derived completion / queue event /
+//! command instant, and settles all due completions. Each command keeps
+//! only its rule for what else fires at the instant:
+//!
+//! * [`SimSession::submit`]: the arrival wins ties against queue events,
+//!   as in the batch loop;
+//! * [`SimSession::node_event`]: queue events due at the instant fire
+//!   first, then the transition;
+//! * [`SimSession::advance_to`]: the command brings no event of its
+//!   own. Steps run while the next instant is at most `t`, each
+//!   dispatching one due queue event; then the clock is positioned at
+//!   `t` without settling anything.
+//!
+//! A session fed the jobs of a trace via [`SimSession::submit`] and
+//! finished with [`SimSession::drain`] therefore produces an outcome
 //! **bit-identical** to [`crate::try_simulate`] over the same trace:
-//! same aggregates, same float bits, same `events_processed`.
+//! same aggregates, same float bits, same `events_processed`. The same
+//! holds with node failures and repairs sent as `node_event` commands
+//! instead of a batch availability trace.
 //!
 //! ## Snapshots
 //!
@@ -113,7 +124,7 @@ impl SimSession {
 
     /// Jobs admitted so far.
     pub fn admitted(&self) -> usize {
-        self.core.admitted
+        self.core.state.jobs.len()
     }
 
     /// Jobs completed so far.
@@ -149,43 +160,17 @@ impl SimSession {
     /// on contract violations (the session state is untouched);
     /// [`SimError::EventCapExceeded`] from the runaway guard.
     pub fn submit(&mut self, job: JobSpec) -> Result<JobId, SimError> {
-        let expected = JobId(self.core.state.jobs.len() as u32);
-        if job.id != expected {
-            return Err(SimError::NonDenseSubmission {
-                expected,
-                got: job.id,
-            });
-        }
-        if !job.submit_time.is_finite() || job.submit_time < self.core.state.now {
-            return Err(SimError::SubmissionOutOfOrder {
-                job: job.id,
-                time: job.submit_time,
-                now: self.core.state.now,
-            });
-        }
-        // Mirror `run_stream` with `job` as the pending arrival: one
-        // bump per iteration, arrivals before queue events at ties.
+        self.core.check_submission(&job)?;
         loop {
-            self.core.bump_events(&self.config)?;
-            let mut t_next = job.submit_time;
-            if let Some((tc, _)) = self.core.next_completion() {
-                t_next = t_next.min(tc);
-            }
-            if let Some(te) = self.core.queue.peek_time() {
-                t_next = t_next.min(te);
-            }
-            self.core.advance_to(t_next);
-            self.core
-                .settle_completions(&mut *self.scheduler, &self.config, &mut self.records);
+            self.core.step(
+                &mut *self.scheduler,
+                &self.config,
+                &mut self.records,
+                job.submit_time,
+                f64::INFINITY,
+            )?;
             if job.submit_time <= self.core.state.now {
-                let id = self.core.admit(job);
-                let plan = self.core.call_scheduler(
-                    &mut *self.scheduler,
-                    SchedEvent::Submit(id),
-                    &self.config,
-                );
-                self.core.apply_plan(plan, &self.config);
-                return Ok(id);
+                return Ok(self.core.admit(job, &mut *self.scheduler, &self.config));
             }
             self.core
                 .handle_due_queue_event(&mut *self.scheduler, &self.config);
@@ -216,17 +201,13 @@ impl SimSession {
             });
         }
         loop {
-            self.core.bump_events(&self.config)?;
-            let mut t_next = time;
-            if let Some((tc, _)) = self.core.next_completion() {
-                t_next = t_next.min(tc);
-            }
-            if let Some(te) = self.core.queue.peek_time() {
-                t_next = t_next.min(te);
-            }
-            self.core.advance_to(t_next);
-            self.core
-                .settle_completions(&mut *self.scheduler, &self.config, &mut self.records);
+            self.core.step(
+                &mut *self.scheduler,
+                &self.config,
+                &mut self.records,
+                time,
+                f64::INFINITY,
+            )?;
             if self
                 .core
                 .handle_due_queue_event(&mut *self.scheduler, &self.config)
@@ -234,26 +215,8 @@ impl SimSession {
                 continue;
             }
             if self.core.state.now >= time {
-                let is_up = self.core.state.cluster.is_up(node);
-                if up != is_up {
-                    if up {
-                        self.core.state.cluster.set_node_up(node, true);
-                        let plan = self.core.call_scheduler(
-                            &mut *self.scheduler,
-                            SchedEvent::NodeUp(node),
-                            &self.config,
-                        );
-                        self.core.apply_plan(plan, &self.config);
-                    } else {
-                        self.core.fail_node(node, &self.config);
-                        let plan = self.core.call_scheduler(
-                            &mut *self.scheduler,
-                            SchedEvent::NodeDown(node),
-                            &self.config,
-                        );
-                        self.core.apply_plan(plan, &self.config);
-                    }
-                }
+                self.core
+                    .node_transition(node, up, &mut *self.scheduler, &self.config);
                 return Ok(());
             }
         }
@@ -273,24 +236,18 @@ impl SimSession {
                 now: self.core.state.now,
             });
         }
-        loop {
-            let mut t_next = f64::INFINITY;
-            if let Some((tc, _)) = self.core.next_completion() {
-                t_next = t_next.min(tc);
-            }
-            if let Some(te) = self.core.queue.peek_time() {
-                t_next = t_next.min(te);
-            }
-            if t_next > t {
-                break;
-            }
-            self.core.bump_events(&self.config)?;
-            self.core.advance_to(t_next);
-            self.core
-                .settle_completions(&mut *self.scheduler, &self.config, &mut self.records);
+        while self.core.step(
+            &mut *self.scheduler,
+            &self.config,
+            &mut self.records,
+            f64::INFINITY,
+            t,
+        )? {
             self.core
                 .handle_due_queue_event(&mut *self.scheduler, &self.config);
         }
+        // Positions the clock only: a job that comes due exactly at `t`
+        // settles in the next command's first step.
         self.core.advance_to(t);
         Ok(())
     }
@@ -337,24 +294,16 @@ impl SimSession {
             Some(j) => j.status,
         };
         if matches!(status, JobStatus::Pending | JobStatus::Paused) {
-            let plan = self.core.call_scheduler(
-                &mut *self.scheduler,
-                SchedEvent::Withdraw(id),
-                &self.config,
-            );
-            self.core.apply_plan(plan, &self.config);
+            self.core
+                .round(&mut *self.scheduler, SchedEvent::Withdraw(id), &self.config);
         }
         // Re-read the status: the withdraw round may have moved the job
         // (legal, if pointless); `cancel_job` validates whatever holds
         // now and errors on already-completed jobs.
         let was_running = self.core.cancel_job(id, &self.config)?;
         if was_running {
-            let plan = self.core.call_scheduler(
-                &mut *self.scheduler,
-                SchedEvent::Complete(id),
-                &self.config,
-            );
-            self.core.apply_plan(plan, &self.config);
+            self.core
+                .round(&mut *self.scheduler, SchedEvent::Complete(id), &self.config);
         }
         self.core.drain_completed(&mut self.records);
         Ok(())
@@ -411,7 +360,6 @@ impl SimSession {
             .iter()
             .map(|&(time, eseq, kind, ver)| {
                 let (tag, arg) = match kind {
-                    EventKind::Submit(j) => ("submit", Value::Num(j.0 as f64)),
                     EventKind::Timer(j) => ("timer", Value::Num(j.0 as f64)),
                     EventKind::Tick => ("tick", Value::Null),
                     EventKind::NodeDown(n) => ("down", Value::Num(n.0 as f64)),
@@ -481,7 +429,7 @@ impl SimSession {
             (
                 "counts".into(),
                 obj([
-                    ("admitted".into(), Value::Num(c.admitted as f64)),
+                    ("admitted".into(), Value::Num(c.state.jobs.len() as f64)),
                     ("completed".into(), Value::Num(c.completed as f64)),
                     (
                         "events_processed".into(),
@@ -622,12 +570,15 @@ impl SimSession {
             let eseq = as_num(&row[1], "queue entry seq")? as u64;
             let tag = row[2].as_str().ok_or("snapshot: bad queue entry kind")?;
             let arg = |what: &str| as_num(&row[3], what).map(|n| n as u32);
+            let node = |what: &str| match arg(what)? {
+                n if n < cluster_spec.nodes => Ok(NodeId(n)),
+                n => Err(format!("snapshot: {what} {n} outside the cluster")),
+            };
             let kind = match tag {
-                "submit" => EventKind::Submit(JobId(arg("submit job")?)),
                 "timer" => EventKind::Timer(JobId(arg("timer job")?)),
                 "tick" => EventKind::Tick,
-                "down" => EventKind::NodeDown(NodeId(arg("down node")?)),
-                "up" => EventKind::NodeUp(NodeId(arg("up node")?)),
+                "down" => EventKind::NodeDown(node("down node")?),
+                "up" => EventKind::NodeUp(node("up node")?),
                 other => return Err(format!("snapshot: unknown event kind {other:?}")),
             };
             let ver = as_num(&row[4], "queue entry ver")? as u32;
@@ -655,7 +606,6 @@ impl SimSession {
             epoch: num_field(v, "state_epoch")? as u64,
         };
         core.queue = queue;
-        core.admitted = admitted;
         core.completed = completed;
         core.pmtn_count = num_field(cn, "pmtn_count")? as u64;
         core.migr_count = num_field(cn, "migr_count")? as u64;
@@ -1014,5 +964,43 @@ mod tests {
             .unwrap()
             .to_string()
             .contains("schema"));
+
+        // Queue rows that would panic on their first pop: a submission
+        // (arrivals never live in the queue) and a node outside the
+        // 4-node cluster.
+        let mut s = SimSession::new(
+            cluster(),
+            "round-robin",
+            Box::new(RoundRobin),
+            SimConfig::default(),
+        );
+        s.submit(job(0, 0.0, 10.0)).unwrap();
+        s.drain().unwrap();
+        let snap = s.snapshot().unwrap();
+        assert!(SimSession::restore(&snap, Box::new(RoundRobin)).is_ok());
+        for row in [("submit", 7.0), ("down", 999.0), ("up", 4.0)] {
+            let mut doc = snap.clone();
+            let Value::Obj(top) = &mut doc else {
+                panic!("snapshot is an object")
+            };
+            let Some(Value::Obj(queue)) = top.get_mut("queue") else {
+                panic!("snapshot has a queue object")
+            };
+            let Some(Value::Arr(entries)) = queue.get_mut("entries") else {
+                panic!("queue has an entries array")
+            };
+            entries.push(Value::Arr(vec![
+                bits(50.0),
+                Value::Num(99.0),
+                Value::Str(row.0.into()),
+                Value::Num(row.1),
+                Value::Num(0.0),
+            ]));
+            let err = SimSession::restore(&doc, Box::new(RoundRobin)).err();
+            assert!(
+                matches!(err, Some(SimError::SnapshotMalformed { .. })),
+                "{row:?} row restored: {err:?}"
+            );
+        }
     }
 }

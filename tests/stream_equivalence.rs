@@ -9,6 +9,9 @@
 //!    uninterrupted run's fingerprint exactly — including queued node
 //!    events and periodic-rescheduler tick chains that were pending at
 //!    the checkpoint.
+//! 3. Node failures and repairs sent to a session as `node_event`
+//!    commands give the bytes of a batch run whose availability trace
+//!    holds the same events.
 //!
 //! Floats are compared through `to_bits`, so these are bit-for-bit
 //! claims, not tolerance checks.
@@ -17,8 +20,8 @@ use dfrs::core::json;
 use dfrs::core::{ClusterSpec, JobId, JobSpec, NodeId};
 use dfrs::sched::SchedulerRegistry;
 use dfrs::sim::{
-    simulate_stream, try_simulate, DiscardRecords, IterSource, NodeEvent, SimConfig, SimOutcome,
-    SimSession,
+    simulate_stream, try_simulate, DiscardRecords, FailurePolicy, IterSource, NodeEvent, SimConfig,
+    SimOutcome, SimSession,
 };
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
@@ -287,6 +290,89 @@ proptest! {
             prop_assert_eq!(
                 fingerprint(&plain.outcome()), fingerprint(&resumed_out),
                 "{} checkpointed run diverged from uninterrupted run", spec
+            );
+        }
+    }
+}
+
+/// One session command of the node-event property below.
+#[derive(Debug, Clone, Copy)]
+enum Command {
+    Submit(JobSpec),
+    Node(NodeEvent),
+}
+
+impl Command {
+    /// Time order; a submit first at equal times, as the batch loop's
+    /// arrival wins ties against queue events.
+    fn key(&self) -> (f64, bool) {
+        match self {
+            Command::Submit(j) => (j.submit_time, false),
+            Command::Node(e) => (e.time, true),
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Node events given as session commands == the same events in a
+    /// batch run's availability trace. The batch run delivers them as
+    /// queue events; the session gets `node_event` commands merged with
+    /// the submits in time order. A sentinel job submitted after the
+    /// last node event keeps the batch run alive until its queue has
+    /// delivered every one. `advance_to` is left out on purpose: it
+    /// splits the node-second integrals at its stopping instant.
+    #[test]
+    fn session_node_events_match_batch_node_events(
+        seed in 0u64..10_000,
+        n in 5usize..30,
+        outages in prop::collection::vec((0u32..8, 0.0f64..1.0, 1.0f64..200.0), 1..=4),
+        penalty in prop::sample::select(vec![0.0, 300.0]),
+        policy in prop::sample::select(vec![FailurePolicy::Restart, FailurePolicy::PausePreserve]),
+    ) {
+        let mut jobs = burst(seed, n, 0, 0.0);
+        let horizon = jobs.last().map_or(0.0, |j| j.submit_time) + 100.0;
+        let mut node_events = Vec::new();
+        for &(node, at, outage) in &outages {
+            let down = at * horizon;
+            node_events.push(NodeEvent { time: down, node: NodeId(node), up: false });
+            node_events.push(NodeEvent { time: down + outage, node: NodeId(node), up: true });
+        }
+        let last = node_events.iter().map(|e| e.time).fold(horizon, f64::max);
+        let sentinel = JobSpec::new(JobId(n as u32), last + 1.0, 1, 0.25, 0.05, 10.0);
+        jobs.push(sentinel.expect("valid job"));
+
+        // The stable sort keeps node events at one instant in trace
+        // order, as the batch queue's FIFO does.
+        let mut commands: Vec<Command> = jobs
+            .iter()
+            .map(|j| Command::Submit(*j))
+            .chain(node_events.iter().map(|e| Command::Node(*e)))
+            .collect();
+        commands.sort_by(|a, b| {
+            let ((ta, na), (tb, nb)) = (a.key(), b.key());
+            ta.total_cmp(&tb).then(na.cmp(&nb))
+        });
+
+        let config = SimConfig { penalty, failure_policy: policy, ..SimConfig::default() };
+        for spec in SPECS {
+            let batch_config = SimConfig { node_events: node_events.clone(), ..config.clone() };
+            let batch = try_simulate(cluster(), &jobs, build(spec).as_mut(), &batch_config)
+                .unwrap_or_else(|e| panic!("{spec} batch: {e}"));
+
+            let mut session = SimSession::new(cluster(), *spec, build(spec), config.clone());
+            for cmd in &commands {
+                match *cmd {
+                    Command::Submit(j) => session.submit(j).map(|_| ()),
+                    Command::Node(e) => session.node_event(e.time, e.node, e.up),
+                }
+                .unwrap_or_else(|e| panic!("{spec} {cmd:?}: {e}"));
+            }
+            session.drain().unwrap_or_else(|e| panic!("{spec} drain: {e}"));
+            prop_assert_eq!(
+                fingerprint(&batch), fingerprint(&session.outcome()),
+                "{} session node events != batch node events", spec
             );
         }
     }
