@@ -221,7 +221,7 @@ fn build_daemon(args: &Args) -> Result<(Daemon, Option<Value>), String> {
 }
 
 /// Most lines a batch will group under a saturating client; an idle
-/// client degrades to batches of one — the old per-line loop.
+/// client's lines arrive as batches of one.
 const BATCH_MAX: usize = 256;
 
 /// Feed `input` lines to the daemon, writing events to `output` with a
@@ -231,9 +231,9 @@ const BATCH_MAX: usize = 256;
 /// Lines arrive through a reader thread and a channel so the loop can
 /// hand everything already waiting to [`Daemon::handle_batch`] in one
 /// go — under a journaled daemon that is one group-committed write
-/// (and at most one fsync) for the whole run of commands. The emitted
-/// bytes are identical to the per-line loop's; only the journal's
-/// write pattern changes.
+/// (and at most one fsync) for the whole run of commands. How lines
+/// happen to be grouped never changes the emitted bytes, only the
+/// journal's write pattern.
 fn serve(
     daemon: &mut Daemon,
     banner: &mut Option<Value>,

@@ -4,8 +4,9 @@
 //! write-ahead path: before a journal append (the command is lost,
 //! as it should be — it was never acknowledged), after one (the
 //! command is durable but unacknowledged), mid-append (a torn record,
-//! dropped on recovery), or mid-snapshot (a half-written temp file,
-//! ignored on recovery). The `dfrs-serve` binary takes a plan via
+//! dropped on recovery), mid-snapshot (a half-written temp file,
+//! ignored on recovery), or between a group-commit append and its ack
+//! (every staged command unapplied). The `dfrs-serve` binary takes a plan via
 //! `--chaos` and emulates `kill -9` with [`std::process::abort`] when
 //! it fires; in-process tests get [`crate::Flow::Crashed`] and drop
 //! the daemon.
@@ -37,12 +38,11 @@ pub enum CrashPoint {
         /// Bytes of the snapshot text that survive.
         keep: usize,
     },
-    /// Between a group-commit append and its ack: the command (and any
-    /// earlier command staged in the same batch) may be durable, but
-    /// none of them were applied or acknowledged. Only the batched
-    /// command path (`Daemon::handle_batch`) stages commands, so this
-    /// is the crash point the per-line path cannot reach; sequential
-    /// dispatch degrades it to [`CrashPoint::PostAppend`].
+    /// Between a group-commit append and its ack: the command (and
+    /// every earlier command staged in the same `Daemon::handle_batch`)
+    /// may be durable, but none of them were applied or acknowledged.
+    /// Unlike [`CrashPoint::PostAppend`], the staged run is not flushed
+    /// first, and the command's own record is only enqueued.
     BatchCrash,
 }
 
@@ -124,8 +124,12 @@ pub enum ChaosAction {
     Proceed,
     /// Crash without touching the journal.
     CrashBefore,
-    /// Append (durably), then crash before applying.
+    /// Append and wait until the record is durable, then crash before
+    /// applying ([`CrashPoint::PostAppend`]).
     CrashAfter,
+    /// Enqueue the append, then crash with every staged command
+    /// unapplied and unacknowledged ([`CrashPoint::BatchCrash`]).
+    CrashStaged,
     /// Write a torn prefix of the record, then crash.
     Torn {
         /// Surviving byte count.
@@ -159,19 +163,11 @@ impl ChaosState {
         }
         match self.plan.point {
             CrashPoint::PreAppend => ChaosAction::CrashBefore,
-            CrashPoint::PostAppend | CrashPoint::BatchCrash => ChaosAction::CrashAfter,
+            CrashPoint::PostAppend => ChaosAction::CrashAfter,
+            CrashPoint::BatchCrash => ChaosAction::CrashStaged,
             CrashPoint::TornAppend { keep } => ChaosAction::Torn { keep },
             CrashPoint::MidSnapshot { .. } => ChaosAction::Proceed,
         }
-    }
-
-    /// Whether the armed plan fires between a batched append and its
-    /// group-commit ack. Such a plan is the only chaos the batched
-    /// command path handles itself; every other plan forces commands
-    /// back onto the sequential path, whose crash semantics the CI
-    /// transcripts pin.
-    pub fn batch_crash_plan(&self) -> bool {
-        matches!(self.plan.point, CrashPoint::BatchCrash)
     }
 
     /// Called once per snapshot command; `Some(keep)` means write a
@@ -255,6 +251,10 @@ mod tests {
         assert_eq!(c.on_append(), ChaosAction::CrashAfter);
         assert_eq!(c.on_append(), ChaosAction::Proceed);
         assert_eq!(c.on_snapshot(), None);
+
+        let mut c = ChaosState::new("batch-crash:1".parse().unwrap());
+        assert_eq!(c.on_append(), ChaosAction::CrashStaged);
+        assert_eq!(c.on_append(), ChaosAction::Proceed);
 
         let mut c = ChaosState::new("mid-snapshot:2:9".parse().unwrap());
         assert_eq!(c.on_append(), ChaosAction::Proceed);

@@ -56,8 +56,8 @@
 //! sync per *batch* instead of one per command, while the durability
 //! contract is unchanged: a command is applied and acknowledged only
 //! after its record — and, since the writer preserves append order,
-//! every earlier record — is on disk. [`Journal::append`] is the
-//! degenerate batch of one and behaves exactly as it always has.
+//! every earlier record — is on disk. A lone command is simply a batch
+//! of one.
 
 use std::fmt;
 use std::fs::{self, File, OpenOptions};
@@ -788,21 +788,8 @@ impl Journal {
         Ok(())
     }
 
-    /// Append one raw command line; returns its sequence number. The
-    /// record is flushed to the OS before returning and synced per the
-    /// [`FsyncPolicy`] — a group-commit batch of one.
-    ///
-    /// # Errors
-    /// [`JournalError::Io`] on filesystem failures — the command must
-    /// then NOT be applied (write-ahead discipline).
-    pub fn append(&mut self, raw: &str) -> Result<u64, JournalError> {
-        let seq = self.append_async(raw)?;
-        self.wait_durable(seq)?;
-        Ok(seq)
-    }
-
     /// Chaos hook: write only the first `keep` bytes of what
-    /// [`Journal::append`] would have written (newline included in the
+    /// [`Journal::append_async`] would have enqueued (newline included in the
     /// count), synced — a torn append, as a crash mid-write leaves it.
     /// The sequence number is *not* consumed; the process is expected
     /// to die immediately after.
@@ -891,6 +878,13 @@ mod tests {
         d
     }
 
+    /// A group commit of one: enqueue, then wait until durable.
+    fn append(j: &mut Journal, raw: &str) -> u64 {
+        let seq = j.append_async(raw).unwrap();
+        j.wait_durable(seq).unwrap();
+        seq
+    }
+
     #[test]
     fn fsync_policy_parses() {
         assert_eq!("always".parse(), Ok(FsyncPolicy::Always));
@@ -906,8 +900,8 @@ mod tests {
     fn append_scan_roundtrip() {
         let dir = tmpdir("roundtrip");
         let mut j = Journal::create(&dir, FsyncPolicy::Always, "{\"fake\":1}").unwrap();
-        assert_eq!(j.append(r#"{"cmd":"drain"}"#).unwrap(), 1);
-        assert_eq!(j.append(r#"{"cmd":"advance","time":5}"#).unwrap(), 2);
+        assert_eq!(append(&mut j, r#"{"cmd":"drain"}"#), 1);
+        assert_eq!(append(&mut j, r#"{"cmd":"advance","time":5}"#), 2);
         let rec = scan(&dir).unwrap();
         assert_eq!(rec.covered, 0);
         assert_eq!(rec.last_seq, 2);
@@ -927,10 +921,10 @@ mod tests {
     fn snapshot_rotates_and_scan_replays_only_the_suffix() {
         let dir = tmpdir("rotate");
         let mut j = Journal::create(&dir, FsyncPolicy::Interval(4), "s0").unwrap();
-        j.append("a").unwrap();
-        j.append("b").unwrap();
+        append(&mut j, "a");
+        append(&mut j, "b");
         assert_eq!(j.mark_snapshot("s2").unwrap(), 2);
-        j.append("c").unwrap();
+        append(&mut j, "c");
         let rec = scan(&dir).unwrap();
         assert_eq!(rec.covered, 2);
         assert_eq!(rec.snapshot, "s2");
@@ -948,7 +942,7 @@ mod tests {
     fn torn_tail_is_tolerated_and_truncated() {
         let dir = tmpdir("torn");
         let mut j = Journal::create(&dir, FsyncPolicy::Always, "s0").unwrap();
-        j.append("a").unwrap();
+        append(&mut j, "a");
         j.append_torn("b", 9).unwrap();
         let rec = scan(&dir).unwrap();
         assert_eq!(rec.lines, vec!["a".to_string()]);
@@ -957,7 +951,7 @@ mod tests {
         assert!(torn.dropped > 0);
         // Resume truncates; a second scan is clean and appends go on.
         let mut j = Journal::resume(&dir, FsyncPolicy::Always, &rec).unwrap();
-        assert_eq!(j.append("b2").unwrap(), 2);
+        assert_eq!(append(&mut j, "b2"), 2);
         let rec = scan(&dir).unwrap();
         assert_eq!(rec.torn, None);
         assert_eq!(rec.lines, vec!["a".to_string(), "b2".to_string()]);
@@ -968,8 +962,8 @@ mod tests {
     fn corruption_before_the_tail_is_a_hard_error() {
         let dir = tmpdir("corrupt");
         let mut j = Journal::create(&dir, FsyncPolicy::Always, "s0").unwrap();
-        j.append("a").unwrap();
-        j.append("b").unwrap();
+        append(&mut j, "a");
+        append(&mut j, "b");
         let seg = dir.join(seg_name(1));
         let mut data = fs::read(&seg).unwrap();
         // Flip a byte in the middle record (line 2 of 3).
@@ -987,9 +981,9 @@ mod tests {
     fn sequence_gaps_are_typed_errors() {
         let dir = tmpdir("seqgap");
         let mut j = Journal::create(&dir, FsyncPolicy::Always, "s0").unwrap();
-        j.append("a").unwrap();
-        j.append("b").unwrap();
-        j.append("c").unwrap();
+        append(&mut j, "a");
+        append(&mut j, "b");
+        append(&mut j, "c");
         let seg = dir.join(seg_name(1));
         let text = fs::read_to_string(&seg).unwrap();
         // Drop the middle record: a validly-sealed but skipped seq.
@@ -1008,7 +1002,7 @@ mod tests {
     fn tmp_files_are_ignored_and_create_refuses_nonempty() {
         let dir = tmpdir("tmpfiles");
         let mut j = Journal::create(&dir, FsyncPolicy::Never, "s0").unwrap();
-        j.append("a").unwrap();
+        append(&mut j, "a");
         j.torn_snapshot("half a snapsh", 7).unwrap();
         let rec = scan(&dir).unwrap();
         assert_eq!(rec.covered, 0, "torn snapshot tmp must not be chosen");

@@ -8,9 +8,10 @@
 //! migration decisions the configured scheduler makes, plus a record
 //! line per finished job.
 //!
-//! The protocol lives in [`Daemon`]; the `dfrs-serve` binary wires it
-//! to stdin/stdout or a Unix socket. One command object per line in,
-//! zero or more event objects per line out:
+//! The protocol lives in [`Daemon`], whose one command loop is
+//! [`Daemon::handle_batch`]; the `dfrs-serve` binary wires it to
+//! stdin/stdout or a Unix socket. One command object per line in, zero
+//! or more event objects per line out:
 //!
 //! | command | fields | effect |
 //! |---|---|---|
@@ -37,7 +38,8 @@
 //! ## Crash safety
 //!
 //! With a [`journal`] attached (`--journal DIR`), every state-mutating
-//! command is appended to a write-ahead log *before* it is applied, and
+//! command is appended to a write-ahead log *before* it is applied —
+//! consecutive ones share one group commit — and
 //! [`Daemon::recover`] rebuilds a crashed daemon from the newest
 //! snapshot plus a replay of the journal suffix — byte-identical to
 //! never having crashed, because the simulation runs on sim time and
@@ -87,9 +89,6 @@ pub enum ServeError {
     /// recovered.
     Journal(JournalError),
 }
-
-/// The pre-journal name of [`ServeError`], kept for embedders.
-pub type DaemonError = ServeError;
 
 impl fmt::Display for ServeError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -152,9 +151,10 @@ pub struct Recovery {
     pub torn: Option<journal::TornTail>,
 }
 
-/// The protocol engine: one [`SimSession`] plus the command dispatch.
-/// Transport-free — the binary (stdin/stdout, Unix socket) and the
-/// tests both feed lines through [`Daemon::handle_line`].
+/// The protocol engine: one [`SimSession`] plus the command loop.
+/// Transport-free — the binary (stdin/stdout, Unix socket), journal
+/// recovery and the tests all feed lines through
+/// [`Daemon::handle_batch`]; [`Daemon::handle_line`] is a batch of one.
 pub struct Daemon {
     session: SimSession,
     journal: Option<Journal>,
@@ -170,7 +170,7 @@ impl Daemon {
     /// after every command, so memory stays flat).
     ///
     /// # Errors
-    /// [`DaemonError::Spec`] when `spec` does not parse or build.
+    /// [`ServeError::Spec`] when `spec` does not parse or build.
     pub fn new(cluster: ClusterSpec, spec: &str, config: SimConfig) -> Result<Self, ServeError> {
         let scheduler = SchedulerRegistry::builtin().build_str(spec)?;
         Ok(Self::with_scheduler(cluster, spec, scheduler, config))
@@ -187,15 +187,25 @@ impl Daemon {
         mut config: SimConfig,
     ) -> Self {
         config.record_timeline = true;
+        Self::guarded(scheduler, |s| Ok(SimSession::new(cluster, spec, s, config)))
+            .expect("opening a fresh session cannot fail")
+    }
+
+    /// Wrap `scheduler` in the [`quarantine::QuarantineGuard`] and build
+    /// the daemon around the session `open` makes from it.
+    fn guarded(
+        scheduler: Box<dyn Scheduler>,
+        open: impl FnOnce(Box<dyn Scheduler>) -> Result<SimSession, SimError>,
+    ) -> Result<Self, SimError> {
         let qlog = QuarantineLog::default();
-        let guarded = Box::new(QuarantineGuard::new(scheduler, qlog.clone()));
-        Daemon {
-            session: SimSession::new(cluster, spec, guarded, config),
+        let session = open(Box::new(QuarantineGuard::new(scheduler, qlog.clone())))?;
+        Ok(Daemon {
+            session,
             journal: None,
             chaos: None,
             qlog,
             max_line: MAX_LINE_DEFAULT,
-        }
+        })
     }
 
     /// Attach a fresh write-ahead journal in `dir`: the current
@@ -266,9 +276,9 @@ impl Daemon {
     /// byte-identically to the one that wrote the snapshot.
     ///
     /// # Errors
-    /// [`DaemonError::Snapshot`] when the text is not parseable JSON or
-    /// records no spec, [`DaemonError::Spec`] when that spec no longer
-    /// builds, [`DaemonError::Sim`] when the session rejects the
+    /// [`ServeError::Snapshot`] when the text is not parseable JSON or
+    /// records no spec, [`ServeError::Spec`] when that spec no longer
+    /// builds, [`ServeError::Sim`] when the session rejects the
     /// document.
     pub fn restore(text: &str) -> Result<Self, ServeError> {
         let doc = json::parse(text).map_err(|e| ServeError::Snapshot {
@@ -280,16 +290,7 @@ impl Daemon {
             })?
             .to_string();
         let scheduler = SchedulerRegistry::builtin().build_str(&spec)?;
-        let qlog = QuarantineLog::default();
-        let guarded = Box::new(QuarantineGuard::new(scheduler, qlog.clone()));
-        let session = SimSession::restore(&doc, guarded)?;
-        Ok(Daemon {
-            session,
-            journal: None,
-            chaos: None,
-            qlog,
-            max_line: MAX_LINE_DEFAULT,
-        })
+        Ok(Self::guarded(scheduler, |s| SimSession::restore(&doc, s))?)
     }
 
     /// Direct access to the underlying session (tests, embedding).
@@ -333,252 +334,192 @@ impl Daemon {
         ])
     }
 
-    /// Process one command line; returns the response events (already
+    /// Process one command line: a batch of one through
+    /// [`Daemon::handle_batch`]. Returns the response events (already
     /// ordered) and whether to keep serving. Blank lines and `#`
     /// comments produce no events. A malformed or failing command
     /// produces a single `error` event and the daemon keeps serving.
     pub fn handle_line(&mut self, line: &str) -> (Vec<Value>, Flow) {
-        if line.len() > self.max_line {
-            // Checked before any parsing: the line is discarded whole
-            // and the session is untouched.
-            return (
-                vec![obj([
-                    ("event".into(), Value::Str("error".into())),
-                    ("kind".into(), Value::Str("oversize".into())),
-                    (
-                        "message".into(),
-                        Value::Str(format!(
-                            "line of {} bytes exceeds the {}-byte limit",
-                            line.len(),
-                            self.max_line
-                        )),
-                    ),
-                ])],
-                Flow::Continue,
-            );
-        }
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            return (Vec::new(), Flow::Continue);
-        }
-        match self.dispatch(line) {
-            Ok(out) => out,
-            Err(message) => (vec![error_event(message)], Flow::Continue),
-        }
+        self.handle_batch(&[line])
+            .pop()
+            .expect("a batch answers every line it reads")
     }
 
-    /// Process a run of command lines through the group-commit path:
-    /// consecutive journaled commands are staged with one asynchronous
-    /// append each, made durable together with a **single** wait on the
-    /// journal's writer (one batched write, at most one fsync), and
-    /// only then applied in order. Anything else — blank lines,
-    /// comments, parse errors, non-journaled commands, oversize lines,
-    /// journal-less daemons — is a batch boundary handled by
-    /// [`Daemon::handle_line`], so the emitted events are byte-for-byte
-    /// what the per-line loop would produce for the same input.
+    /// Process a run of command lines — the daemon's one command loop.
+    /// Each line is parsed once. Consecutive journaled commands are
+    /// staged with one asynchronous append each, made durable together
+    /// with a **single** wait on the journal's writer (one batched
+    /// write, at most one fsync), and only then applied in order. Any
+    /// other line — blank, comment, malformed, oversize, or a command
+    /// that is not journaled — first flushes the staged run, so the
+    /// events are byte for byte what one line at a time would produce.
+    /// Journal-less daemons stage the same way, with nothing to wait on.
     ///
     /// Returns one `(events, flow)` entry per processed line, in input
     /// order. A non-`Continue` flow is always the last entry: after
-    /// `Shutdown` the remaining lines are not read, and after `Crashed`
-    /// (the seeded `batch-crash` chaos point, or any armed chaos plan
-    /// reached through a boundary line) the staged commands die
-    /// unapplied and unacknowledged — exactly the window crash recovery
-    /// must cover.
+    /// `Shutdown` the remaining lines are not read. The `pre-append`,
+    /// `torn` and `post-append` chaos points flush the staged run before
+    /// they crash; `batch-crash` crashes with it unapplied and
+    /// unacknowledged — exactly the window crash recovery must cover.
     pub fn handle_batch<S: AsRef<str>>(&mut self, lines: &[S]) -> Vec<(Vec<Value>, Flow)> {
         let mut out = Vec::with_capacity(lines.len());
-        let mut pending: Vec<Pending> = Vec::new();
+        let mut staged: Vec<Staged> = Vec::new();
         for line in lines {
-            let line = line.as_ref();
-            match self.stage(line, &mut pending) {
-                Staged::Queued => {}
-                Staged::Crashed => {
+            let (cmd, v, line) = match self.parse_line(line.as_ref()) {
+                Ok(Some(parsed)) if parsed.0.journaled() => parsed,
+                other => {
+                    self.flush(&mut staged, &mut out);
+                    let (events, flow) = match other {
+                        Ok(Some((cmd, v, _))) => answer(self.apply(cmd, &v, None)),
+                        Ok(None) => (Vec::new(), Flow::Continue),
+                        Err(event) => (vec![event], Flow::Continue),
+                    };
+                    out.push((events, flow));
+                    if flow != Flow::Continue {
+                        return out;
+                    }
+                    continue;
+                }
+            };
+            if self.journal.is_none() {
+                staged.push(Staged { cmd, v, seq: None });
+                continue;
+            }
+            // Write-ahead: the command is enqueued before it is applied,
+            // unless a seeded chaos point fires here instead.
+            let action = self
+                .chaos
+                .as_mut()
+                .map_or(ChaosAction::Proceed, ChaosState::on_append);
+            if !matches!(action, ChaosAction::Proceed | ChaosAction::CrashStaged) {
+                // Every earlier command is applied and acknowledged
+                // before the crash, as if each had come on its own.
+                self.flush(&mut staged, &mut out);
+            }
+            let j = self.journal.as_mut().expect("checked above");
+            // `Ok` means the seeded crash fires now.
+            let fired = match action {
+                ChaosAction::Proceed => match j.append_async(line) {
+                    Ok(seq) => {
+                        staged.push(Staged {
+                            cmd,
+                            v,
+                            seq: Some(seq),
+                        });
+                        continue;
+                    }
+                    Err(e) => Err(e),
+                },
+                ChaosAction::CrashBefore => Ok(()),
+                ChaosAction::Torn { keep } => j.append_torn(line, keep),
+                ChaosAction::CrashAfter => j.append_async(line).and_then(|seq| j.wait_durable(seq)),
+                // The writer may or may not get this record to disk
+                // before the process dies; the staged run dies unapplied.
+                ChaosAction::CrashStaged => {
+                    let _ = j.append_async(line);
+                    Ok(())
+                }
+            };
+            match fired {
+                Ok(()) => {
                     out.push((Vec::new(), Flow::Crashed));
                     return out;
                 }
-                Staged::Boundary => {
-                    self.flush_pending(&mut pending, &mut out);
-                    let (events, flow) = self.handle_line(line);
-                    let stop = flow != Flow::Continue;
-                    out.push((events, flow));
-                    if stop {
-                        return out;
-                    }
+                // A journal failure: the command is NOT applied.
+                Err(e) => {
+                    self.flush(&mut staged, &mut out);
+                    out.push((vec![error_event(e.to_string())], Flow::Continue));
                 }
             }
         }
-        self.flush_pending(&mut pending, &mut out);
+        self.flush(&mut staged, &mut out);
         out
     }
 
-    /// Stage one line into the group-commit batch, when it qualifies:
-    /// journal attached, within the size limit, parses to a journaled
-    /// command, and no chaos plan armed that the sequential path must
-    /// handle (only `batch-crash` is batch-aware).
-    fn stage(&mut self, line: &str, pending: &mut Vec<Pending>) -> Staged {
-        if self.journal.is_none() || line.len() > self.max_line {
-            return Staged::Boundary;
+    /// Parse one line into its command: `Ok(None)` for blank lines and
+    /// `#` comments, `Err` with the `error` event for anything that is
+    /// not a command. An oversize line is rejected before any parsing.
+    fn parse_line<'a>(&self, line: &'a str) -> Result<Option<(Cmd, Value, &'a str)>, Value> {
+        if line.len() > self.max_line {
+            return Err(obj([
+                ("event".into(), Value::Str("error".into())),
+                ("kind".into(), Value::Str("oversize".into())),
+                (
+                    "message".into(),
+                    Value::Str(format!(
+                        "line of {} bytes exceeds the {}-byte limit",
+                        line.len(),
+                        self.max_line
+                    )),
+                ),
+            ]));
         }
-        if let Some(chaos) = &self.chaos {
-            if !chaos.batch_crash_plan() {
-                return Staged::Boundary;
-            }
+        let line = line.trim();
+        if line.is_empty() || line.starts_with('#') {
+            return Ok(None);
         }
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            return Staged::Boundary;
-        }
-        let Ok(v) = json::parse(trimmed) else {
-            return Staged::Boundary;
-        };
-        let Some(cmd) = v.get("cmd").and_then(Value::as_str) else {
-            return Staged::Boundary;
-        };
-        if !matches!(
-            cmd,
-            "submit" | "node-down" | "node-up" | "advance" | "drain"
-        ) {
-            return Staged::Boundary;
-        }
-        let cmd = cmd.to_string();
-        let crash = matches!(
-            self.chaos.as_mut().map(ChaosState::on_append),
-            Some(ChaosAction::CrashAfter)
-        );
-        let j = self.journal.as_mut().expect("checked above");
-        let appended = j.append_async(trimmed);
-        if crash {
-            // The seeded batch-crash: the append is queued (the writer
-            // may or may not get it to disk before the process dies)
-            // but neither this command nor the staged ones before it
-            // are ever applied or acknowledged.
-            return Staged::Crashed;
-        }
-        match appended {
-            Ok(seq) => {
-                pending.push(Pending { cmd, v, seq });
-                Staged::Queued
-            }
-            // Journal failure: nothing was enqueued and no sequence
-            // number was consumed. The sequential path reproduces the
-            // same sticky error as an `error` event.
-            Err(_) => Staged::Boundary,
-        }
+        let v = json::parse(line).map_err(|e| error_event(format!("bad command line: {e}")))?;
+        let name = v
+            .get("cmd")
+            .and_then(Value::as_str)
+            .ok_or_else(|| error_event("command object needs a \"cmd\" string".into()))?;
+        let cmd =
+            Cmd::parse(name).ok_or_else(|| error_event(format!("unknown command {name:?}")))?;
+        Ok(Some((cmd, v, line)))
     }
 
     /// Make every staged command durable with one wait on the writer,
     /// then apply them in order, appending each command's events.
-    fn flush_pending(&mut self, pending: &mut Vec<Pending>, out: &mut Vec<(Vec<Value>, Flow)>) {
-        let Some(last) = pending.last() else { return };
-        let wait = self
-            .journal
-            .as_mut()
-            .expect("staged commands imply a journal")
-            .wait_durable(last.seq);
-        if let Err(e) = wait {
-            // Write-ahead discipline: none of the staged commands may
-            // be applied. Each reports the journal failure, exactly as
-            // the sequential path would have.
-            let message = e.to_string();
-            for _ in pending.drain(..) {
-                out.push((vec![error_event(message.clone())], Flow::Continue));
-            }
-            return;
+    fn flush(&mut self, staged: &mut Vec<Staged>, out: &mut Vec<(Vec<Value>, Flow)>) {
+        let durable = match (staged.last().and_then(|s| s.seq), &mut self.journal) {
+            (Some(seq), Some(j)) => j.wait_durable(seq).map_err(|e| e.to_string()),
+            _ => Ok(()),
+        };
+        for s in staged.drain(..) {
+            // Write-ahead discipline: after a failed wait none of the
+            // staged commands may be applied; each reports the failure.
+            out.push(answer(match &durable {
+                Ok(()) => self.apply(s.cmd, &s.v, s.seq),
+                Err(message) => Err(message.clone()),
+            }));
         }
-        for p in std::mem::take(pending) {
-            out.push(match self.apply(&p.cmd, &p.v, Some(p.seq)) {
-                Ok(res) => res,
-                Err(message) => (vec![error_event(message)], Flow::Continue),
-            });
-        }
-    }
-
-    fn dispatch(&mut self, line: &str) -> Result<(Vec<Value>, Flow), String> {
-        let v = json::parse(line).map_err(|e| format!("bad command line: {e}"))?;
-        let cmd = v
-            .get("cmd")
-            .and_then(Value::as_str)
-            .ok_or_else(|| "command object needs a \"cmd\" string".to_string())?;
-        // Write-ahead: state-mutating commands hit the journal before
-        // the session. A journal failure means the command is NOT
-        // applied; a seeded chaos point turns into an immediate crash.
-        let mut seq = None;
-        if self.journal.is_some()
-            && matches!(
-                cmd,
-                "submit" | "node-down" | "node-up" | "advance" | "drain"
-            )
-        {
-            if let Some(flow) = self.journal_append(line)? {
-                return Ok((Vec::new(), flow));
-            }
-            // The append just consumed this command's sequence number.
-            seq = self.journal.as_ref().map(Journal::last_seq);
-        }
-        self.apply(cmd, &v, seq)
     }
 
     /// Apply a parsed command that has already cleared the write-ahead
     /// journal (`seq` is its journal sequence number, when journaled).
     fn apply(
         &mut self,
-        cmd: &str,
+        cmd: Cmd,
         v: &Value,
         seq: Option<u64>,
     ) -> Result<(Vec<Value>, Flow), String> {
         match cmd {
-            "submit" => self.submit(v),
-            "node-down" => self.node_event(v, false),
-            "node-up" => self.node_event(v, true),
-            "advance" => self.advance(v),
-            "drain" => self.drain(seq),
-            "stats" => Ok((vec![self.stats_event()], Flow::Continue)),
-            "snapshot" => self.snapshot(v),
-            "shutdown" => {
+            Cmd::Submit => self.submit(v),
+            Cmd::NodeDown => self.node_event(v, false),
+            Cmd::NodeUp => self.node_event(v, true),
+            Cmd::Advance => self.advance(v),
+            Cmd::Drain => self.drain(seq),
+            Cmd::Stats => Ok((vec![self.stats_event()], Flow::Continue)),
+            Cmd::Snapshot => self.snapshot(v),
+            Cmd::Shutdown => {
                 let mut done = self.stats_event();
                 if let Value::Obj(m) = &mut done {
                     m.insert("event".into(), Value::Str("shutdown".into()));
                 }
                 Ok((vec![done], Flow::Shutdown))
             }
-            other => Err(format!("unknown command {other:?}")),
-        }
-    }
-
-    /// Write-ahead append of `line`, with the chaos hook. `Ok(Some)`
-    /// means a seeded crash fired and the caller must return
-    /// [`Flow::Crashed`] without applying the command.
-    fn journal_append(&mut self, line: &str) -> Result<Option<Flow>, String> {
-        let action = self
-            .chaos
-            .as_mut()
-            .map_or(ChaosAction::Proceed, ChaosState::on_append);
-        let j = self.journal.as_mut().expect("caller checked journal");
-        match action {
-            ChaosAction::CrashBefore => Ok(Some(Flow::Crashed)),
-            ChaosAction::Torn { keep } => {
-                j.append_torn(line, keep).map_err(|e| e.to_string())?;
-                Ok(Some(Flow::Crashed))
-            }
-            ChaosAction::Proceed => {
-                j.append(line).map_err(|e| e.to_string())?;
-                Ok(None)
-            }
-            ChaosAction::CrashAfter => {
-                j.append(line).map_err(|e| e.to_string())?;
-                Ok(Some(Flow::Crashed))
-            }
         }
     }
 
     fn submit(&mut self, v: &Value) -> Result<(Vec<Value>, Flow), String> {
         let time = opt_num(v, "time")?.unwrap_or_else(|| self.session.now());
-        let tasks = opt_num(v, "tasks")?.unwrap_or(1.0) as u32;
+        let tasks = opt_u32(v, "tasks")?.unwrap_or(1);
         let cpu = req_num(v, "cpu")?;
         let mem = req_num(v, "mem")?;
         let runtime = req_num(v, "runtime")?;
         let next = JobId(self.session.state().jobs.len() as u32);
-        if let Some(want) = opt_num(v, "id")? {
-            if want as u32 != next.0 {
+        if let Some(want) = opt_u32(v, "id")? {
+            if want != next.0 {
                 return Err(format!("job id {want} out of order; the next id is {next}"));
             }
         }
@@ -600,7 +541,7 @@ impl Daemon {
 
     fn node_event(&mut self, v: &Value, up: bool) -> Result<(Vec<Value>, Flow), String> {
         let time = opt_num(v, "time")?.unwrap_or_else(|| self.session.now());
-        let node = NodeId(req_num(v, "node")? as u32);
+        let node = NodeId(opt_u32(v, "node")?.ok_or_else(|| missing("node"))?);
         self.session
             .node_event(time, node, up)
             .map_err(|e| e.to_string())?;
@@ -630,9 +571,9 @@ impl Daemon {
 
     /// The `drained` ack. Journaled daemons also report this drain's
     /// own journal sequence number, so clients know what is durable.
-    /// (`seq` rather than the journal's high-water mark: under the
-    /// batched path later commands may already hold higher numbers when
-    /// the drain is applied.)
+    /// (`seq` rather than the journal's high-water mark: later commands
+    /// of the same batch may already hold higher numbers when the drain
+    /// is applied.)
     fn drained_event(&self, seq: Option<u64>) -> Value {
         let mut pairs = vec![
             ("event".into(), Value::Str("drained".into())),
@@ -642,8 +583,7 @@ impl Daemon {
                 Value::Num(self.session.completed() as f64),
             ),
         ];
-        if let Some(j) = &self.journal {
-            let seq = seq.unwrap_or_else(|| j.last_seq());
+        if let Some(seq) = seq {
             pairs.push(("journal_seq".into(), Value::Num(seq as f64)));
         }
         obj(pairs)
@@ -804,23 +744,51 @@ impl Daemon {
     }
 }
 
-/// A journaled command staged by [`Daemon::handle_batch`]: parsed,
-/// sequence-numbered, and awaiting its group-commit ack.
-struct Pending {
-    cmd: String,
-    v: Value,
-    seq: u64,
+/// A protocol command, classified once per line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Cmd {
+    Submit,
+    NodeDown,
+    NodeUp,
+    Advance,
+    Drain,
+    Stats,
+    Snapshot,
+    Shutdown,
 }
 
-/// Outcome of staging one line into the group-commit batch.
-enum Staged {
-    /// Journaled and queued; durability and application are deferred.
-    Queued,
-    /// Not batchable — flush the staged run, then hand the line to the
-    /// sequential path.
-    Boundary,
-    /// A seeded `batch-crash` fired: die with the staged run unapplied.
-    Crashed,
+impl Cmd {
+    fn parse(name: &str) -> Option<Cmd> {
+        Some(match name {
+            "submit" => Cmd::Submit,
+            "node-down" => Cmd::NodeDown,
+            "node-up" => Cmd::NodeUp,
+            "advance" => Cmd::Advance,
+            "drain" => Cmd::Drain,
+            "stats" => Cmd::Stats,
+            "snapshot" => Cmd::Snapshot,
+            "shutdown" => Cmd::Shutdown,
+            _ => return None,
+        })
+    }
+
+    /// State-mutating commands: journaled before they are applied, and
+    /// staged for group commit.
+    fn journaled(self) -> bool {
+        matches!(
+            self,
+            Cmd::Submit | Cmd::NodeDown | Cmd::NodeUp | Cmd::Advance | Cmd::Drain
+        )
+    }
+}
+
+/// A journaled command staged by [`Daemon::handle_batch`]: parsed,
+/// sequence-numbered when a journal is attached, and awaiting its
+/// group-commit ack.
+struct Staged {
+    cmd: Cmd,
+    v: Value,
+    seq: Option<u64>,
 }
 
 /// The protocol's uniform failure shape — commands never kill the
@@ -830,6 +798,11 @@ fn error_event(message: String) -> Value {
         ("event".into(), Value::Str("error".into())),
         ("message".into(), Value::Str(message)),
     ])
+}
+
+/// A command's response: its events, or the one `error` event it failed with.
+fn answer(res: Result<(Vec<Value>, Flow), String>) -> (Vec<Value>, Flow) {
+    res.unwrap_or_else(|message| (vec![error_event(message)], Flow::Continue))
 }
 
 fn decision_event(e: &TimelineEntry) -> Value {
@@ -894,8 +867,12 @@ fn record_event(r: &JobRecord) -> Value {
     ])
 }
 
+fn missing(key: &str) -> String {
+    format!("command needs a numeric {key:?} field")
+}
+
 fn req_num(v: &Value, key: &str) -> Result<f64, String> {
-    opt_num(v, key)?.ok_or_else(|| format!("command needs a numeric {key:?} field"))
+    opt_num(v, key)?.ok_or_else(|| missing(key))
 }
 
 fn opt_num(v: &Value, key: &str) -> Result<Option<f64>, String> {
@@ -908,11 +885,24 @@ fn opt_num(v: &Value, key: &str) -> Result<Option<f64>, String> {
     }
 }
 
+/// An integer field from outside input (a count, an id, a node index):
+/// negative, fractional or wider-than-`u32` values are rejected, never
+/// cast.
+fn opt_u32(v: &Value, key: &str) -> Result<Option<u32>, String> {
+    match opt_num(v, key)? {
+        Some(x) if !(x >= 0.0 && x <= f64::from(u32::MAX) && x.fract() == 0.0) => Err(format!(
+            "field {key:?} must be an integer in 0..={}, got {x}",
+            u32::MAX
+        )),
+        n => Ok(n.map(|x| x as u32)),
+    }
+}
+
 // Unwrap audit: production paths in this crate return typed errors
 // (`ServeError`, `JournalError`) — the only `expect`s left state the
-// invariant that makes them unreachable (e.g. "caller checked
-// journal"). The unwraps below are test assertions, where panicking
-// with a backtrace *is* the failure report.
+// invariant that makes them unreachable (e.g. "checked above"). The
+// unwraps below are test assertions, where panicking with a backtrace
+// *is* the failure report.
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -954,6 +944,7 @@ mod tests {
     #[test]
     fn errors_keep_the_daemon_serving() {
         let mut d = daemon("fcfs");
+        let stats = lines(&mut d, r#"{"cmd":"stats"}"#);
         for bad in [
             "not json",
             r#"{"nocmd":1}"#,
@@ -962,11 +953,25 @@ mod tests {
             r#"{"cmd":"submit","time":-5,"cpu":0.5,"mem":0.2,"runtime":10}"#,
             r#"{"cmd":"node-down","node":99}"#,
             r#"{"cmd":"advance","time":-1}"#,
+            // Integer fields are validated, never cast.
+            r#"{"cmd":"node-down","node":-1}"#,
+            r#"{"cmd":"node-up","node":0.5}"#,
+            r#"{"cmd":"node-down","node":4294967296}"#,
+            r#"{"cmd":"submit","tasks":2.9,"cpu":0.5,"mem":0.2,"runtime":10}"#,
+            r#"{"cmd":"submit","tasks":-1,"cpu":0.5,"mem":0.2,"runtime":10}"#,
+            r#"{"cmd":"submit","id":-1,"cpu":0.5,"mem":0.2,"runtime":10}"#,
+            r#"{"cmd":"submit","id":0.5,"cpu":0.5,"mem":0.2,"runtime":10}"#,
+            r#"{"cmd":"submit","id":1e10,"cpu":0.5,"mem":0.2,"runtime":10}"#,
         ] {
             let (events, flow) = d.handle_line(bad);
             assert_eq!(flow, Flow::Continue, "{bad}");
             assert_eq!(events.len(), 1, "{bad}");
-            assert_eq!(events[0].get("event").unwrap().as_str(), Some("error"));
+            assert_eq!(
+                events[0].get("event").unwrap().as_str(),
+                Some("error"),
+                "{bad}"
+            );
+            assert_eq!(lines(&mut d, r#"{"cmd":"stats"}"#), stats, "{bad}");
         }
         // Still alive and consistent.
         let out = lines(
@@ -1058,14 +1063,14 @@ mod tests {
         let err = Daemon::new(cluster, "no-such-scheduler", SimConfig::default())
             .err()
             .unwrap();
-        assert!(matches!(err, DaemonError::Spec(_)), "{err}");
+        assert!(matches!(err, ServeError::Spec(_)), "{err}");
 
         let err = Daemon::restore("not json at all").err().unwrap();
-        assert!(matches!(err, DaemonError::Snapshot { .. }), "{err}");
+        assert!(matches!(err, ServeError::Snapshot { .. }), "{err}");
         assert!(err.to_string().starts_with("snapshot:"), "{err}");
 
         let err = Daemon::restore("{}").err().unwrap();
-        assert!(matches!(err, DaemonError::Snapshot { .. }), "{err}");
+        assert!(matches!(err, ServeError::Snapshot { .. }), "{err}");
         assert!(err.to_string().contains("missing scheduler spec"), "{err}");
 
         // Well-formed JSON with a spec but nothing else: the session
@@ -1074,7 +1079,7 @@ mod tests {
         assert!(
             matches!(
                 err,
-                DaemonError::Sim(dfrs_sim::SimError::SnapshotMalformed { .. })
+                ServeError::Sim(dfrs_sim::SimError::SnapshotMalformed { .. })
             ),
             "{err}"
         );

@@ -2,7 +2,8 @@
 //! kill the daemon anywhere in the write-ahead path — before an
 //! append, after it, mid-record (torn bytes), or mid-snapshot — and
 //! recovery from the journal produces a daemon whose remaining output
-//! is byte-identical to one that never crashed.
+//! is byte-identical to one that never crashed. Every point is driven
+//! both one line at a time and as one batch of the whole script.
 //!
 //! The client protocol for resuming is the standard WAL one: re-send
 //! every command that was never acknowledged. A `post-append` crash is
@@ -50,11 +51,29 @@ fn mutating_count() -> u64 {
     SCRIPT.iter().filter(|l| journaled(l)).count() as u64
 }
 
+fn is_snapshot(line: &str) -> bool {
+    line.contains("\"cmd\":\"snapshot\"")
+}
+
 fn snapshot_count() -> u64 {
-    SCRIPT
-        .iter()
-        .filter(|l| l.contains("\"cmd\":\"snapshot\""))
-        .count() as u64
+    SCRIPT.iter().filter(|l| is_snapshot(l)).count() as u64
+}
+
+/// Index into [`SCRIPT`] of the line `plan` crashes on: its `at`-th
+/// snapshot for `mid-snapshot`, its `at`-th journaled command otherwise.
+fn crash_line(plan: &str) -> usize {
+    let mut parts = plan.split(':');
+    let point = parts.next().unwrap();
+    let at: usize = parts.next().unwrap().parse().unwrap();
+    let hit = if point == "mid-snapshot" {
+        is_snapshot
+    } else {
+        journaled
+    };
+    (0..SCRIPT.len())
+        .filter(|&i| hit(SCRIPT[i]))
+        .nth(at - 1)
+        .unwrap_or_else(|| panic!("{plan}: no such line in {SCRIPT:?}"))
 }
 
 static DIR_SEQ: AtomicUsize = AtomicUsize::new(0);
@@ -87,6 +106,23 @@ fn compacts(events: &[Value]) -> Vec<String> {
     events.iter().map(Value::compact).collect()
 }
 
+/// Feed `lines` as one `handle_batch`, or one `handle_line` at a time
+/// up to the first line whose flow is not `Continue`.
+fn feed(d: &mut Daemon, lines: &[&str], batched: bool) -> Vec<(Vec<Value>, Flow)> {
+    if batched {
+        return d.handle_batch(lines);
+    }
+    let mut out = Vec::new();
+    for line in lines {
+        let (ev, flow) = d.handle_line(line);
+        out.push((ev, flow));
+        if flow != Flow::Continue {
+            break;
+        }
+    }
+    out
+}
+
 /// Run the whole script without chaos: per-command event lines.
 fn run_reference(dir: &Path) -> Vec<Vec<String>> {
     let mut d = daemon_with_journal(dir);
@@ -101,29 +137,27 @@ fn run_reference(dir: &Path) -> Vec<Vec<String>> {
 }
 
 /// Run with `plan` armed until the seeded crash fires, recover from the
-/// journal, and finish the script. Returns the 0-based index of the
-/// crashed command, the per-command events delivered before the crash,
-/// and the per-command events delivered after recovery (starting at
-/// `crash_index + consumed`).
+/// journal, and finish the script — line by line, or (`batched`) each
+/// half as one `handle_batch`, where the commands staged before the
+/// crash must still be applied and acknowledged. Returns the 0-based
+/// index of the crashed command, the per-command events delivered before
+/// the crash, and the per-command events delivered after recovery
+/// (starting at `crash_index + consumed`).
 fn run_with_crash(
     dir: &Path,
     plan: &str,
     consumed: bool,
+    batched: bool,
 ) -> (usize, Vec<Vec<String>>, Vec<Vec<String>>) {
     let mut d = daemon_with_journal(dir);
     d.set_chaos(plan.parse().unwrap_or_else(|e| panic!("{plan}: {e}")));
-    let mut pre = Vec::new();
-    let mut crash_at = None;
-    for (i, c) in SCRIPT.iter().enumerate() {
-        let (ev, flow) = d.handle_line(c);
-        if flow == Flow::Crashed {
-            assert!(ev.is_empty(), "{plan}: a crash must not acknowledge");
-            crash_at = Some(i);
-            break;
-        }
-        pre.push(compacts(&ev));
-    }
-    let i = crash_at.unwrap_or_else(|| panic!("{plan}: never fired over {SCRIPT:?}"));
+    let out = feed(&mut d, SCRIPT, batched);
+    let (ev, flow) = out.last().unwrap();
+    assert_eq!(*flow, Flow::Crashed, "{plan}: never fired over {SCRIPT:?}");
+    assert!(ev.is_empty(), "{plan}: a crash must not acknowledge");
+    let i = out.len() - 1;
+    assert_eq!(i, crash_line(plan), "{plan}: answered the wrong lines");
+    let pre = out[..i].iter().map(|(ev, _)| compacts(ev)).collect();
     // The binary would abort() here; in-process, dropping the daemon is
     // the kill — nothing below the journal's own syncs survives it.
     drop(d);
@@ -131,10 +165,9 @@ fn run_with_crash(
     let (mut d, _recovery) =
         Daemon::recover(dir, FsyncPolicy::Always).unwrap_or_else(|e| panic!("{plan}: {e}"));
     let resume = i + usize::from(consumed);
-    let post = SCRIPT[resume..]
-        .iter()
-        .map(|c| {
-            let (ev, flow) = d.handle_line(c);
+    let post = feed(&mut d, &SCRIPT[resume..], batched)
+        .into_iter()
+        .map(|(ev, flow)| {
             assert_ne!(flow, Flow::Crashed, "{plan}: chaos must not re-fire");
             compacts(&ev)
         })
@@ -142,54 +175,53 @@ fn run_with_crash(
     (i, pre, post)
 }
 
-fn check_plan_recovers(reference: &[Vec<String>], dir: &Path, plan: &str, consumed: bool) {
-    let (i, pre, post) = run_with_crash(dir, plan, consumed);
+fn check_plan_recovers(
+    reference: &[Vec<String>],
+    dir: &Path,
+    plan: &str,
+    consumed: bool,
+    batched: bool,
+) {
+    let (i, pre, post) = run_with_crash(dir, plan, consumed, batched);
     assert_eq!(
         pre,
         &reference[..i],
-        "{plan}: pre-crash events diverged from the uninterrupted run"
+        "{plan} (batched: {batched}): pre-crash events diverged from the uninterrupted run"
     );
     let resume = i + usize::from(consumed);
     assert_eq!(
         post,
         &reference[resume..],
-        "{plan}: post-recovery events diverged from the uninterrupted run"
+        "{plan} (batched: {batched}): post-recovery events diverged from the uninterrupted run"
     );
 }
 
 /// The full deterministic crash matrix: every append crashed before,
 /// after, and torn (several tear widths), and every snapshot crashed
-/// mid-write. Byte-identical convergence at each point.
+/// mid-write — each fed line by line and as one batch. Byte-identical
+/// convergence at each point.
 #[test]
 fn every_crash_point_recovers_byte_identically() {
     let refdir = tmpdir("ref");
     let reference = run_reference(&refdir);
 
-    for at in 1..=mutating_count() {
-        let dir = tmpdir("pre");
-        check_plan_recovers(&reference, &dir, &format!("pre-append:{at}"), false);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let dir = tmpdir("post");
-        check_plan_recovers(&reference, &dir, &format!("post-append:{at}"), true);
-        let _ = std::fs::remove_dir_all(&dir);
-
-        for keep in [1usize, 7, 40] {
-            let dir = tmpdir("torn");
-            check_plan_recovers(&reference, &dir, &format!("torn:{at}:{keep}"), false);
+    for batched in [false, true] {
+        let check = |tag: &str, plan: String, consumed: bool| {
+            let dir = tmpdir(tag);
+            check_plan_recovers(&reference, &dir, &plan, consumed, batched);
             let _ = std::fs::remove_dir_all(&dir);
+        };
+        for at in 1..=mutating_count() {
+            check("pre", format!("pre-append:{at}"), false);
+            check("post", format!("post-append:{at}"), true);
+            for keep in [1usize, 7, 40] {
+                check("torn", format!("torn:{at}:{keep}"), false);
+            }
         }
-    }
-    for at in 1..=snapshot_count() {
-        for keep in [0usize, 100] {
-            let dir = tmpdir("midsnap");
-            check_plan_recovers(
-                &reference,
-                &dir,
-                &format!("mid-snapshot:{at}:{keep}"),
-                false,
-            );
-            let _ = std::fs::remove_dir_all(&dir);
+        for at in 1..=snapshot_count() {
+            for keep in [0usize, 100] {
+                check("midsnap", format!("mid-snapshot:{at}:{keep}"), false);
+            }
         }
     }
     let _ = std::fs::remove_dir_all(&refdir);
@@ -279,9 +311,9 @@ fn crash_free_journal_replays_to_the_same_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The batched command path must be invisible in the output: any
-/// chunking of the script through `handle_batch` emits the same event
-/// bytes as the per-line loop, and leaves the same journal behind.
+/// Batching must be invisible in the output: any chunking of the script
+/// through `handle_batch` emits the same event bytes as feeding it one
+/// `handle_line` at a time, and leaves the same journal behind.
 #[test]
 fn batched_path_matches_sequential_bytes_and_journal() {
     let seq_dir = tmpdir("seq");
@@ -361,14 +393,7 @@ fn batch_crash_between_append_and_ack_recovers() {
         );
         // Standard WAL client protocol: resume after the last staged
         // (= now replayed) command.
-        let crash_line = SCRIPT
-            .iter()
-            .enumerate()
-            .filter(|(_, l)| journaled(l))
-            .nth(at as usize - 1)
-            .map(|(i, _)| i)
-            .unwrap();
-        let out = d.handle_batch(&SCRIPT[crash_line + 1..]);
+        let out = d.handle_batch(&SCRIPT[crash_line(&format!("batch-crash:{at}")) + 1..]);
         let got = compacts(&out.last().unwrap().0);
         assert_eq!(got, want_stats, "batch-crash:{at}: state diverged");
         let _ = std::fs::remove_dir_all(&dir);
@@ -395,7 +420,7 @@ proptest! {
             k => format!("{k}:{at}"),
         };
         let dir = tmpdir("prop");
-        check_plan_recovers(&reference, &dir, &plan, kind == "post-append");
+        check_plan_recovers(&reference, &dir, &plan, kind == "post-append", false);
         let _ = std::fs::remove_dir_all(&dir);
         let _ = std::fs::remove_dir_all(&refdir);
     }

@@ -68,6 +68,13 @@ fn tmpdir(tag: &str) -> PathBuf {
     d
 }
 
+/// A group commit of one: enqueue, then wait until durable.
+fn append(j: &mut Journal, raw: &str) -> u64 {
+    let seq = j.append_async(raw).unwrap();
+    j.wait_durable(seq).unwrap();
+    seq
+}
+
 /// Feed one (possibly garbage) line; check the error/unchanged
 /// contract; prove the daemon still serves.
 fn check_line(d: &mut Daemon, line: &str) {
@@ -135,7 +142,7 @@ proptest! {
         let dir = tmpdir("flip");
         let mut j = Journal::create(&dir, FsyncPolicy::Never, "{}").unwrap();
         for c in BASES.iter().take(4) {
-            j.append(c).unwrap();
+            append(&mut j, c);
         }
         drop(j);
         let seg = dir.join("segment-0000000001.ndjson");
@@ -189,8 +196,8 @@ fn oversized_lines_get_a_typed_error() {
 fn duplicate_seq_is_a_typed_error() {
     let dir = tmpdir("dup");
     let mut j = Journal::create(&dir, FsyncPolicy::Never, "{}").unwrap();
-    j.append("a").unwrap();
-    j.append("b").unwrap();
+    append(&mut j, "a");
+    append(&mut j, "b");
     drop(j);
     let seg = dir.join("segment-0000000001.ndjson");
     let text = std::fs::read_to_string(&seg).unwrap();
@@ -213,8 +220,8 @@ fn duplicate_seq_is_a_typed_error() {
 fn out_of_order_seq_is_a_typed_error() {
     let dir = tmpdir("swap");
     let mut j = Journal::create(&dir, FsyncPolicy::Never, "{}").unwrap();
-    j.append("a").unwrap();
-    j.append("b").unwrap();
+    append(&mut j, "a");
+    append(&mut j, "b");
     drop(j);
     let seg = dir.join("segment-0000000001.ndjson");
     let text = std::fs::read_to_string(&seg).unwrap();
