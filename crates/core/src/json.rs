@@ -88,7 +88,9 @@ impl Value {
     /// Single-line rendering (no trailing newline) for line-delimited
     /// protocols. Objects are sorted maps, so output is diff-stable.
     pub fn compact(&self) -> String {
-        let mut out = String::new();
+        // Room for a protocol event (a `record` line is ~160 bytes)
+        // without regrowing.
+        let mut out = String::with_capacity(256);
         self.write_compact(&mut out);
         out
     }
@@ -195,7 +197,7 @@ pub fn obj(pairs: impl IntoIterator<Item = (String, Value)>) -> Value {
 fn write_number(out: &mut String, n: f64) {
     if n.is_finite() {
         if n == n.trunc() && n.abs() < 1e15 {
-            let _ = write!(out, "{}", n as i64);
+            write_int(out, n as i64);
         } else {
             let _ = write!(out, "{n}");
         }
@@ -206,21 +208,53 @@ fn write_number(out: &mut String, n: f64) {
     }
 }
 
-fn write_string(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
+/// Decimal digits of `n`, without the formatting machinery (integers
+/// are most of what the line protocol renders).
+fn write_int(out: &mut String, n: i64) {
+    let mut buf = [0u8; 20];
+    let mut at = buf.len();
+    let mut m = n.unsigned_abs();
+    loop {
+        at -= 1;
+        buf[at] = b'0' + (m % 10) as u8;
+        m /= 10;
+        if m == 0 {
+            break;
         }
     }
+    if n < 0 {
+        at -= 1;
+        buf[at] = b'-';
+    }
+    out.push_str(std::str::from_utf8(&buf[at..]).expect("ASCII digits"));
+}
+
+/// Append `s` as a JSON string literal, quotes included — the escaping
+/// every rendering in this module uses. Runs of bytes that need no
+/// escape are copied whole; every escaped byte is ASCII, so the run
+/// boundaries are char boundaries.
+pub fn write_string(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
     out.push('"');
 }
 
@@ -447,6 +481,7 @@ impl Parser<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_nested_documents() {
@@ -505,5 +540,103 @@ mod tests {
         assert_eq!(text.trim(), "42");
         let text = Value::Num(0.5).pretty();
         assert_eq!(text.trim(), "0.5");
+    }
+
+    /// The char-by-char string writer `write_string` replaced: the
+    /// reference its run-copying rendering must match byte for byte.
+    fn char_write_string(out: &mut String, s: &str) {
+        out.push('"');
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+    }
+
+    /// The `fmt`-based number writer `write_number` replaced.
+    fn fmt_write_number(out: &mut String, n: f64) {
+        if n.is_finite() {
+            if n == n.trunc() && n.abs() < 1e15 {
+                let _ = write!(out, "{}", n as i64);
+            } else {
+                let _ = write!(out, "{n}");
+            }
+        } else {
+            out.push_str("null");
+        }
+    }
+
+    /// Strings weighted toward what escaping cares about: quotes,
+    /// backslashes, every control char, printable ASCII, and 2-, 3- and
+    /// 4-byte chars.
+    fn tricky_string() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u8..5, 0u32..0x11_0000), 0..48).prop_map(|cs| {
+            cs.into_iter()
+                .map(|(kind, code)| match kind {
+                    0 => ['"', '\\', '/', '\u{7f}'][code as usize % 4],
+                    1 => char::from_u32(code % 0x20).expect("control char"),
+                    2 => char::from_u32(0x20 + code % 0x5f).expect("printable ASCII"),
+                    3 => char::from_u32(0x80 + code % 0xd780).expect("below the surrogates"),
+                    _ => char::from_u32(code).unwrap_or('\u{fffd}'),
+                })
+                .collect()
+        })
+    }
+
+    /// Numbers around every branch of `write_number`: ±0, the `1e15`
+    /// integer boundary, NaN and infinities, integers, fractions, and
+    /// arbitrary bit patterns.
+    fn tricky_number() -> impl Strategy<Value = f64> {
+        const EDGES: [f64; 14] = [
+            0.0,
+            -0.0,
+            1e15,
+            -1e15,
+            1e15 - 1.0,
+            -(1e15 - 1.0),
+            999_999_999_999_999.5,
+            1e15 + 2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN_POSITIVE,
+            -1.0,
+        ];
+        (0u8..4, -2e15f64..2e15, 0u64..=u64::MAX).prop_map(|(kind, x, bits)| match kind {
+            0 => EDGES[(bits % EDGES.len() as u64) as usize],
+            1 => x.trunc(),
+            2 => x,
+            _ => f64::from_bits(bits),
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        #[test]
+        fn run_writer_matches_the_char_writer(s in tricky_string()) {
+            let (mut new, mut old) = (String::from("x"), String::from("x"));
+            write_string(&mut new, &s);
+            char_write_string(&mut old, &s);
+            prop_assert_eq!(new, old);
+        }
+
+        #[test]
+        fn int_writer_matches_fmt(n in tricky_number()) {
+            let (mut new, mut old) = (String::new(), String::new());
+            write_number(&mut new, n);
+            fmt_write_number(&mut old, n);
+            prop_assert_eq!(new, old, "{n:e} ({:#x})", n.to_bits());
+        }
     }
 }

@@ -38,11 +38,12 @@ pub enum CrashPoint {
         /// Bytes of the snapshot text that survive.
         keep: usize,
     },
-    /// Between a group-commit append and its ack: the command (and
-    /// every earlier command staged in the same `Daemon::handle_batch`)
-    /// may be durable, but none of them were applied or acknowledged.
-    /// Unlike [`CrashPoint::PostAppend`], the staged run is not flushed
-    /// first, and the command's own record is only enqueued.
+    /// Between a group-commit append and its ack: the command and every
+    /// earlier command staged in the same `Daemon::handle_batch` were
+    /// appended but not committed, applied or acknowledged. Unlike
+    /// [`CrashPoint::PostAppend`], the staged run is not flushed first.
+    /// An in-process drop of the daemon commits the run; an aborted
+    /// process (the binary) loses it.
     BatchCrash,
 }
 
@@ -127,8 +128,9 @@ pub enum ChaosAction {
     /// Append and wait until the record is durable, then crash before
     /// applying ([`CrashPoint::PostAppend`]).
     CrashAfter,
-    /// Enqueue the append, then crash with every staged command
-    /// unapplied and unacknowledged ([`CrashPoint::BatchCrash`]).
+    /// Append without committing, then crash with every staged command
+    /// unapplied and unacknowledged ([`CrashPoint::BatchCrash`]): an
+    /// in-process drop commits the staged run, an abort loses it.
     CrashStaged,
     /// Write a torn prefix of the record, then crash.
     Torn {

@@ -46,26 +46,25 @@
 //!
 //! ## Group commit
 //!
-//! Appends are physically written by a dedicated writer thread. Callers
-//! enqueue sealed records with [`Journal::append_async`] (which assigns
-//! the sequence number immediately) and block on
-//! [`Journal::wait_durable`]; the writer drains whatever has queued
-//! since its last pass and commits the whole run with **one**
-//! `write_all` and at most one `fdatasync`. Under a batching client
-//! (see `Daemon::handle_batch`) an `always` journal therefore pays one
-//! sync per *batch* instead of one per command, while the durability
-//! contract is unchanged: a command is applied and acknowledged only
-//! after its record — and, since the writer preserves append order,
-//! every earlier record — is on disk. A lone command is simply a batch
-//! of one.
+//! [`Journal::append_async`] seals a record straight into an in-memory
+//! pending buffer and assigns its sequence number; it makes no syscall.
+//! [`Journal::wait_durable`] commits everything pending on the caller's
+//! thread with **one** `write_all` and at most one `fdatasync`. Under a
+//! batching client (see `Daemon::handle_batch`), which appends a run of
+//! commands and then waits once, an `always` journal pays one sync per
+//! *batch* instead of one per command, while the durability contract is
+//! unchanged: a command is applied and acknowledged only after its
+//! record — and, since the buffer keeps append order, every earlier
+//! record — is on disk. Dropping a journal commits what is pending; a
+//! killed process loses it, and with it only commands it never
+//! acknowledged. A lone command is simply a batch of one.
 
 use std::fmt;
+use std::fmt::Write as _;
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
 
 use dfrs_core::checksum::crc32_hex;
 use dfrs_core::json::{self, obj, Value};
@@ -193,12 +192,40 @@ impl std::error::Error for JournalError {}
 
 /// Seal `pairs` into a record: CRC-32 the canonical (compact,
 /// key-sorted) form of the object without its `crc` field, then attach
-/// the checksum.
+/// the checksum. Used for segment headers; command records take the
+/// byte path, [`seal_record`].
 fn seal(pairs: Vec<(String, Value)>) -> Value {
     let body = obj(pairs.clone()).compact();
     let mut sealed = pairs;
     sealed.push(("crc".into(), Value::Str(crc32_hex(body.as_bytes()))));
     obj(sealed)
+}
+
+/// The sealed header line (newline included) that opens segment `base`.
+fn segment_header(base: u64) -> String {
+    let header = seal(vec![
+        ("base".into(), Value::Num(base as f64)),
+        ("v".into(), Value::Str(JOURNAL_SCHEMA.into())),
+    ]);
+    header.compact() + "\n"
+}
+
+/// Append the sealed record line for command `raw` at `seq` to `out`,
+/// newline included: the bytes `seal` would render for
+/// `{"line":raw,"seq":seq}`, without building a `Value`. The canonical
+/// body is written first, CRC'd in place, and the `crc` field (the
+/// first key in sorted order) is spliced in after its opening brace.
+/// Byte-identical to the `Value` path for every `seq` below 2^53.
+fn seal_record(out: &mut String, raw: &str, seq: u64) {
+    let start = out.len();
+    out.push_str("{\"line\":");
+    json::write_string(out, raw);
+    let _ = write!(out, ",\"seq\":{seq}}}");
+    let crc = crc32_hex(&out.as_bytes()[start..]);
+    out.insert_str(start + 1, "\"crc\":\"\",");
+    // After `{"crc":"`, between the two quotes.
+    out.insert_str(start + 8, &crc);
+    out.push('\n');
 }
 
 /// Verify a sealed record line; returns the object minus its `crc`.
@@ -439,110 +466,29 @@ pub fn scan(dir: &Path) -> Result<Recovered, JournalError> {
     })
 }
 
-/// State shared between a [`Journal`] handle and its writer thread.
-struct WriterShared {
-    state: Mutex<WriterState>,
-    /// Signaled when records queue up or a stop is requested.
-    work: Condvar,
-    /// Signaled when the ack watermark advances or an error lands.
-    done: Condvar,
-}
-
-struct WriterState {
-    /// Sealed record bytes (trailing newline included), append order.
-    queue: Vec<(u64, Vec<u8>)>,
-    /// Highest sequence number written (and synced per policy).
-    acked: u64,
-    /// Records written since the last `fdatasync` (`Interval` policy);
-    /// owned by the writer while it runs, read back across restarts.
-    unsynced: u64,
-    /// The first write failure. Sticky: the journal is dead afterwards
-    /// and every queued or future command fails with this error.
-    error: Option<JournalError>,
-    stop: bool,
-}
-
-fn lock(m: &Mutex<WriterState>) -> std::sync::MutexGuard<'_, WriterState> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// The group-commit loop: drain everything queued since the last pass,
-/// commit it with one `write_all` (and at most one `fdatasync`), move
-/// the ack watermark, repeat. Returns the segment file on shutdown so
-/// rotation and torn-append injection can reuse it.
-fn run_writer(
-    mut file: File,
-    seg_path: PathBuf,
-    policy: FsyncPolicy,
-    shared: Arc<WriterShared>,
-) -> File {
-    let mut unsynced = lock(&shared.state).unsynced;
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        let batch = {
-            let mut st = lock(&shared.state);
-            while st.queue.is_empty() && !st.stop {
-                st = shared.work.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-            if st.queue.is_empty() {
-                st.unsynced = unsynced;
-                return file;
-            }
-            if st.error.is_some() {
-                // The journal is already dead; the queued commands will
-                // never be applied. Drop them and wake their waiters.
-                st.queue.clear();
-                shared.done.notify_all();
-                continue;
-            }
-            std::mem::take(&mut st.queue)
-        };
-        let last = batch.last().expect("drained batch is non-empty").0;
-        buf.clear();
-        for (_, rec) in &batch {
-            buf.extend_from_slice(rec);
-        }
-        let mut res = file
-            .write_all(&buf)
-            .map_err(|e| io_err("append", &seg_path, e));
-        if res.is_ok() {
-            res = match policy {
-                FsyncPolicy::Always => file.sync_data().map_err(|e| io_err("sync", &seg_path, e)),
-                FsyncPolicy::Interval(n) => {
-                    unsynced += batch.len() as u64;
-                    if unsynced >= n {
-                        unsynced = 0;
-                        file.sync_data().map_err(|e| io_err("sync", &seg_path, e))
-                    } else {
-                        Ok(())
-                    }
-                }
-                FsyncPolicy::Never => Ok(()),
-            };
-        }
-        let mut st = lock(&shared.state);
-        match res {
-            Ok(()) => st.acked = last,
-            Err(e) => st.error = Some(e),
-        }
-        shared.done.notify_all();
-    }
-}
-
-/// An open, appendable journal.
+/// An open, appendable journal. Appends and commits run on the
+/// caller's thread.
 pub struct Journal {
     dir: PathBuf,
     policy: FsyncPolicy,
-    /// The writer thread owning the live segment file. `None` only
-    /// after a failed stop (the journal is then dead; see `fail`).
-    writer: Option<(Arc<WriterShared>, JoinHandle<File>)>,
+    /// The live segment, open for appends.
+    file: File,
     seg_path: PathBuf,
     seg_base: u64,
     next_seq: u64,
-    /// `Interval` carry between writer restarts.
+    /// Sealed records appended since the last commit, in append order,
+    /// newlines included.
+    pending: String,
+    /// Highest sequence number written (and synced per policy).
+    acked: u64,
+    /// Records written since the last `fdatasync` (`Interval` policy).
     unsynced: u64,
-    /// The sticky first failure; everything after it returns this.
+    /// The first write failure. Sticky: the journal is dead afterwards
+    /// and every append, commit and wait returns this error.
     fail: Option<JournalError>,
+    /// `(write_all, fdatasync)` calls made by commits.
+    #[cfg(test)]
+    commit_syscalls: (u64, u64),
 }
 
 impl Journal {
@@ -570,18 +516,7 @@ impl Journal {
         }
         write_atomic(&dir.join(snap_name(0)), initial_snapshot)?;
         let (file, seg_path) = Self::open_segment(dir, 1)?;
-        let mut j = Journal {
-            dir: dir.to_path_buf(),
-            policy,
-            writer: None,
-            seg_path,
-            seg_base: 1,
-            next_seq: 1,
-            unsynced: 0,
-            fail: None,
-        };
-        j.start_writer(file)?;
-        Ok(j)
+        Ok(Self::open(dir, policy, file, seg_path, 1, 0))
     }
 
     /// Reopen the journal `scan` described, truncating the torn tail
@@ -604,7 +539,6 @@ impl Journal {
                 .map_err(|e| io_err("truncate", path, e))?;
             f.sync_all().map_err(|e| io_err("sync", path, e))?;
         }
-        let next_seq = recovered.last_seq + 1;
         // The live segment is the one after the newest snapshot —
         // unless the crash hit between snapshot rename and segment
         // creation, in which case it does not exist yet and is created
@@ -623,29 +557,48 @@ impl Journal {
             if len == 0 {
                 // The crash tore the segment header itself (truncated
                 // to nothing above): rewrite it.
-                let header = seal(vec![
-                    ("base".into(), Value::Num(seg_base as f64)),
-                    ("v".into(), Value::Str(JOURNAL_SCHEMA.into())),
-                ]);
-                writeln!(f, "{}", header.compact()).map_err(|e| io_err("write", &seg_path, e))?;
+                f.write_all(segment_header(seg_base).as_bytes())
+                    .map_err(|e| io_err("write", &seg_path, e))?;
                 f.sync_all().map_err(|e| io_err("sync", &seg_path, e))?;
             }
             (f, seg_path)
         } else {
             Self::open_segment(dir, seg_base)?
         };
-        let mut j = Journal {
-            dir: dir.to_path_buf(),
+        Ok(Self::open(
+            dir,
             policy,
-            writer: None,
+            file,
             seg_path,
             seg_base,
-            next_seq,
+            recovered.last_seq,
+        ))
+    }
+
+    /// The journal appending to `file` (segment `seg_path`, based at
+    /// `seg_base`) after `last_seq`, with nothing pending.
+    fn open(
+        dir: &Path,
+        policy: FsyncPolicy,
+        file: File,
+        seg_path: PathBuf,
+        seg_base: u64,
+        last_seq: u64,
+    ) -> Journal {
+        Journal {
+            dir: dir.to_path_buf(),
+            policy,
+            file,
+            seg_path,
+            seg_base,
+            next_seq: last_seq + 1,
+            pending: String::new(),
+            acked: last_seq,
             unsynced: 0,
             fail: None,
-        };
-        j.start_writer(file)?;
-        Ok(j)
+            #[cfg(test)]
+            commit_syscalls: (0, 0),
+        }
     }
 
     /// Create `segment-{base}` with its sealed header, synced.
@@ -656,11 +609,8 @@ impl Journal {
             .write(true)
             .open(&path)
             .map_err(|e| io_err("create", &path, e))?;
-        let header = seal(vec![
-            ("base".into(), Value::Num(base as f64)),
-            ("v".into(), Value::Str(JOURNAL_SCHEMA.into())),
-        ]);
-        writeln!(f, "{}", header.compact()).map_err(|e| io_err("write", &path, e))?;
+        f.write_all(segment_header(base).as_bytes())
+            .map_err(|e| io_err("write", &path, e))?;
         f.sync_all().map_err(|e| io_err("sync", &path, e))?;
         sync_dir(dir);
         Ok((f, path))
@@ -676,140 +626,118 @@ impl Journal {
         &self.dir
     }
 
-    /// Spawn the group-commit writer thread around `file`.
-    fn start_writer(&mut self, file: File) -> Result<(), JournalError> {
-        let shared = Arc::new(WriterShared {
-            state: Mutex::new(WriterState {
-                queue: Vec::new(),
-                // Everything enqueued so far was drained by the stop
-                // that preceded this start (or nothing was, at open).
-                acked: self.next_seq - 1,
-                unsynced: self.unsynced,
-                error: None,
-                stop: false,
-            }),
-            work: Condvar::new(),
-            done: Condvar::new(),
-        });
-        let seg_path = self.seg_path.clone();
-        let policy = self.policy;
-        let thread_shared = Arc::clone(&shared);
-        let handle = std::thread::Builder::new()
-            .name("dfrs-journal-writer".into())
-            .spawn(move || run_writer(file, seg_path, policy, thread_shared))
-            .map_err(|e| io_err("spawn", &self.seg_path, e))?;
-        self.writer = Some((shared, handle));
-        Ok(())
-    }
-
-    /// Drain the queue, join the writer, and take back the segment
-    /// file. Any write failure the writer hit becomes the sticky
-    /// journal error.
-    fn stop_writer(&mut self) -> Result<File, JournalError> {
-        if let Some(e) = &self.fail {
-            return Err(e.clone());
-        }
-        let (shared, handle) = self.writer.take().expect("journal has a live writer");
-        {
-            let mut st = lock(&shared.state);
-            st.stop = true;
-            shared.work.notify_all();
-        }
-        let file = handle.join().map_err(|_| JournalError::Io {
-            op: "writer".into(),
-            path: self.seg_path.display().to_string(),
-            detail: "journal writer thread panicked".into(),
-        })?;
-        let st = lock(&shared.state);
-        self.unsynced = st.unsynced;
-        if let Some(e) = &st.error {
-            self.fail = Some(e.clone());
-            return Err(e.clone());
-        }
-        Ok(file)
-    }
-
-    /// Enqueue one raw command line for the group-commit writer and
-    /// return the sequence number it was sealed with. The record is
+    /// Seal one raw command line into the pending buffer and return the
+    /// sequence number it was sealed with. No syscall: the record is
     /// **not** yet durable — pair with [`Journal::wait_durable`] before
     /// applying or acknowledging the command.
     ///
     /// # Errors
     /// The sticky journal error, once any write has failed; nothing is
-    /// enqueued and no sequence number is consumed.
+    /// appended and no sequence number is consumed.
     pub fn append_async(&mut self, raw: &str) -> Result<u64, JournalError> {
         if let Some(e) = &self.fail {
             return Err(e.clone());
         }
         let seq = self.next_seq;
-        let rec = seal(vec![
-            ("line".into(), Value::Str(raw.into())),
-            ("seq".into(), Value::Num(seq as f64)),
-        ]);
-        let mut bytes = rec.compact().into_bytes();
-        bytes.push(b'\n');
-        let (shared, _) = self.writer.as_ref().expect("journal has a live writer");
-        {
-            let mut st = lock(&shared.state);
-            if let Some(e) = &st.error {
-                let e = e.clone();
-                self.fail = Some(e.clone());
-                return Err(e);
-            }
-            st.queue.push((seq, bytes));
-            shared.work.notify_one();
-        }
+        seal_record(&mut self.pending, raw, seq);
         self.next_seq = seq + 1;
         Ok(seq)
     }
 
-    /// Block until the record carrying `seq` (and, by append order,
-    /// every earlier record) is written and synced per the
-    /// [`FsyncPolicy`].
+    /// Make the record carrying `seq` (and, by append order, every
+    /// earlier record) written and synced per the [`FsyncPolicy`]:
+    /// commit everything pending, if anything is.
     ///
     /// # Errors
-    /// The write failure, when the writer could not commit the record —
-    /// the command must then NOT be applied (write-ahead discipline).
+    /// [`JournalError::SeqGap`] when `seq` was never appended (the
+    /// journal stays usable). Otherwise the sticky write failure, when
+    /// the record could not be committed — the command must then NOT be
+    /// applied (write-ahead discipline).
     pub fn wait_durable(&mut self, seq: u64) -> Result<(), JournalError> {
+        if seq > self.last_seq() {
+            return Err(JournalError::SeqGap {
+                path: self.seg_path.display().to_string(),
+                expected: self.last_seq() + 1,
+                got: seq,
+            });
+        }
+        self.commit()
+    }
+
+    /// The group commit: write every pending record with one
+    /// `write_all`, sync per policy, and move the ack watermark. A no-op
+    /// when nothing is pending; the first failure becomes sticky.
+    fn commit(&mut self) -> Result<(), JournalError> {
         if let Some(e) = &self.fail {
             return Err(e.clone());
         }
-        let (shared, _) = self.writer.as_ref().expect("journal has a live writer");
-        let mut st = lock(&shared.state);
-        while st.acked < seq && st.error.is_none() {
-            st = shared.done.wait(st).unwrap_or_else(PoisonError::into_inner);
+        let last = self.last_seq();
+        if self.acked == last {
+            return Ok(());
         }
-        if let Some(e) = &st.error {
-            let e = e.clone();
-            drop(st);
-            self.fail = Some(e.clone());
-            return Err(e);
+        let res = self.write_pending(last - self.acked);
+        match &res {
+            Ok(()) => {
+                self.pending.clear();
+                self.acked = last;
+            }
+            Err(e) => self.fail = Some(e.clone()),
+        }
+        res
+    }
+
+    /// The syscalls of one commit of `records` pending records.
+    fn write_pending(&mut self, records: u64) -> Result<(), JournalError> {
+        #[cfg(test)]
+        {
+            self.commit_syscalls.0 += 1;
+        }
+        self.file
+            .write_all(self.pending.as_bytes())
+            .map_err(|e| io_err("append", &self.seg_path, e))?;
+        let sync = match self.policy {
+            FsyncPolicy::Always => true,
+            FsyncPolicy::Interval(n) => {
+                self.unsynced += records;
+                self.unsynced >= n
+            }
+            FsyncPolicy::Never => false,
+        };
+        if sync {
+            #[cfg(test)]
+            {
+                self.commit_syscalls.1 += 1;
+            }
+            self.unsynced = 0;
+            self.file
+                .sync_data()
+                .map_err(|e| io_err("sync", &self.seg_path, e))?;
         }
         Ok(())
     }
 
-    /// Chaos hook: write only the first `keep` bytes of what
-    /// [`Journal::append_async`] would have enqueued (newline included in the
-    /// count), synced — a torn append, as a crash mid-write leaves it.
-    /// The sequence number is *not* consumed; the process is expected
-    /// to die immediately after.
+    /// `(write_all, fdatasync)` calls made by commits so far.
+    #[cfg(test)]
+    pub(crate) fn commit_syscalls(&self) -> (u64, u64) {
+        self.commit_syscalls
+    }
+
+    /// Chaos hook: commit what is pending, then write only the first
+    /// `keep` bytes of the record [`Journal::append_async`] would seal
+    /// next (newline included in the count), synced — a torn append, as
+    /// a crash mid-write leaves it. The sequence number is *not*
+    /// consumed; the process is expected to die immediately after.
     pub fn append_torn(&mut self, raw: &str, keep: usize) -> Result<(), JournalError> {
-        let mut file = self.stop_writer()?;
-        let res = (|| {
-            let rec = seal(vec![
-                ("line".into(), Value::Str(raw.into())),
-                ("seq".into(), Value::Num(self.next_seq as f64)),
-            ]);
-            let mut bytes = rec.compact().into_bytes();
-            bytes.push(b'\n');
-            let keep = keep.min(bytes.len().saturating_sub(1)).max(1);
-            file.write_all(&bytes[..keep])
-                .map_err(|e| io_err("append", &self.seg_path, e))?;
-            file.sync_data()
-                .map_err(|e| io_err("sync", &self.seg_path, e))
-        })();
-        self.start_writer(file)?;
-        res
+        self.commit()?;
+        let mut rec = String::new();
+        seal_record(&mut rec, raw, self.next_seq);
+        let keep = keep.min(rec.len() - 1).max(1);
+        self.file
+            .write_all(&rec.as_bytes()[..keep])
+            .map_err(|e| io_err("append", &self.seg_path, e))?;
+        self.file
+            .sync_data()
+            .map_err(|e| io_err("sync", &self.seg_path, e))
     }
 
     /// Record a snapshot covering every appended command and rotate to
@@ -820,25 +748,21 @@ impl Journal {
     /// # Errors
     /// [`JournalError::Io`] on filesystem failures.
     pub fn mark_snapshot(&mut self, snapshot_text: &str) -> Result<u64, JournalError> {
+        // Committing first makes the snapshot really cover `covered`.
+        self.commit()?;
         let covered = self.last_seq();
-        // Stopping the writer drains every queued append, so the
-        // snapshot really does cover `covered`.
-        let mut file = self.stop_writer()?;
-        let res = (|| {
-            write_atomic(&self.dir.join(snap_name(covered)), snapshot_text)?;
-            if self.next_seq > self.seg_base {
-                file.sync_data()
-                    .map_err(|e| io_err("sync", &self.seg_path, e))?;
-                let (rotated, seg_path) = Self::open_segment(&self.dir, self.next_seq)?;
-                file = rotated;
-                self.seg_path = seg_path;
-                self.seg_base = self.next_seq;
-                self.unsynced = 0;
-            }
-            Ok(())
-        })();
-        self.start_writer(file)?;
-        res.map(|()| covered)
+        write_atomic(&self.dir.join(snap_name(covered)), snapshot_text)?;
+        if self.next_seq > self.seg_base {
+            self.file
+                .sync_data()
+                .map_err(|e| io_err("sync", &self.seg_path, e))?;
+            let (file, seg_path) = Self::open_segment(&self.dir, self.next_seq)?;
+            self.file = file;
+            self.seg_path = seg_path;
+            self.seg_base = self.next_seq;
+            self.unsynced = 0;
+        }
+        Ok(covered)
     }
 
     /// Chaos hook: leave a half-written snapshot temp file (never
@@ -855,19 +779,20 @@ impl Journal {
 }
 
 impl Drop for Journal {
-    /// Drain and join the writer so a cleanly dropped journal leaves
-    /// every enqueued record on disk (an aborted *process* still loses
-    /// only unacknowledged commands — that is the contract).
+    /// Commit what is pending, so a cleanly dropped journal leaves every
+    /// appended record on disk (an aborted *process* loses the pending
+    /// run, which holds only unacknowledged commands — that is the
+    /// contract). A failure is already sticky; there is no caller left
+    /// to report it to.
     fn drop(&mut self) {
-        if self.writer.is_some() {
-            let _ = self.stop_writer();
-        }
+        let _ = self.commit();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // Test-side unwraps assume a writable temp dir — an environment
     // invariant, not a code path under test.
@@ -1018,6 +943,139 @@ mod tests {
     fn empty_dir_scans_as_no_journal() {
         let dir = tmpdir("empty");
         assert!(matches!(scan(&dir), Err(JournalError::NoJournal { .. })));
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn waiting_on_a_never_appended_seq_is_a_typed_error() {
+        let dir = tmpdir("nowait");
+        let mut j = Journal::create(&dir, FsyncPolicy::Always, "s0").unwrap();
+        match j.wait_durable(1) {
+            Err(JournalError::SeqGap { expected, got, .. }) => assert_eq!((expected, got), (1, 1)),
+            other => panic!("expected SeqGap, got {other:?}"),
+        }
+        append(&mut j, "a");
+        assert!(matches!(
+            j.wait_durable(5),
+            Err(JournalError::SeqGap {
+                expected: 2,
+                got: 5,
+                ..
+            })
+        ));
+        // Not sticky: the journal keeps working.
+        assert_eq!(append(&mut j, "b"), 2);
+        assert_eq!(scan(&dir).unwrap().lines, vec!["a", "b"]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// The group commit's syscall count: one `write_all` and at most one
+    /// `fdatasync` per wait that finds pending records, none otherwise.
+    #[test]
+    fn one_write_and_at_most_one_sync_per_commit() {
+        for (policy, tag) in [
+            (FsyncPolicy::Always, "always"),
+            (FsyncPolicy::Interval(5), "interval"),
+            (FsyncPolicy::Never, "never"),
+        ] {
+            let dir = tmpdir(&format!("count-{tag}"));
+            let mut j = Journal::create(&dir, policy, "s0").unwrap();
+            let mut syncs = 0;
+            for batch in 1..=6u64 {
+                let mut last = 0;
+                for i in 0..batch {
+                    last = j.append_async(&format!("cmd {batch}.{i}")).unwrap();
+                }
+                assert_eq!(
+                    j.commit_syscalls(),
+                    (batch - 1, syncs),
+                    "{policy}: appends alone"
+                );
+                j.wait_durable(last).unwrap();
+                let (writes, now_syncs) = j.commit_syscalls();
+                assert_eq!(writes, batch, "{policy}: one write per commit");
+                assert!(now_syncs - syncs <= 1, "{policy}: at most one sync");
+                syncs = now_syncs;
+                // Nothing pending: no syscall at all.
+                j.wait_durable(last).unwrap();
+                assert_eq!(j.commit_syscalls(), (batch, syncs), "{policy}: idle wait");
+            }
+            // 21 records in batches of 1..=6: every batch syncs under
+            // `always`; `interval:5` syncs once the carry reaches 5
+            // (after batches 3, 5 and 6); `never` never does.
+            let want = match policy {
+                FsyncPolicy::Always => 6,
+                FsyncPolicy::Interval(_) => 3,
+                FsyncPolicy::Never => 0,
+            };
+            assert_eq!(syncs, want, "{policy}");
+            assert_eq!(scan(&dir).unwrap().last_seq, 21);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// Raw lines with what sealing must escape: quotes, backslashes,
+    /// control chars and multibyte chars.
+    fn raw_line() -> impl Strategy<Value = String> {
+        prop::collection::vec((0u8..4, 0u32..0x11_0000), 0..40).prop_map(|cs| {
+            cs.into_iter()
+                .map(|(kind, code)| match kind {
+                    0 => ['"', '\\', '{', ':'][code as usize % 4],
+                    1 => char::from_u32(code % 0x20).expect("control char"),
+                    2 => char::from_u32(0x20 + code % 0x5f).expect("printable ASCII"),
+                    _ => char::from_u32(code).unwrap_or('µ'),
+                })
+                .collect()
+        })
+    }
+
+    /// The `Value` path `seal_record` replaced for command records.
+    fn value_sealed(raw: &str, seq: u64) -> String {
+        let rec = seal(vec![
+            ("line".into(), Value::Str(raw.into())),
+            ("seq".into(), Value::Num(seq as f64)),
+        ]);
+        rec.compact() + "\n"
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1000))]
+
+        #[test]
+        fn byte_sealed_records_equal_value_sealed(
+            raw in raw_line(),
+            seq in 0u64..(1 << 53),
+            small in 0u64..1000,
+        ) {
+            for seq in [seq, small] {
+                let mut out = String::from("prefix\n");
+                seal_record(&mut out, &raw, seq);
+                prop_assert_eq!(&out["prefix\n".len()..], value_sealed(&raw, seq));
+            }
+        }
+    }
+
+    /// A segment written through the byte path is what the `Value` path
+    /// would have written, and scans back to the raw lines.
+    #[test]
+    fn written_segment_matches_value_sealing_and_scans_back() {
+        let dir = tmpdir("bytes");
+        let raws = [
+            r#"{"cmd":"submit","time":0,"cpu":0.5,"mem":0.25,"runtime":600}"#,
+            "tab\there \"quoted\" back\\slash\nnewline \u{1} µ 漢 🦀",
+            "",
+        ];
+        let mut j = Journal::create(&dir, FsyncPolicy::Never, "s0").unwrap();
+        for raw in raws {
+            j.append_async(raw).unwrap();
+        }
+        j.wait_durable(3).unwrap();
+        let mut want = segment_header(1);
+        for (i, raw) in raws.iter().enumerate() {
+            want += &value_sealed(raw, i as u64 + 1);
+        }
+        assert_eq!(fs::read_to_string(dir.join(seg_name(1))).unwrap(), want);
+        assert_eq!(scan(&dir).unwrap().lines, raws);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -347,9 +347,9 @@ impl Daemon {
 
     /// Process a run of command lines — the daemon's one command loop.
     /// Each line is parsed once. Consecutive journaled commands are
-    /// staged with one asynchronous append each, made durable together
-    /// with a **single** wait on the journal's writer (one batched
-    /// write, at most one fsync), and only then applied in order. Any
+    /// staged with one buffered append each, made durable together
+    /// with a **single** journal commit (one write, at most one
+    /// fsync), and only then applied in order. Any
     /// other line — blank, comment, malformed, oversize, or a command
     /// that is not journaled — first flushes the staged run, so the
     /// events are byte for byte what one line at a time would produce.
@@ -413,8 +413,9 @@ impl Daemon {
                 ChaosAction::CrashBefore => Ok(()),
                 ChaosAction::Torn { keep } => j.append_torn(line, keep),
                 ChaosAction::CrashAfter => j.append_async(line).and_then(|seq| j.wait_durable(seq)),
-                // The writer may or may not get this record to disk
-                // before the process dies; the staged run dies unapplied.
+                // The record joins the uncommitted staged run, which dies
+                // unapplied: an in-process drop of the daemon commits
+                // the run, an aborted process loses it.
                 ChaosAction::CrashStaged => {
                     let _ = j.append_async(line);
                     Ok(())
@@ -468,8 +469,8 @@ impl Daemon {
         Ok(Some((cmd, v, line)))
     }
 
-    /// Make every staged command durable with one wait on the writer,
-    /// then apply them in order, appending each command's events.
+    /// Make every staged command durable with one journal commit, then
+    /// apply them in order, appending each command's events.
     fn flush(&mut self, staged: &mut Vec<Staged>, out: &mut Vec<(Vec<Value>, Flow)>) {
         let durable = match (staged.last().and_then(|s| s.seq), &mut self.journal) {
             (Some(seq), Some(j)) => j.wait_durable(seq).map_err(|e| e.to_string()),
@@ -1083,6 +1084,29 @@ mod tests {
             ),
             "{err}"
         );
+    }
+
+    /// A batch of journaled commands is one group commit: one write and
+    /// one fsync under `always`, however many lines it holds.
+    #[test]
+    fn a_batch_of_submits_commits_once() {
+        let dir = std::env::temp_dir().join(format!("dfrs-serve-commit-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut d = daemon("fcfs");
+        d.attach_journal(&dir, FsyncPolicy::Always).unwrap();
+        let batch: Vec<String> = (0..64)
+            .map(|i| format!(r#"{{"cmd":"submit","time":{i},"cpu":0.5,"mem":0.2,"runtime":10}}"#))
+            .collect();
+        let out = d.handle_batch(&batch);
+        assert_eq!(out.len(), 64);
+        assert!(out
+            .iter()
+            .all(|(ev, _)| ev[0].get("event").unwrap().as_str() == Some("submitted")));
+        let j = d.journal.as_ref().unwrap();
+        assert_eq!(j.last_seq(), 64);
+        assert_eq!(j.commit_syscalls(), (1, 1));
+        drop(d);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -351,10 +351,14 @@ fn batched_path_matches_sequential_bytes_and_journal() {
 }
 
 /// The crash window only the batched path has: commands staged after a
-/// group-commit append but never acknowledged or applied. The journal
-/// (drained by the drop, as a real crash's completed writes would be)
-/// replays them exactly once; resuming the script after the crashed
-/// command converges on the reference state for every staged position.
+/// group-commit append but never acknowledged or applied. How the
+/// daemon dies decides whether the staged run is durable: dropping it
+/// in-process commits the run, which recovery then replays exactly
+/// once; an aborted process (emulated by leaking the daemon, so no
+/// destructor runs) loses the run, and recovery ends at the last
+/// acknowledged command. Either way, re-sending the script from the
+/// first command the journal lacks converges on the reference state
+/// for every staged position.
 #[test]
 fn batch_crash_between_append_and_ack_recovers() {
     // Reference: the final stats of an undisturbed batched run.
@@ -366,37 +370,45 @@ fn batch_crash_between_append_and_ack_recovers() {
     };
 
     for at in 1..=mutating_count() {
-        let dir = tmpdir("bcrash");
-        let mut d = daemon_with_journal(&dir);
-        d.set_chaos(format!("batch-crash:{at}").parse().unwrap());
-        // The whole script in ONE batch: every journaled command since
-        // the last boundary is staged (appended asynchronously) and
-        // none of them applied when the crash fires.
-        let out = d.handle_batch(SCRIPT);
-        let (ev, flow) = out.last().unwrap();
-        assert_eq!(*flow, Flow::Crashed, "batch-crash:{at} must fire");
-        assert!(ev.is_empty(), "a crash must not acknowledge");
-        // Dropping the daemon is the kill; the journal drains its
-        // writer queue, so every staged command is durable.
-        drop(d);
+        for abort in [false, true] {
+            let plan = format!("batch-crash:{at} (abort: {abort})");
+            let dir = tmpdir("bcrash");
+            let mut d = daemon_with_journal(&dir);
+            d.set_chaos(format!("batch-crash:{at}").parse().unwrap());
+            // The whole script in ONE batch: every journaled command
+            // since the last boundary is staged (appended, uncommitted)
+            // and none of them applied when the crash fires.
+            let out = d.handle_batch(SCRIPT);
+            let (ev, flow) = out.last().unwrap();
+            assert_eq!(*flow, Flow::Crashed, "{plan} must fire");
+            assert!(ev.is_empty(), "a crash must not acknowledge");
+            // Lines answered before the crash: everything up to the
+            // last boundary; the staged run follows them.
+            let answered = out.len() - 1;
+            let acked = SCRIPT[..answered].iter().filter(|l| journaled(l)).count() as u64;
+            let (want_seq, resume) = if abort {
+                std::mem::forget(d);
+                (acked, answered)
+            } else {
+                drop(d);
+                (at, crash_line(&format!("batch-crash:{at}")) + 1)
+            };
 
-        let (mut d, recovery) = Daemon::recover(&dir, FsyncPolicy::Always)
-            .unwrap_or_else(|e| panic!("batch-crash:{at}: {e}"));
-        assert_eq!(
-            recovery.last_seq, at,
-            "batch-crash:{at}: every staged command is durable, nothing more"
-        );
-        assert_eq!(
-            recovery.replayed,
-            at - recovery.covered,
-            "batch-crash:{at}: the whole suffix replays exactly once"
-        );
-        // Standard WAL client protocol: resume after the last staged
-        // (= now replayed) command.
-        let out = d.handle_batch(&SCRIPT[crash_line(&format!("batch-crash:{at}")) + 1..]);
-        let got = compacts(&out.last().unwrap().0);
-        assert_eq!(got, want_stats, "batch-crash:{at}: state diverged");
-        let _ = std::fs::remove_dir_all(&dir);
+            let (mut d, recovery) = Daemon::recover(&dir, FsyncPolicy::Always)
+                .unwrap_or_else(|e| panic!("{plan}: {e}"));
+            assert_eq!(recovery.last_seq, want_seq, "{plan}: journal end");
+            assert_eq!(
+                recovery.replayed,
+                want_seq - recovery.covered,
+                "{plan}: the whole suffix replays exactly once"
+            );
+            // Standard WAL client protocol: re-send from the first
+            // command the journal does not hold.
+            let out = d.handle_batch(&SCRIPT[resume..]);
+            let got = compacts(&out.last().unwrap().0);
+            assert_eq!(got, want_stats, "{plan}: state diverged");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
     let _ = std::fs::remove_dir_all(&refdir);
 }
