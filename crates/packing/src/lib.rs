@@ -27,8 +27,8 @@
 //!   `DYNMCB8-STRETCH-PER`;
 //! * [`drf_search::max_min_dominant_share`] — the analogous search
 //!   maximizing the minimum dominant share (DRF) over three resources;
-//! * [`memo::RepackMemo`] — replay of searches and probes whose exact
-//!   inputs recur across scheduling events;
+//! * [`memo::RepackMemo`] — replay of yield searches whose exact inputs
+//!   recur across scheduling events;
 //! * [`bounds`] — lower bounds on the bins an instance needs.
 //!
 //! The three searches are one sequential bisection (probe the ideal
@@ -74,9 +74,7 @@ pub use drf_search::{
 pub use fit::{BestFitDecreasing, FirstFitDecreasing};
 pub use item::{Bin, PackItem, Packing, VectorPacker};
 pub use mcb8::Mcb8;
-pub use memo::{
-    max_min_yield_warm, min_max_estimated_stretch_warm, MemoStats, RepackMemo, UNIT_CAPS,
-};
+pub use memo::{max_min_yield_warm, MemoStats, RepackMemo, UNIT_CAPS};
 pub use scratch::{PackScratch, SearchScratch};
 pub use stretch_search::{
     min_max_estimated_stretch, min_max_estimated_stretch_with, StretchAllocation, StretchJob,

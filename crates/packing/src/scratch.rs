@@ -58,17 +58,10 @@ pub struct SearchScratch {
     pub(crate) pack: PackScratch,
     /// `bin_of` of the best feasible probe so far.
     pub(crate) best: Vec<u32>,
-    /// Runs of the most recent *feasible* probe (stretch search:
-    /// clamping makes distinct targets produce identical instances, so
-    /// an equality check can reuse the cached verdict instead of
-    /// packing again).
-    pub(crate) last_ok: Vec<(PackItem, u32)>,
-    /// Runs of the most recent *infeasible* probe.
-    pub(crate) last_fail: Vec<(PackItem, u32)>,
-    /// Monotone count of packer invocations made through this scratch —
-    /// the denominator of the warm-start accounting in
-    /// [`crate::RepackMemo`]. Never read by the searches themselves.
-    pub(crate) packs: u64,
+    /// Monotone count of packer invocations made through this scratch
+    /// (replays from [`crate::RepackMemo`] pack nothing and add
+    /// nothing). Never read by the searches themselves.
+    pub packs: u64,
 }
 
 impl SearchScratch {

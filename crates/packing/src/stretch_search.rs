@@ -64,23 +64,16 @@ fn clamped_yield(j: &StretchJob, target: f64, period: f64) -> f64 {
 }
 
 /// Expand jobs into per-job item runs at estimate bound `target`.
-/// Returns whether every yield landed on a clamp boundary (the floor or
-/// 1.0): such instances are pure functions of the job *set* — time
-/// never enters — which is what makes them memoizable across events
-/// ([`crate::memo`]).
-pub(crate) fn fill_runs_at_target(
+fn fill_runs_at_target(
     jobs: &[StretchJob],
     target: f64,
     period: f64,
     runs: &mut Vec<(PackItem, u32)>,
-) -> bool {
+) {
     runs.clear();
-    let mut fully_clamped = true;
     let mut id = 0u32;
     for j in jobs {
-        let y = clamped_yield(j, target, period);
-        fully_clamped &= y == MIN_STRETCH_PER_YIELD || y == 1.0;
-        let cpu = (j.cpu_need * y).min(1.0);
+        let cpu = (j.cpu_need * clamped_yield(j, target, period)).min(1.0);
         runs.push((
             PackItem {
                 id,
@@ -91,7 +84,6 @@ pub(crate) fn fill_runs_at_target(
         ));
         id += j.tasks;
     }
-    fully_clamped
 }
 
 /// Minimize the estimated max stretch over the next period.
@@ -129,105 +121,6 @@ pub fn min_max_estimated_stretch_with(
     accuracy: f64,
     scratch: &mut SearchScratch,
 ) -> Option<StretchAllocation> {
-    let SearchScratch {
-        runs,
-        pack,
-        best,
-        last_ok,
-        last_fail,
-        packs,
-        ..
-    } = scratch;
-    last_ok.clear();
-    last_fail.clear();
-    let mut probes = LocalProbes {
-        packer,
-        runs,
-        pack,
-        last_ok,
-        last_fail,
-        packs,
-    };
-    search_with(jobs, nodes, period, accuracy, &mut probes, best)
-}
-
-/// A probe oracle for [`search_with`]: the pack verdict of the item
-/// instance a `(jobs, target)` pair expands to. The contract that keeps
-/// every backend byte-identical to a pack-per-probe loop: the returned
-/// verdict must equal what [`VectorPacker::pack_runs_into`] would return
-/// on that instance, and after a `true` verdict `best` must hold exactly
-/// the `bin_of` that pack would produce. Backends may replay cached
-/// verdicts/assignments because the packer is a deterministic pure
-/// function of `(runs, nodes)` — a replay is indistinguishable from a
-/// fresh pack.
-pub(crate) trait StretchProbes {
-    /// Verdict at `target`; on `true`, leave the instance's assignment
-    /// in `best`.
-    fn probe(
-        &mut self,
-        jobs: &[StretchJob],
-        target: f64,
-        period: f64,
-        nodes: usize,
-        best: &mut Vec<u32>,
-    ) -> bool;
-}
-
-/// The allocation-free single-search backend: packs every genuinely new
-/// instance, short-circuiting only on the two most recent instances of
-/// *this* search. Yield clamping (floor 0.01, cap 1) makes distinct
-/// targets produce byte-identical item instances once every job
-/// saturates, so the single-entry caches absorb most of the saturated
-/// bracket end.
-struct LocalProbes<'a> {
-    packer: &'a dyn VectorPacker,
-    runs: &'a mut Vec<(PackItem, u32)>,
-    pack: &'a mut crate::scratch::PackScratch,
-    last_ok: &'a mut Vec<(PackItem, u32)>,
-    last_fail: &'a mut Vec<(PackItem, u32)>,
-    packs: &'a mut u64,
-}
-
-impl StretchProbes for LocalProbes<'_> {
-    fn probe(
-        &mut self,
-        jobs: &[StretchJob],
-        target: f64,
-        period: f64,
-        nodes: usize,
-        best: &mut Vec<u32>,
-    ) -> bool {
-        let _ = fill_runs_at_target(jobs, target, period, self.runs);
-        if self.runs == self.last_ok {
-            // The probe that populated `last_ok` already left this
-            // instance's assignment in `best`.
-            return true;
-        }
-        if self.runs == self.last_fail {
-            return false;
-        }
-        *self.packs += 1;
-        let ok = self.packer.pack_runs_into(self.runs, nodes, self.pack);
-        if ok {
-            self.last_ok.clone_from(self.runs);
-            best.clear();
-            best.extend_from_slice(self.pack.bin_of());
-        } else {
-            self.last_fail.clone_from(self.runs);
-        }
-        ok
-    }
-}
-
-/// The bisection core shared by the cold and warm entry points.
-pub(crate) fn search_with(
-    jobs: &[StretchJob],
-    nodes: usize,
-    period: f64,
-    accuracy: f64,
-    probes: &mut dyn StretchProbes,
-    best: &mut Vec<u32>,
-) -> Option<StretchAllocation> {
     debug_assert!(period > 0.0 && accuracy > 0.0);
     if jobs.is_empty() {
         return Some(StretchAllocation {
@@ -251,13 +144,28 @@ pub(crate) fn search_with(
         .fold(f64::NEG_INFINITY, f64::max)
         .max(s_min);
 
+    let SearchScratch {
+        runs,
+        pack,
+        best,
+        packs,
+    } = scratch;
     // `s_min` is the ideal, `s_max` the floor: the feasible end of the
     // bracket is the upper one here.
     let (target, _) = bisect(
         s_min,
         s_max,
         |hi, lo| hi - lo > accuracy * lo.max(1.0),
-        |target| probes.probe(jobs, target, period, nodes, best),
+        |target| {
+            fill_runs_at_target(jobs, target, period, runs);
+            *packs += 1;
+            let ok = packer.pack_runs_into(runs, nodes, pack);
+            if ok {
+                best.clear();
+                best.extend_from_slice(pack.bin_of());
+            }
+            ok
+        },
     )?;
     let yields = jobs
         .iter()

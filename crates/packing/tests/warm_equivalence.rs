@@ -7,10 +7,7 @@
 //! `DynMCB8*` schedulers cannot move a byte of any `SimOutcome`.
 
 use dfrs_core::ids::JobId;
-use dfrs_packing::{
-    max_min_yield, max_min_yield_warm, min_max_estimated_stretch, min_max_estimated_stretch_warm,
-    JobLoad, Mcb8, RepackMemo, SearchScratch, StretchJob,
-};
+use dfrs_packing::{max_min_yield, max_min_yield_warm, JobLoad, Mcb8, RepackMemo, SearchScratch};
 use proptest::prelude::*;
 
 /// One event in a synthetic scheduler history.
@@ -125,44 +122,6 @@ proptest! {
         }
     }
 
-    /// Stretch search: warm results equal cold results while flow and
-    /// virtual times drift between events (this exercises the probe
-    /// ring: fully clamped instances recur, everything else must run
-    /// fresh).
-    #[test]
-    fn warm_stretch_search_equals_cold_across_deltas(
-        deltas in arb_deltas(16),
-        nodes in 1usize..8,
-        start_flows in prop::collection::vec(0.0f64..5e4, 64),
-        vt_rates in prop::collection::vec(0.0f64..=1.0, 64),
-    ) {
-        let mut scratch = SearchScratch::new();
-        let mut memo = RepackMemo::new();
-        let period = 600.0;
-        for (tick, step) in histories(&deltas).into_iter().enumerate() {
-            let now = tick as f64 * period;
-            let jobs: Vec<StretchJob> = step
-                .iter()
-                .map(|&(id, tasks, cpu, mem)| {
-                    let i = id as usize % start_flows.len();
-                    StretchJob {
-                        job: JobId(id),
-                        tasks,
-                        cpu_need: cpu,
-                        mem_req: mem,
-                        flow_time: start_flows[i] + now,
-                        virtual_time: vt_rates[i] * now,
-                    }
-                })
-                .collect();
-            let cold = min_max_estimated_stretch(&jobs, nodes, period, &Mcb8, 0.01);
-            let warm = min_max_estimated_stretch_warm(
-                &jobs, nodes, period, &Mcb8, 0.01, &mut scratch, &mut memo,
-            );
-            prop_assert_eq!(warm, cold, "jobs {:?} nodes {}", jobs, nodes);
-        }
-    }
-
     /// Platform churn: NodeDown/NodeUp events interleaved into a random
     /// job history vary the available bin count mid-run — exactly what
     /// the schedulers' available-node slicing feeds the searches. Warm
@@ -208,57 +167,6 @@ proptest! {
             let cold = max_min_yield(&jobs, avail, &Mcb8, 0.01, 0.01);
             let warm = max_min_yield_warm(
                 &jobs, avail, &Mcb8, 0.01, 0.01, &mut scratch, &mut memo,
-            );
-            prop_assert_eq!(warm, cold, "jobs {:?} avail {}", jobs, avail);
-        }
-    }
-
-    /// Same churn interleaving for the stretch search's probe ring.
-    #[test]
-    fn warm_stretch_search_equals_cold_under_node_churn(
-        deltas in arb_churn_deltas(20),
-        total_nodes in 2usize..8,
-        start_flows in prop::collection::vec(0.0f64..5e4, 64),
-    ) {
-        let mut scratch = SearchScratch::new();
-        let mut memo = RepackMemo::new();
-        let period = 600.0;
-        let mut live: Vec<(u32, u32, f64, f64)> = Vec::new();
-        let mut next_id = 0u32;
-        let mut avail = total_nodes;
-        for (tick, d) in deltas.iter().enumerate() {
-            let now = tick as f64 * period;
-            match d {
-                ChurnDelta::Job(Delta::Arrive(tasks, cpu, mem)) => {
-                    live.push((next_id, *tasks, *cpu, *mem));
-                    next_id += 1;
-                }
-                ChurnDelta::Job(Delta::Complete(k)) => {
-                    if !live.is_empty() {
-                        let k = k % live.len();
-                        live.remove(k);
-                    }
-                }
-                ChurnDelta::NodeDown => avail = avail.saturating_sub(1).max(1),
-                ChurnDelta::NodeUp => avail = (avail + 1).min(total_nodes),
-            }
-            let jobs: Vec<StretchJob> = live
-                .iter()
-                .map(|&(id, tasks, cpu, mem)| {
-                    let i = id as usize % start_flows.len();
-                    StretchJob {
-                        job: JobId(id),
-                        tasks,
-                        cpu_need: cpu,
-                        mem_req: mem,
-                        flow_time: start_flows[i] + now,
-                        virtual_time: 0.25 * now,
-                    }
-                })
-                .collect();
-            let cold = min_max_estimated_stretch(&jobs, avail, period, &Mcb8, 0.01);
-            let warm = min_max_estimated_stretch_warm(
-                &jobs, avail, period, &Mcb8, 0.01, &mut scratch, &mut memo,
             );
             prop_assert_eq!(warm, cold, "jobs {:?} avail {}", jobs, avail);
         }

@@ -125,20 +125,13 @@ impl RepackScratch {
 
     /// The warm-start accounting in the engine's vocabulary.
     pub(crate) fn stats(&self) -> RepackStats {
-        memo_stats(&self.memo)
-    }
-}
-
-/// Map `dfrs_packing`'s memo counters into the engine-facing
-/// [`RepackStats`] (probe hits fold into `packs_saved`, where they
-/// already count).
-pub(crate) fn memo_stats(memo: &RepackMemo) -> RepackStats {
-    let s = memo.stats();
-    RepackStats {
-        searches: s.searches,
-        search_hits: s.search_hits,
-        packs: s.packs,
-        packs_saved: s.packs_saved,
+        let s = self.memo.stats();
+        RepackStats {
+            searches: s.searches,
+            search_hits: s.search_hits,
+            packs: s.packs,
+            packs_saved: s.packs_saved,
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 use dfrs_core::approx;
 use dfrs_core::constants::DEFAULT_PERIOD_SECS;
 use dfrs_core::ids::{JobId, NodeId};
-use dfrs_packing::{min_max_estimated_stretch_warm, Mcb8, RepackMemo, SearchScratch, StretchJob};
+use dfrs_packing::{min_max_estimated_stretch_with, Mcb8, SearchScratch, StretchJob};
 use dfrs_sim::{Plan, RepackStats, SchedEvent, Scheduler, SimState};
 
 use crate::evict::{EvictionFront, VictimOrder};
@@ -24,15 +24,14 @@ use crate::evict::{EvictionFront, VictimOrder};
 #[derive(Debug)]
 pub struct DynMcb8StretchPer {
     period: f64,
-    // Buffers reused across events (never observable in results).
+    // Buffers reused across events (never observable in results). The
+    // search runs cold: its inputs include flow and virtual times, which
+    // drift every tick, so whole searches never recur.
     search: SearchScratch,
-    /// Cross-tick warm-start state. Whole stretch searches never recur
-    /// (flow and virtual times drift), but the clamp-saturated probe
-    /// instances near the bracket's lax end depend only on the job set
-    /// and replay across ticks (`dfrs_packing::memo`).
-    memo: RepackMemo,
+    /// Searches run (for [`RepackStats`]; every one is cold).
+    searches: u64,
     /// Highest change epoch seen; a decrease means this instance was
-    /// reused for a fresh simulation and the memo is dropped.
+    /// reused for a fresh simulation and the platform cache is dropped.
     last_seen_epoch: u64,
     sjobs: Vec<StretchJob>,
     front: EvictionFront,
@@ -50,7 +49,7 @@ impl DynMcb8StretchPer {
         DynMcb8StretchPer {
             period,
             search: SearchScratch::new(),
-            memo: RepackMemo::new(),
+            searches: 0,
             last_seen_epoch: 0,
             sjobs: Vec::new(),
             front: EvictionFront::default(),
@@ -59,7 +58,6 @@ impl DynMcb8StretchPer {
 
     fn observe_epoch(&mut self, epoch: u64) {
         if epoch < self.last_seen_epoch {
-            self.memo.clear();
             self.front.forget_platform();
         }
         self.last_seen_epoch = self.last_seen_epoch.max(epoch);
@@ -69,15 +67,11 @@ impl DynMcb8StretchPer {
         let DynMcb8StretchPer {
             period,
             search,
-            memo,
+            searches,
             sjobs,
             front,
             ..
         } = self;
-        // Fold the available-node-set identity into every memo
-        // fingerprint (see `dynmcb8::packed_allocation`): entries from
-        // other memberships never answer, returning identities resume.
-        memo.set_caps_identity(front.platform_identity(state));
         let alloc = front.pack(state, VictimOrder::Priority, |candidates, nodes| {
             sjobs.clear();
             sjobs.extend(candidates.iter().map(|&id| {
@@ -91,7 +85,8 @@ impl DynMcb8StretchPer {
                     virtual_time: j.virtual_time,
                 }
             }));
-            min_max_estimated_stretch_warm(sjobs, nodes, *period, &Mcb8, 0.01, search, memo)
+            *searches += 1;
+            min_max_estimated_stretch_with(sjobs, nodes, *period, &Mcb8, 0.01, search)
         });
         let mut plan = front.plan(state, &alloc.bins, |i| alloc.assignments[i].1);
         let nodes = state.cluster.nodes().len();
@@ -181,16 +176,18 @@ impl Scheduler for DynMcb8StretchPer {
         self.observe_epoch(state.change_epoch());
         match ev {
             SchedEvent::Tick => self.repack(state),
-            // Periodic semantics: victims wait for the next tick. The
-            // memo is left alone — its entries are keyed by the
-            // available-node-set identity (set at each repack), so the
-            // vanished membership's entries simply stop matching.
+            // Periodic semantics: victims wait for the next tick.
             SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => Plan::noop(),
             _ => Plan::noop(),
         }
     }
     fn repack_stats(&self) -> Option<RepackStats> {
-        Some(crate::dynmcb8::memo_stats(&self.memo))
+        Some(RepackStats {
+            searches: self.searches,
+            search_hits: 0,
+            packs: self.search.packs,
+            packs_saved: 0,
+        })
     }
 }
 

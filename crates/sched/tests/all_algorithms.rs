@@ -159,7 +159,7 @@ fn repack_probe_counts_are_pinned() {
     let reg = dfrs_sched::SchedulerRegistry::builtin();
     for (spec, want) in [
         ("dynmcb8", (160, 497, 53, 170)),
-        ("dynmcb8-stretch-per", (92, 322, 32, 28)),
+        ("dynmcb8-stretch-per", (92, 350, 0, 0)),
         ("dynmcb8-drf", (160, 475, 0, 0)),
     ] {
         let mut sched = reg.build_str(spec).unwrap();

@@ -212,10 +212,12 @@ impl Plan {
     }
 }
 
-/// Warm-start accounting a scheduler can expose after a run (the
-/// `DynMCB8*` family reports its repack-memo counters through this; see
-/// `dfrs_packing::RepackMemo`). Purely observational: the values never
-/// influence scheduling decisions or outcomes.
+/// Search and pack accounting a scheduler can expose after a run. The
+/// yield-search `DynMCB8*` schedulers report their repack-memo counters
+/// (`dfrs_packing::RepackMemo`); the estimated-stretch and DRF searches
+/// run cold, so their hits and packs saved stay zero. Purely
+/// observational: the values never influence scheduling decisions or
+/// outcomes.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RepackStats {
     /// Allocation searches the scheduler ran.

@@ -477,7 +477,8 @@ impl SimSession {
     ///
     /// # Errors
     /// [`SimError::SnapshotMalformed`] when the document is not a
-    /// well-formed `dfrs-snapshot-v1` snapshot.
+    /// well-formed `dfrs-snapshot-v1` snapshot, including a non-finite
+    /// `now` or a queue entry that is non-finite or earlier than `now`.
     pub fn restore(v: &Value, scheduler: Box<dyn Scheduler>) -> Result<Self, SimError> {
         Self::restore_impl(v, scheduler).map_err(|detail| SimError::SnapshotMalformed { detail })
     }
@@ -491,6 +492,9 @@ impl SimSession {
         }
         let spec = str_field(v, "spec")?.to_string();
         let now = bits_field(v, "now")?;
+        if !now.is_finite() {
+            return Err(format!("snapshot: now {now} is not finite"));
+        }
 
         let cl = field(v, "cluster")?;
         let cluster_spec = ClusterSpec::new(
@@ -567,6 +571,13 @@ impl SimSession {
             let time = row[0]
                 .as_bits_f64()
                 .ok_or("snapshot: bad queue entry time")?;
+            // An entry before the clock would fire in the past; a
+            // non-finite one has no instant to fire at.
+            if !time.is_finite() || time < now {
+                return Err(format!(
+                    "snapshot: queue entry at {time} is not finite or before now {now}"
+                ));
+            }
             let eseq = as_num(&row[1], "queue entry seq")? as u64;
             let tag = row[2].as_str().ok_or("snapshot: bad queue entry kind")?;
             let arg = |what: &str| as_num(&row[3], what).map(|n| n as u32);
@@ -965,9 +976,11 @@ mod tests {
             .to_string()
             .contains("schema"));
 
-        // Queue rows that would panic on their first pop: a submission
-        // (arrivals never live in the queue) and a node outside the
-        // 4-node cluster.
+        // Documents that would panic or travel back in time: queue rows
+        // a pop cannot dispatch (a submission — arrivals never live in
+        // the queue — and a node outside the 4-node cluster), a clock
+        // that is not finite, and rows that are not finite or lie before
+        // the clock. A row at exactly `now` is legal.
         let mut s = SimSession::new(
             cluster(),
             "round-robin",
@@ -976,30 +989,45 @@ mod tests {
         );
         s.submit(job(0, 0.0, 10.0)).unwrap();
         s.drain().unwrap();
+        assert_eq!(s.now(), 10.0);
         let snap = s.snapshot().unwrap();
         assert!(SimSession::restore(&snap, Box::new(RoundRobin)).is_ok());
-        for row in [("submit", 7.0), ("down", 999.0), ("up", 4.0)] {
+        let with = |now: f64, row: Option<(f64, &str, f64)>| {
             let mut doc = snap.clone();
             let Value::Obj(top) = &mut doc else {
                 panic!("snapshot is an object")
             };
+            top.insert("now".into(), bits(now));
             let Some(Value::Obj(queue)) = top.get_mut("queue") else {
                 panic!("snapshot has a queue object")
             };
             let Some(Value::Arr(entries)) = queue.get_mut("entries") else {
                 panic!("queue has an entries array")
             };
-            entries.push(Value::Arr(vec![
-                bits(50.0),
-                Value::Num(99.0),
-                Value::Str(row.0.into()),
-                Value::Num(row.1),
-                Value::Num(0.0),
-            ]));
-            let err = SimSession::restore(&doc, Box::new(RoundRobin)).err();
+            if let Some((time, tag, arg)) = row {
+                entries.push(Value::Arr(vec![
+                    bits(time),
+                    Value::Num(99.0),
+                    Value::Str(tag.into()),
+                    Value::Num(arg),
+                    Value::Num(0.0),
+                ]));
+            }
+            SimSession::restore(&doc, Box::new(RoundRobin)).err()
+        };
+        assert_eq!(with(10.0, Some((10.0, "tick", 0.0))), None);
+        for (now, row) in [
+            (10.0, Some((50.0, "submit", 7.0))),
+            (10.0, Some((50.0, "down", 999.0))),
+            (10.0, Some((50.0, "up", 4.0))),
+            (f64::INFINITY, None),
+            (10.0, Some((f64::NAN, "tick", 0.0))),
+            (10.0, Some((5.0, "tick", 0.0))),
+        ] {
+            let err = with(now, row);
             assert!(
                 matches!(err, Some(SimError::SnapshotMalformed { .. })),
-                "{row:?} row restored: {err:?}"
+                "now {now}, row {row:?} restored: {err:?}"
             );
         }
     }
