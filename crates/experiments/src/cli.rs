@@ -42,6 +42,26 @@ pub fn parse_failure_policy(s: &str) -> Result<FailurePolicy, String> {
     }
 }
 
+/// Split an `--algo` list at its commas. A fragment that starts with
+/// `name=` (no `:` before its first `=`) continues the previous spec's
+/// parameter list, so `dynmcb8-per:t=60,packer=ffd,fcfs` is two specs.
+fn split_specs(list: &str) -> Vec<String> {
+    let mut specs: Vec<String> = Vec::new();
+    for frag in list.split(',') {
+        let continues = frag
+            .split_once('=')
+            .is_some_and(|(head, _)| !head.contains(':'));
+        match specs.last_mut() {
+            Some(spec) if continues => {
+                spec.push(',');
+                spec.push_str(frag);
+            }
+            _ => specs.push(frag.to_string()),
+        }
+    }
+    specs
+}
+
 /// Options common to all experiment binaries.
 #[derive(Debug, Clone)]
 pub struct Opts {
@@ -133,9 +153,9 @@ impl Opts {
             match arg.as_str() {
                 "--algo" => {
                     let reg = SchedulerRegistry::builtin();
-                    for part in grab()?.split(',') {
+                    for part in split_specs(&grab()?) {
                         o.algos
-                            .push(reg.parse(part).map_err(|e| format!("--algo: {e}"))?);
+                            .push(reg.parse(&part).map_err(|e| format!("--algo: {e}"))?);
                     }
                 }
                 "--instances" => o.instances = grab()?.parse().map_err(|e| format!("{e}"))?,
@@ -225,7 +245,7 @@ impl Opts {
 pub const USAGE: &str = "\
 Options:
   --algo S1,S2,..   scheduler specs to run instead of the default set
-                    (any registry spec, e.g. dynmcb8-per:t=60)
+                    (any registry spec, e.g. dynmcb8-per:t=60,packer=ffd)
   --instances N     base synthetic traces (default 10; paper: 100)
   --jobs N          jobs per synthetic trace (default 400; paper: 1000)
   --loads L1,L2,..  offered loads (default 0.1..0.9)
@@ -367,6 +387,30 @@ mod tests {
         let o = parse(&["--algo", "fcfs", "--shards", "1"]).unwrap();
         assert_eq!(o.specs_or(&Algorithm::ALL)[0].to_string(), "fcfs");
         assert!(parse(&["--shards", "0"]).is_err());
+    }
+
+    #[test]
+    fn algo_list_keeps_multi_parameter_specs_whole() {
+        let o = parse(&[
+            "--algo",
+            "fcfs,dynmcb8-fair-per:t=300,alpha=0.5,dynmcb8-per:packer=ffd,t=60,DynMCB8-per 600",
+        ])
+        .unwrap();
+        let specs: Vec<String> = o.algos.iter().map(|s| s.to_string()).collect();
+        assert_eq!(
+            specs,
+            [
+                "fcfs",
+                "dynmcb8-fair-per:alpha=0.5,t=300",
+                "dynmcb8-per:packer=ffd,t=60",
+                "dynmcb8-per:t=600",
+            ]
+        );
+        let o = parse(&["--algo", "sharded:dynmcb8-per:packer=ffd,t=300:shards=4"]).unwrap();
+        assert_eq!(
+            o.algos[0].to_string(),
+            "sharded:dynmcb8-per:packer=ffd,t=300:shards=4"
+        );
     }
 
     #[test]

@@ -25,42 +25,68 @@
 //! key) — the biggest bottleneck consumer yields capacity, mirroring
 //! how DRF charges each job by its dominant resource.
 //!
-//! * [`DynMcb8Drf`] repacks at every submission, completion, and
-//!   platform event (the `DYNMCB8` cadence);
-//! * [`DynMcb8DrfPer`] repacks every `T` seconds (the `DYNMCB8-PER`
-//!   cadence; arrivals and failure victims wait for the next tick).
+//! The objective runs under two triggers: `dynmcb8-drf` repacks at
+//! every submission, completion, and platform event (the `DYNMCB8`
+//! cadence); `dynmcb8-drf-per` every `T` seconds (the `DYNMCB8-PER`
+//! cadence; arrivals and failure victims wait for the next tick).
 
-use dfrs_core::constants::{DEFAULT_PERIOD_SECS, MIN_STRETCH_PER_YIELD, YIELD_SEARCH_ACCURACY};
+use dfrs_core::constants::{MIN_STRETCH_PER_YIELD, YIELD_SEARCH_ACCURACY};
 use dfrs_packing::{max_min_dominant_share, DrfJob, DrfSearchScratch};
-use dfrs_sim::{Plan, RepackStats, SchedEvent, Scheduler, SimState};
+use dfrs_sim::{Plan, RepackStats, SimState};
 
+use crate::dynmcb8::Objective;
 use crate::evict::{EvictionFront, VictimOrder};
 
-/// Reusable buffers for the DRF repack pipeline, plus the clean-epoch
-/// skip shared with the classic family. The DRF search runs cold (no
-/// warm-start memo yet): its per-job yields make result replay a
-/// different, larger state than the uniform-yield memo covers.
+/// The DRF objective: eviction front (DRF preemption ordering) and
+/// dominant-share bisection, then a plan with **per-job** yields (no
+/// uniform-yield improvement pass — the search already assigns each job
+/// the yield its dominant demand warrants, and a CPU-only improvement
+/// step would skew the GPU shares it just balanced). The search runs
+/// cold: its per-job yields make result replay a different, larger
+/// state than the uniform-yield memo covers.
 #[derive(Debug, Default)]
-struct DrfRepackScratch {
-    front: EvictionFront,
+pub(crate) struct DominantShare {
     search: DrfSearchScratch,
     djobs: Vec<DrfJob>,
     /// Searches run (for [`RepackStats`]; every one is cold).
     searches: u64,
-    /// Epoch of the last eviction-free repack (see
-    /// `dynmcb8::RepackScratch::last_clean_epoch` for the argument).
-    last_clean_epoch: Option<u64>,
-    /// New-run detection, as in `dynmcb8::RepackScratch`.
-    last_seen_epoch: u64,
 }
 
-impl DrfRepackScratch {
-    fn observe_epoch(&mut self, epoch: u64) {
-        if epoch < self.last_seen_epoch {
-            self.last_clean_epoch = None;
-            self.front.forget_platform();
-        }
-        self.last_seen_epoch = self.last_seen_epoch.max(epoch);
+impl Objective for DominantShare {
+    const TIME_FREE: bool = true;
+
+    fn name_parts(&self) -> (&'static str, String) {
+        ("-drf", String::new())
+    }
+
+    fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan {
+        let DominantShare {
+            search,
+            djobs,
+            searches,
+        } = self;
+        let alloc = front.pack(state, VictimOrder::DominantDemand, |candidates, nodes| {
+            djobs.clear();
+            djobs.extend(candidates.iter().map(|&id| {
+                let s = &state.job(id).spec;
+                DrfJob {
+                    job: id,
+                    tasks: s.tasks,
+                    cpu_need: s.cpu_need,
+                    mem_req: s.mem_req,
+                    gpu_need: s.gpu_need,
+                }
+            }));
+            *searches += 1;
+            max_min_dominant_share(
+                djobs,
+                nodes,
+                YIELD_SEARCH_ACCURACY,
+                MIN_STRETCH_PER_YIELD,
+                search,
+            )
+        });
+        front.plan(state, &alloc.bins, |i| alloc.allocations[i].1)
     }
 
     fn stats(&self) -> RepackStats {
@@ -73,136 +99,9 @@ impl DrfRepackScratch {
     }
 }
 
-/// The DRF repack pipeline: eviction front (DRF preemption ordering)
-/// and dominant-share bisection, then a plan with **per-job** yields (no
-/// uniform-yield improvement pass — the search already assigns each job
-/// the yield its dominant demand warrants, and a CPU-only improvement
-/// step would skew the GPU shares it just balanced).
-fn drf_repack_all(state: &SimState, scratch: &mut DrfRepackScratch) -> Plan {
-    let epoch = state.change_epoch();
-    if scratch.last_clean_epoch == Some(epoch) {
-        return Plan::noop();
-    }
-    let DrfRepackScratch {
-        front,
-        search,
-        djobs,
-        searches,
-        ..
-    } = scratch;
-    let alloc = front.pack(state, VictimOrder::DominantDemand, |candidates, nodes| {
-        djobs.clear();
-        djobs.extend(candidates.iter().map(|&id| {
-            let s = &state.job(id).spec;
-            DrfJob {
-                job: id,
-                tasks: s.tasks,
-                cpu_need: s.cpu_need,
-                mem_req: s.mem_req,
-                gpu_need: s.gpu_need,
-            }
-        }));
-        *searches += 1;
-        max_min_dominant_share(
-            djobs,
-            nodes,
-            YIELD_SEARCH_ACCURACY,
-            MIN_STRETCH_PER_YIELD,
-            search,
-        )
-    });
-
-    scratch.last_clean_epoch = front.kept_all(state).then_some(epoch);
-    front.plan(state, &alloc.bins, |i| alloc.allocations[i].1)
-}
-
-/// `DYNMCB8-DRF`: dominant-share repack at every submission,
-/// completion, and platform event.
-#[derive(Debug, Default)]
-pub struct DynMcb8Drf {
-    scratch: DrfRepackScratch,
-}
-
-impl DynMcb8Drf {
-    /// Fresh instance.
-    pub fn new() -> Self {
-        DynMcb8Drf::default()
-    }
-}
-
-impl Scheduler for DynMcb8Drf {
-    fn name(&self) -> String {
-        "DynMCB8-drf".into()
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.scratch.observe_epoch(state.change_epoch());
-        match ev {
-            SchedEvent::Submit(_)
-            | SchedEvent::Complete(_)
-            | SchedEvent::NodeDown(_)
-            | SchedEvent::NodeUp(_) => drf_repack_all(state, &mut self.scratch),
-            _ => Plan::noop(),
-        }
-    }
-    fn repack_stats(&self) -> Option<RepackStats> {
-        Some(self.scratch.stats())
-    }
-}
-
-/// `DYNMCB8-DRF-PER-T`: dominant-share repack every `T` seconds;
-/// arrivals and failure victims wait for the next tick.
-#[derive(Debug)]
-pub struct DynMcb8DrfPer {
-    period: f64,
-    scratch: DrfRepackScratch,
-}
-
-impl DynMcb8DrfPer {
-    /// The family default, T = 600 s.
-    pub fn new() -> Self {
-        Self::with_period(DEFAULT_PERIOD_SECS)
-    }
-
-    /// Custom period.
-    pub fn with_period(period: f64) -> Self {
-        assert!(period > 0.0);
-        DynMcb8DrfPer {
-            period,
-            scratch: DrfRepackScratch::default(),
-        }
-    }
-}
-
-impl Default for DynMcb8DrfPer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for DynMcb8DrfPer {
-    fn name(&self) -> String {
-        format!("DynMCB8-drf-per {}", self.period)
-    }
-    fn period(&self) -> Option<f64> {
-        Some(self.period)
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.scratch.observe_epoch(state.change_epoch());
-        match ev {
-            SchedEvent::Tick => drf_repack_all(state, &mut self.scratch),
-            // Periodic semantics: victims wait for the next tick. The
-            // clean-epoch memo is already stale (the epoch bumped).
-            _ => Plan::noop(),
-        }
-    }
-    fn repack_stats(&self) -> Option<RepackStats> {
-        Some(self.scratch.stats())
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::dynmcb8::build;
     use dfrs_core::ids::{JobId, NodeId};
     use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
@@ -232,7 +131,7 @@ mod tests {
             job(0, 0.0, 2, 0.5, 0.4, 100.0),
             job(1, 10.0, 1, 0.5, 0.4, 50.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut DynMcb8Drf::new(), &cfg());
+        let out = simulate(cluster(), &jobs, build("dynmcb8-drf").as_mut(), &cfg());
         assert_eq!(out.max_stretch, 1.0, "underloaded cluster → no slowdown");
     }
 
@@ -242,7 +141,7 @@ mod tests {
         // dominant share is the CPU fraction → uniform yield ~0.5,
         // exactly the classic DYNMCB8 outcome.
         let jobs: Vec<JobSpec> = (0..4).map(|i| job(i, 0.0, 1, 1.0, 0.3, 100.0)).collect();
-        let out = simulate(cluster(), &jobs, &mut DynMcb8Drf::new(), &cfg());
+        let out = simulate(cluster(), &jobs, build("dynmcb8-drf").as_mut(), &cfg());
         for r in &out.records {
             assert!(
                 (r.completion - 200.0).abs() < 5.0,
@@ -262,7 +161,7 @@ mod tests {
             gpu_job(0, 0.0, 0.2, 0.3, 1.0, 100.0),
             gpu_job(1, 0.0, 0.2, 0.3, 1.0, 100.0),
         ];
-        let out = simulate(one_node, &jobs, &mut DynMcb8Drf::new(), &cfg());
+        let out = simulate(one_node, &jobs, build("dynmcb8-drf").as_mut(), &cfg());
         for r in &out.records {
             assert!(
                 (r.completion - 200.0).abs() < 5.0,
@@ -283,7 +182,7 @@ mod tests {
             gpu_job(0, 0.0, 0.1, 0.3, 0.9, 90.0),
             gpu_job(1, 0.0, 0.9, 0.3, 0.1, 90.0),
         ];
-        let out = simulate(one_node, &jobs, &mut DynMcb8Drf::new(), &cfg());
+        let out = simulate(one_node, &jobs, build("dynmcb8-drf").as_mut(), &cfg());
         for r in &out.records {
             assert!(
                 r.completion < 105.0,
@@ -302,7 +201,7 @@ mod tests {
             job(0, 0.0, 2, 0.25, 1.0, 100.0),
             job(1, 10.0, 1, 0.25, 0.5, 20.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut DynMcb8Drf::new(), &cfg());
+        let out = simulate(cluster(), &jobs, build("dynmcb8-drf").as_mut(), &cfg());
         assert!((out.records[1].first_start.unwrap() - 10.0).abs() < 1e-9);
         assert!(out.preemption_count >= 1);
         assert!((out.records[0].completion - 120.0).abs() < 1.0);
@@ -314,7 +213,7 @@ mod tests {
         let out = simulate(
             cluster(),
             &jobs,
-            &mut DynMcb8DrfPer::with_period(600.0),
+            build("dynmcb8-drf-per:t=600").as_mut(),
             &cfg(),
         );
         assert!((out.records[0].first_start.unwrap() - 600.0).abs() < 1e-9);
@@ -336,7 +235,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(), &jobs, &mut DynMcb8Drf::new(), &cfg);
+        let out = simulate(cluster(), &jobs, build("dynmcb8-drf").as_mut(), &cfg);
         assert_eq!(out.restart_count, 1, "exactly one job was on node 1");
         assert_eq!(out.records.len(), 2);
         assert!(out.records.iter().all(|r| r.completion > 100.0 - 1e-9));
@@ -344,7 +243,7 @@ mod tests {
 
     #[test]
     fn names_include_period() {
-        assert_eq!(DynMcb8Drf::new().name(), "DynMCB8-drf");
-        assert_eq!(DynMcb8DrfPer::new().name(), "DynMCB8-drf-per 600");
+        assert_eq!(build("dynmcb8-drf").name(), "DynMCB8-drf");
+        assert_eq!(build("dynmcb8-drf-per").name(), "DynMCB8-drf-per 600");
     }
 }

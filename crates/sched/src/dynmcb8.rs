@@ -1,22 +1,30 @@
-//! The vector-packing DFRS algorithms (Section III-B): `DYNMCB8`,
-//! `DYNMCB8-PER`, and `DYNMCB8-ASAP-PER`.
+//! The DYNMCB8 family (Section III-B) as one scheduler, [`Repacker`]: a
+//! [`Trigger`] (when to repack) × an [`Objective`] (what a repack
+//! optimizes).
 //!
-//! All three compute *global* allocations with the MCB8 heuristic wrapped
-//! in a binary search that maximizes the minimum yield (accuracy 0.01).
-//! If no allocation exists at any yield — i.e. memory alone cannot be
-//! packed — the lowest-priority job is removed from consideration (and
-//! paused if running) and the search retries. The resulting uniform yield
-//! is then improved by the average-yield heuristic.
+//! Every objective computes a *global* allocation: while memory alone
+//! cannot be packed, the shared eviction front removes the
+//! lowest-priority job from consideration (paused if running) and the
+//! objective's binary search over the packer retries.
 //!
-//! * `DYNMCB8` repacks at **every** submission and completion:
-//!   near-optimal minimum yield, but aggressive preemption/migration.
-//! * `DYNMCB8-PER-T` repacks every `T` seconds (600 in the paper);
-//!   arrivals wait in the queue until the next tick.
-//! * `DYNMCB8-ASAP-PER-T` additionally admits arrivals immediately when
+//! The paper's three triggers:
+//!
+//! * [`Trigger::Event`] repacks at **every** submission, completion and
+//!   platform event (`DYNMCB8`): near-optimal minimum yield, but
+//!   aggressive preemption/migration.
+//! * [`Trigger::Period`] repacks every `T` seconds (600 in the paper);
+//!   arrivals and failure victims wait in the queue until the next tick
+//!   (`-PER-T`).
+//! * [`Trigger::AsapPer`] additionally admits arrivals immediately when
 //!   they fit greedily under memory constraints, letting short jobs run
-//!   (and possibly finish) between ticks.
+//!   (and possibly finish) between ticks (`-ASAP-PER-T`).
+//!
+//! The objectives: [`MaxMinYield`] (the paper's max-min yield plus the
+//! average-yield improvement), `stretch_per::MinMaxStretch`,
+//! `drf::DominantShare` and `fairness::LongJobDamping`. The registry's
+//! seven `dynmcb8*` keys are the only way to build it.
 
-use dfrs_core::constants::{DEFAULT_PERIOD_SECS, MIN_STRETCH_PER_YIELD, YIELD_SEARCH_ACCURACY};
+use dfrs_core::constants::{MIN_STRETCH_PER_YIELD, YIELD_SEARCH_ACCURACY};
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_packing::{
     max_min_yield_warm, BestFitDecreasing, FirstFitDecreasing, JobLoad, Mcb8, RepackMemo,
@@ -24,14 +32,14 @@ use dfrs_packing::{
 };
 use dfrs_sim::{Plan, RepackStats, SchedEvent, Scheduler, SimState};
 
-use crate::common::{AllocSet, NodeScratch};
+use crate::common::{waiting_jobs, AllocSet, NodeScratch};
 use crate::evict::{EvictionFront, VictimOrder};
 
-/// Which vector-packing heuristic the DYNMCB8 family uses inside the
-/// yield binary search. The paper uses MCB8 everywhere; the alternatives
+/// Which vector-packing heuristic [`MaxMinYield`] uses inside the yield
+/// binary search. The paper uses MCB8 everywhere; the alternatives
 /// exist for the packer ablation (DESIGN.md §6).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PackerChoice {
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) enum PackerChoice {
     /// Leinberger et al.'s balance-aware heuristic (the paper's choice).
     #[default]
     Mcb8,
@@ -43,88 +51,264 @@ pub enum PackerChoice {
 
 impl PackerChoice {
     /// The packer instance (all are zero-sized).
-    pub fn packer(&self) -> &'static dyn VectorPacker {
+    fn packer(&self) -> &'static dyn VectorPacker {
         match self {
             PackerChoice::Mcb8 => &Mcb8,
             PackerChoice::FirstFit => &FirstFitDecreasing,
             PackerChoice::BestFit => &BestFitDecreasing,
         }
     }
+}
 
-    /// Short tag for names/reports.
-    pub fn tag(&self) -> &'static str {
-        match self {
-            PackerChoice::Mcb8 => "mcb8",
-            PackerChoice::FirstFit => "ffd",
-            PackerChoice::BestFit => "bfd",
+/// Which events make [`Repacker`] repack.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Trigger {
+    /// At every submission, completion and platform event.
+    Event,
+    /// Every `T` seconds.
+    Period(f64),
+    /// Every `T` seconds, plus greedy admission between ticks.
+    AsapPer(f64),
+}
+
+/// What a repack optimizes: one search through the shared eviction
+/// front, turned into a plan.
+pub(crate) trait Objective: Send + 'static {
+    /// Whether an eviction-free repack is a pure function of the
+    /// candidate set and the platform — not of time — so that while the
+    /// change epoch is unchanged the repacker may skip it (see
+    /// [`Repacker::last_clean_epoch`]).
+    const TIME_FREE: bool;
+
+    /// The name's infix after `DynMCB8` and its suffix after the
+    /// trigger: `("-drf", "")` under `Period(600)` renders
+    /// `DynMCB8-drf-per 600`.
+    fn name_parts(&self) -> (&'static str, String);
+
+    /// One repack decision.
+    fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan;
+
+    /// Search accounting so far.
+    fn stats(&self) -> RepackStats;
+
+    /// Drop cross-event state when the instance is reused for a new run.
+    fn forget_run(&mut self) {}
+}
+
+/// The one DYNMCB8 scheduler: `trigger` decides on which events
+/// `objective` repacks.
+#[derive(Debug)]
+pub(crate) struct Repacker<O> {
+    trigger: Trigger,
+    objective: O,
+    front: EvictionFront,
+    /// [`SimState::change_epoch`] recorded at the last *eviction-free*
+    /// repack of a [time-free](Objective::TIME_FREE) objective. While
+    /// the epoch is unchanged (no submissions, completions, placement or
+    /// yield changes since; see `SimState::change_epoch`), replaying it
+    /// would re-derive the exact allocation already in force and apply
+    /// as a physical no-op. Repacks that evicted are never memoized:
+    /// victim selection reads time-dependent priority keys.
+    last_clean_epoch: Option<u64>,
+    /// Highest epoch ever observed by this instance. Epochs are
+    /// monotone within one simulation and restart at ~0 for a new one,
+    /// so an observed decrease proves the instance is being reused
+    /// across `simulate` runs and its caches must be dropped.
+    last_seen_epoch: u64,
+}
+
+impl<O: Objective> Repacker<O> {
+    /// The repacker as the registry hands it out.
+    pub(crate) fn boxed(trigger: Trigger, objective: O) -> Box<dyn Scheduler> {
+        Box::new(Repacker {
+            trigger,
+            objective,
+            front: EvictionFront::default(),
+            last_clean_epoch: None,
+            last_seen_epoch: 0,
+        })
+    }
+
+    fn repack(&mut self, state: &SimState) -> Plan {
+        let epoch = state.change_epoch();
+        if self.last_clean_epoch == Some(epoch) {
+            return Plan::noop();
         }
+        let plan = self.objective.repack(&mut self.front, state);
+        self.last_clean_epoch = (O::TIME_FREE && self.front.kept_all(state)).then_some(epoch);
+        plan
     }
 }
 
-/// Raw result of the eviction loop + yield binary search.
-#[derive(Debug, Clone)]
-pub(crate) struct PackedAllocation {
-    /// The maximized minimum yield of the packing, in `[min_yield, 1]`.
-    pub yield_: f64,
-    /// The packing as a plan ([`EvictionFront::plan`]): the running jobs
-    /// that had to be evicted paused, every surviving candidate run on
-    /// its packed nodes at the uniform `yield_` — the callers settle
-    /// the per-job yields in place.
-    pub plan: Plan,
-    /// Every in-system job was packed: no candidate dropped, no running
-    /// job evicted.
-    pub clean: bool,
+impl<O: Objective> Scheduler for Repacker<O> {
+    fn name(&self) -> String {
+        let (infix, suffix) = self.objective.name_parts();
+        match self.trigger {
+            Trigger::Event => format!("DynMCB8{infix}{suffix}"),
+            Trigger::Period(t) => format!("DynMCB8{infix}-per {t}{suffix}"),
+            Trigger::AsapPer(t) => format!("DynMCB8{infix}-asap-per {t}{suffix}"),
+        }
+    }
+
+    fn period(&self) -> Option<f64> {
+        match self.trigger {
+            Trigger::Event => None,
+            Trigger::Period(t) | Trigger::AsapPer(t) => Some(t),
+        }
+    }
+
+    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
+        // Observed on every event, so a reused instance is detected
+        // before its first repack.
+        let epoch = state.change_epoch();
+        if epoch < self.last_seen_epoch {
+            self.last_clean_epoch = None;
+            self.objective.forget_run();
+            self.front.forget_platform();
+        }
+        self.last_seen_epoch = self.last_seen_epoch.max(epoch);
+        match (self.trigger, ev) {
+            // The event-driven trigger treats a platform change like any
+            // other membership change: repack globally — killed jobs
+            // re-enter, paused victims may resume.
+            (
+                Trigger::Event,
+                SchedEvent::Submit(_)
+                | SchedEvent::Complete(_)
+                | SchedEvent::NodeDown(_)
+                | SchedEvent::NodeUp(_),
+            )
+            | (Trigger::Period(_) | Trigger::AsapPer(_), SchedEvent::Tick) => self.repack(state),
+            (Trigger::AsapPer(_), SchedEvent::Submit(id)) => asap_admit(state, &[id]),
+            // ASAP semantics apply to re-arrivals too: greedily admit
+            // every waiting job — pending (killed under the restart
+            // policy, or backlogged) *and* paused (preserve-policy
+            // victims, which re-enter as resumes) — that fits the
+            // surviving nodes; anything that does not fit queues for
+            // the next tick as usual.
+            (Trigger::AsapPer(_), SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_)) => {
+                asap_admit(state, &waiting_jobs(state))
+            }
+            // Periodic semantics: arrivals and failure victims wait for
+            // the next tick. Nothing is flushed: the change epoch
+            // bumped, and the warm memo's entries are keyed by the node
+            // set's identity.
+            _ => Plan::noop(),
+        }
+    }
+
+    fn repack_stats(&self) -> Option<RepackStats> {
+        Some(self.objective.stats())
+    }
 }
 
-/// Reusable buffers for [`packed_allocation`], plus the change-epoch
-/// memo behind the dirty-state repack skip: one per scheduler instance,
-/// reused across every event of a simulation run.
+/// The paper's objective: maximize the minimum yield (accuracy 0.01)
+/// over the chosen packer, then raise yields with the average-yield
+/// improvement heuristic.
 #[derive(Debug, Default)]
-pub(crate) struct RepackScratch {
-    front: EvictionFront,
+pub(crate) struct MaxMinYield {
+    packer: PackerChoice,
     search: SearchScratch,
     /// Cross-event warm-start state: identical `(job set, nodes)`
     /// searches replay their stored result with zero packs
     /// (`dfrs_packing::memo` has the exactness argument).
     memo: RepackMemo,
     loads: Vec<JobLoad>,
-    /// [`SimState::change_epoch`] recorded at the last *eviction-free*
-    /// repack decision. A clean repack is a pure function of the
-    /// candidate set and the cluster size — not of time — so while the
-    /// epoch is unchanged (no submissions, completions, placement or
-    /// yield changes since; see `SimState::change_epoch`), replaying it
-    /// would re-derive the exact allocation already in force and apply
-    /// as a physical no-op. Repacks that evicted are never memoized:
-    /// victim selection reads time-dependent priority keys.
-    last_clean_epoch: Option<u64>,
-    /// Highest epoch ever observed by this scheduler instance. Epochs
-    /// are monotone within one simulation and restart at ~0 for a new
-    /// one, so an observed decrease proves the instance is being reused
-    /// across `simulate` runs and the memo must be dropped (an epoch
-    /// from another run says nothing about this run's state).
-    last_seen_epoch: u64,
 }
 
-impl RepackScratch {
-    /// Record `epoch` from the current event; on a new-run detection
-    /// (epoch went backwards) the clean-repack memo is invalidated.
-    /// Schedulers call this on **every** event so detection happens
-    /// before the first tick of a reused instance.
-    pub(crate) fn observe_epoch(&mut self, epoch: u64) {
-        if epoch < self.last_seen_epoch {
-            self.last_clean_epoch = None;
-            // The warm-start memo is keyed by complete inputs, so stale
-            // entries could never answer wrongly — dropping them on a
-            // new-run detection is hygiene (a fresh trace shares no job
-            // sets with the old one, so the entries are dead weight).
-            self.memo.clear();
-            self.front.forget_platform();
+impl MaxMinYield {
+    pub(crate) fn new(packer: PackerChoice) -> Self {
+        MaxMinYield {
+            packer,
+            ..MaxMinYield::default()
         }
-        self.last_seen_epoch = self.last_seen_epoch.max(epoch);
     }
 
-    /// The warm-start accounting in the engine's vocabulary.
-    pub(crate) fn stats(&self) -> RepackStats {
+    /// Eviction front + yield binary search over all jobs in the system:
+    /// the maximized minimum yield, in `[min_yield, 1]`, and the packing
+    /// as a plan ([`EvictionFront::plan`]) with every survivor at that
+    /// uniform yield.
+    ///
+    /// Packing runs over the **available-node slice**: `avail.len()`
+    /// anonymous bins, bin `b` landing on physical node `avail[b]`. With
+    /// every node up the slice is the identity, so failure-free packings
+    /// are byte-identical to the static-cluster ones; a packing is a
+    /// pure function of `(loads, bin count)` either way, which is what
+    /// keeps the warm memo's replays exact across the mapping.
+    pub(crate) fn pack(&mut self, front: &mut EvictionFront, state: &SimState) -> (f64, Plan) {
+        let MaxMinYield {
+            packer,
+            search,
+            memo,
+            loads,
+        } = self;
+        memo.set_caps_identity(front.platform_identity(state));
+        let alloc = front.pack(state, VictimOrder::Priority, |candidates, nodes| {
+            loads.clear();
+            loads.extend(candidates.iter().map(|&id| {
+                let s = &state.job(id).spec;
+                JobLoad {
+                    job: id,
+                    tasks: s.tasks,
+                    cpu_need: s.cpu_need,
+                    mem_req: s.mem_req,
+                }
+            }));
+            max_min_yield_warm(
+                loads,
+                nodes,
+                packer.packer(),
+                YIELD_SEARCH_ACCURACY,
+                MIN_STRETCH_PER_YIELD,
+                search,
+                memo,
+            )
+        });
+        (
+            alloc.yield_,
+            front.plan(state, &alloc.bins, |_| alloc.yield_),
+        )
+    }
+}
+
+impl Objective for MaxMinYield {
+    const TIME_FREE: bool = true;
+
+    fn name_parts(&self) -> (&'static str, String) {
+        let tag = match self.packer {
+            PackerChoice::Mcb8 => "",
+            PackerChoice::FirstFit => "[ffd]",
+            PackerChoice::BestFit => "[bfd]",
+        };
+        ("", tag.into())
+    }
+
+    fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan {
+        let (yield_, mut plan) = self.pack(front, state);
+        // At full yield with no GPU demand the improvement pass is the
+        // identity (see `AllocSet::optimized_yields`' fast path), so the
+        // packed plan stands as it is on the underloaded hot path.
+        // Bit-identical to the general path.
+        let full_speed = yield_ >= 1.0 - dfrs_core::approx::EPS
+            && plan
+                .runs_mut()
+                .all(|(id, ..)| state.job(id).spec.gpu_need <= 0.0);
+        if !full_speed {
+            let mut set = AllocSet::new();
+            for (id, placement, _) in plan.runs_mut() {
+                let spec = &state.job(id).spec;
+                set.push(id, spec.cpu_need, spec.gpu_need, placement);
+            }
+            for ((id, _, yld), (yid, improved)) in plan.runs_mut().zip(set.optimized_yields(yield_))
+            {
+                debug_assert_eq!(id, yid);
+                *yld = improved;
+            }
+        }
+        plan
+    }
+
+    fn stats(&self) -> RepackStats {
         let s = self.memo.stats();
         RepackStats {
             searches: s.searches,
@@ -133,278 +317,12 @@ impl RepackScratch {
             packs_saved: s.packs_saved,
         }
     }
-}
 
-/// Eviction front + yield binary search over all jobs in the system
-/// (Section III-B): while memory alone cannot be packed, the
-/// lowest-priority job is dropped from consideration.
-///
-/// Packing runs over the **available-node slice**: `avail.len()`
-/// anonymous bins, bin `b` landing on physical node `avail[b]`. With
-/// every node up the slice is the identity, so failure-free packings
-/// are byte-identical to the static-cluster ones; a packing is a pure
-/// function of `(loads, bin count)` either way, which is what keeps the
-/// warm memo's replays exact across the mapping.
-pub(crate) fn packed_allocation(
-    state: &SimState,
-    packer: &'static dyn VectorPacker,
-    scratch: &mut RepackScratch,
-) -> PackedAllocation {
-    let RepackScratch {
-        front,
-        search,
-        memo,
-        loads,
-        ..
-    } = scratch;
-    memo.set_caps_identity(front.platform_identity(state));
-    let alloc = front.pack(state, VictimOrder::Priority, |candidates, nodes| {
-        loads.clear();
-        loads.extend(candidates.iter().map(|&id| {
-            let s = &state.job(id).spec;
-            JobLoad {
-                job: id,
-                tasks: s.tasks,
-                cpu_need: s.cpu_need,
-                mem_req: s.mem_req,
-            }
-        }));
-        max_min_yield_warm(
-            loads,
-            nodes,
-            packer,
-            YIELD_SEARCH_ACCURACY,
-            MIN_STRETCH_PER_YIELD,
-            search,
-            memo,
-        )
-    });
-    PackedAllocation {
-        yield_: alloc.yield_,
-        plan: front.plan(state, &alloc.bins, |_| alloc.yield_),
-        clean: front.kept_all(state),
-    }
-}
-
-/// The full paper pipeline: packing, average-yield improvement, plan —
-/// skipped entirely (noop) when nothing observable changed since the
-/// last eviction-free repack (see [`RepackScratch::last_clean_epoch`]).
-pub(crate) fn repack_all(
-    state: &SimState,
-    packer: &'static dyn VectorPacker,
-    scratch: &mut RepackScratch,
-) -> Plan {
-    let epoch = state.change_epoch();
-    if scratch.last_clean_epoch == Some(epoch) {
-        return Plan::noop();
-    }
-    let PackedAllocation {
-        yield_,
-        mut plan,
-        clean,
-    } = packed_allocation(state, packer, scratch);
-    // Only a clean repack's outcome is time-independent and therefore
-    // memoizable.
-    scratch.last_clean_epoch = clean.then_some(epoch);
-    // At full yield with no GPU demand the improvement pass is the
-    // identity (see `AllocSet::optimized_yields`' fast path), so the
-    // packed plan stands as it is on the underloaded hot path.
-    // Bit-identical to the general path.
-    let full_speed = yield_ >= 1.0 - dfrs_core::approx::EPS
-        && plan
-            .runs_mut()
-            .all(|(id, ..)| state.job(id).spec.gpu_need <= 0.0);
-    if !full_speed {
-        let mut set = AllocSet::new();
-        for (id, placement, _) in plan.runs_mut() {
-            let spec = &state.job(id).spec;
-            set.push(id, spec.cpu_need, spec.gpu_need, placement);
-        }
-        for ((id, _, yld), (yid, improved)) in plan.runs_mut().zip(set.optimized_yields(yield_)) {
-            debug_assert_eq!(id, yid);
-            *yld = improved;
-        }
-    }
-    plan
-}
-
-/// `DYNMCB8`: global repack at every submission and completion.
-#[derive(Debug, Default)]
-pub struct DynMcb8 {
-    packer: PackerChoice,
-    scratch: RepackScratch,
-}
-
-impl DynMcb8 {
-    /// Fresh instance with the paper's MCB8 packer.
-    pub fn new() -> Self {
-        DynMcb8::default()
-    }
-
-    /// Ablation constructor: swap the packing heuristic.
-    pub fn with_packer(packer: PackerChoice) -> Self {
-        DynMcb8 {
-            packer,
-            scratch: RepackScratch::default(),
-        }
-    }
-}
-
-impl Scheduler for DynMcb8 {
-    fn name(&self) -> String {
-        match self.packer {
-            PackerChoice::Mcb8 => "DynMCB8".into(),
-            p => format!("DynMCB8[{}]", p.tag()),
-        }
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.scratch.observe_epoch(state.change_epoch());
-        match ev {
-            // The event-driven variant treats a platform change like any
-            // other membership change: repack globally — killed jobs
-            // re-enter, paused victims may resume. Nothing is flushed:
-            // the change epoch bumped, and the warm memo's entries are
-            // keyed by the node set's identity.
-            SchedEvent::Submit(_)
-            | SchedEvent::Complete(_)
-            | SchedEvent::NodeDown(_)
-            | SchedEvent::NodeUp(_) => repack_all(state, self.packer.packer(), &mut self.scratch),
-            _ => Plan::noop(),
-        }
-    }
-    fn repack_stats(&self) -> Option<RepackStats> {
-        Some(self.scratch.stats())
-    }
-}
-
-/// `DYNMCB8-PER-T`: global repack every `T` seconds; arrivals queue until
-/// the next tick.
-#[derive(Debug)]
-pub struct DynMcb8Per {
-    period: f64,
-    packer: PackerChoice,
-    scratch: RepackScratch,
-}
-
-impl DynMcb8Per {
-    /// The paper's default, T = 600 s.
-    pub fn new() -> Self {
-        Self::with_period(DEFAULT_PERIOD_SECS)
-    }
-
-    /// Custom period (the paper also probed 60 s and 3600 s).
-    pub fn with_period(period: f64) -> Self {
-        Self::with_packer(period, PackerChoice::Mcb8)
-    }
-
-    /// Ablation constructor: swap the packing heuristic.
-    pub fn with_packer(period: f64, packer: PackerChoice) -> Self {
-        assert!(period > 0.0);
-        DynMcb8Per {
-            period,
-            packer,
-            scratch: RepackScratch::default(),
-        }
-    }
-}
-
-impl Default for DynMcb8Per {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for DynMcb8Per {
-    fn name(&self) -> String {
-        match self.packer {
-            PackerChoice::Mcb8 => format!("DynMCB8-per {}", self.period),
-            p => format!("DynMCB8-per {}[{}]", self.period, p.tag()),
-        }
-    }
-    fn period(&self) -> Option<f64> {
-        Some(self.period)
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.scratch.observe_epoch(state.change_epoch());
-        match ev {
-            SchedEvent::Tick => repack_all(state, self.packer.packer(), &mut self.scratch),
-            // Periodic semantics: victims of a failure wait in the
-            // queue like fresh arrivals until the next tick (nothing is
-            // flushed, see `DynMcb8`).
-            _ => Plan::noop(),
-        }
-    }
-    fn repack_stats(&self) -> Option<RepackStats> {
-        Some(self.scratch.stats())
-    }
-}
-
-/// `DYNMCB8-ASAP-PER-T`: periodic repack plus immediate greedy admission
-/// of arrivals that fit under memory constraints.
-#[derive(Debug)]
-pub struct DynMcb8AsapPer {
-    period: f64,
-    packer: PackerChoice,
-    scratch: RepackScratch,
-}
-
-impl DynMcb8AsapPer {
-    /// The paper's default, T = 600 s.
-    pub fn new() -> Self {
-        Self::with_period(DEFAULT_PERIOD_SECS)
-    }
-
-    /// Custom period.
-    pub fn with_period(period: f64) -> Self {
-        Self::with_packer(period, PackerChoice::Mcb8)
-    }
-
-    /// Ablation constructor: swap the packing heuristic.
-    pub fn with_packer(period: f64, packer: PackerChoice) -> Self {
-        assert!(period > 0.0);
-        DynMcb8AsapPer {
-            period,
-            packer,
-            scratch: RepackScratch::default(),
-        }
-    }
-}
-
-impl Default for DynMcb8AsapPer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for DynMcb8AsapPer {
-    fn name(&self) -> String {
-        match self.packer {
-            PackerChoice::Mcb8 => format!("DynMCB8-asap-per {}", self.period),
-            p => format!("DynMCB8-asap-per {}[{}]", self.period, p.tag()),
-        }
-    }
-    fn period(&self) -> Option<f64> {
-        Some(self.period)
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.scratch.observe_epoch(state.change_epoch());
-        match ev {
-            SchedEvent::Tick => repack_all(state, self.packer.packer(), &mut self.scratch),
-            SchedEvent::Submit(id) => asap_admit(state, &[id]),
-            // ASAP semantics apply to re-arrivals too: greedily admit
-            // every waiting job — pending (killed under the restart
-            // policy, or backlogged) *and* paused (preserve-policy
-            // victims, which re-enter as resumes) — that fits the
-            // surviving nodes; anything that does not fit queues for
-            // the next tick as usual.
-            SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => {
-                asap_admit(state, &crate::common::waiting_jobs(state))
-            }
-            _ => Plan::noop(),
-        }
-    }
-    fn repack_stats(&self) -> Option<RepackStats> {
-        Some(self.scratch.stats())
+    fn forget_run(&mut self) {
+        // The memo is keyed by complete inputs, so stale entries could
+        // never answer wrongly — dropping them is hygiene (a fresh trace
+        // shares no job sets with the old one).
+        self.memo.clear();
     }
 }
 
@@ -438,6 +356,12 @@ fn asap_admit(state: &SimState, arrivals: &[JobId]) -> Plan {
     set.run_all(Plan::noop())
 }
 
+/// A scheduler from a built-in spec string, for the family's tests.
+#[cfg(test)]
+pub(crate) fn build(spec: &str) -> Box<dyn Scheduler> {
+    crate::SchedulerRegistry::builtin().build_str(spec).unwrap()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -465,7 +389,7 @@ mod tests {
             job(0, 0.0, 2, 0.5, 0.4, 100.0),
             job(1, 10.0, 1, 0.5, 0.4, 50.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut DynMcb8::new(), &cfg());
+        let out = simulate(cluster(), &jobs, build("dynmcb8").as_mut(), &cfg());
         assert_eq!(out.max_stretch, 1.0, "underloaded cluster → no slowdown");
     }
 
@@ -473,7 +397,7 @@ mod tests {
     fn dynmcb8_shares_cpu_on_overload() {
         // Four 1-task CPU-bound jobs, 2 nodes: loads 2 and 2 → yield ~0.5.
         let jobs: Vec<JobSpec> = (0..4).map(|i| job(i, 0.0, 1, 1.0, 0.3, 100.0)).collect();
-        let out = simulate(cluster(), &jobs, &mut DynMcb8::new(), &cfg());
+        let out = simulate(cluster(), &jobs, build("dynmcb8").as_mut(), &cfg());
         for r in &out.records {
             assert!(
                 (r.completion - 200.0).abs() < 5.0,
@@ -492,7 +416,7 @@ mod tests {
             job(0, 0.0, 2, 0.25, 1.0, 100.0),
             job(1, 10.0, 1, 0.25, 0.5, 20.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut DynMcb8::new(), &cfg());
+        let out = simulate(cluster(), &jobs, build("dynmcb8").as_mut(), &cfg());
         assert!((out.records[1].first_start.unwrap() - 10.0).abs() < 1e-9);
         assert!(out.preemption_count >= 1);
         // Job 0 resumes after job 1 completes (event-driven repack).
@@ -505,7 +429,7 @@ mod tests {
         let out = simulate(
             cluster(),
             &jobs,
-            &mut DynMcb8Per::with_period(600.0),
+            build("dynmcb8-per:t=600").as_mut(),
             &cfg(),
         );
         assert!((out.records[0].first_start.unwrap() - 600.0).abs() < 1e-9);
@@ -518,7 +442,7 @@ mod tests {
         let out = simulate(
             cluster(),
             &jobs,
-            &mut DynMcb8AsapPer::with_period(600.0),
+            build("dynmcb8-asap-per:t=600").as_mut(),
             &cfg(),
         );
         assert!((out.records[0].first_start.unwrap() - 10.0).abs() < 1e-9);
@@ -537,7 +461,7 @@ mod tests {
         let out = simulate(
             cluster(),
             &jobs,
-            &mut DynMcb8AsapPer::with_period(600.0),
+            build("dynmcb8-asap-per:t=600").as_mut(),
             &cfg(),
         );
         let start1 = out.records[1].first_start.unwrap();
@@ -561,7 +485,7 @@ mod tests {
             job(0, 0.0, 1, 1.0, 0.3, 400.0),
             job(1, 0.0, 1, 1.0, 0.3, 50.0),
         ];
-        let out = simulate(one_node, &jobs, &mut DynMcb8Per::with_period(600.0), &cfg());
+        let out = simulate(one_node, &jobs, build("dynmcb8-per:t=600").as_mut(), &cfg());
         // Both start at tick 600 (PER queues arrivals!): both at 0.5.
         // Job 1 completes at 600 + 100 = 700 (vt 50). Job 0 continues at
         // 0.5 until tick 1200 (vt = 50 + 250 = 300), then yield 1 →
@@ -588,7 +512,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(), &jobs, &mut DynMcb8::new(), &cfg);
+        let out = simulate(cluster(), &jobs, build("dynmcb8").as_mut(), &cfg);
         assert_eq!(out.restart_count, 1, "exactly one job was on node 1");
         assert!((out.lost_virtual_seconds - 10.0).abs() < 1e-6);
         assert_eq!(out.records.len(), 2);
@@ -614,7 +538,7 @@ mod tests {
         let out = simulate(
             cluster(),
             &jobs,
-            &mut DynMcb8AsapPer::with_period(600.0),
+            build("dynmcb8-asap-per:t=600").as_mut(),
             &cfg,
         );
         assert_eq!(out.restart_count, 1);
@@ -644,7 +568,7 @@ mod tests {
         let out = simulate(
             cluster(),
             &jobs,
-            &mut DynMcb8AsapPer::with_period(600.0),
+            build("dynmcb8-asap-per:t=600").as_mut(),
             &cfg,
         );
         assert_eq!(out.restart_count, 0);
@@ -669,7 +593,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(), &jobs, &mut DynMcb8Per::with_period(600.0), &cfg);
+        let out = simulate(cluster(), &jobs, build("dynmcb8-per:t=600").as_mut(), &cfg);
         // Starts at tick 600 on node 0 (or 1); if it was struck at 650
         // it reruns from the t=1200 tick. Either way it completes and
         // the accounting is consistent.
@@ -683,8 +607,8 @@ mod tests {
 
     #[test]
     fn names_include_period() {
-        assert_eq!(DynMcb8Per::new().name(), "DynMCB8-per 600");
-        assert_eq!(DynMcb8AsapPer::new().name(), "DynMCB8-asap-per 600");
-        assert_eq!(DynMcb8::new().name(), "DynMCB8");
+        assert_eq!(build("dynmcb8-per").name(), "DynMCB8-per 600");
+        assert_eq!(build("dynmcb8-asap-per").name(), "DynMCB8-asap-per 600");
+        assert_eq!(build("dynmcb8").name(), "DynMCB8");
     }
 }

@@ -3,8 +3,9 @@
 //! way to improve fairness and further decrease maximum stretch …
 //! inspired by thread scheduling in operating systems kernels."*
 //!
-//! [`DynMcb8FairPer`] is `DYNMCB8-PER` with a **long-job damping** pass
-//! replacing the plain average-yield improvement:
+//! `dynmcb8-fair-per` is `DYNMCB8-PER` with the [`LongJobDamping`]
+//! objective: a **long-job damping** pass replacing the plain
+//! average-yield improvement:
 //!
 //! 1. the usual eviction loop + yield binary search produce a uniform
 //!    feasible yield `Y` and placements;
@@ -15,44 +16,35 @@
 //!    restricted to the *young* jobs first, then offered to everyone.
 //!
 //! With `alpha = 0` this degenerates exactly to `DYNMCB8-PER`. The
-//! default `threshold = 3600 s`, `alpha = 0.5` mirrors multi-level
-//! feedback queues: a job that has run 4 hours cedes half its share.
+//! registry's defaults, `vt-threshold = 1800 s` and `alpha = 1`, mirror
+//! multi-level feedback queues: a job that has run an hour cedes half
+//! its share.
 
 use dfrs_core::approx;
-use dfrs_core::constants::{DEFAULT_PERIOD_SECS, MIN_STRETCH_PER_YIELD};
-use dfrs_sim::{Plan, SchedEvent, Scheduler, SimState};
+use dfrs_core::constants::MIN_STRETCH_PER_YIELD;
+use dfrs_sim::{Plan, RepackStats, SimState};
 
 use crate::common::AllocSet;
-use crate::dynmcb8::{packed_allocation, PackedAllocation, PackerChoice, RepackScratch};
+use crate::dynmcb8::{MaxMinYield, Objective};
+use crate::evict::EvictionFront;
 
-/// Periodic repacker with long-job yield damping (see module docs).
+/// Max-min yield with long-job damping (see module docs).
 #[derive(Debug)]
-pub struct DynMcb8FairPer {
-    period: f64,
+pub(crate) struct LongJobDamping {
+    base: MaxMinYield,
     /// Virtual time (seconds) beyond which a job is considered
     /// long-running.
-    pub vt_threshold: f64,
+    vt_threshold: f64,
     /// Damping strength; 0 disables damping.
-    pub alpha: f64,
-    packer: PackerChoice,
-    scratch: RepackScratch,
+    alpha: f64,
 }
 
-impl DynMcb8FairPer {
-    /// Paper-default period with the default damping (τ = 1 h, α = ½).
-    pub fn new() -> Self {
-        Self::with_params(DEFAULT_PERIOD_SECS, 3_600.0, 0.5)
-    }
-
-    /// Fully parameterized constructor.
-    pub fn with_params(period: f64, vt_threshold: f64, alpha: f64) -> Self {
-        assert!(period > 0.0 && vt_threshold > 0.0 && alpha >= 0.0);
-        DynMcb8FairPer {
-            period,
+impl LongJobDamping {
+    pub(crate) fn new(vt_threshold: f64, alpha: f64) -> Self {
+        LongJobDamping {
+            base: MaxMinYield::default(),
             vt_threshold,
             alpha,
-            packer: PackerChoice::Mcb8,
-            scratch: RepackScratch::default(),
         }
     }
 
@@ -65,11 +57,19 @@ impl DynMcb8FairPer {
             .max(MIN_STRETCH_PER_YIELD)
             .min(y)
     }
+}
 
-    fn repack(&mut self, state: &SimState) -> Plan {
-        let PackedAllocation {
-            yield_, mut plan, ..
-        } = packed_allocation(state, self.packer.packer(), &mut self.scratch);
+impl Objective for LongJobDamping {
+    /// Damping reads virtual times.
+    const TIME_FREE: bool = false;
+
+    fn name_parts(&self) -> (&'static str, String) {
+        let suffix = format!(" (τ={}, α={})", self.vt_threshold, self.alpha);
+        ("-fair", suffix)
+    }
+
+    fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan {
+        let (yield_, mut plan) = self.base.pack(front, state);
         let nodes = state.cluster.nodes().len();
 
         // Base yields: uniform Y, damped for long-running jobs.
@@ -112,41 +112,20 @@ impl DynMcb8FairPer {
         }
         plan
     }
-}
 
-impl Default for DynMcb8FairPer {
-    fn default() -> Self {
-        Self::new()
+    fn stats(&self) -> RepackStats {
+        self.base.stats()
     }
-}
 
-impl Scheduler for DynMcb8FairPer {
-    fn name(&self) -> String {
-        format!(
-            "DynMCB8-fair-per {} (τ={}, α={})",
-            self.period, self.vt_threshold, self.alpha
-        )
-    }
-    fn period(&self) -> Option<f64> {
-        Some(self.period)
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.scratch.observe_epoch(state.change_epoch());
-        match ev {
-            SchedEvent::Tick => self.repack(state),
-            // Periodic semantics: failure victims wait for the next
-            // tick (see `DynMcb8Per`).
-            _ => Plan::noop(),
-        }
-    }
-    fn repack_stats(&self) -> Option<dfrs_sim::RepackStats> {
-        Some(self.scratch.stats())
+    fn forget_run(&mut self) {
+        self.base.forget_run();
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dynmcb8::build;
     use dfrs_core::ids::JobId;
     use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
@@ -164,14 +143,14 @@ mod tests {
 
     #[test]
     fn damping_formula() {
-        let s = DynMcb8FairPer::with_params(600.0, 100.0, 0.5);
+        let s = LongJobDamping::new(100.0, 0.5);
         assert_eq!(s.damped(1.0, 50.0), 1.0, "young jobs undamped");
         assert!(
             (s.damped(1.0, 400.0) - 0.5).abs() < 1e-12,
             "(100/400)^0.5 = 0.5"
         );
         assert!(s.damped(1.0, 1e12) >= MIN_STRETCH_PER_YIELD, "floored");
-        let off = DynMcb8FairPer::with_params(600.0, 100.0, 0.0);
+        let off = LongJobDamping::new(100.0, 0.0);
         assert_eq!(off.damped(0.7, 1e9), 0.7, "alpha 0 disables damping");
     }
 
@@ -183,7 +162,12 @@ mod tests {
             job(1, 100.0, 1, 1.0, 0.3, 8_000.0),
             job(2, 7_000.0, 1, 1.0, 0.3, 400.0),
         ];
-        let out = simulate(cluster, &jobs, &mut DynMcb8FairPer::new(), &cfg());
+        let out = simulate(
+            cluster,
+            &jobs,
+            build("dynmcb8-fair-per:vt-threshold=3600,alpha=0.5").as_mut(),
+            &cfg(),
+        );
         assert_eq!(out.records.len(), 3);
         assert!(out.max_stretch >= 1.0);
     }
@@ -201,15 +185,10 @@ mod tests {
         let fair = simulate(
             cluster,
             &jobs,
-            &mut DynMcb8FairPer::with_params(600.0, 1_800.0, 1.0),
+            build("dynmcb8-fair-per:t=600,vt-threshold=1800,alpha=1").as_mut(),
             &cfg(),
         );
-        let plain = simulate(
-            cluster,
-            &jobs,
-            &mut crate::dynmcb8::DynMcb8Per::with_period(600.0),
-            &cfg(),
-        );
+        let plain = simulate(cluster, &jobs, build("dynmcb8-per:t=600").as_mut(), &cfg());
         let s_fair = fair.records[1].stretch;
         let s_plain = plain.records[1].stretch;
         assert!(
@@ -227,15 +206,10 @@ mod tests {
         let a = simulate(
             cluster,
             &jobs,
-            &mut DynMcb8FairPer::with_params(600.0, 3_600.0, 0.0),
+            build("dynmcb8-fair-per:t=600,vt-threshold=3600,alpha=0").as_mut(),
             &cfg(),
         );
-        let b = simulate(
-            cluster,
-            &jobs,
-            &mut crate::dynmcb8::DynMcb8Per::with_period(600.0),
-            &cfg(),
-        );
+        let b = simulate(cluster, &jobs, build("dynmcb8-per:t=600").as_mut(), &cfg());
         for (ra, rb) in a.records.iter().zip(b.records.iter()) {
             assert!((ra.completion - rb.completion).abs() < 1e-6);
         }

@@ -5,17 +5,22 @@
 //! baselines), all implemented against the [`dfrs_sim::Scheduler`]
 //! interface:
 //!
-//! | Constructor | Paper name | Mechanisms |
+//! | Registry key | Paper name | Mechanisms |
 //! |---|---|---|
-//! | [`batch::Fcfs`] | FCFS | integral nodes, FIFO queue |
-//! | [`batch::Easy`] | EASY | integral nodes + backfilling, perfect estimates |
-//! | [`greedy::Greedy`] | GREEDY | fractional CPU, backoff postponing |
-//! | [`greedy::GreedyPmtn`] | GREEDY-PMTN | + priority-based pausing |
-//! | [`greedy::GreedyPmtnMigr`] | GREEDY-PMTN-MIGR | + same-event re-placement |
-//! | [`dynmcb8::DynMcb8`] | DYNMCB8 | MCB8 repack at every event |
-//! | [`dynmcb8::DynMcb8Per`] | DYNMCB8-PER-600 | periodic repack |
-//! | [`dynmcb8::DynMcb8AsapPer`] | DYNMCB8-ASAP-PER-600 | periodic + greedy admission |
-//! | [`stretch_per::DynMcb8StretchPer`] | DYNMCB8-STRETCH-PER-600 | periodic, minimizes estimated stretch |
+//! | `fcfs` ([`batch::Fcfs`]) | FCFS | integral nodes, FIFO queue |
+//! | `easy` ([`batch::Easy`]) | EASY | integral nodes + backfilling, perfect estimates |
+//! | `greedy` ([`greedy::Greedy`]) | GREEDY | fractional CPU, backoff postponing |
+//! | `greedy-pmtn` ([`greedy::GreedyPmtn`]) | GREEDY-PMTN | + priority-based pausing |
+//! | `greedy-pmtn-migr` ([`greedy::GreedyPmtnMigr`]) | GREEDY-PMTN-MIGR | + same-event re-placement |
+//! | `dynmcb8` | DYNMCB8 | MCB8 repack at every event |
+//! | `dynmcb8-per` | DYNMCB8-PER-600 | periodic repack |
+//! | `dynmcb8-asap-per` | DYNMCB8-ASAP-PER-600 | periodic + greedy admission |
+//! | `dynmcb8-stretch-per` | DYNMCB8-STRETCH-PER-600 | periodic, minimizes estimated stretch |
+//!
+//! The DYNMCB8 family is one scheduler, a trigger (every event, every
+//! `T`, every `T` with ASAP admission) × an objective (max-min yield,
+//! min-max estimated stretch, max-min dominant share, damped yield). It
+//! has no public type: the registry's seven `dynmcb8*` keys build it.
 //!
 //! Only the batch baselines are clairvoyant (EASY backfills with perfect
 //! runtime estimates, as in the paper's evaluation); no DFRS algorithm
@@ -26,12 +31,10 @@
 //! by user code. [`registry::Algorithm`] enumerates the paper's nine as
 //! a thin shim over the registry for the fixed Table I/II harnesses.
 //! Extensions beyond the paper: [`conservative::ConservativeBf`]
-//! (conservative backfilling), [`fairness::DynMcb8FairPer`]
-//! (long-job yield damping, the paper's future-work sketch), and the
-//! multi-resource [`drf::DynMcb8Drf`] / [`drf::DynMcb8DrfPer`] family
-//! (max-min **dominant share** over CPU+GPU instead of max-min yield)
-//! — registered as `conservative-bf`, `dynmcb8-fair-per`,
-//! `dynmcb8-drf`, and `dynmcb8-drf-per`.
+//! (conservative backfilling), `dynmcb8-fair-per` (long-job yield
+//! damping, the paper's future-work sketch), and the multi-resource
+//! `dynmcb8-drf` / `dynmcb8-drf-per` pair (max-min **dominant share**
+//! over CPU+GPU instead of max-min yield).
 //!
 //! ```
 //! use dfrs_core::ids::JobId;
@@ -54,23 +57,19 @@
 pub mod batch;
 pub mod common;
 pub mod conservative;
-pub mod drf;
-pub mod dynmcb8;
+mod drf;
+mod dynmcb8;
 mod evict;
-pub mod fairness;
+mod fairness;
 pub mod greedy;
 pub mod registry;
 pub mod sharded;
 pub mod spec;
-pub mod stretch_per;
+mod stretch_per;
 
 pub use batch::{Easy, Fcfs};
 pub use conservative::ConservativeBf;
-pub use drf::{DynMcb8Drf, DynMcb8DrfPer};
-pub use dynmcb8::{DynMcb8, DynMcb8AsapPer, DynMcb8Per};
-pub use fairness::DynMcb8FairPer;
 pub use greedy::{Greedy, GreedyPmtn, GreedyPmtnMigr};
 pub use registry::Algorithm;
 pub use sharded::Sharded;
 pub use spec::{SchedulerFactory, SchedulerRegistry, SchedulerSpec, SpecError, SpecParams};
-pub use stretch_per::DynMcb8StretchPer;

@@ -44,11 +44,11 @@ use dfrs_sim::Scheduler;
 
 use crate::batch::{Easy, Fcfs};
 use crate::conservative::ConservativeBf;
-use crate::drf::{DynMcb8Drf, DynMcb8DrfPer};
-use crate::dynmcb8::{DynMcb8, DynMcb8AsapPer, DynMcb8Per, PackerChoice};
-use crate::fairness::DynMcb8FairPer;
+use crate::drf::DominantShare;
+use crate::dynmcb8::{MaxMinYield, PackerChoice, Repacker, Trigger};
+use crate::fairness::LongJobDamping;
 use crate::greedy::{Greedy, GreedyPmtn, GreedyPmtnMigr};
-use crate::stretch_per::DynMcb8StretchPer;
+use crate::stretch_per::MinMaxStretch;
 
 /// Why a spec failed to parse, resolve, or build.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -193,15 +193,27 @@ impl SpecParams {
 
     /// `name` as a strictly positive float, or `default` when absent.
     pub fn positive_f64_or(&self, name: &str, default: f64) -> Result<f64, SpecError> {
+        self.finite_f64_or(name, default, |v| v > 0.0, "a positive number")
+    }
+
+    /// `name` as a finite float accepted by `ok`, or `default` when
+    /// absent; `expected` describes the accepted values.
+    fn finite_f64_or(
+        &self,
+        name: &str,
+        default: f64,
+        ok: impl Fn(f64) -> bool,
+        expected: &str,
+    ) -> Result<f64, SpecError> {
         let v = self.f64_or(name, default)?;
-        if v > 0.0 && v.is_finite() {
+        if ok(v) && v.is_finite() {
             Ok(v)
         } else {
             Err(SpecError::InvalidParam {
                 key: self.key.clone(),
                 param: name.to_string(),
                 value: format!("{v}"),
-                expected: "a positive number".into(),
+                expected: expected.into(),
             })
         }
     }
@@ -444,7 +456,9 @@ impl SchedulerRegistry {
     }
 
     /// The built-in registry: the paper's nine algorithms plus the
-    /// repository's extensions (`conservative-bf`, `dynmcb8-fair-per`).
+    /// repository's extensions (`conservative-bf`, `dynmcb8-fair-per`,
+    /// `dynmcb8-drf`, `dynmcb8-drf-per`, `sharded`). The seven
+    /// `dynmcb8*` keys are the only way to build the DYNMCB8 repacker.
     /// Construction is cheap; call it on demand.
     pub fn builtin() -> Self {
         let mut reg = SchedulerRegistry::empty();
@@ -488,22 +502,24 @@ impl SchedulerRegistry {
             &[],
             |_| Ok(Box::new(GreedyPmtnMigr::new())),
         );
+        // The DYNMCB8 family: one repacker, a trigger × an objective.
         reg.register_fn(
             "dynmcb8",
             "DYNMCB8: MCB8 repack at every event (packer: mcb8|first-fit|best-fit)",
             &["packer"],
-            |p| Ok(Box::new(DynMcb8::with_packer(parse_packer(p, "dynmcb8")?))),
+            |p| {
+                let yld = MaxMinYield::new(parse_packer(p, "dynmcb8")?);
+                Ok(Repacker::boxed(Trigger::Event, yld))
+            },
         );
         reg.register_fn(
             "dynmcb8-per",
             "DYNMCB8-PER: periodic MCB8 repack (t: period seconds, default 600)",
             &["t", "packer"],
             |p| {
-                let t = p.positive_f64_or("t", DEFAULT_PERIOD_SECS)?;
-                Ok(Box::new(DynMcb8Per::with_packer(
-                    t,
-                    parse_packer(p, "dynmcb8-per")?,
-                )))
+                let t = period(p)?;
+                let yld = MaxMinYield::new(parse_packer(p, "dynmcb8-per")?);
+                Ok(Repacker::boxed(Trigger::Period(t), yld))
             },
         );
         reg.register_fn(
@@ -511,11 +527,9 @@ impl SchedulerRegistry {
             "DYNMCB8-ASAP-PER: periodic repack plus greedy admission (t: period seconds, default 600)",
             &["t", "packer"],
             |p| {
-                let t = p.positive_f64_or("t", DEFAULT_PERIOD_SECS)?;
-                Ok(Box::new(DynMcb8AsapPer::with_packer(
-                    t,
-                    parse_packer(p, "dynmcb8-asap-per")?,
-                )))
+                let t = period(p)?;
+                let yld = MaxMinYield::new(parse_packer(p, "dynmcb8-asap-per")?);
+                Ok(Repacker::boxed(Trigger::AsapPer(t), yld))
             },
         );
         reg.register_fn(
@@ -523,23 +537,26 @@ impl SchedulerRegistry {
             "DYNMCB8-STRETCH-PER: periodic repack minimizing estimated stretch (t: period seconds, default 600)",
             &["t"],
             |p| {
-                let t = p.positive_f64_or("t", DEFAULT_PERIOD_SECS)?;
-                Ok(Box::new(DynMcb8StretchPer::with_period(t)))
+                let t = period(p)?;
+                Ok(Repacker::boxed(Trigger::Period(t), MinMaxStretch::new(t)))
             },
         );
         reg.register_fn(
             "dynmcb8-drf",
             "DYNMCB8-DRF: event-driven repack maximizing the minimum dominant share (DRF, extension)",
             &[],
-            |_| Ok(Box::new(DynMcb8Drf::new())),
+            |_| Ok(Repacker::boxed(Trigger::Event, DominantShare::default())),
         );
         reg.register_fn(
             "dynmcb8-drf-per",
             "DYNMCB8-DRF-PER: periodic dominant-share repack (t: period seconds, default 600)",
             &["t"],
             |p| {
-                let t = p.positive_f64_or("t", DEFAULT_PERIOD_SECS)?;
-                Ok(Box::new(DynMcb8DrfPer::with_period(t)))
+                let t = period(p)?;
+                Ok(Repacker::boxed(
+                    Trigger::Period(t),
+                    DominantShare::default(),
+                ))
             },
         );
         reg.register_fn(
@@ -566,10 +583,12 @@ impl SchedulerRegistry {
             "DYNMCB8-FAIR-PER: periodic repack with long-job yield damping (t, vt-threshold, alpha)",
             &["t", "vt-threshold", "alpha"],
             |p| {
-                let t = p.positive_f64_or("t", DEFAULT_PERIOD_SECS)?;
+                let t = period(p)?;
                 let vt = p.positive_f64_or("vt-threshold", 1_800.0)?;
-                let alpha = p.positive_f64_or("alpha", 1.0)?;
-                Ok(Box::new(DynMcb8FairPer::with_params(t, vt, alpha)))
+                // alpha = 0 disables damping: the objective is then
+                // exactly DYNMCB8-PER's.
+                let alpha = p.finite_f64_or("alpha", 1.0, |a| a >= 0.0, "a non-negative number")?;
+                Ok(Repacker::boxed(Trigger::Period(t), LongJobDamping::new(vt, alpha)))
             },
         );
         reg
@@ -751,6 +770,11 @@ impl SchedulerRegistry {
     }
 }
 
+/// The `t` parameter of the periodic triggers.
+fn period(p: &SpecParams) -> Result<f64, SpecError> {
+    p.positive_f64_or("t", DEFAULT_PERIOD_SECS)
+}
+
 fn parse_packer(p: &SpecParams, key: &str) -> Result<PackerChoice, SpecError> {
     match p.get("packer") {
         None | Some("mcb8") => Ok(PackerChoice::Mcb8),
@@ -860,12 +884,31 @@ mod tests {
     }
 
     #[test]
+    fn fair_per_accepts_alpha_zero_and_rejects_negative() {
+        // alpha = 0 is the documented "damping off" setting.
+        let reg = SchedulerRegistry::builtin();
+        assert_eq!(
+            reg.build_str("dynmcb8-fair-per:alpha=0").unwrap().name(),
+            "DynMCB8-fair-per 600 (τ=1800, α=0)"
+        );
+        for bad in ["-0.5", "nan", "inf"] {
+            assert!(
+                matches!(
+                    reg.build_str(&format!("dynmcb8-fair-per:alpha={bad}")),
+                    Err(SpecError::InvalidParam { .. })
+                ),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
     fn user_registration_extends_and_replaces() {
         let mut reg = SchedulerRegistry::builtin();
         assert!(!reg.contains("my-sched"));
         reg.register_fn("my-sched", "custom", &["t"], |p| {
             let t = p.positive_f64_or("t", 120.0)?;
-            Ok(Box::new(DynMcb8Per::with_period(t)))
+            SchedulerRegistry::builtin().build(&SchedulerSpec::new("dynmcb8-per").with("t", t))
         });
         assert!(reg.contains("my-sched"));
         assert_eq!(

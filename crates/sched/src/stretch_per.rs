@@ -13,16 +13,17 @@
 //! greedy is our reading, documented in DESIGN.md.
 
 use dfrs_core::approx;
-use dfrs_core::constants::DEFAULT_PERIOD_SECS;
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_packing::{min_max_estimated_stretch_with, Mcb8, SearchScratch, StretchJob};
-use dfrs_sim::{Plan, RepackStats, SchedEvent, Scheduler, SimState};
+use dfrs_sim::{Plan, RepackStats, SimState};
 
+use crate::dynmcb8::Objective;
 use crate::evict::{EvictionFront, VictimOrder};
 
-/// The scheduler. Period defaults to the paper's 600 s.
+/// The stretch objective over the next `period` seconds, which the
+/// registry sets to the trigger's period.
 #[derive(Debug)]
-pub struct DynMcb8StretchPer {
+pub(crate) struct MinMaxStretch {
     period: f64,
     // Buffers reused across events (never observable in results). The
     // search runs cold: its inputs include flow and virtual times, which
@@ -30,47 +31,34 @@ pub struct DynMcb8StretchPer {
     search: SearchScratch,
     /// Searches run (for [`RepackStats`]; every one is cold).
     searches: u64,
-    /// Highest change epoch seen; a decrease means this instance was
-    /// reused for a fresh simulation and the platform cache is dropped.
-    last_seen_epoch: u64,
     sjobs: Vec<StretchJob>,
-    front: EvictionFront,
 }
 
-impl DynMcb8StretchPer {
-    /// T = 600 s.
-    pub fn new() -> Self {
-        Self::with_period(DEFAULT_PERIOD_SECS)
-    }
-
-    /// Custom period.
-    pub fn with_period(period: f64) -> Self {
-        assert!(period > 0.0);
-        DynMcb8StretchPer {
+impl MinMaxStretch {
+    pub(crate) fn new(period: f64) -> Self {
+        MinMaxStretch {
             period,
             search: SearchScratch::new(),
             searches: 0,
-            last_seen_epoch: 0,
             sjobs: Vec::new(),
-            front: EvictionFront::default(),
         }
     }
+}
 
-    fn observe_epoch(&mut self, epoch: u64) {
-        if epoch < self.last_seen_epoch {
-            self.front.forget_platform();
-        }
-        self.last_seen_epoch = self.last_seen_epoch.max(epoch);
+impl Objective for MinMaxStretch {
+    /// Estimated stretches read flow and virtual times.
+    const TIME_FREE: bool = false;
+
+    fn name_parts(&self) -> (&'static str, String) {
+        ("-stretch", String::new())
     }
 
-    fn repack(&mut self, state: &SimState) -> Plan {
-        let DynMcb8StretchPer {
+    fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan {
+        let MinMaxStretch {
             period,
             search,
             searches,
             sjobs,
-            front,
-            ..
         } = self;
         let alloc = front.pack(state, VictimOrder::Priority, |candidates, nodes| {
             sjobs.clear();
@@ -96,6 +84,15 @@ impl DynMcb8StretchPer {
         // GPU-free workloads).
         crate::common::gpu_clamp_assignments(nodes, |id| state.job(id).spec.gpu_need, &mut plan);
         plan
+    }
+
+    fn stats(&self) -> RepackStats {
+        RepackStats {
+            searches: self.searches,
+            search_hits: 0,
+            packs: self.search.packs,
+            packs_saved: 0,
+        }
     }
 }
 
@@ -159,41 +156,10 @@ fn improve_average_stretch(period: f64, state: &SimState, plan: &mut Plan, nodes
     }
 }
 
-impl Default for DynMcb8StretchPer {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for DynMcb8StretchPer {
-    fn name(&self) -> String {
-        format!("DynMCB8-stretch-per {}", self.period)
-    }
-    fn period(&self) -> Option<f64> {
-        Some(self.period)
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.observe_epoch(state.change_epoch());
-        match ev {
-            SchedEvent::Tick => self.repack(state),
-            // Periodic semantics: victims wait for the next tick.
-            SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => Plan::noop(),
-            _ => Plan::noop(),
-        }
-    }
-    fn repack_stats(&self) -> Option<RepackStats> {
-        Some(RepackStats {
-            searches: self.searches,
-            search_hits: 0,
-            packs: self.search.packs,
-            packs_saved: 0,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::dynmcb8::build;
+    use dfrs_core::ids::JobId;
     use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
 
@@ -215,7 +181,7 @@ mod tests {
         let out = simulate(
             cluster,
             &jobs,
-            &mut DynMcb8StretchPer::with_period(600.0),
+            build("dynmcb8-stretch-per:t=600").as_mut(),
             &cfg(),
         );
         assert!((out.records[0].first_start.unwrap() - 600.0).abs() < 1e-9);
@@ -235,7 +201,7 @@ mod tests {
         let out = simulate(
             cluster,
             &jobs,
-            &mut DynMcb8StretchPer::with_period(600.0),
+            build("dynmcb8-stretch-per:t=600").as_mut(),
             &cfg(),
         );
         // Both in system at tick 600. Job 0 flow=600, job 1 flow=10; both
@@ -260,7 +226,7 @@ mod tests {
         let out = simulate(
             cluster,
             &jobs,
-            &mut DynMcb8StretchPer::with_period(600.0),
+            build("dynmcb8-stretch-per:t=600").as_mut(),
             &cfg(),
         );
         assert!((out.records[0].completion - 700.0).abs() < 1e-6);
@@ -268,6 +234,9 @@ mod tests {
 
     #[test]
     fn name_includes_period() {
-        assert_eq!(DynMcb8StretchPer::new().name(), "DynMCB8-stretch-per 600");
+        assert_eq!(
+            build("dynmcb8-stretch-per").name(),
+            "DynMCB8-stretch-per 600"
+        );
     }
 }

@@ -156,11 +156,17 @@ fn repack_probe_counts_are_pinned() {
         validate: true,
         ..SimConfig::default()
     };
+    // Every key of the DYNMCB8 family, so each trigger × objective
+    // pairing of the one repacker is pinned.
     let reg = dfrs_sched::SchedulerRegistry::builtin();
     for (spec, want) in [
         ("dynmcb8", (160, 497, 53, 170)),
+        ("dynmcb8-per", (51, 223, 11, 49)),
+        ("dynmcb8-asap-per", (46, 149, 16, 69)),
         ("dynmcb8-stretch-per", (92, 350, 0, 0)),
         ("dynmcb8-drf", (160, 475, 0, 0)),
+        ("dynmcb8-drf-per", (61, 338, 0, 0)),
+        ("dynmcb8-fair-per", (202, 234, 159, 460)),
     ] {
         let mut sched = reg.build_str(spec).unwrap();
         let out = simulate(small_cluster(), &jobs, sched.as_mut(), &cfg);
@@ -170,6 +176,56 @@ fn repack_probe_counts_are_pinned() {
             want,
             "{spec}: (searches, packs, search_hits, packs_saved)"
         );
+    }
+}
+
+#[test]
+fn dynmcb8_family_names_and_periods_are_pinned() {
+    // Goldens, tables and serve transcripts carry these strings; the
+    // repacker composes them from the trigger and the objective.
+    let reg = dfrs_sched::SchedulerRegistry::builtin();
+    for (spec, name, period) in [
+        ("dynmcb8", "DynMCB8", None),
+        ("dynmcb8:packer=first-fit", "DynMCB8[ffd]", None),
+        ("dynmcb8:packer=best-fit", "DynMCB8[bfd]", None),
+        ("dynmcb8-per:t=60", "DynMCB8-per 60", Some(60.0)),
+        (
+            "dynmcb8-per:packer=bfd",
+            "DynMCB8-per 600[bfd]",
+            Some(600.0),
+        ),
+        ("dynmcb8-asap-per:t=0.5", "DynMCB8-asap-per 0.5", Some(0.5)),
+        (
+            "dynmcb8-asap-per:packer=ffd",
+            "DynMCB8-asap-per 600[ffd]",
+            Some(600.0),
+        ),
+        (
+            "dynmcb8-stretch-per:t=3600",
+            "DynMCB8-stretch-per 3600",
+            Some(3600.0),
+        ),
+        ("dynmcb8-drf", "DynMCB8-drf", None),
+        ("dynmcb8-drf-per", "DynMCB8-drf-per 600", Some(600.0)),
+        (
+            "dynmcb8-fair-per",
+            "DynMCB8-fair-per 600 (τ=1800, α=1)",
+            Some(600.0),
+        ),
+        (
+            "dynmcb8-fair-per:t=300",
+            "DynMCB8-fair-per 300 (τ=1800, α=1)",
+            Some(300.0),
+        ),
+        (
+            "dynmcb8-fair-per:alpha=0.25",
+            "DynMCB8-fair-per 600 (τ=1800, α=0.25)",
+            Some(600.0),
+        ),
+    ] {
+        let sched = reg.build_str(spec).unwrap();
+        assert_eq!(sched.name(), name, "{spec}");
+        assert_eq!(sched.period(), period, "{spec}");
     }
 }
 

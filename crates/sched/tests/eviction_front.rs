@@ -16,11 +16,10 @@ use dfrs_core::constants::{MIN_STRETCH_PER_YIELD, YIELD_SEARCH_ACCURACY};
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_core::{ClusterSpec, JobSpec};
 use dfrs_packing::{
-    max_min_dominant_share, max_min_yield, min_max_estimated_stretch, DrfJob, DrfSearchScratch,
-    JobLoad, Mcb8, StretchJob,
+    max_min_dominant_share, max_min_yield, min_max_estimated_stretch, BestFitDecreasing, DrfJob,
+    DrfSearchScratch, FirstFitDecreasing, JobLoad, Mcb8, StretchJob, VectorPacker,
 };
-use dfrs_sched::dynmcb8::PackerChoice;
-use dfrs_sched::{DynMcb8, DynMcb8Drf, DynMcb8StretchPer};
+use dfrs_sched::SchedulerRegistry;
 use dfrs_sim::{
     simulate, NodeEvent, Plan, PlanEntry, RepackStats, SchedEvent, Scheduler, SimConfig, SimState,
 };
@@ -29,23 +28,24 @@ use proptest::prelude::*;
 /// Tick period of the periodic family under test.
 const PERIOD: f64 = 100.0;
 
-/// The three hand-written loops the front replaced: `dynmcb8`
-/// (`packed_allocation`, any packer), `drf` (`drf_repack_all`), and
-/// `stretch_per` (`DynMcb8StretchPer::repack`).
+/// The three hand-written loops the front replaced, one per objective:
+/// max-min yield (any packer, named by its `packer=` value), dominant
+/// share, and estimated stretch.
 #[derive(Debug, Clone, Copy)]
 enum Family {
-    Yield(PackerChoice),
+    Yield(&'static str),
     Drf,
     Stretch,
 }
 
 impl Family {
     fn build(self) -> Box<dyn Scheduler> {
-        match self {
-            Family::Yield(p) => Box::new(DynMcb8::with_packer(p)),
-            Family::Drf => Box::new(DynMcb8Drf::new()),
-            Family::Stretch => Box::new(DynMcb8StretchPer::with_period(PERIOD)),
-        }
+        let spec = match self {
+            Family::Yield(p) => format!("dynmcb8:packer={p}"),
+            Family::Drf => "dynmcb8-drf".into(),
+            Family::Stretch => format!("dynmcb8-stretch-per:t={PERIOD}"),
+        };
+        SchedulerRegistry::builtin().build_str(&spec).unwrap()
     }
 
     fn repacks_on(self, ev: SchedEvent) -> bool {
@@ -161,7 +161,7 @@ fn reference_decision(state: &SimState, family: Family) -> (Decision, u64) {
                     max_min_yield(
                         &loads,
                         nodes,
-                        p.packer(),
+                        packer(p),
                         YIELD_SEARCH_ACCURACY,
                         MIN_STRETCH_PER_YIELD,
                     )
@@ -341,10 +341,20 @@ const MEMS: [f64; 11] = [
     1.0,
 ];
 
+/// The packer a `packer=` value names.
+fn packer(name: &str) -> &'static dyn VectorPacker {
+    match name {
+        "mcb8" => &Mcb8,
+        "first-fit" => &FirstFitDecreasing,
+        "best-fit" => &BestFitDecreasing,
+        other => panic!("unknown packer {other}"),
+    }
+}
+
 const FAMILIES: [Family; 5] = [
-    Family::Yield(PackerChoice::Mcb8),
-    Family::Yield(PackerChoice::FirstFit),
-    Family::Yield(PackerChoice::BestFit),
+    Family::Yield("mcb8"),
+    Family::Yield("first-fit"),
+    Family::Yield("best-fit"),
     Family::Drf,
     Family::Stretch,
 ];
@@ -441,11 +451,7 @@ fn overloaded_sets_skip_their_searches() {
 /// one per victim.
 #[test]
 fn memory_overload_costs_at_most_two_searches_per_decision() {
-    for family in [
-        Family::Yield(PackerChoice::Mcb8),
-        Family::Drf,
-        Family::Stretch,
-    ] {
+    for family in [Family::Yield("mcb8"), Family::Drf, Family::Stretch] {
         // 8 nodes; 240 jobs of 1–4 quarter-to-whole-node tasks arriving
         // every 5 s and running ~10 min: dozens in the system at once.
         let jobs: Vec<JobSpec> = (0..240u32)

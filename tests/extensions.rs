@@ -4,8 +4,7 @@
 
 use dfrs::core::ids::JobId;
 use dfrs::core::{ClusterSpec, JobSpec};
-use dfrs::sched::dynmcb8::PackerChoice;
-use dfrs::sched::{Algorithm, ConservativeBf, DynMcb8AsapPer, DynMcb8FairPer, GreedyPmtn};
+use dfrs::sched::{Algorithm, ConservativeBf, GreedyPmtn, SchedulerRegistry};
 use dfrs::sim::{simulate, MigrationMode, SimConfig};
 use dfrs::workload::{Annotator, LublinModel, Trace};
 use rand::rngs::SmallRng;
@@ -81,7 +80,10 @@ fn fairness_damping_reduces_long_job_dominance() {
     let fair = simulate(
         cluster,
         &jobs,
-        &mut DynMcb8FairPer::with_params(600.0, 1_800.0, 1.0),
+        SchedulerRegistry::builtin()
+            .build_str("dynmcb8-fair-per:t=600,vt-threshold=1800,alpha=1")
+            .unwrap()
+            .as_mut(),
         &cfg,
     );
     let short_mean =
@@ -117,14 +119,11 @@ fn packer_ablation_runs_through_public_api() {
         validate: true,
         ..SimConfig::default()
     };
-    for packer in [
-        PackerChoice::Mcb8,
-        PackerChoice::FirstFit,
-        PackerChoice::BestFit,
-    ] {
-        let mut s = DynMcb8AsapPer::with_packer(600.0, packer);
-        let out = simulate(t.cluster, t.jobs(), &mut s, &cfg);
-        assert_eq!(out.records.len(), 50, "{packer:?}");
+    for packer in ["mcb8", "first-fit", "best-fit"] {
+        let spec = format!("dynmcb8-asap-per:t=600,packer={packer}");
+        let mut s = SchedulerRegistry::builtin().build_str(&spec).unwrap();
+        let out = simulate(t.cluster, t.jobs(), s.as_mut(), &cfg);
+        assert_eq!(out.records.len(), 50, "{packer}");
     }
 }
 
