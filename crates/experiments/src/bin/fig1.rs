@@ -6,7 +6,7 @@
 
 use dfrs_experiments::cli::Opts;
 use dfrs_experiments::fig1;
-use dfrs_sched::Algorithm;
+use dfrs_sched::PAPER_SPECS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,7 +30,7 @@ fn main() {
         opts.instances,
         opts.jobs,
         &opts.loads,
-        opts.specs_or(&Algorithm::ALL),
+        opts.specs_or(&PAPER_SPECS),
         opts.penalty,
         opts.seed,
         opts.threads,

@@ -7,7 +7,7 @@ use dfrs_experiments::cli::Opts;
 use dfrs_experiments::instances::{hpc2n_like_instances, hpc2n_swf_instances};
 use dfrs_experiments::report::{f2, TextTable};
 use dfrs_scenario::{Campaign, CellResult};
-use dfrs_sched::Algorithm;
+use dfrs_sched::PAPER_SPECS;
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -42,7 +42,7 @@ fn main() {
         opts.penalty
     );
 
-    let result = Campaign::from_specs(&instances, opts.specs_or(&Algorithm::ALL))
+    let result = Campaign::from_specs(&instances, opts.specs_or(&PAPER_SPECS))
         .penalty(opts.penalty)
         .threads(opts.threads)
         .on_cell(|u| {

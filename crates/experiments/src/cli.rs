@@ -1,7 +1,7 @@
 //! Minimal hand-rolled CLI parsing shared by the experiment binaries
 //! (keeps the dependency set to the approved list — no clap).
 
-use dfrs_sched::{Algorithm, SchedulerRegistry, SchedulerSpec};
+use dfrs_sched::{SchedulerRegistry, SchedulerSpec};
 use dfrs_sim::{FailurePolicy, MigrationMode};
 
 /// Parse `--migration` values: `stop-and-copy`, `live` (60 s freeze),
@@ -197,8 +197,14 @@ impl Opts {
                 .map(|n| n.get())
                 .unwrap_or(4);
         }
-        if o.loads.iter().any(|l| *l <= 0.0 || l.is_nan()) {
-            return Err("loads must be positive".into());
+        if !o.loads.iter().all(|l| l.is_finite() && *l > 0.0) {
+            return Err("loads must be finite and positive".into());
+        }
+        if !(o.penalty.is_finite() && o.penalty >= 0.0) {
+            return Err(format!(
+                "penalty must be finite and >= 0, got {}",
+                o.penalty
+            ));
         }
         if !(o.mtbf_secs > 0.0 && o.mttr_secs > 0.0) {
             return Err("mtbf/mttr must be positive".into());
@@ -213,13 +219,20 @@ impl Opts {
     }
 
     /// The specs `--algo` selected, or `default` (usually
-    /// [`Algorithm::ALL`]) when none were given. With `--shards N` for
+    /// [`dfrs_sched::PAPER_SPECS`]) when none were given. With `--shards N` for
     /// `N > 1`, every spec is wrapped in `sharded:<spec>:shards=N`
     /// (specs already sharded are left alone — nesting is rejected by
     /// the registry grammar).
-    pub fn specs_or(&self, default: &[Algorithm]) -> Vec<SchedulerSpec> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if a `default` spec does not parse.
+    pub fn specs_or(&self, default: &[&str]) -> Vec<SchedulerSpec> {
         let specs = if self.algos.is_empty() {
-            default.iter().map(Algorithm::spec).collect()
+            default
+                .iter()
+                .map(|s| s.parse().expect("default specs are built-in"))
+                .collect()
         } else {
             self.algos.clone()
         };
@@ -269,6 +282,7 @@ Options:
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfrs_sched::PAPER_SPECS;
 
     fn parse(words: &[&str]) -> Result<Opts, String> {
         Opts::parse(&words.iter().map(|s| s.to_string()).collect::<Vec<_>>())
@@ -329,6 +343,18 @@ mod tests {
     }
 
     #[test]
+    fn rejects_non_finite_or_negative_penalty_and_load() {
+        for bad in ["inf", "-inf", "nan", "-300"] {
+            let err = parse(&["--penalty", bad]).unwrap_err();
+            assert!(err.contains("penalty"), "{bad}: {err}");
+        }
+        for bad in ["inf", "0.5,inf"] {
+            let err = parse(&["--loads", bad]).unwrap_err();
+            assert!(err.contains("loads"), "{bad}: {err}");
+        }
+    }
+
+    #[test]
     fn migration_and_failure_options_parse() {
         let o = parse(&[
             "--migration",
@@ -372,20 +398,20 @@ mod tests {
     #[test]
     fn shards_wrap_every_selected_spec() {
         let o = parse(&["--algo", "fcfs,dynmcb8-per:T=60", "--shards", "4"]).unwrap();
-        let specs = o.specs_or(&Algorithm::ALL);
+        let specs = o.specs_or(&PAPER_SPECS);
         assert_eq!(specs[0].to_string(), "sharded:fcfs:shards=4");
         assert_eq!(specs[1].to_string(), "sharded:dynmcb8-per:t=60:shards=4");
 
         // Already-sharded specs are not double-wrapped.
         let o = parse(&["--algo", "sharded:fcfs:shards=2", "--shards", "4"]).unwrap();
         assert_eq!(
-            o.specs_or(&Algorithm::ALL)[0].to_string(),
+            o.specs_or(&PAPER_SPECS)[0].to_string(),
             "sharded:fcfs:shards=2"
         );
 
         // shards=1 leaves everything bare; 0 is rejected.
         let o = parse(&["--algo", "fcfs", "--shards", "1"]).unwrap();
-        assert_eq!(o.specs_or(&Algorithm::ALL)[0].to_string(), "fcfs");
+        assert_eq!(o.specs_or(&PAPER_SPECS)[0].to_string(), "fcfs");
         assert!(parse(&["--shards", "0"]).is_err());
     }
 
@@ -393,7 +419,7 @@ mod tests {
     fn algo_list_keeps_multi_parameter_specs_whole() {
         let o = parse(&[
             "--algo",
-            "fcfs,dynmcb8-fair-per:t=300,alpha=0.5,dynmcb8-per:packer=ffd,t=60,DynMCB8-per 600",
+            "fcfs,dynmcb8-fair-per:t=300,alpha=0.5,dynmcb8-per:packer=ffd,t=60,DynMCB8-PER:T=600",
         ])
         .unwrap();
         let specs: Vec<String> = o.algos.iter().map(|s| s.to_string()).collect();
@@ -418,10 +444,10 @@ mod tests {
         let o = parse(&["--algo", "fcfs,dynmcb8-per:T=60"]).unwrap();
         assert_eq!(o.algos.len(), 2);
         assert_eq!(o.algos[1].to_string(), "dynmcb8-per:t=60");
-        assert_eq!(o.specs_or(&Algorithm::ALL), o.algos);
+        assert_eq!(o.specs_or(&PAPER_SPECS), o.algos);
 
         let d = parse(&[]).unwrap();
-        assert_eq!(d.specs_or(&Algorithm::ALL).len(), 9);
+        assert_eq!(d.specs_or(&PAPER_SPECS).len(), 9);
 
         let err = parse(&["--algo", "dynmbc8"]).unwrap_err();
         assert!(err.contains("known:"), "{err}");

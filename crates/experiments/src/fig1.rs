@@ -3,7 +3,7 @@
 //! rescheduling penalty.
 
 use dfrs_core::OnlineStats;
-use dfrs_scenario::{degradation_row, Campaign};
+use dfrs_scenario::Campaign;
 use dfrs_sched::SchedulerSpec;
 
 use crate::instances::scaled_instances;
@@ -44,15 +44,10 @@ pub fn run_specs(
             .penalty(penalty)
             .threads(threads)
             .run();
-        let mut stats = vec![OnlineStats::new(); specs.len()];
-        for row in &result.cells {
-            for (a, d) in degradation_row(row).into_iter().enumerate() {
-                stats[a].push(d);
-            }
+        if let Some(row_names) = result.names() {
+            names = row_names;
         }
-        if let Some(row) = result.cells.first() {
-            names = row.iter().map(|c| c.name.clone()).collect();
-        }
+        let stats = result.degradation_stats();
         series.push(stats.iter().map(OnlineStats::mean).collect());
     }
     Fig1Data {
@@ -61,22 +56,6 @@ pub fn run_specs(
         names,
         series,
     }
-}
-
-/// Run the experiment over the paper's nine algorithms.
-pub fn run(
-    seeds: u64,
-    jobs: usize,
-    loads: &[f64],
-    penalty: f64,
-    seed0: u64,
-    threads: usize,
-) -> Fig1Data {
-    let specs = dfrs_sched::Algorithm::ALL
-        .iter()
-        .map(|a| a.spec())
-        .collect();
-    run_specs(seeds, jobs, loads, specs, penalty, seed0, threads)
 }
 
 impl Fig1Data {
@@ -97,10 +76,15 @@ impl Fig1Data {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfrs_sched::PAPER_SPECS;
+
+    fn paper_specs() -> Vec<SchedulerSpec> {
+        PAPER_SPECS.map(SchedulerSpec::new).to_vec()
+    }
 
     #[test]
     fn shape_matches_inputs() {
-        let data = run(2, 30, &[0.3, 0.6], 0.0, 3, 4);
+        let data = run_specs(2, 30, &[0.3, 0.6], paper_specs(), 0.0, 3, 4);
         assert_eq!(data.loads, vec![0.3, 0.6]);
         assert_eq!(data.series.len(), 2);
         assert_eq!(data.series[0].len(), 9);
@@ -115,7 +99,7 @@ mod tests {
 
     #[test]
     fn table_renders_all_rows() {
-        let data = run(1, 25, &[0.5], 0.0, 7, 2);
+        let data = run_specs(1, 25, &[0.5], paper_specs(), 0.0, 7, 2);
         let text = data.table().render();
         assert!(text.contains("FCFS"));
         assert_eq!(text.lines().count(), 3);

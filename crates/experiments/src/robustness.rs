@@ -5,7 +5,7 @@
 
 use dfrs_core::OnlineStats;
 use dfrs_scenario::{degradation_row, Campaign, Scenario, ScenarioBuilder};
-use dfrs_sched::Algorithm;
+use dfrs_sched::{SchedulerSpec, PAPER_SPECS};
 
 use crate::report::TextTable;
 
@@ -32,9 +32,11 @@ pub fn downey_instances(seeds: u64, jobs: usize, loads: &[f64], seed0: u64) -> V
 /// Downey family.
 #[derive(Debug, Clone)]
 pub struct RobustnessData {
-    /// Algorithms, Table I order.
-    pub algorithms: Vec<Algorithm>,
-    /// Per algorithm: degradation stats over all instances.
+    /// Scheduler specs, Table I order.
+    pub specs: Vec<SchedulerSpec>,
+    /// Display names aligned with `specs`.
+    pub names: Vec<String>,
+    /// Per spec: degradation stats over all instances.
     pub stats: Vec<OnlineStats>,
 }
 
@@ -47,30 +49,38 @@ pub fn run(
     seed0: u64,
     threads: usize,
 ) -> RobustnessData {
-    let algorithms = Algorithm::ALL.to_vec();
-    let mut stats = vec![OnlineStats::new(); algorithms.len()];
+    let specs = PAPER_SPECS.map(SchedulerSpec::new).to_vec();
+    let mut names: Vec<String> = specs.iter().map(ToString::to_string).collect();
+    let mut stats = vec![OnlineStats::new(); specs.len()];
     for &load in loads {
         let instances = downey_instances(seeds, jobs, &[load], seed0);
-        let result = Campaign::over(&instances, &algorithms)
+        let result = Campaign::from_specs(&instances, specs.clone())
             .penalty(penalty)
             .threads(threads)
             .run();
+        if let Some(row_names) = result.names() {
+            names = row_names;
+        }
         for row in &result.cells {
             for (a, d) in degradation_row(row).into_iter().enumerate() {
                 stats[a].push(d);
             }
         }
     }
-    RobustnessData { algorithms, stats }
+    RobustnessData {
+        specs,
+        names,
+        stats,
+    }
 }
 
 impl RobustnessData {
     /// Render as a table with CI half-widths.
     pub fn table(&self) -> TextTable {
         let mut t = TextTable::new(vec!["Algorithm", "avg degradation", "±95% CI", "max"]);
-        for (a, s) in self.algorithms.iter().zip(self.stats.iter()) {
+        for (name, s) in self.names.iter().zip(self.stats.iter()) {
             t.row(vec![
-                a.name().to_string(),
+                name.clone(),
                 format!("{:.2}", s.mean()),
                 format!("{:.2}", s.ci95_half_width()),
                 format!("{:.2}", s.max()),
@@ -83,6 +93,7 @@ impl RobustnessData {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dfrs_sched::PREEMPTING_SPECS;
 
     #[test]
     fn downey_instances_hit_loads() {
@@ -97,18 +108,38 @@ mod tests {
     #[test]
     fn dfrs_dominance_is_model_independent() {
         let data = run(2, 40, &[0.7], 0.0, 5, 2);
-        let idx = |a: Algorithm| data.algorithms.iter().position(|x| *x == a).unwrap();
-        let batch_best = data.stats[idx(Algorithm::Fcfs)]
+        let idx = |key: &str| data.specs.iter().position(|s| s.key() == key).unwrap();
+        let batch_best = data.stats[idx("fcfs")]
             .mean()
-            .min(data.stats[idx(Algorithm::Easy)].mean());
-        let dfrs_best = Algorithm::PREEMPTING
+            .min(data.stats[idx("easy")].mean());
+        let dfrs_best = PREEMPTING_SPECS
             .iter()
-            .map(|a| data.stats[idx(*a)].mean())
+            .map(|key| data.stats[idx(key)].mean())
             .fold(f64::INFINITY, f64::min);
         assert!(
             dfrs_best * 5.0 < batch_best,
             "DFRS ({dfrs_best:.1}) should dominate batch ({batch_best:.1}) on Downey workloads too"
         );
-        assert!(data.table().render().contains("±95% CI"));
+        let text = data.table().render();
+        assert!(text.contains("±95% CI"));
+        let labels: Vec<&str> = text
+            .lines()
+            .skip(2)
+            .map(|l| l.split("  ").next().unwrap().trim())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "FCFS",
+                "EASY",
+                "Greedy",
+                "Greedy-pmtn",
+                "Greedy-pmtn-migr",
+                "DynMCB8",
+                "DynMCB8-per 600",
+                "DynMCB8-asap-per 600",
+                "DynMCB8-stretch-per 600",
+            ]
+        );
     }
 }

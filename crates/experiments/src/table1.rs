@@ -3,7 +3,7 @@
 
 use dfrs_core::OnlineStats;
 use dfrs_scenario::{Campaign, Scenario};
-use dfrs_sched::Algorithm;
+use dfrs_sched::{SchedulerSpec, PAPER_SPECS};
 
 use crate::instances::{
     hpc2n_like_instances, hpc2n_swf_instances, scaled_instances, unscaled_instances,
@@ -15,15 +15,17 @@ use crate::report::{f2, TextTable};
 pub struct FamilyStats {
     /// Family label (e.g. "Scaled synthetic traces").
     pub family: String,
-    /// Per algorithm (Table I order): degradation stats.
+    /// Per spec (Table I order): degradation stats.
     pub per_algo: Vec<OnlineStats>,
 }
 
 /// The whole table.
 #[derive(Debug, Clone)]
 pub struct Table1Data {
-    /// Algorithms, Table I order.
-    pub algorithms: Vec<Algorithm>,
+    /// Scheduler specs, Table I order.
+    pub specs: Vec<SchedulerSpec>,
+    /// Display names aligned with `specs`.
+    pub names: Vec<String>,
     /// The three families.
     pub families: Vec<FamilyStats>,
 }
@@ -51,75 +53,53 @@ pub struct Table1Config {
     pub swf_text: Option<String>,
 }
 
-fn family(
-    label: &str,
-    instances: &[Scenario],
-    algorithms: &[Algorithm],
-    penalty: f64,
-    threads: usize,
-) -> FamilyStats {
-    let result = Campaign::over(instances, algorithms)
-        .penalty(penalty)
-        .threads(threads)
-        .run();
-    FamilyStats {
-        family: label.to_string(),
-        per_algo: result.degradation_stats(),
-    }
-}
-
 /// Run all three families.
 pub fn run(cfg: &Table1Config) -> Table1Data {
-    let algorithms = Algorithm::ALL.to_vec();
-    let mut families = Vec::with_capacity(3);
+    let specs = PAPER_SPECS.map(SchedulerSpec::new).to_vec();
+    let mut names: Vec<String> = specs.iter().map(ToString::to_string).collect();
+    let mut family = |instances: &[Scenario]| {
+        let result = Campaign::from_specs(instances, specs.clone())
+            .penalty(cfg.penalty)
+            .threads(cfg.threads)
+            .run();
+        if let Some(row_names) = result.names() {
+            names = row_names;
+        }
+        result.degradation_stats()
+    };
 
     // Scaled family, one load at a time (memory; per-instance baseline).
-    {
-        let mut per_algo = vec![OnlineStats::new(); algorithms.len()];
-        for &load in &cfg.loads {
-            let instances = scaled_instances(cfg.seeds, cfg.jobs, &[load], cfg.seed0);
-            let f = family("scaled", &instances, &algorithms, cfg.penalty, cfg.threads);
-            for (acc, s) in per_algo.iter_mut().zip(f.per_algo.iter()) {
-                acc.merge(s);
-            }
+    let mut scaled = vec![OnlineStats::new(); specs.len()];
+    for &load in &cfg.loads {
+        let stats = family(&scaled_instances(cfg.seeds, cfg.jobs, &[load], cfg.seed0));
+        for (acc, s) in scaled.iter_mut().zip(&stats) {
+            acc.merge(s);
         }
-        families.push(FamilyStats {
-            family: "Scaled synthetic traces".into(),
-            per_algo,
-        });
     }
+    let unscaled = family(&unscaled_instances(cfg.seeds, cfg.jobs, cfg.seed0));
+    let hpc2n = family(&match &cfg.swf_text {
+        Some(text) => hpc2n_swf_instances(text).expect("SWF parse failed"),
+        None => hpc2n_like_instances(
+            cfg.weeks,
+            cfg.hpc2n_jobs_per_week,
+            cfg.seed0 ^ 0x4850_4332, // "HPC2"
+        ),
+    });
 
-    {
-        let instances = unscaled_instances(cfg.seeds, cfg.jobs, cfg.seed0);
-        families.push(family(
-            "Unscaled synthetic traces",
-            &instances,
-            &algorithms,
-            cfg.penalty,
-            cfg.threads,
-        ));
-    }
-
-    {
-        let instances: Vec<Scenario> = match &cfg.swf_text {
-            Some(text) => hpc2n_swf_instances(text).expect("SWF parse failed"),
-            None => hpc2n_like_instances(
-                cfg.weeks,
-                cfg.hpc2n_jobs_per_week,
-                cfg.seed0 ^ 0x4850_4332, // "HPC2"
-            ),
-        };
-        families.push(family(
-            "Real-world trace (HPC2N-like)",
-            &instances,
-            &algorithms,
-            cfg.penalty,
-            cfg.threads,
-        ));
-    }
-
+    let families = [
+        ("Scaled synthetic traces", scaled),
+        ("Unscaled synthetic traces", unscaled),
+        ("Real-world trace (HPC2N-like)", hpc2n),
+    ]
+    .into_iter()
+    .map(|(family, per_algo)| FamilyStats {
+        family: family.into(),
+        per_algo,
+    })
+    .collect();
     Table1Data {
-        algorithms,
+        specs,
+        names,
         families,
     }
 }
@@ -140,8 +120,8 @@ impl Table1Data {
             header.push(format!("{tag}-max"));
         }
         let mut t = TextTable::new(header);
-        for (a, algo) in self.algorithms.iter().enumerate() {
-            let mut cells = vec![algo.name().to_string()];
+        for (a, name) in self.names.iter().enumerate() {
+            let mut cells = vec![name.clone()];
             for fam in &self.families {
                 let s = &fam.per_algo[a];
                 cells.push(f2(s.mean()));
@@ -182,6 +162,25 @@ mod tests {
             }
         }
         let text = data.table().render();
-        assert!(text.contains("FCFS") && text.contains("hpc2n-max"));
+        assert!(text.contains("hpc2n-max"));
+        let labels: Vec<&str> = text
+            .lines()
+            .skip(2)
+            .map(|l| l.split("  ").next().unwrap().trim())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "FCFS",
+                "EASY",
+                "Greedy",
+                "Greedy-pmtn",
+                "Greedy-pmtn-migr",
+                "DynMCB8",
+                "DynMCB8-per 600",
+                "DynMCB8-asap-per 600",
+                "DynMCB8-stretch-per 600",
+            ]
+        );
     }
 }

@@ -5,7 +5,7 @@
 
 use dfrs_core::OnlineStats;
 use dfrs_scenario::Campaign;
-use dfrs_sched::Algorithm;
+use dfrs_sched::{SchedulerSpec, PREEMPTING_SPECS};
 
 use crate::instances::scaled_instances;
 use crate::report::{avg_max, TextTable};
@@ -30,9 +30,11 @@ pub struct CostStats {
 /// The table's data.
 #[derive(Debug, Clone)]
 pub struct Table2Data {
-    /// The six preempting algorithms (Table II order).
-    pub algorithms: Vec<Algorithm>,
-    /// Stats aligned with `algorithms`.
+    /// The six preempting algorithms' specs (Table II order).
+    pub specs: Vec<SchedulerSpec>,
+    /// Display names aligned with `specs`.
+    pub names: Vec<String>,
+    /// Stats aligned with `specs`.
     pub stats: Vec<CostStats>,
 }
 
@@ -46,14 +48,18 @@ pub fn run(
     seed0: u64,
     threads: usize,
 ) -> Table2Data {
-    let algorithms = Algorithm::PREEMPTING.to_vec();
-    let mut stats = vec![CostStats::default(); algorithms.len()];
+    let specs = PREEMPTING_SPECS.map(SchedulerSpec::new).to_vec();
+    let mut names: Vec<String> = specs.iter().map(ToString::to_string).collect();
+    let mut stats = vec![CostStats::default(); specs.len()];
     for &load in high_loads {
         let instances = scaled_instances(seeds, jobs, &[load], seed0);
-        let result = Campaign::over(&instances, &algorithms)
+        let result = Campaign::from_specs(&instances, specs.clone())
             .penalty(penalty)
             .threads(threads)
             .run();
+        if let Some(row_names) = result.names() {
+            names = row_names;
+        }
         for row in &result.cells {
             for (a, s) in row.iter().enumerate() {
                 stats[a].pmtn_bw.push(s.preemption_bandwidth_gbs());
@@ -65,7 +71,11 @@ pub fn run(
             }
         }
     }
-    Table2Data { algorithms, stats }
+    Table2Data {
+        specs,
+        names,
+        stats,
+    }
 }
 
 impl Table2Data {
@@ -80,9 +90,9 @@ impl Table2Data {
             "pmtn /job",
             "migr /job",
         ]);
-        for (algo, s) in self.algorithms.iter().zip(self.stats.iter()) {
+        for (name, s) in self.names.iter().zip(self.stats.iter()) {
             t.row(vec![
-                algo.name().to_string(),
+                name.clone(),
                 avg_max(s.pmtn_bw.mean(), s.pmtn_bw.max()),
                 avg_max(s.migr_bw.mean(), s.migr_bw.max()),
                 avg_max(s.pmtn_per_hour.mean(), s.pmtn_per_hour.max()),
@@ -102,17 +112,33 @@ mod tests {
     #[test]
     fn six_preempting_algorithms_reported() {
         let data = run(1, 30, &[0.8], 300.0, 4, 4);
-        assert_eq!(data.algorithms.len(), 6);
+        assert_eq!(data.specs.len(), 6);
         // Greedy-pmtn never migrates by construction.
         let gp = data
-            .algorithms
+            .specs
             .iter()
-            .position(|a| *a == Algorithm::GreedyPmtn)
+            .position(|s| s.key() == "greedy-pmtn")
             .unwrap();
         assert_eq!(data.stats[gp].migr_per_hour.max(), 0.0);
         let text = data.table().render();
         assert!(text.contains("pmtn GB/s"));
         assert_eq!(text.lines().count(), 8);
+        let labels: Vec<&str> = text
+            .lines()
+            .skip(2)
+            .map(|l| l.split("  ").next().unwrap().trim())
+            .collect();
+        assert_eq!(
+            labels,
+            [
+                "Greedy-pmtn",
+                "Greedy-pmtn-migr",
+                "DynMCB8",
+                "DynMCB8-per 600",
+                "DynMCB8-asap-per 600",
+                "DynMCB8-stretch-per 600",
+            ]
+        );
     }
 
     #[test]
@@ -120,9 +146,9 @@ mod tests {
         // The paper's qualitative claim: event-driven DYNMCB8 has the
         // highest migration rate.
         let data = run(2, 40, &[0.8], 300.0, 11, 4);
-        let idx = |a: Algorithm| data.algorithms.iter().position(|x| *x == a).unwrap();
-        let event = data.stats[idx(Algorithm::DynMcb8)].migr_per_job.mean();
-        let per = data.stats[idx(Algorithm::DynMcb8Per)].migr_per_job.mean();
+        let idx = |key: &str| data.specs.iter().position(|s| s.key() == key).unwrap();
+        let event = data.stats[idx("dynmcb8")].migr_per_job.mean();
+        let per = data.stats[idx("dynmcb8-per")].migr_per_job.mean();
         assert!(
             event >= per,
             "DynMCB8 migrations/job {event} < periodic {per}"

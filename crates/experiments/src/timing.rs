@@ -9,7 +9,6 @@
 //! claim.
 
 use dfrs_core::OnlineStats;
-use dfrs_sched::Algorithm;
 use dfrs_sim::{DecisionSample, SimConfig};
 
 use crate::instances::unscaled_instances;
@@ -36,7 +35,8 @@ pub fn run(seeds: u64, jobs: usize, seed0: u64) -> TimingData {
     for inst in unscaled_instances(seeds, jobs, seed0) {
         let out = inst
             .with_config(cfg.clone())
-            .run_scheduler(Algorithm::DynMcb8.build().as_mut());
+            .run("dynmcb8")
+            .expect("dynmcb8 is a built-in spec");
         samples.extend(out.decisions);
     }
     let bounds = [10u32, 20, 40, 80, 160, u32::MAX];

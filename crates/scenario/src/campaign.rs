@@ -6,7 +6,7 @@ use std::sync::Mutex;
 
 use dfrs_core::stretch::degradation_factor;
 use dfrs_core::OnlineStats;
-use dfrs_sched::{Algorithm, SchedulerRegistry, SchedulerSpec, SpecError};
+use dfrs_sched::{SchedulerRegistry, SchedulerSpec, SpecError};
 use dfrs_sim::{SimConfig, SimOutcome};
 
 use crate::scenario::Scenario;
@@ -205,6 +205,13 @@ impl CampaignResult {
         degradation_stats(&self.cells, self.specs.len())
     }
 
+    /// The column labels: each spec's scheduler name, as the cells
+    /// carry it. `None` when no scenario ran.
+    pub fn names(&self) -> Option<Vec<String>> {
+        let row = self.cells.first()?;
+        Some(row.iter().map(|c| c.name.clone()).collect())
+    }
+
     /// Deterministic bytes for the whole matrix (see
     /// [`CellResult::fingerprint`]).
     pub fn fingerprint(&self) -> String {
@@ -230,7 +237,6 @@ type Observer<'a> = Box<dyn Fn(CellUpdate<'_>) + Sync + 'a>;
 ///
 /// ```
 /// use dfrs_scenario::{Campaign, ScenarioBuilder};
-/// use dfrs_sched::Algorithm;
 ///
 /// let scenarios = vec![ScenarioBuilder::new()
 ///     .lublin(25)
@@ -238,7 +244,8 @@ type Observer<'a> = Box<dyn Fn(CellUpdate<'_>) + Sync + 'a>;
 ///     .seed(3)
 ///     .build()
 ///     .unwrap()];
-/// let result = Campaign::over(&scenarios, &[Algorithm::Fcfs, Algorithm::GreedyPmtn])
+/// let result = Campaign::new(&scenarios, ["fcfs", "greedy-pmtn"])
+///     .unwrap()
 ///     .penalty(300.0)
 ///     .run();
 /// assert_eq!(result.cells[0][0].name, "FCFS");
@@ -287,12 +294,6 @@ impl<'a> Campaign<'a> {
     /// A campaign over already-parsed specs (built-in registry).
     pub fn from_specs(scenarios: &'a [Scenario], specs: Vec<SchedulerSpec>) -> Self {
         Self::from_parts(scenarios, SchedulerRegistry::builtin(), specs)
-    }
-
-    /// A campaign over the paper's fixed algorithm sets
-    /// ([`Algorithm::ALL`], [`Algorithm::PREEMPTING`]).
-    pub fn over(scenarios: &'a [Scenario], algorithms: &[Algorithm]) -> Self {
-        Self::from_specs(scenarios, algorithms.iter().map(Algorithm::spec).collect())
     }
 
     fn from_parts(
@@ -556,14 +557,14 @@ mod tests {
     #[test]
     fn matrix_shape_and_alignment() {
         let scens = scenarios(2, 25, 0.5, 11);
-        let algos = [Algorithm::Fcfs, Algorithm::Easy, Algorithm::GreedyPmtn];
-        let result = Campaign::over(&scens, &algos).threads(4).run();
+        let specs = ["fcfs", "easy", "greedy-pmtn"];
+        let result = Campaign::new(&scens, specs).unwrap().threads(4).run();
         assert_eq!(result.cells.len(), 2);
         for row in &result.cells {
             assert_eq!(row.len(), 3);
-            for (cell, a) in row.iter().zip(algos.iter()) {
-                assert_eq!(cell.name, a.name());
-                assert_eq!(cell.spec, a.spec());
+            for ((cell, spec), name) in row.iter().zip(specs).zip(["FCFS", "EASY", "Greedy-pmtn"]) {
+                assert_eq!(cell.name, name);
+                assert_eq!(cell.spec, SchedulerSpec::new(spec));
                 assert_eq!(cell.n_jobs, 25);
             }
         }
@@ -572,7 +573,8 @@ mod tests {
     #[test]
     fn degradation_row_has_a_unit_entry() {
         let scens = scenarios(2, 25, 0.5, 11);
-        let result = Campaign::over(&scens, &Algorithm::ALL[..3])
+        let result = Campaign::new(&scens, &dfrs_sched::PAPER_SPECS[..3])
+            .unwrap()
             .threads(2)
             .run();
         for row in &result.cells {
@@ -604,8 +606,9 @@ mod tests {
     #[test]
     fn penalty_override_applies() {
         let scens = scenarios(1, 25, 0.8, 7);
-        let free = Campaign::over(&scens, &[Algorithm::DynMcb8]).run();
-        let taxed = Campaign::over(&scens, &[Algorithm::DynMcb8])
+        let free = Campaign::new(&scens, ["dynmcb8"]).unwrap().run();
+        let taxed = Campaign::new(&scens, ["dynmcb8"])
+            .unwrap()
             .penalty(300.0)
             .run();
         assert!(

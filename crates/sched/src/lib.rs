@@ -28,18 +28,19 @@
 //!
 //! [`spec::SchedulerRegistry`] is the open entry point: string-keyed
 //! factories with typed parameters (`"dynmcb8-per:t=300"`), extensible
-//! by user code. [`registry::Algorithm`] enumerates the paper's nine as
-//! a thin shim over the registry for the fixed Table I/II harnesses.
-//! Extensions beyond the paper: [`conservative::ConservativeBf`]
-//! (conservative backfilling), `dynmcb8-fair-per` (long-job yield
-//! damping, the paper's future-work sketch), and the multi-resource
-//! `dynmcb8-drf` / `dynmcb8-drf-per` pair (max-min **dominant share**
-//! over CPU+GPU instead of max-min yield).
+//! by user code, and the only way to name a scheduler.
+//! [`PAPER_SPECS`] and [`PREEMPTING_SPECS`] list the keys of the
+//! paper's Table I and Table II rows. Extensions beyond the paper:
+//! [`conservative::ConservativeBf`] (conservative backfilling),
+//! `dynmcb8-fair-per` (long-job yield damping, the paper's future-work
+//! sketch), and the multi-resource `dynmcb8-drf` / `dynmcb8-drf-per`
+//! pair (max-min **dominant share** over CPU+GPU instead of max-min
+//! yield).
 //!
 //! ```
 //! use dfrs_core::ids::JobId;
 //! use dfrs_core::{ClusterSpec, JobSpec};
-//! use dfrs_sched::Algorithm;
+//! use dfrs_sched::SchedulerRegistry;
 //! use dfrs_sim::{simulate, SimConfig};
 //!
 //! // Two memory-light jobs a batch scheduler would serialize run
@@ -48,8 +49,9 @@
 //! let jobs: Vec<JobSpec> = (0..2)
 //!     .map(|i| JobSpec::new(JobId(i), 0.0, 2, 0.25, 0.1, 300.0).unwrap())
 //!     .collect();
-//! let fcfs = simulate(cluster, &jobs, Algorithm::Fcfs.build().as_mut(), &SimConfig::default());
-//! let dfrs = simulate(cluster, &jobs, Algorithm::GreedyPmtn.build().as_mut(), &SimConfig::default());
+//! let reg = SchedulerRegistry::builtin();
+//! let fcfs = simulate(cluster, &jobs, reg.build_str("fcfs").unwrap().as_mut(), &SimConfig::default());
+//! let dfrs = simulate(cluster, &jobs, reg.build_str("greedy-pmtn").unwrap().as_mut(), &SimConfig::default());
 //! assert_eq!(fcfs.max_stretch, 2.0);
 //! assert_eq!(dfrs.max_stretch, 1.0);
 //! ```
@@ -70,6 +72,6 @@ mod stretch_per;
 pub use batch::{Easy, Fcfs};
 pub use conservative::ConservativeBf;
 pub use greedy::{Greedy, GreedyPmtn, GreedyPmtnMigr};
-pub use registry::Algorithm;
+pub use registry::{PAPER_SPECS, PREEMPTING_SPECS};
 pub use sharded::Sharded;
 pub use spec::{SchedulerFactory, SchedulerRegistry, SchedulerSpec, SpecError, SpecParams};

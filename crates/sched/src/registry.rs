@@ -1,231 +1,126 @@
-//! The paper's nine algorithms as a closed enum — now a thin
-//! compatibility shim over the open [`crate::SchedulerRegistry`].
+//! The paper's fixed algorithm sets as registry spec strings.
 //!
-//! New code should prefer [`SchedulerSpec`] strings (`"dynmcb8-per:t=300"`)
-//! and the registry; `Algorithm` remains for the experiment harnesses
-//! that iterate the paper's fixed Table I/II sets and for its stable
-//! paper-table display names.
-
-use std::str::FromStr;
-
-use dfrs_core::constants::DEFAULT_PERIOD_SECS;
-use dfrs_sim::Scheduler;
-
-use crate::spec::{SchedulerRegistry, SchedulerSpec, SpecError};
+//! Every scheduler is named by a [`crate::SchedulerSpec`] and built
+//! through the [`crate::SchedulerRegistry`]; these lists are the bare
+//! keys of the paper's Table I and Table II rows (periodic variants
+//! default to T = 600). Row labels come from the built schedulers'
+//! `name()`.
 
 /// The nine algorithms of the paper's evaluation, in the order of
 /// Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Algorithm {
-    /// First-Come-First-Serve (batch baseline).
-    Fcfs,
-    /// EASY backfilling with perfect estimates (batch baseline).
-    Easy,
-    /// GREEDY.
-    Greedy,
-    /// GREEDY-PMTN.
-    GreedyPmtn,
-    /// GREEDY-PMTN-MIGR.
-    GreedyPmtnMigr,
-    /// DYNMCB8 (every event).
-    DynMcb8,
-    /// DYNMCB8-PER-600.
-    DynMcb8Per,
-    /// DYNMCB8-ASAP-PER-600.
-    DynMcb8AsapPer,
-    /// DYNMCB8-STRETCH-PER-600.
-    DynMcb8StretchPer,
-}
+pub const PAPER_SPECS: [&str; 9] = [
+    "fcfs",
+    "easy",
+    "greedy",
+    "greedy-pmtn",
+    "greedy-pmtn-migr",
+    "dynmcb8",
+    "dynmcb8-per",
+    "dynmcb8-asap-per",
+    "dynmcb8-stretch-per",
+];
 
-impl Algorithm {
-    /// All nine, Table I order.
-    pub const ALL: [Algorithm; 9] = [
-        Algorithm::Fcfs,
-        Algorithm::Easy,
-        Algorithm::Greedy,
-        Algorithm::GreedyPmtn,
-        Algorithm::GreedyPmtnMigr,
-        Algorithm::DynMcb8,
-        Algorithm::DynMcb8Per,
-        Algorithm::DynMcb8AsapPer,
-        Algorithm::DynMcb8StretchPer,
-    ];
-
-    /// The six algorithms of Table II (those that preempt or migrate).
-    pub const PREEMPTING: [Algorithm; 6] = [
-        Algorithm::GreedyPmtn,
-        Algorithm::GreedyPmtnMigr,
-        Algorithm::DynMcb8,
-        Algorithm::DynMcb8Per,
-        Algorithm::DynMcb8AsapPer,
-        Algorithm::DynMcb8StretchPer,
-    ];
-
-    /// Display name matching the paper's tables.
-    pub fn name(&self) -> &'static str {
-        match self {
-            Algorithm::Fcfs => "FCFS",
-            Algorithm::Easy => "EASY",
-            Algorithm::Greedy => "Greedy",
-            Algorithm::GreedyPmtn => "Greedy-pmtn",
-            Algorithm::GreedyPmtnMigr => "Greedy-pmtn-migr",
-            Algorithm::DynMcb8 => "DynMCB8",
-            Algorithm::DynMcb8Per => "DynMCB8-per 600",
-            Algorithm::DynMcb8AsapPer => "DynMCB8-asap-per 600",
-            Algorithm::DynMcb8StretchPer => "DynMCB8-stretch-per 600",
-        }
-    }
-
-    /// The [`SchedulerRegistry`] key this algorithm builds through.
-    pub fn key(&self) -> &'static str {
-        match self {
-            Algorithm::Fcfs => "fcfs",
-            Algorithm::Easy => "easy",
-            Algorithm::Greedy => "greedy",
-            Algorithm::GreedyPmtn => "greedy-pmtn",
-            Algorithm::GreedyPmtnMigr => "greedy-pmtn-migr",
-            Algorithm::DynMcb8 => "dynmcb8",
-            Algorithm::DynMcb8Per => "dynmcb8-per",
-            Algorithm::DynMcb8AsapPer => "dynmcb8-asap-per",
-            Algorithm::DynMcb8StretchPer => "dynmcb8-stretch-per",
-        }
-    }
-
-    /// This algorithm as a registry spec with the paper's default
-    /// parameters (bare key; periodic variants default to T = 600).
-    pub fn spec(&self) -> SchedulerSpec {
-        SchedulerSpec::new(self.key())
-    }
-
-    /// Whether this variant takes a scheduling period.
-    pub fn is_periodic(&self) -> bool {
-        matches!(
-            self,
-            Algorithm::DynMcb8Per | Algorithm::DynMcb8AsapPer | Algorithm::DynMcb8StretchPer
-        )
-    }
-
-    /// Parse a (case-insensitive) name as printed by [`Algorithm::name`],
-    /// with or without the period suffix. Compatibility wrapper around
-    /// the [`FromStr`] impl, which carries a real [`SpecError`].
-    pub fn parse(s: &str) -> Option<Algorithm> {
-        Algorithm::from_str(s).ok()
-    }
-
-    /// Whether this is one of the two batch baselines.
-    pub fn is_batch(&self) -> bool {
-        matches!(self, Algorithm::Fcfs | Algorithm::Easy)
-    }
-
-    /// Build a fresh scheduler with the paper's default parameters.
-    pub fn build(&self) -> Box<dyn Scheduler> {
-        self.build_with_period(DEFAULT_PERIOD_SECS)
-    }
-
-    /// Build with a custom period for the periodic variants (the paper
-    /// also probed T = 60 and T = 3600). Non-periodic algorithms ignore
-    /// the period, as before.
-    pub fn build_with_period(&self, period: f64) -> Box<dyn Scheduler> {
-        let spec = if self.is_periodic() {
-            self.spec().with("t", period)
-        } else {
-            self.spec()
-        };
-        SchedulerRegistry::builtin()
-            .build(&spec)
-            .expect("built-in specs always build")
-    }
-}
-
-impl FromStr for Algorithm {
-    type Err = SpecError;
-
-    /// Resolve any spelling the registry accepts for the nine paper
-    /// algorithms: canonical keys, paper-table names with spaces
-    /// (`"DynMCB8-per 600"`), and legacy period suffixes
-    /// (`"dynmcb8-per-600"`). Spec parameters are accepted but not
-    /// retained — `Algorithm` is the paper's fixed configuration; use
-    /// [`SchedulerSpec`] to honor parameters.
-    fn from_str(s: &str) -> Result<Algorithm, SpecError> {
-        let spec = SchedulerRegistry::builtin().parse(s)?;
-        Algorithm::ALL
-            .into_iter()
-            .find(|a| a.key() == spec.key())
-            .ok_or_else(|| SpecError::UnknownKey {
-                key: spec.key().to_string(),
-                known: Algorithm::ALL.iter().map(|a| a.key().to_string()).collect(),
-            })
-    }
-}
-
-impl std::fmt::Display for Algorithm {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
+/// The six algorithms of Table II (those that preempt or migrate).
+pub const PREEMPTING_SPECS: [&str; 6] = [
+    "greedy-pmtn",
+    "greedy-pmtn-migr",
+    "dynmcb8",
+    "dynmcb8-per",
+    "dynmcb8-asap-per",
+    "dynmcb8-stretch-per",
+];
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{SchedulerRegistry, SchedulerSpec, SpecError};
+
+    const PAPER_NAMES: [&str; 9] = [
+        "FCFS",
+        "EASY",
+        "Greedy",
+        "Greedy-pmtn",
+        "Greedy-pmtn-migr",
+        "DynMCB8",
+        "DynMCB8-per 600",
+        "DynMCB8-asap-per 600",
+        "DynMCB8-stretch-per 600",
+    ];
 
     #[test]
     fn all_contains_nine_distinct_algorithms() {
-        let names: std::collections::HashSet<_> = Algorithm::ALL.iter().map(|a| a.name()).collect();
-        assert_eq!(names.len(), 9);
-        let keys: std::collections::HashSet<_> = Algorithm::ALL.iter().map(|a| a.key()).collect();
+        let keys: std::collections::HashSet<_> = PAPER_SPECS.iter().collect();
         assert_eq!(keys.len(), 9);
+        let reg = SchedulerRegistry::builtin();
+        let names: std::collections::HashSet<_> = PAPER_SPECS
+            .iter()
+            .map(|s| reg.build_str(s).unwrap().name())
+            .collect();
+        assert_eq!(names.len(), 9);
     }
 
     #[test]
     fn parse_round_trips_names() {
-        for a in Algorithm::ALL {
-            assert_eq!(Algorithm::parse(a.name()), Some(a), "{}", a.name());
-            assert_eq!(a.name().parse::<Algorithm>(), Ok(a), "{}", a.name());
-            assert_eq!(a.key().parse::<Algorithm>(), Ok(a), "{}", a.key());
+        for s in PAPER_SPECS {
+            let spec: SchedulerSpec = s.parse().unwrap();
+            assert_eq!(spec.to_string(), s);
+            assert_eq!(s.to_uppercase().parse::<SchedulerSpec>(), Ok(spec), "{s}");
         }
-        assert_eq!(
-            Algorithm::parse("dynmcb8-asap-per"),
-            Some(Algorithm::DynMcb8AsapPer)
-        );
-        assert_eq!(Algorithm::parse("nonsense"), None);
+        // A one-word paper-table name is its key in another case; the
+        // periodic names ("DynMCB8-per 600") are labels, not specs.
+        for (s, name) in PAPER_SPECS.iter().zip(PAPER_NAMES) {
+            match name.parse::<SchedulerSpec>() {
+                Ok(spec) => assert_eq!(spec.to_string(), *s),
+                Err(e) => {
+                    assert!(name.contains(' '), "{name}: {e}");
+                    assert!(matches!(e, SpecError::UnknownKey { .. }), "{name}");
+                }
+            }
+        }
         assert!(matches!(
-            "nonsense".parse::<Algorithm>(),
+            "nonsense".parse::<SchedulerSpec>(),
             Err(SpecError::UnknownKey { .. })
         ));
-        // Registry keys outside the nine resolve as specs but not as
-        // paper algorithms.
-        assert!("conservative-bf".parse::<Algorithm>().is_err());
     }
 
     #[test]
     fn build_produces_matching_names() {
-        for a in Algorithm::ALL {
-            assert_eq!(a.build().name(), a.name());
+        let reg = SchedulerRegistry::builtin();
+        for (s, name) in PAPER_SPECS.iter().zip(PAPER_NAMES) {
+            assert_eq!(reg.build_str(s).unwrap().name(), name);
         }
     }
 
     #[test]
     fn specs_resolve_through_the_builtin_registry() {
         let reg = SchedulerRegistry::builtin();
-        for a in Algorithm::ALL {
-            assert!(reg.contains(a.key()), "{}", a.key());
-            assert_eq!(reg.build(&a.spec()).unwrap().name(), a.name());
+        for s in PAPER_SPECS {
+            assert!(reg.contains(s), "{s}");
+            assert_eq!(
+                reg.build(&SchedulerSpec::new(s)).unwrap().name(),
+                reg.build_str(s).unwrap().name()
+            );
         }
     }
 
     #[test]
     fn batch_flag() {
-        assert!(Algorithm::Fcfs.is_batch());
-        assert!(Algorithm::Easy.is_batch());
-        assert!(!Algorithm::DynMcb8.is_batch());
-        for a in Algorithm::PREEMPTING {
-            assert!(!a.is_batch());
-        }
+        // Table II drops the rows that never preempt: the two batch
+        // baselines and GREEDY.
+        let non_preempting: Vec<_> = PAPER_SPECS
+            .iter()
+            .filter(|s| !PREEMPTING_SPECS.contains(s))
+            .copied()
+            .collect();
+        assert_eq!(non_preempting, ["fcfs", "easy", "greedy"]);
+        assert_eq!(PAPER_SPECS[3..], PREEMPTING_SPECS);
     }
 
     #[test]
     fn custom_period_shows_in_name() {
-        let s = Algorithm::DynMcb8Per.build_with_period(60.0);
+        let s = SchedulerRegistry::builtin()
+            .build_str("dynmcb8-per:t=60")
+            .unwrap();
         assert_eq!(s.name(), "DynMCB8-per 60");
     }
 }

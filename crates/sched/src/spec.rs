@@ -28,11 +28,12 @@
 //!
 //! ## Spec grammar
 //!
-//! `key[:name=value[,name=value]*]`. Keys are case-insensitive; spaces
-//! and underscores normalize to hyphens, so the paper-table names
-//! (`"DynMCB8-per 600"`) and the legacy `"dynmcb8-per-600"` suffix form
-//! parse to `dynmcb8-per:t=600`. Parameter names are case-insensitive
-//! (`T=300` and `t=300` are the same spec); values are kept verbatim.
+//! `key[:name=value[,name=value]*]`. Keys and parameter names are
+//! case-insensitive (`DynMCB8-PER:T=300` is `dynmcb8-per:t=300`); values
+//! are kept verbatim. A key is spelled exactly as registered: the
+//! paper-table names (`"DynMCB8-per 600"`) are display labels, not
+//! specs. The sharded coordinator has its own form,
+//! `sharded:<inner-spec>:shards=N`.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -347,7 +348,7 @@ impl FromStr for SchedulerSpec {
 }
 
 fn normalize_key(key: &str) -> String {
-    key.trim().to_ascii_lowercase().replace([' ', '_'], "-")
+    key.trim().to_ascii_lowercase()
 }
 
 /// Syntactic split of `key[:params]` without registry validation.
@@ -441,9 +442,8 @@ impl fmt::Debug for SchedulerFactory {
     }
 }
 
-/// String-keyed scheduler factories: the open counterpart of the
-/// closed [`crate::Algorithm`] enum (which is now a thin shim over the
-/// built-in entries here).
+/// String-keyed scheduler factories: the one way to name and build a
+/// scheduler.
 #[derive(Debug, Clone, Default)]
 pub struct SchedulerRegistry {
     factories: BTreeMap<String, SchedulerFactory>,
@@ -627,9 +627,8 @@ impl SchedulerRegistry {
         self.factory(key).is_some()
     }
 
-    /// Parse a spec string against this registry: resolve the key
-    /// (including the legacy `key-600` period-suffix form), validate
-    /// every parameter name, and return the canonical spec.
+    /// Parse a spec string against this registry: resolve the key,
+    /// validate every parameter name, and return the canonical spec.
     pub fn parse(&self, s: &str) -> Result<SchedulerSpec, SpecError> {
         // `sharded:<inner>:shards=N` has its own grammar: the inner
         // spec may itself contain `:`/`=`/`,`, so it cannot go through
@@ -641,22 +640,7 @@ impl SchedulerRegistry {
         {
             return self.parse_sharded(s, rest);
         }
-        let (mut key, mut pairs) = split_spec(s)?;
-        if !self.factories.contains_key(&key) {
-            // Legacy suffix form: "dynmcb8-per-600" → dynmcb8-per:t=600,
-            // accepted when the base key exists and takes a `t` param.
-            if let Some((base, num)) = key.rsplit_once('-') {
-                if num.parse::<f64>().is_ok()
-                    && self
-                        .factories
-                        .get(base)
-                        .is_some_and(|f| f.params.iter().any(|p| p == "t"))
-                {
-                    pairs.insert(0, ("t".to_string(), num.to_string()));
-                    key = base.to_string();
-                }
-            }
-        }
+        let (key, pairs) = split_spec(s)?;
         let factory = self
             .factories
             .get(&key)
@@ -681,12 +665,16 @@ impl SchedulerRegistry {
     /// Parse the tail of `sharded:<inner-spec>:shards=N` (`full` is the
     /// whole spec string, for error messages).
     fn parse_sharded(&self, full: &str, rest: &str) -> Result<SchedulerSpec, SpecError> {
-        let (inner_str, shards_str) =
-            rest.rsplit_once(":shards=")
-                .ok_or_else(|| SpecError::Syntax {
-                    fragment: full.trim().to_string(),
-                    detail: "expected sharded:<inner-spec>:shards=N".into(),
-                })?;
+        // `shards` is case-insensitive like every parameter name; ASCII
+        // lowercasing keeps byte offsets, so the match indexes `rest`.
+        let at = rest
+            .to_ascii_lowercase()
+            .rfind(":shards=")
+            .ok_or_else(|| SpecError::Syntax {
+                fragment: full.trim().to_string(),
+                detail: "expected sharded:<inner-spec>:shards=N".into(),
+            })?;
+        let (inner_str, shards_str) = (&rest[..at], &rest[at + ":shards=".len()..]);
         let shards: u32 = shards_str
             .trim()
             .parse()
@@ -860,15 +848,25 @@ mod tests {
 
     #[test]
     fn legacy_suffix_and_paper_names_parse() {
-        let a: SchedulerSpec = "dynmcb8-per-600".parse().unwrap();
-        assert_eq!(a.to_string(), "dynmcb8-per:t=600");
-        let b: SchedulerSpec = "DynMCB8-asap-per 600".parse().unwrap();
-        assert_eq!(b.to_string(), "dynmcb8-asap-per:t=600");
-        // A numeric suffix on a key that takes no period is NOT a period.
-        assert!(matches!(
-            "fcfs-600".parse::<SchedulerSpec>(),
-            Err(SpecError::UnknownKey { .. })
-        ));
+        // The period-suffix form, the paper-table names and underscore
+        // spellings are not specs: only the registered key is.
+        for s in [
+            "dynmcb8-per-600",
+            "DynMCB8-per 600",
+            "DynMCB8-asap-per 600",
+            "dynmcb8_per",
+            "fcfs-600",
+        ] {
+            assert!(
+                matches!(
+                    s.parse::<SchedulerSpec>(),
+                    Err(SpecError::UnknownKey { .. })
+                ),
+                "{s}"
+            );
+        }
+        let spec: SchedulerSpec = "DynMCB8-PER:T=300".parse().unwrap();
+        assert_eq!(spec.to_string(), "dynmcb8-per:t=300");
     }
 
     #[test]
@@ -915,11 +913,11 @@ mod tests {
             reg.build_str("my-sched:t=42").unwrap().name(),
             "DynMCB8-per 42"
         );
-        // The legacy suffix rewrite applies to user keys that take `t`.
-        assert_eq!(
-            reg.parse("my-sched-300").unwrap().to_string(),
-            "my-sched:t=300"
-        );
+        // A numeric suffix is not a period, for user keys either.
+        assert!(matches!(
+            reg.parse("my-sched-300"),
+            Err(SpecError::UnknownKey { .. })
+        ));
     }
 
     #[test]
@@ -932,9 +930,12 @@ mod tests {
         assert_eq!(spec.to_string(), "sharded:dynmcb8-per:t=300:shards=4");
         let again = reg.parse(&spec.to_string()).unwrap();
         assert_eq!(spec, again);
-        // Inner normalization applies (paper-name inner).
-        let spec = reg.parse("sharded:DynMCB8-per 600:shards=2").unwrap();
+        // Inner normalization applies, and `shards` is case-insensitive
+        // like every other parameter name.
+        let spec = reg.parse("sharded:DynMCB8-PER:T=600:shards=2").unwrap();
         assert_eq!(spec.to_string(), "sharded:dynmcb8-per:t=600:shards=2");
+        let spec = reg.parse("sharded:dynmcb8:SHARDS=2").unwrap();
+        assert_eq!(spec.to_string(), "sharded:dynmcb8:shards=2");
         // shards=1 builds the *bare* inner (passthrough by construction).
         let one = reg.build_str("sharded:greedy:shards=1").unwrap();
         assert_eq!(one.name(), "Greedy");

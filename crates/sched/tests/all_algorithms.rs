@@ -3,7 +3,7 @@
 
 use dfrs_core::ids::JobId;
 use dfrs_core::{ClusterSpec, JobSpec};
-use dfrs_sched::Algorithm;
+use dfrs_sched::{SchedulerRegistry, PAPER_SPECS};
 use dfrs_sim::{simulate, SimConfig, SimOutcome};
 use dfrs_workload::{Annotator, LublinModel, Trace};
 use proptest::prelude::*;
@@ -26,19 +26,20 @@ fn workload(seed: u64, n: usize, load: f64) -> Vec<JobSpec> {
     trace.jobs().to_vec()
 }
 
-fn run(algo: Algorithm, jobs: &[JobSpec], penalty: f64) -> SimOutcome {
+fn run(spec: &str, jobs: &[JobSpec], penalty: f64) -> SimOutcome {
     let cfg = SimConfig {
         penalty,
         validate: true,
         ..SimConfig::default()
     };
-    simulate(small_cluster(), jobs, algo.build().as_mut(), &cfg)
+    let mut sched = SchedulerRegistry::builtin().build_str(spec).unwrap();
+    simulate(small_cluster(), jobs, sched.as_mut(), &cfg)
 }
 
 #[test]
 fn every_algorithm_completes_every_job_with_invariants_held() {
     let jobs = workload(42, 60, 0.5);
-    for algo in Algorithm::ALL {
+    for algo in PAPER_SPECS {
         let out = run(algo, &jobs, 0.0);
         assert_eq!(out.records.len(), jobs.len(), "{algo}");
         for r in &out.records {
@@ -51,7 +52,7 @@ fn every_algorithm_completes_every_job_with_invariants_held() {
 #[test]
 fn every_algorithm_survives_the_penalty_config() {
     let jobs = workload(43, 40, 0.7);
-    for algo in Algorithm::ALL {
+    for algo in PAPER_SPECS {
         let out = run(algo, &jobs, 300.0);
         assert_eq!(out.records.len(), jobs.len(), "{algo}");
     }
@@ -60,7 +61,7 @@ fn every_algorithm_survives_the_penalty_config() {
 #[test]
 fn batch_algorithms_never_move_anything() {
     let jobs = workload(44, 50, 0.8);
-    for algo in [Algorithm::Fcfs, Algorithm::Easy, Algorithm::Greedy] {
+    for algo in ["fcfs", "easy", "greedy"] {
         let out = run(algo, &jobs, 300.0);
         assert_eq!(out.preemption_count, 0, "{algo}");
         assert_eq!(out.migration_count, 0, "{algo}");
@@ -75,8 +76,8 @@ fn easy_is_no_worse_than_fcfs_on_mean_stretch() {
     let mut total = 0;
     for seed in 0..5 {
         let jobs = workload(100 + seed, 50, 0.7);
-        let f = run(Algorithm::Fcfs, &jobs, 0.0);
-        let e = run(Algorithm::Easy, &jobs, 0.0);
+        let f = run("fcfs", &jobs, 0.0);
+        let e = run("easy", &jobs, 0.0);
         total += 1;
         if e.mean_stretch <= f.mean_stretch + 1e-9 {
             easy_wins += 1;
@@ -94,19 +95,14 @@ fn dfrs_beats_batch_on_max_stretch() {
     // algorithm achieves a (much) lower max stretch than both batch
     // baselines at non-trivial load.
     let jobs = workload(7, 80, 0.8);
-    let batch_best = [Algorithm::Fcfs, Algorithm::Easy]
-        .iter()
-        .map(|a| run(*a, &jobs, 0.0).max_stretch)
+    let batch_best = ["fcfs", "easy"]
+        .into_iter()
+        .map(|a| run(a, &jobs, 0.0).max_stretch)
         .fold(f64::INFINITY, f64::min);
-    let dfrs_best = [
-        Algorithm::GreedyPmtn,
-        Algorithm::DynMcb8,
-        Algorithm::DynMcb8Per,
-        Algorithm::DynMcb8AsapPer,
-    ]
-    .iter()
-    .map(|a| run(*a, &jobs, 0.0).max_stretch)
-    .fold(f64::INFINITY, f64::min);
+    let dfrs_best = ["greedy-pmtn", "dynmcb8", "dynmcb8-per", "dynmcb8-asap-per"]
+        .into_iter()
+        .map(|a| run(a, &jobs, 0.0).max_stretch)
+        .fold(f64::INFINITY, f64::min);
     assert!(
         dfrs_best < batch_best,
         "DFRS best {dfrs_best} not better than batch best {batch_best}"
@@ -121,8 +117,8 @@ fn dynmcb8_dominates_on_min_yield_proxy() {
     let mut wins = 0;
     for seed in 0..4 {
         let jobs = workload(200 + seed, 40, 0.6);
-        let event = run(Algorithm::DynMcb8, &jobs, 0.0).max_stretch;
-        let periodic = run(Algorithm::DynMcb8Per, &jobs, 0.0).max_stretch;
+        let event = run("dynmcb8", &jobs, 0.0).max_stretch;
+        let periodic = run("dynmcb8-per", &jobs, 0.0).max_stretch;
         if event <= periodic + 1e-9 {
             wins += 1;
         }
@@ -136,7 +132,7 @@ fn dynmcb8_dominates_on_min_yield_proxy() {
 #[test]
 fn deterministic_across_runs() {
     let jobs = workload(9, 30, 0.5);
-    for algo in Algorithm::ALL {
+    for algo in PAPER_SPECS {
         let a = run(algo, &jobs, 300.0);
         let b = run(algo, &jobs, 300.0);
         assert_eq!(a.max_stretch, b.max_stretch, "{algo}");
@@ -158,7 +154,7 @@ fn repack_probe_counts_are_pinned() {
     };
     // Every key of the DYNMCB8 family, so each trigger × objective
     // pairing of the one repacker is pinned.
-    let reg = dfrs_sched::SchedulerRegistry::builtin();
+    let reg = SchedulerRegistry::builtin();
     for (spec, want) in [
         ("dynmcb8", (160, 497, 53, 170)),
         ("dynmcb8-per", (51, 223, 11, 49)),
@@ -183,7 +179,7 @@ fn repack_probe_counts_are_pinned() {
 fn dynmcb8_family_names_and_periods_are_pinned() {
     // Goldens, tables and serve transcripts carry these strings; the
     // repacker composes them from the trigger and the objective.
-    let reg = dfrs_sched::SchedulerRegistry::builtin();
+    let reg = SchedulerRegistry::builtin();
     for (spec, name, period) in [
         ("dynmcb8", "DynMCB8", None),
         ("dynmcb8:packer=first-fit", "DynMCB8[ffd]", None),
@@ -235,8 +231,8 @@ fn greedy_pmtn_starts_jobs_no_later_than_greedy() {
     // its submission (modulo identical-instant processing), never later
     // than under GREEDY.
     let jobs = workload(11, 50, 0.8);
-    let g = run(Algorithm::Greedy, &jobs, 0.0);
-    let p = run(Algorithm::GreedyPmtn, &jobs, 0.0);
+    let g = run("greedy", &jobs, 0.0);
+    let p = run("greedy-pmtn", &jobs, 0.0);
     for (rg, rp) in g.records.iter().zip(p.records.iter()) {
         let sp = rp.first_start.unwrap();
         assert!(
@@ -263,13 +259,13 @@ proptest! {
     ) {
         let jobs = workload(seed, n, load);
         for algo in [
-            Algorithm::Fcfs,
-            Algorithm::Greedy,
-            Algorithm::GreedyPmtn,
-            Algorithm::GreedyPmtnMigr,
-            Algorithm::DynMcb8,
-            Algorithm::DynMcb8AsapPer,
-            Algorithm::DynMcb8StretchPer,
+            "fcfs",
+            "greedy",
+            "greedy-pmtn",
+            "greedy-pmtn-migr",
+            "dynmcb8",
+            "dynmcb8-asap-per",
+            "dynmcb8-stretch-per",
         ] {
             let out = run(algo, &jobs, penalty);
             prop_assert_eq!(out.records.len(), jobs.len());
@@ -284,7 +280,7 @@ proptest! {
     #[test]
     fn easy_conserves_jobs(seed in 0u64..10_000, n in 10usize..50) {
         let jobs = workload(seed, n, 0.9);
-        let out = run(Algorithm::Easy, &jobs, 0.0);
+        let out = run("easy", &jobs, 0.0);
         prop_assert_eq!(out.records.len(), jobs.len());
         let ids: std::collections::HashSet<JobId> =
             out.records.iter().map(|r| r.id).collect();

@@ -1,9 +1,9 @@
 //! Spec-layer guarantees: property-based parse/display round-trips for
-//! [`SchedulerSpec`], and backward compatibility for every name the old
-//! closed `Algorithm` enum accepted — the paper-table names with
-//! spaces, the canonical keys, and the legacy `-600` period suffixes.
+//! [`SchedulerSpec`], and one spelling per scheduler — the paper-table
+//! names with spaces, underscores and `-600` period suffixes are not
+//! specs.
 
-use dfrs_sched::{Algorithm, SchedulerRegistry, SchedulerSpec};
+use dfrs_sched::{SchedulerRegistry, SchedulerSpec, SpecError, PAPER_SPECS};
 use proptest::prelude::*;
 
 proptest! {
@@ -41,56 +41,73 @@ proptest! {
         prop_assert!(reg.build(&spec).is_ok(), "spec {} failed to build", spec);
     }
 
-    /// Uppercasing, underscores, and surrounding whitespace never
-    /// change what a spec means.
+    /// Uppercasing and surrounding whitespace never change what a spec
+    /// means; an underscore for a hyphen makes it an unknown key.
     #[test]
     fn parse_is_case_and_separator_insensitive(
         key_idx in 0usize..13,
         upper in prop::sample::select(vec![true, false]),
+        underscores in prop::sample::select(vec![true, false]),
         pad in prop::sample::select(vec!["", " ", "  "]),
     ) {
         let reg = SchedulerRegistry::builtin();
         let keys = reg.keys();
         let key = &keys[key_idx % keys.len()];
-        let mut mangled = key.replace('-', "_");
+        let mut mangled = key.clone();
         if upper {
             mangled = mangled.to_ascii_uppercase();
         }
         let mangled = format!("{pad}{mangled}{pad}");
         prop_assert_eq!(reg.parse(&mangled).unwrap(), SchedulerSpec::new(key));
+        if underscores && key.contains('-') {
+            prop_assert!(matches!(
+                reg.parse(&mangled.replace('-', "_")),
+                Err(SpecError::UnknownKey { .. })
+            ));
+        }
     }
 }
 
-/// Every string `Algorithm::name()` ever printed keeps parsing — to the
-/// same algorithm, through both the enum shim and the registry.
+/// Each paper algorithm has one spelling, its registry key: the
+/// display name a scheduler prints is a key only when it is one word
+/// ("FCFS"), and the periodic names ("DynMCB8-per 600") and their
+/// hyphenated forms ("dynmcb8-per-600") are unknown keys.
 #[test]
 fn every_algorithm_name_string_keeps_parsing() {
-    for a in Algorithm::ALL {
-        // The paper-table display name ("DynMCB8-per 600").
-        assert_eq!(Algorithm::parse(a.name()), Some(a), "{}", a.name());
-        assert_eq!(a.name().parse::<Algorithm>(), Ok(a), "{}", a.name());
-        // The hyphenated legacy form ("dynmcb8-per-600").
-        let hyphenated = a.name().to_ascii_lowercase().replace(' ', "-");
-        assert_eq!(hyphenated.parse::<Algorithm>(), Ok(a), "{hyphenated}");
-        // The canonical registry key.
-        assert_eq!(a.key().parse::<Algorithm>(), Ok(a), "{}", a.key());
-        // All three resolve to the same registry spec key.
-        let reg = SchedulerRegistry::builtin();
-        assert_eq!(reg.parse(a.name()).unwrap().key(), a.key());
-        assert_eq!(reg.parse(&hyphenated).unwrap().key(), a.key());
+    let reg = SchedulerRegistry::builtin();
+    for key in PAPER_SPECS {
+        let name = reg.build_str(key).unwrap().name();
+        assert_eq!(reg.parse(key).unwrap().key(), key);
+        if name.contains(' ') {
+            let hyphenated = name.to_ascii_lowercase().replace(' ', "-");
+            for s in [name.as_str(), hyphenated.as_str()] {
+                assert!(
+                    matches!(reg.parse(s), Err(SpecError::UnknownKey { .. })),
+                    "{s}"
+                );
+            }
+        } else {
+            assert_eq!(reg.parse(&name).unwrap().key(), key, "{name}");
+        }
     }
 }
 
-/// The legacy suffix carries its period into the built scheduler.
+/// A period is a `t=` parameter, never a key suffix.
 #[test]
 fn legacy_suffix_builds_with_that_period() {
     let reg = SchedulerRegistry::builtin();
+    for s in ["dynmcb8-per-60", "DynMCB8-stretch-per 600"] {
+        assert!(
+            matches!(reg.build_str(s), Err(SpecError::UnknownKey { .. })),
+            "{s}"
+        );
+    }
     assert_eq!(
-        reg.build_str("dynmcb8-per-60").unwrap().name(),
+        reg.build_str("dynmcb8-per:t=60").unwrap().name(),
         "DynMCB8-per 60"
     );
     assert_eq!(
-        reg.build_str("DynMCB8-stretch-per 600").unwrap().name(),
+        reg.build_str("DynMCB8-STRETCH-PER:T=600").unwrap().name(),
         "DynMCB8-stretch-per 600"
     );
 }
@@ -113,14 +130,16 @@ proptest! {
             reg.build(&spec).unwrap().name(),
             format!("DynMCB8-drf-per {t}")
         );
-        // The legacy numeric-suffix spelling resolves to the same spec.
-        prop_assert_eq!(reg.parse(&format!("dynmcb8-drf-per-{t}")).unwrap(), spec);
+        // The numeric-suffix spelling is not a period.
+        prop_assert!(matches!(
+            reg.parse(&format!("dynmcb8-drf-per-{t}")),
+            Err(SpecError::UnknownKey { .. })
+        ));
     }
 
-    /// The suffix rewrite never eats the `-drf` tail of the family
-    /// name: `dynmcb8-drf` is not a period spelling of `dynmcb8`, and
-    /// a numeric suffix on the (parameterless) event-driven key stays
-    /// an unknown key instead of colliding with anything.
+    /// `dynmcb8-drf` is its own key, and a numeric suffix on the
+    /// (parameterless) event-driven key stays an unknown key instead of
+    /// colliding with anything.
     #[test]
     fn drf_keys_do_not_collide_with_legacy_suffix_rewrites(
         n in prop::sample::select(vec![1u32, 60, 600, 3600]),
@@ -129,7 +148,7 @@ proptest! {
         prop_assert_eq!(reg.parse("dynmcb8-drf").unwrap(), SchedulerSpec::new("dynmcb8-drf"));
         prop_assert!(matches!(
             reg.parse(&format!("dynmcb8-drf-{n}")),
-            Err(dfrs_sched::SpecError::UnknownKey { .. })
+            Err(SpecError::UnknownKey { .. })
         ));
     }
 }
@@ -138,7 +157,6 @@ proptest! {
 /// they do.
 #[test]
 fn drf_family_rejects_unknown_params() {
-    use dfrs_sched::SpecError;
     let reg = SchedulerRegistry::builtin();
     match reg.parse("dynmcb8-drf:t=600") {
         Err(SpecError::UnknownParam {

@@ -130,7 +130,7 @@ fn parse_args() -> Result<Args, String> {
             "--nodes" => args.nodes = num(&value()?)? as u32,
             "--cores" => args.cores = num(&value()?)? as u32,
             "--mem" => args.mem = num(&value()?)?,
-            "--penalty" => args.penalty = num(&value()?)?,
+            "--penalty" => args.penalty = secs(&flag, &value()?)?,
             "--shards" => {
                 args.shards = num(&value()?)? as u32;
                 if args.shards == 0 {
@@ -139,7 +139,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--validate" => args.validate = true,
             "--socket" => args.socket = Some(value()?),
-            "--idle-timeout" => args.idle_timeout = num(&value()?)?,
+            "--idle-timeout" => args.idle_timeout = secs(&flag, &value()?)?,
             "--max-line" => args.max_line = num(&value()?)? as usize,
             "--help" | "-h" => {
                 print!("{USAGE}");
@@ -159,6 +159,13 @@ fn parse_args() -> Result<Args, String> {
 
 fn num(s: &str) -> Result<f64, String> {
     s.parse::<f64>().map_err(|_| format!("bad number {s:?}"))
+}
+
+/// A duration flag's value in seconds: finite and ≥ 0.
+fn secs(flag: &str, s: &str) -> Result<f64, String> {
+    Some(num(s)?)
+        .filter(|v| v.is_finite() && *v >= 0.0)
+        .ok_or_else(|| format!("{flag} must be finite and >= 0, got {s}"))
 }
 
 /// Build the daemon the flags describe. The second value is the

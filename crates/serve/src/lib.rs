@@ -1074,6 +1074,13 @@ mod tests {
         assert!(matches!(err, ServeError::Snapshot { .. }), "{err}");
         assert!(err.to_string().contains("missing scheduler spec"), "{err}");
 
+        // A paper-table name is a label, not a spec: the restore fails
+        // on the spec, typed.
+        let err = Daemon::restore(r#"{"spec": "DynMCB8-per 600"}"#)
+            .err()
+            .unwrap();
+        assert!(matches!(err, ServeError::Spec(_)), "{err}");
+
         // Well-formed JSON with a spec but nothing else: the session
         // rejects it with a typed SimError.
         let err = Daemon::restore(r#"{"spec": "fcfs"}"#).err().unwrap();

@@ -210,3 +210,19 @@ fn bad_flags_fail_fast_with_usage_hint() {
         .expect("spawn");
     assert!(!out.status.success(), "--spec or --restore is required");
 }
+
+#[test]
+fn non_finite_or_negative_penalty_is_rejected() {
+    for bad in ["inf", "-inf", "nan", "-300"] {
+        let out = Command::new(env!("CARGO_BIN_EXE_dfrs-serve"))
+            .args(["--spec", "dynmcb8-per:t=300", "--penalty", bad])
+            .output()
+            .expect("spawn");
+        assert_eq!(out.status.code(), Some(2), "--penalty {bad}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("--penalty must be finite"),
+            "{bad}: {stderr}"
+        );
+    }
+}

@@ -530,7 +530,7 @@ impl SimSession {
         let migration_mode = match cf.get("migration") {
             Some(Value::Str(s)) if s == "stop-and-copy" => MigrationMode::StopAndCopy,
             Some(m @ Value::Obj(_)) => MigrationMode::Live {
-                freeze_secs: bits_field(m, "live_freeze_secs")?,
+                freeze_secs: secs_field(m, "live_freeze_secs")?,
             },
             _ => return Err("snapshot: bad config.migration".into()),
         };
@@ -540,7 +540,7 @@ impl SimSession {
             other => return Err(format!("snapshot: bad failure_policy {other:?}")),
         };
         let config = SimConfig {
-            penalty: bits_field(cf, "penalty")?,
+            penalty: secs_field(cf, "penalty")?,
             migration_mode,
             failure_policy,
             // Already materialized in the queue; re-installing would
@@ -682,6 +682,14 @@ fn bits_field(v: &Value, key: &str) -> Result<f64, String> {
     field(v, key)?
         .as_bits_f64()
         .ok_or_else(|| format!("snapshot: field {key:?} is not a bit string"))
+}
+
+/// A duration in seconds: a bit-string float, finite and ≥ 0.
+fn secs_field(v: &Value, key: &str) -> Result<f64, String> {
+    let secs = bits_field(v, key)?;
+    (secs.is_finite() && secs >= 0.0)
+        .then_some(secs)
+        .ok_or_else(|| format!("snapshot: {key} {secs} is not finite and >= 0"))
 }
 
 fn arr_field<'a>(v: &'a Value, key: &str) -> Result<&'a [Value], String> {
@@ -1029,6 +1037,36 @@ mod tests {
                 matches!(err, Some(SimError::SnapshotMalformed { .. })),
                 "now {now}, row {row:?} restored: {err:?}"
             );
+        }
+
+        // A penalty or live-migration freeze that is not a finite,
+        // non-negative number of seconds. Zero is legal for both.
+        let with_config = |name: &str, secs: f64| {
+            let mut doc = snap.clone();
+            let Value::Obj(top) = &mut doc else {
+                panic!("snapshot is an object")
+            };
+            let Some(Value::Obj(config)) = top.get_mut("config") else {
+                panic!("snapshot has a config object")
+            };
+            match name {
+                "penalty" => config.insert("penalty".into(), bits(secs)),
+                _ => config.insert(
+                    "migration".into(),
+                    obj([("live_freeze_secs".into(), bits(secs))]),
+                ),
+            };
+            SimSession::restore(&doc, Box::new(RoundRobin)).err()
+        };
+        for name in ["penalty", "live_freeze_secs"] {
+            assert_eq!(with_config(name, 0.0), None, "{name} 0");
+            for secs in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, -300.0] {
+                let err = with_config(name, secs);
+                assert!(
+                    matches!(err, Some(SimError::SnapshotMalformed { .. })),
+                    "{name} {secs} restored: {err:?}"
+                );
+            }
         }
     }
 }

@@ -6,8 +6,7 @@
 //! cargo run --release --example shootout [load] [jobs] [seed]
 //! ```
 
-use dfrs::sched::Algorithm;
-use dfrs::{Campaign, ScenarioBuilder};
+use dfrs::{Campaign, ScenarioBuilder, PAPER_SPECS};
 
 fn main() {
     let mut args = std::env::args().skip(1);
@@ -25,7 +24,8 @@ fn main() {
         .expect("the Lublin model always yields a valid trace")];
 
     println!("load {load}, {jobs} jobs, seed {seed}, penalty 300 s\n");
-    let result = Campaign::over(&scenarios, &Algorithm::ALL)
+    let result = Campaign::new(&scenarios, PAPER_SPECS)
+        .expect("the paper's specs are built in")
         .threads(
             std::thread::available_parallelism()
                 .map(|n| n.get())

@@ -61,5 +61,5 @@ pub use dfrs_scenario::{
     Campaign, CampaignResult, CellResult, CellUpdate, FailureModel, Scenario, ScenarioBuilder,
     ScenarioError, WorkloadSource,
 };
-pub use dfrs_sched::{Algorithm, SchedulerRegistry, SchedulerSpec, SpecError};
+pub use dfrs_sched::{SchedulerRegistry, SchedulerSpec, SpecError, PAPER_SPECS, PREEMPTING_SPECS};
 pub use dfrs_sim::{FailurePolicy, MigrationMode, NodeEvent};

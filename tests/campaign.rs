@@ -6,8 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-use dfrs::sched::Algorithm;
-use dfrs::{Campaign, Scenario, ScenarioBuilder};
+use dfrs::{Campaign, Scenario, ScenarioBuilder, SchedulerSpec};
 
 fn scenarios() -> Vec<Scenario> {
     (0..2)
@@ -39,12 +38,13 @@ fn parallel_results_byte_equal_to_single_threaded() {
         parallel.fingerprint(),
         "thread count changed the deterministic result matrix"
     );
-    // And a registry-built parameterized spec really is the enum-built
-    // scheduler inside the matrix, too.
-    let via_enum = Campaign::from_specs(&scens, vec![Algorithm::DynMcb8Per.spec().with("t", 300)])
+    // And a spec built as a typed `SchedulerSpec` really is the parsed
+    // string's scheduler inside the matrix, too.
+    let typed = SchedulerSpec::new("dynmcb8-per").with("t", 300);
+    let via_typed = Campaign::from_specs(&scens, vec![typed])
         .penalty(300.0)
         .run();
-    for (row, full) in via_enum.cells.iter().zip(serial.cells.iter()) {
+    for (row, full) in via_typed.cells.iter().zip(serial.cells.iter()) {
         assert_eq!(row[0].fingerprint(), full[2].fingerprint());
     }
 }
@@ -54,19 +54,17 @@ fn observer_sees_each_cell_once_with_monotone_progress() {
     let scens = scenarios();
     let counts = Mutex::new(vec![0usize; 2 * 3]);
     let max_done = AtomicUsize::new(0);
-    Campaign::over(
-        &scens,
-        &[Algorithm::Fcfs, Algorithm::Easy, Algorithm::GreedyPmtn],
-    )
-    .threads(4)
-    .on_cell(|u| {
-        counts.lock().unwrap()[u.scenario * 3 + u.spec] += 1;
-        // Observer calls are serialized, so `done` must strictly grow.
-        let prev = max_done.swap(u.done, Ordering::Relaxed);
-        assert!(u.done > prev, "done went {prev} -> {}", u.done);
-        assert_eq!(u.total, 6);
-    })
-    .run();
+    Campaign::new(&scens, ["fcfs", "easy", "greedy-pmtn"])
+        .unwrap()
+        .threads(4)
+        .on_cell(|u| {
+            counts.lock().unwrap()[u.scenario * 3 + u.spec] += 1;
+            // Observer calls are serialized, so `done` must strictly grow.
+            let prev = max_done.swap(u.done, Ordering::Relaxed);
+            assert!(u.done > prev, "done went {prev} -> {}", u.done);
+            assert_eq!(u.total, 6);
+        })
+        .run();
     assert!(counts.lock().unwrap().iter().all(|&c| c == 1));
 }
 
@@ -79,9 +77,10 @@ fn campaign_config_override_beats_scenario_config() {
         .build()
         .unwrap()];
     // Scenario config says no penalty; the campaign overrides it on.
-    let with_pen = Campaign::over(&free, &[Algorithm::DynMcb8])
+    let with_pen = Campaign::new(&free, ["dynmcb8"])
+        .unwrap()
         .penalty(300.0)
         .run();
-    let without = Campaign::over(&free, &[Algorithm::DynMcb8]).run();
+    let without = Campaign::new(&free, ["dynmcb8"]).unwrap().run();
     assert!(with_pen.cells[0][0].max_stretch >= without.cells[0][0].max_stretch);
 }

@@ -3,16 +3,17 @@
 
 use dfrs::core::ids::JobId;
 use dfrs::core::{ClusterSpec, JobSpec};
-use dfrs::sched::Algorithm;
 use dfrs::sim::{simulate, SimConfig, SimOutcome};
+use dfrs::SchedulerRegistry;
 
-fn run(algo: Algorithm, cluster: ClusterSpec, jobs: &[JobSpec], penalty: f64) -> SimOutcome {
+fn run(spec: &str, cluster: ClusterSpec, jobs: &[JobSpec], penalty: f64) -> SimOutcome {
     let cfg = SimConfig {
         penalty,
         validate: true,
         ..SimConfig::default()
     };
-    simulate(cluster, jobs, algo.build().as_mut(), &cfg)
+    let mut sched = SchedulerRegistry::builtin().build_str(spec).unwrap();
+    simulate(cluster, jobs, sched.as_mut(), &cfg)
 }
 
 fn job(id: u32, submit: f64, tasks: u32, cpu: f64, mem: f64, rt: f64) -> JobSpec {
@@ -28,12 +29,12 @@ fn fractional_sharing_eliminates_batch_queueing() {
     // on the cluster simultaneously (cpu 1.0, mem 0.8 per node).
     let jobs: Vec<JobSpec> = (0..4).map(|i| job(i, 0.0, 4, 0.25, 0.2, 1000.0)).collect();
 
-    let batch = run(Algorithm::Fcfs, cluster, &jobs, 0.0);
+    let batch = run("fcfs", cluster, &jobs, 0.0);
     // FCFS serializes: completions at 1000, 2000, 3000, 4000.
     assert!((batch.records[3].completion - 4000.0).abs() < 1e-6);
     assert!((batch.max_stretch - 4.0).abs() < 1e-6);
 
-    for algo in [Algorithm::Greedy, Algorithm::GreedyPmtn, Algorithm::DynMcb8] {
+    for algo in ["greedy", "greedy-pmtn", "dynmcb8"] {
         let dfrs = run(algo, cluster, &jobs, 0.0);
         assert_eq!(
             dfrs.max_stretch, 1.0,
@@ -48,7 +49,7 @@ fn oversubscription_is_proportional() {
     let cluster = ClusterSpec::new(1, 4, 8.0).unwrap();
     // Three CPU-bound single-task jobs on one node, memory 0.3 each.
     let jobs: Vec<JobSpec> = (0..3).map(|i| job(i, 0.0, 1, 1.0, 0.3, 300.0)).collect();
-    let out = run(Algorithm::Greedy, cluster, &jobs, 0.0);
+    let out = run("greedy", cluster, &jobs, 0.0);
     // Equal share: yield 1/3 → everyone completes at 900.
     for r in &out.records {
         assert!((r.completion - 900.0).abs() < 1e-6);
@@ -66,8 +67,8 @@ fn forced_admission_rescues_short_jobs() {
         job(0, 0.0, 2, 0.25, 1.0, 10_000.0), // memory hog, runs 10000 s
         job(1, 100.0, 1, 0.25, 0.5, 30.0),   // 30 s job
     ];
-    let greedy = run(Algorithm::Greedy, cluster, &jobs, 0.0);
-    let pmtn = run(Algorithm::GreedyPmtn, cluster, &jobs, 0.0);
+    let greedy = run("greedy", cluster, &jobs, 0.0);
+    let pmtn = run("greedy-pmtn", cluster, &jobs, 0.0);
     // GREEDY: job 1 backs off until job 0 finishes (~10000 s) →
     // stretch ≈ 10000/30 ≈ 333.
     let g1 = &greedy.records[1];
@@ -99,11 +100,7 @@ fn memory_is_a_hard_constraint_under_churn() {
             120.0,
         ));
     }
-    for algo in [
-        Algorithm::GreedyPmtnMigr,
-        Algorithm::DynMcb8,
-        Algorithm::DynMcb8AsapPer,
-    ] {
+    for algo in ["greedy-pmtn-migr", "dynmcb8", "dynmcb8-asap-per"] {
         let out = run(algo, cluster, &jobs, 300.0);
         assert_eq!(out.records.len(), 12, "{algo}");
     }
@@ -121,8 +118,8 @@ fn clairvoyant_easy_still_loses_on_sharing_friendly_load() {
     let jobs: Vec<JobSpec> = (0..6)
         .map(|i| job(i, i as f64, 2, 0.25, 0.15, 600.0))
         .collect();
-    let easy = run(Algorithm::Easy, cluster, &jobs, 0.0);
-    let dfrs = run(Algorithm::DynMcb8, cluster, &jobs, 0.0);
+    let easy = run("easy", cluster, &jobs, 0.0);
+    let dfrs = run("dynmcb8", cluster, &jobs, 0.0);
     // EASY: strictly sequential → last job waits ~5×600.
     assert!(easy.max_stretch > 5.0);
     // DFRS: 6 jobs × cpu 0.25 → total load 1.5 per node → min yield ≈
@@ -138,7 +135,7 @@ fn bounded_stretch_filters_noise_jobs() {
         job(0, 0.0, 2, 1.0, 0.5, 1.0), // 1-second job
         job(1, 0.5, 2, 1.0, 0.5, 600.0),
     ];
-    let out = run(Algorithm::Fcfs, cluster, &jobs, 0.0);
+    let out = run("fcfs", cluster, &jobs, 0.0);
     // Job 0 runs immediately (stretch 1); job 1 waits 0.5 s → stretch ~1.
     assert_eq!(out.records[0].stretch, 1.0);
     assert!(out.records[1].stretch < 1.01);
@@ -148,7 +145,7 @@ fn bounded_stretch_filters_noise_jobs() {
         job(0, 0.0, 2, 1.0, 0.5, 600.0),
         job(1, 0.5, 2, 1.0, 0.5, 1.0),
     ];
-    let out = run(Algorithm::Fcfs, cluster, &jobs, 0.0);
+    let out = run("fcfs", cluster, &jobs, 0.0);
     // Unbounded stretch would be ~600/1; bounded: ~600.5/30 ≈ 20.
     assert!((out.records[1].stretch - 600.5 / 30.0).abs() < 0.1);
 }

@@ -9,9 +9,9 @@
 //! runs; everything else must be identical.
 
 use dfrs::core::ClusterSpec;
-use dfrs::sched::Algorithm;
 use dfrs::sim::{simulate, SimConfig, SimOutcome};
 use dfrs::workload::{Annotator, LublinModel, Trace};
+use dfrs::{SchedulerRegistry, SchedulerSpec, PAPER_SPECS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -65,14 +65,25 @@ fn same_seed_same_outcome_for_every_algorithm() {
         validate: true,
         ..SimConfig::default()
     };
-    for algo in Algorithm::ALL {
-        let a = simulate(trace.cluster, trace.jobs(), algo.build().as_mut(), &cfg);
-        let b = simulate(trace.cluster, trace.jobs(), algo.build().as_mut(), &cfg);
+    let reg = SchedulerRegistry::builtin();
+    for spec in PAPER_SPECS {
+        let a = simulate(
+            trace.cluster,
+            trace.jobs(),
+            reg.build_str(spec).unwrap().as_mut(),
+            &cfg,
+        );
+        let b = simulate(
+            trace.cluster,
+            trace.jobs(),
+            reg.build_str(spec).unwrap().as_mut(),
+            &cfg,
+        );
         assert_eq!(
             fingerprint(&a),
             fingerprint(&b),
             "{} replay diverged on identical input",
-            algo.name()
+            a.algorithm
         );
     }
 }
@@ -90,7 +101,10 @@ fn same_seed_same_outcome_with_penalty_and_fresh_workload() {
         let out = simulate(
             t.cluster,
             t.jobs(),
-            Algorithm::DynMcb8AsapPer.build().as_mut(),
+            SchedulerRegistry::builtin()
+                .build_str("dynmcb8-asap-per")
+                .unwrap()
+                .as_mut(),
             &cfg,
         );
         fingerprint(&out)
@@ -104,44 +118,48 @@ fn same_seed_same_outcome_with_penalty_and_fresh_workload() {
 
 #[test]
 fn registry_spec_reproduces_enum_built_scheduler_byte_identically() {
-    // The acceptance bar for the registry redesign: a spec-built
-    // scheduler is the same scheduler, not a near-copy. T = 300 is
-    // deliberately NOT the default period, so a dropped parameter
-    // would show up immediately.
+    // The acceptance bar for the registry redesign: a spec string and
+    // the typed `SchedulerSpec` it names build the same scheduler, not
+    // a near-copy. T = 300 is deliberately NOT the default period, so a
+    // dropped parameter would show up immediately.
     let trace = seeded_trace(29, 60, 0.8);
     let cfg = SimConfig {
         penalty: 300.0,
         validate: true,
         ..SimConfig::default()
     };
-    let registry = dfrs::SchedulerRegistry::builtin();
-    for (spec, algo, period) in [
-        ("dynmcb8-per:T=300", Algorithm::DynMcb8Per, 300.0),
-        ("dynmcb8-asap-per:T=300", Algorithm::DynMcb8AsapPer, 300.0),
+    let registry = SchedulerRegistry::builtin();
+    for (spec, key, period) in [
+        ("dynmcb8-per:T=300", "dynmcb8-per", Some(300.0)),
+        ("dynmcb8-asap-per:T=300", "dynmcb8-asap-per", Some(300.0)),
         (
-            "dynmcb8-stretch-per-600",
-            Algorithm::DynMcb8StretchPer,
-            600.0,
+            "dynmcb8-stretch-per:t=600",
+            "dynmcb8-stretch-per",
+            Some(600.0),
         ),
-        ("greedy-pmtn", Algorithm::GreedyPmtn, 600.0),
-        ("FCFS", Algorithm::Fcfs, 600.0),
+        ("greedy-pmtn", "greedy-pmtn", None),
+        ("FCFS", "fcfs", None),
     ] {
+        let typed = match period {
+            Some(t) => SchedulerSpec::new(key).with("t", t),
+            None => SchedulerSpec::new(key),
+        };
         let via_registry = simulate(
             trace.cluster,
             trace.jobs(),
             registry.build_str(spec).unwrap().as_mut(),
             &cfg,
         );
-        let via_enum = simulate(
+        let via_typed = simulate(
             trace.cluster,
             trace.jobs(),
-            algo.build_with_period(period).as_mut(),
+            registry.build(&typed).unwrap().as_mut(),
             &cfg,
         );
         assert_eq!(
             fingerprint(&via_registry),
-            fingerprint(&via_enum),
-            "registry spec {spec} diverged from {algo:?} with T={period}"
+            fingerprint(&via_typed),
+            "registry spec {spec} diverged from the typed spec {typed}"
         );
     }
 }
@@ -155,13 +173,19 @@ fn different_seeds_actually_differ() {
     let fa = fingerprint(&simulate(
         a.cluster,
         a.jobs(),
-        Algorithm::GreedyPmtn.build().as_mut(),
+        SchedulerRegistry::builtin()
+            .build_str("greedy-pmtn")
+            .unwrap()
+            .as_mut(),
         &cfg,
     ));
     let fb = fingerprint(&simulate(
         b.cluster,
         b.jobs(),
-        Algorithm::GreedyPmtn.build().as_mut(),
+        SchedulerRegistry::builtin()
+            .build_str("greedy-pmtn")
+            .unwrap()
+            .as_mut(),
         &cfg,
     ));
     assert_ne!(fa, fb, "distinct seeds produced identical outcomes");

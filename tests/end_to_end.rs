@@ -2,9 +2,9 @@
 //! scaling → simulation → metrics, across all nine algorithms.
 
 use dfrs::core::ClusterSpec;
-use dfrs::sched::Algorithm;
 use dfrs::sim::{simulate, SimConfig, SimOutcome};
 use dfrs::workload::{Annotator, LublinModel, Trace};
+use dfrs::{SchedulerRegistry, PAPER_SPECS, PREEMPTING_SPECS};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -20,19 +20,20 @@ fn trace(seed: u64, n: usize, load: f64) -> Trace {
         .unwrap()
 }
 
-fn run(algo: Algorithm, t: &Trace, penalty: f64) -> SimOutcome {
+fn run(spec: &str, t: &Trace, penalty: f64) -> SimOutcome {
     let cfg = SimConfig {
         penalty,
         validate: true,
         ..SimConfig::default()
     };
-    simulate(t.cluster, t.jobs(), algo.build().as_mut(), &cfg)
+    let mut sched = SchedulerRegistry::builtin().build_str(spec).unwrap();
+    simulate(t.cluster, t.jobs(), sched.as_mut(), &cfg)
 }
 
 #[test]
 fn full_pipeline_all_algorithms_complete() {
     let t = trace(1, 80, 0.6);
-    for algo in Algorithm::ALL {
+    for algo in PAPER_SPECS {
         let out = run(algo, &t, 300.0);
         assert_eq!(out.records.len(), 80, "{algo}");
         assert!(out.max_stretch >= 1.0, "{algo}");
@@ -53,11 +54,7 @@ fn full_pipeline_all_algorithms_complete() {
 #[test]
 fn determinism_across_identical_runs() {
     let t = trace(2, 50, 0.7);
-    for algo in [
-        Algorithm::DynMcb8AsapPer,
-        Algorithm::GreedyPmtnMigr,
-        Algorithm::Easy,
-    ] {
+    for algo in ["dynmcb8-asap-per", "greedy-pmtn-migr", "easy"] {
         let a = run(algo, &t, 300.0);
         let b = run(algo, &t, 300.0);
         assert_eq!(a.records, b.records, "{algo}");
@@ -74,8 +71,8 @@ fn dfrs_dramatically_outperforms_batch_at_high_load() {
     let mut ratio_sum = 0.0;
     for seed in 0..3 {
         let t = trace(10 + seed, 80, 0.8);
-        let easy = run(Algorithm::Easy, &t, 300.0).max_stretch;
-        let dfrs = run(Algorithm::DynMcb8AsapPer, &t, 300.0).max_stretch;
+        let easy = run("easy", &t, 300.0).max_stretch;
+        let dfrs = run("dynmcb8-asap-per", &t, 300.0).max_stretch;
         ratio_sum += easy / dfrs;
     }
     let avg_ratio = ratio_sum / 3.0;
@@ -88,7 +85,7 @@ fn dfrs_dramatically_outperforms_batch_at_high_load() {
 #[test]
 fn penalty_only_hurts_algorithms_that_move_jobs() {
     let t = trace(5, 60, 0.7);
-    for algo in [Algorithm::Fcfs, Algorithm::Easy, Algorithm::Greedy] {
+    for algo in ["fcfs", "easy", "greedy"] {
         let no_pen = run(algo, &t, 0.0);
         let pen = run(algo, &t, 300.0);
         assert_eq!(
@@ -98,8 +95,8 @@ fn penalty_only_hurts_algorithms_that_move_jobs() {
     }
     // DYNMCB8 moves aggressively: the penalty must show up somewhere
     // (max or mean stretch strictly worse).
-    let no_pen = run(Algorithm::DynMcb8, &t, 0.0);
-    let pen = run(Algorithm::DynMcb8, &t, 300.0);
+    let no_pen = run("dynmcb8", &t, 0.0);
+    let pen = run("dynmcb8", &t, 300.0);
     assert!(
         pen.max_stretch > no_pen.max_stretch || pen.mean_stretch > no_pen.mean_stretch,
         "a 5-minute penalty should degrade DYNMCB8 (max {} vs {}, mean {} vs {})",
@@ -113,7 +110,7 @@ fn penalty_only_hurts_algorithms_that_move_jobs() {
 #[test]
 fn bandwidth_accounting_is_consistent_with_counts() {
     let t = trace(6, 60, 0.8);
-    for algo in Algorithm::PREEMPTING {
+    for algo in PREEMPTING_SPECS {
         let out = run(algo, &t, 300.0);
         if out.preemption_count == 0 {
             assert_eq!(out.preemption_gb, 0.0, "{algo}");
@@ -129,7 +126,7 @@ fn bandwidth_accounting_is_consistent_with_counts() {
 #[test]
 fn mean_stretch_never_exceeds_max() {
     let t = trace(7, 70, 0.9);
-    for algo in Algorithm::ALL {
+    for algo in PAPER_SPECS {
         let out = run(algo, &t, 300.0);
         assert!(out.mean_stretch <= out.max_stretch + 1e-9, "{algo}");
         assert!(out.mean_stretch >= 1.0, "{algo}");
@@ -139,11 +136,7 @@ fn mean_stretch_never_exceeds_max() {
 #[test]
 fn idle_plus_busy_bounded_by_cluster_capacity() {
     let t = trace(8, 50, 0.5);
-    for algo in [
-        Algorithm::Easy,
-        Algorithm::DynMcb8Per,
-        Algorithm::GreedyPmtn,
-    ] {
+    for algo in ["easy", "dynmcb8-per", "greedy-pmtn"] {
         let out = run(algo, &t, 300.0);
         let capacity = t.cluster.nodes as f64 * out.makespan;
         assert!(

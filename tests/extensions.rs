@@ -4,7 +4,7 @@
 
 use dfrs::core::ids::JobId;
 use dfrs::core::{ClusterSpec, JobSpec};
-use dfrs::sched::{Algorithm, ConservativeBf, GreedyPmtn, SchedulerRegistry};
+use dfrs::sched::{ConservativeBf, GreedyPmtn, SchedulerRegistry};
 use dfrs::sim::{simulate, MigrationMode, SimConfig};
 use dfrs::workload::{Annotator, LublinModel, Trace};
 use rand::rngs::SmallRng;
@@ -37,13 +37,19 @@ fn live_migration_moves_fewer_bytes_than_stop_and_copy() {
     let a = simulate(
         t.cluster,
         t.jobs(),
-        Algorithm::DynMcb8.build().as_mut(),
+        SchedulerRegistry::builtin()
+            .build_str("dynmcb8")
+            .unwrap()
+            .as_mut(),
         &base,
     );
     let b = simulate(
         t.cluster,
         t.jobs(),
-        Algorithm::DynMcb8.build().as_mut(),
+        SchedulerRegistry::builtin()
+            .build_str("dynmcb8")
+            .unwrap()
+            .as_mut(),
         &live,
     );
     if a.migration_count > 0 {
@@ -76,7 +82,15 @@ fn fairness_damping_reduces_long_job_dominance() {
         validate: true,
         ..SimConfig::default()
     };
-    let plain = simulate(cluster, &jobs, Algorithm::DynMcb8Per.build().as_mut(), &cfg);
+    let plain = simulate(
+        cluster,
+        &jobs,
+        SchedulerRegistry::builtin()
+            .build_str("dynmcb8-per")
+            .unwrap()
+            .as_mut(),
+        &cfg,
+    );
     let fair = simulate(
         cluster,
         &jobs,
@@ -100,7 +114,15 @@ fn fairness_damping_reduces_long_job_dominance() {
 fn conservative_bf_slots_between_fcfs_and_easy_qualitatively() {
     let t = trace(3, 60, 0.8);
     let cfg = SimConfig::default();
-    let fcfs = simulate(t.cluster, t.jobs(), Algorithm::Fcfs.build().as_mut(), &cfg);
+    let fcfs = simulate(
+        t.cluster,
+        t.jobs(),
+        SchedulerRegistry::builtin()
+            .build_str("fcfs")
+            .unwrap()
+            .as_mut(),
+        &cfg,
+    );
     let cons = simulate(t.cluster, t.jobs(), &mut ConservativeBf::new(), &cfg);
     // Backfilling (even conservative) must not be worse than plain FIFO
     // on mean stretch for this workload family.
@@ -178,7 +200,10 @@ fn daily_cycle_workloads_simulate_cleanly() {
     let out = simulate(
         t.cluster,
         t.jobs(),
-        Algorithm::DynMcb8AsapPer.build().as_mut(),
+        SchedulerRegistry::builtin()
+            .build_str("dynmcb8-asap-per")
+            .unwrap()
+            .as_mut(),
         &cfg,
     );
     assert_eq!(out.records.len(), 80);

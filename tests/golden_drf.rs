@@ -26,8 +26,8 @@ use golden_util::snapshot;
 
 const GOLDEN_PATH: &str = "tests/golden/golden_drf.json";
 
-/// The specs this suite pins. Kept out of `Algorithm::ALL` (the paper's
-/// closed nine) on purpose — these are extensions.
+/// The specs this suite pins. Kept out of `PAPER_SPECS` (the paper's
+/// nine) on purpose — these are extensions.
 const SPECS: [&str; 3] = ["dynmcb8", "dynmcb8-drf", "dynmcb8-drf-per:t=600"];
 
 /// A crafted mixed-dominance trace: CPU-dominant, GPU-dominant, and

@@ -18,7 +18,7 @@ mod golden_util;
 use dfrs::core::ids::JobId;
 use dfrs::core::{ClusterSpec, JobSpec};
 use dfrs::scenario::{Scenario, ScenarioBuilder};
-use dfrs::sched::Algorithm;
+use dfrs::PAPER_SPECS;
 use dfrs_core::json::{self, Value};
 use golden_util::snapshot;
 
@@ -97,11 +97,11 @@ fn build_snapshots() -> Value {
     let mut top = std::collections::BTreeMap::new();
     for scenario in &scenarios {
         let mut per_spec = std::collections::BTreeMap::new();
-        for algo in Algorithm::ALL {
+        for key in PAPER_SPECS {
             let out = scenario
-                .run(&golden_util::suite_spec(algo.key()))
+                .run(&golden_util::suite_spec(key))
                 .expect("all registered specs build");
-            per_spec.insert(algo.key().to_string(), snapshot(&out));
+            per_spec.insert(key.to_string(), snapshot(&out));
         }
         top.insert(scenario.label.clone(), Value::Obj(per_spec));
     }
@@ -135,20 +135,29 @@ fn golden_covers_all_nine_specs_on_every_scenario() {
     for (scenario, specs) in top {
         let specs = specs.as_obj().expect("per-scenario object");
         assert_eq!(specs.len(), 9, "{scenario}: expected all nine specs");
-        for algo in Algorithm::ALL {
+        let names = [
+            "FCFS",
+            "EASY",
+            "Greedy",
+            "Greedy-pmtn",
+            "Greedy-pmtn-migr",
+            "DynMCB8",
+            "DynMCB8-per 600",
+            "DynMCB8-asap-per 600",
+            "DynMCB8-stretch-per 600",
+        ];
+        for (key, name) in PAPER_SPECS.into_iter().zip(names) {
             let snap = specs
-                .get(algo.key())
-                .unwrap_or_else(|| panic!("{scenario}: missing {}", algo.key()));
+                .get(key)
+                .unwrap_or_else(|| panic!("{scenario}: missing {key}"));
             assert_eq!(
                 snap.get("algorithm").and_then(Value::as_str),
-                Some(algo.name()),
-                "{scenario}/{}",
-                algo.key()
+                Some(name),
+                "{scenario}/{key}"
             );
             assert!(
                 !snap.get("jobs").and_then(Value::as_arr).unwrap().is_empty(),
-                "{scenario}/{}: no job records",
-                algo.key()
+                "{scenario}/{key}: no job records"
             );
         }
     }

@@ -16,22 +16,22 @@
 
 use dfrs::experiments::instances::{hpc2n_like_instances, scaled_instances};
 use dfrs::scenario::degradation_row;
-use dfrs::sched::Algorithm;
-use dfrs::{Campaign, CampaignResult, Scenario};
+use dfrs::{Campaign, CampaignResult, Scenario, PAPER_SPECS, PREEMPTING_SPECS};
 
-const ALGOS: [Algorithm; 9] = Algorithm::ALL;
+const ALGOS: [&str; 9] = PAPER_SPECS;
 
-fn idx(a: Algorithm) -> usize {
-    ALGOS.iter().position(|x| *x == a).unwrap()
+fn idx(key: &str) -> usize {
+    ALGOS.iter().position(|x| *x == key).unwrap()
 }
 
 fn run_matrix(
     instances: &[Scenario],
-    algorithms: &[Algorithm],
+    specs: &[&str],
     penalty: f64,
     threads: usize,
 ) -> CampaignResult {
-    Campaign::over(instances, algorithms)
+    Campaign::new(instances, specs)
+        .expect("built-in specs")
         .penalty(penalty)
         .threads(threads)
         .run()
@@ -58,10 +58,10 @@ fn paper_claims_smoke() {
     let avg = avg_degradation(&results);
     assert_eq!(results.cells.len(), instances.len());
     assert!(
-        avg[idx(Algorithm::DynMcb8)] <= avg[idx(Algorithm::Fcfs)],
+        avg[idx("dynmcb8")] <= avg[idx("fcfs")],
         "DynMCB8 ({:.2}) must not trail FCFS ({:.2}) without a penalty",
-        avg[idx(Algorithm::DynMcb8)],
-        avg[idx(Algorithm::Fcfs)]
+        avg[idx("dynmcb8")],
+        avg[idx("fcfs")]
     );
     assert!(avg.iter().all(|&d| d >= 1.0));
 }
@@ -77,24 +77,24 @@ fn figure1a_ordering_no_penalty() {
     let avg = avg_degradation(&results);
 
     assert!(
-        avg[idx(Algorithm::DynMcb8)] < 2.0,
+        avg[idx("dynmcb8")] < 2.0,
         "DynMCB8 avg {:.2}",
-        avg[idx(Algorithm::DynMcb8)]
+        avg[idx("dynmcb8")]
     );
-    for batch in [Algorithm::Fcfs, Algorithm::Easy] {
+    for batch in ["fcfs", "easy"] {
         assert!(
-            avg[idx(batch)] > 10.0 * avg[idx(Algorithm::GreedyPmtn)],
+            avg[idx(batch)] > 10.0 * avg[idx("greedy-pmtn")],
             "{batch} ({:.1}) should be ≫ Greedy-pmtn ({:.1})",
             avg[idx(batch)],
-            avg[idx(Algorithm::GreedyPmtn)]
+            avg[idx("greedy-pmtn")]
         );
     }
     assert!(
-        avg[idx(Algorithm::Greedy)] > avg[idx(Algorithm::GreedyPmtn)],
+        avg[idx("greedy")] > avg[idx("greedy-pmtn")],
         "plain GREEDY must trail its preempting variants"
     );
     assert!(
-        avg[idx(Algorithm::Fcfs)] > avg[idx(Algorithm::Easy)],
+        avg[idx("fcfs")] > avg[idx("easy")],
         "backfilling beats FIFO on average"
     );
 }
@@ -110,22 +110,22 @@ fn figure1b_penalty_dethrones_event_driven_dynmcb8() {
     let avg = avg_degradation(&results);
 
     let periodic_best = [
-        Algorithm::DynMcb8Per,
-        Algorithm::DynMcb8AsapPer,
-        Algorithm::DynMcb8StretchPer,
-        Algorithm::GreedyPmtn,
-        Algorithm::GreedyPmtnMigr,
+        "dynmcb8-per",
+        "dynmcb8-asap-per",
+        "dynmcb8-stretch-per",
+        "greedy-pmtn",
+        "greedy-pmtn-migr",
     ]
-    .iter()
-    .map(|a| avg[idx(*a)])
+    .into_iter()
+    .map(|a| avg[idx(a)])
     .fold(f64::INFINITY, f64::min);
     assert!(
-        periodic_best <= avg[idx(Algorithm::DynMcb8)],
+        periodic_best <= avg[idx("dynmcb8")],
         "with a penalty something must beat aggressive DynMCB8: best {periodic_best:.2} vs {:.2}",
-        avg[idx(Algorithm::DynMcb8)]
+        avg[idx("dynmcb8")]
     );
     assert!(
-        avg[idx(Algorithm::DynMcb8)] < avg[idx(Algorithm::Fcfs)],
+        avg[idx("dynmcb8")] < avg[idx("fcfs")],
         "DynMCB8 with penalty still beats FCFS"
     );
 }
@@ -141,10 +141,10 @@ fn stretch_per_does_not_beat_yield_per() {
     let results = run_matrix(&instances, &ALGOS, 300.0, 1);
     let avg = avg_degradation(&results);
     assert!(
-        avg[idx(Algorithm::DynMcb8StretchPer)] >= avg[idx(Algorithm::DynMcb8Per)] * 0.8,
+        avg[idx("dynmcb8-stretch-per")] >= avg[idx("dynmcb8-per")] * 0.8,
         "stretch-per ({:.2}) unexpectedly dominates yield-per ({:.2})",
-        avg[idx(Algorithm::DynMcb8StretchPer)],
-        avg[idx(Algorithm::DynMcb8Per)]
+        avg[idx("dynmcb8-stretch-per")],
+        avg[idx("dynmcb8-per")]
     );
 }
 
@@ -159,12 +159,12 @@ fn hpc2n_short_serial_mix_helps_greedy() {
     let results = run_matrix(&weeks, &ALGOS, 300.0, 1);
     let avg = avg_degradation(&results);
     assert!(
-        avg[idx(Algorithm::GreedyPmtn)] < 8.0,
+        avg[idx("greedy-pmtn")] < 8.0,
         "Greedy-pmtn should be near-best on short-serial workloads, got {:.2}",
-        avg[idx(Algorithm::GreedyPmtn)]
+        avg[idx("greedy-pmtn")]
     );
     // And batch is still far behind.
-    assert!(avg[idx(Algorithm::Fcfs)] > avg[idx(Algorithm::GreedyPmtn)]);
+    assert!(avg[idx("fcfs")] > avg[idx("greedy-pmtn")]);
 }
 
 #[test]
@@ -175,18 +175,18 @@ fn table2_cost_ordering() {
     // periodic variants sit in between; bandwidths stay technologically
     // feasible (well under ~10 GB/s aggregate).
     let instances = scaled_instances(3, 80, &[0.8], 400);
-    let algos = Algorithm::PREEMPTING.to_vec();
+    let algos = PREEMPTING_SPECS;
     let results = run_matrix(&instances, &algos, 300.0, 1);
-    let pos = |a: Algorithm| algos.iter().position(|x| *x == a).unwrap();
+    let pos = |key: &str| algos.iter().position(|x| *x == key).unwrap();
     let mut migr_per_job = vec![0.0; algos.len()];
     for row in &results.cells {
         for (i, s) in row.iter().enumerate() {
             migr_per_job[i] += s.migrations_per_job() / results.cells.len() as f64;
         }
     }
-    assert_eq!(migr_per_job[pos(Algorithm::GreedyPmtn)], 0.0);
+    assert_eq!(migr_per_job[pos("greedy-pmtn")], 0.0);
     assert!(
-        migr_per_job[pos(Algorithm::DynMcb8)] >= migr_per_job[pos(Algorithm::DynMcb8Per)],
+        migr_per_job[pos("dynmcb8")] >= migr_per_job[pos("dynmcb8-per")],
         "event-driven repacking must migrate at least as much as periodic"
     );
     for row in &results.cells {
