@@ -89,15 +89,6 @@ impl OnlineStats {
         }
     }
 
-    /// Population standard deviation (n denominator).
-    pub fn std_dev_population(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            (self.m2 / self.count as f64).max(0.0).sqrt()
-        }
-    }
-
     /// Smallest observation (+∞ when empty).
     #[inline]
     pub fn min(&self) -> f64 {

@@ -3,8 +3,8 @@
 //! and prints the outcome metrics: the quickest way to evaluate a
 //! scheduler matrix on a trace that is not part of the paper's families.
 
-use dfrs_experiments::cli::Opts;
-use dfrs_experiments::instances::{hpc2n_like_instances, hpc2n_swf_instances};
+use dfrs_experiments::cli::{swf_instances, Opts};
+use dfrs_experiments::instances::hpc2n_like_instances;
 use dfrs_experiments::report::{f2, TextTable};
 use dfrs_scenario::{Campaign, CellResult};
 use dfrs_sched::PAPER_SPECS;
@@ -19,11 +19,10 @@ fn main() {
         }
     };
     let instances = match &opts.swf {
-        Some(path) => {
-            let text =
-                std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-            hpc2n_swf_instances(&text).expect("SWF parse/preprocess failed")
-        }
+        Some(path) => swf_instances(path).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }),
         None => {
             eprintln!(
                 "no --swf given; synthesizing {} HPC2N-like weeks ({} jobs/week)",

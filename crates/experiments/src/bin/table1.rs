@@ -5,7 +5,7 @@
 //! To use the real HPC2N trace from the Parallel Workloads Archive, pass
 //! `--swf /path/to/HPC2N-2002-2.2-cln.swf`.
 
-use dfrs_experiments::cli::Opts;
+use dfrs_experiments::cli::{swf_instances, Opts};
 use dfrs_experiments::table1::{self, Table1Config};
 
 fn main() {
@@ -17,17 +17,20 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let swf_text = opts
-        .swf
-        .as_ref()
-        .map(|p| std::fs::read_to_string(p).unwrap_or_else(|e| panic!("cannot read {p}: {e}")));
+    let swf = match opts.swf.as_deref().map(swf_instances).transpose() {
+        Ok(swf) => swf,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(2);
+        }
+    };
     eprintln!(
         "Table I: {} instances × {} jobs, {} loads, {} weeks ({}), penalty {}s, {} threads",
         opts.instances,
         opts.jobs,
         opts.loads.len(),
         opts.weeks,
-        if swf_text.is_some() {
+        if swf.is_some() {
             "real SWF"
         } else {
             "HPC2N-like generator"
@@ -44,7 +47,7 @@ fn main() {
         threads: opts.threads,
         weeks: opts.weeks,
         hpc2n_jobs_per_week: opts.hpc2n_jobs_per_week,
-        swf_text,
+        swf,
     };
     let data = table1::run(&cfg);
     let table = data.table();

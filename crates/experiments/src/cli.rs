@@ -1,8 +1,11 @@
 //! Minimal hand-rolled CLI parsing shared by the experiment binaries
 //! (keeps the dependency set to the approved list — no clap).
 
+use dfrs_scenario::Scenario;
 use dfrs_sched::{SchedulerRegistry, SchedulerSpec};
 use dfrs_sim::{FailurePolicy, MigrationMode};
+
+use crate::instances::hpc2n_swf_instances;
 
 /// Parse `--migration` values: `stop-and-copy`, `live` (60 s freeze),
 /// or `live:freeze=SECS`.
@@ -254,6 +257,14 @@ impl Opts {
     }
 }
 
+/// Read and parse an `--swf` file into its one-week HPC2N instances.
+/// A file that cannot be read or parsed is an error message, which the
+/// binaries print before exiting with status 2.
+pub fn swf_instances(path: &str) -> Result<Vec<Scenario>, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| format!("--swf {path}: {e}"))?;
+    hpc2n_swf_instances(&text).map_err(|e| format!("--swf {path}: {e}"))
+}
+
 /// Usage text shared by the binaries.
 pub const USAGE: &str = "\
 Options:
@@ -437,6 +448,22 @@ mod tests {
             o.algos[0].to_string(),
             "sharded:dynmcb8-per:packer=ffd,t=300:shards=4"
         );
+    }
+
+    #[test]
+    fn swf_instances_reports_missing_and_malformed_files() {
+        let missing = std::env::temp_dir().join("dfrs-cli-test-no-such-file.swf");
+        let err = swf_instances(missing.to_str().unwrap()).unwrap_err();
+        assert!(err.starts_with("--swf "), "{err}");
+
+        let malformed = std::env::temp_dir().join(format!(
+            "dfrs-cli-test-malformed-{}.swf",
+            std::process::id()
+        ));
+        std::fs::write(&malformed, "; Version: 2.2\n1 0 5 100\n").unwrap();
+        let err = swf_instances(malformed.to_str().unwrap()).unwrap_err();
+        std::fs::remove_file(&malformed).unwrap();
+        assert!(err.contains("expected 18 fields"), "{err}");
     }
 
     #[test]

@@ -7,7 +7,6 @@
 //! * **HPC2N-like** — one-week segments from the synthetic HPC2N
 //!   generator (or, when a real SWF file is supplied, from that file).
 
-use dfrs_core::constants::SCALED_LOADS;
 use dfrs_scenario::{Scenario, ScenarioBuilder, ScenarioError};
 
 /// One Lublin base trace (seeded), annotated per the paper.
@@ -49,11 +48,6 @@ pub fn scaled_instances(seeds: u64, jobs: usize, loads: &[f64], seed0: u64) -> V
         }
     }
     out
-}
-
-/// The paper's load grid.
-pub fn paper_loads() -> Vec<f64> {
-    SCALED_LOADS.to_vec()
 }
 
 /// HPC2N-like one-week segments (the documented stand-in for the real

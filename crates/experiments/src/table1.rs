@@ -5,9 +5,7 @@ use dfrs_core::OnlineStats;
 use dfrs_scenario::{Campaign, Scenario};
 use dfrs_sched::{SchedulerSpec, PAPER_SPECS};
 
-use crate::instances::{
-    hpc2n_like_instances, hpc2n_swf_instances, scaled_instances, unscaled_instances,
-};
+use crate::instances::{hpc2n_like_instances, scaled_instances, unscaled_instances};
 use crate::report::{f2, TextTable};
 
 /// One family's aggregated column triple.
@@ -45,12 +43,13 @@ pub struct Table1Config {
     pub seed0: u64,
     /// Worker threads.
     pub threads: usize,
-    /// HPC2N-like weeks (when `swf_text` is None).
+    /// HPC2N-like weeks (when `swf` is None).
     pub weeks: u32,
     /// HPC2N-like weekly job volume (the real trace averages ≈ 1,100).
     pub hpc2n_jobs_per_week: f64,
-    /// Real SWF content, if provided.
-    pub swf_text: Option<String>,
+    /// One-week instances of a real SWF file, if provided
+    /// ([`crate::cli::swf_instances`]).
+    pub swf: Option<Vec<Scenario>>,
 }
 
 /// Run all three families.
@@ -77,14 +76,14 @@ pub fn run(cfg: &Table1Config) -> Table1Data {
         }
     }
     let unscaled = family(&unscaled_instances(cfg.seeds, cfg.jobs, cfg.seed0));
-    let hpc2n = family(&match &cfg.swf_text {
-        Some(text) => hpc2n_swf_instances(text).expect("SWF parse failed"),
-        None => hpc2n_like_instances(
+    let hpc2n = match &cfg.swf {
+        Some(instances) => family(instances),
+        None => family(&hpc2n_like_instances(
             cfg.weeks,
             cfg.hpc2n_jobs_per_week,
             cfg.seed0 ^ 0x4850_4332, // "HPC2"
-        ),
-    });
+        )),
+    };
 
     let families = [
         ("Scaled synthetic traces", scaled),
@@ -149,7 +148,7 @@ mod tests {
             threads: 4,
             weeks: 2,
             hpc2n_jobs_per_week: 60.0,
-            swf_text: None,
+            swf: None,
         };
         let data = run(&cfg);
         assert_eq!(data.families.len(), 3);

@@ -621,7 +621,7 @@ mod tests {
     fn custom_registry_specs_run() {
         let mut reg = SchedulerRegistry::builtin();
         reg.register_fn("never-heard-of-it", "custom", &[], |_| {
-            Ok(Box::new(dfrs_sched::GreedyPmtn::new()))
+            SchedulerRegistry::builtin().build_str("greedy-pmtn")
         });
         let scens = scenarios(1, 15, 0.4, 3);
         let result = Campaign::with_registry(&scens, reg, ["never-heard-of-it"])

@@ -1,79 +1,89 @@
-//! Batch-scheduling baselines (Section IV-B): `FCFS` and `EASY`.
+//! Batch-scheduling baselines (Section IV-B): one driver, [`Batch`],
+//! over a FIFO queue, and three [`Backfill`] policies — backfill behind
+//! nobody (`FCFS`), behind the head's reservation (`EASY`), or behind
+//! every queued job's (conservative backfilling, in
+//! [`crate::conservative`]).
 //!
-//! Both allocate **integral** nodes — one task per node, exclusive access,
-//! yield 1.0 — exactly as production batch schedulers do, and never
-//! preempt or migrate. `EASY` adds aggressive backfilling: the head of
-//! the queue receives a reservation at the earliest time enough nodes
-//! will be free, and later jobs may jump ahead if they do not interfere
-//! with that reservation. Per the paper's conservative methodology, EASY
-//! is given **perfect runtime estimates** (the clairvoyant
-//! `oracle_runtime` accessor) while the DFRS algorithms get nothing.
+//! All three allocate **integral** nodes — one task per node, exclusive
+//! access, yield 1.0 — exactly as production batch schedulers do, and
+//! never preempt or migrate. `EASY` adds aggressive backfilling: the
+//! head of the queue receives a reservation at the earliest time enough
+//! nodes will be free, and later jobs may jump ahead if they do not
+//! interfere with that reservation. Per the paper's conservative
+//! methodology, the backfilling policies are given **perfect runtime
+//! estimates** (the clairvoyant `oracle_runtime` accessor) while the
+//! DFRS algorithms get nothing.
 //!
 //! Under platform dynamics a failure kills the struck jobs (the engine
-//! resubmits them under the default [`dfrs_sim::FailurePolicy`]); both
-//! schedulers rebuild their queue from the waiting set
+//! resubmits them under the default [`dfrs_sim::FailurePolicy`]); the
+//! driver rebuilds its queue from the waiting set
 //! ([`crate::common::waiting_jobs`]: pending, plus paused victims of
 //! the preserve policy) in submission order — killed jobs rejoin ahead
 //! of later arrivals, exactly where a resubmission with the original
-//! timestamp would sit — and reschedule. Free lists come from
+//! timestamp would sit — and reschedules. Free lists come from
 //! [`crate::common::free_nodes`], which never offers an out-of-service
 //! node.
 
 use std::collections::VecDeque;
 
-use dfrs_core::ids::JobId;
+use dfrs_core::ids::{JobId, NodeId};
+use dfrs_core::JobSpec;
 use dfrs_sim::{JobStatus, Plan, SchedEvent, Scheduler, SimState};
 
 use crate::common::{free_nodes, waiting_jobs};
 
-/// First-Come-First-Serve: strict FIFO dispatch onto whole nodes.
+/// How far a batch queue backfills: one full scheduling pass over the
+/// queue against the whole nodes free now.
+pub(crate) trait Backfill: Default + Send + 'static {
+    /// The scheduler's display name.
+    const NAME: &'static str;
+
+    /// Start what may start now, removing it from `queue`.
+    fn schedule(&self, queue: &mut VecDeque<JobId>, free: Vec<NodeId>, state: &SimState) -> Plan;
+}
+
+/// A FIFO batch queue under backfilling policy `B`.
 #[derive(Debug, Default)]
-pub struct Fcfs {
+pub(crate) struct Batch<B> {
     queue: VecDeque<JobId>,
+    policy: B,
 }
 
-impl Fcfs {
-    /// Fresh instance.
-    pub fn new() -> Self {
-        Fcfs::default()
+impl<B: Backfill> Batch<B> {
+    /// A fresh instance, boxed for the registry.
+    pub(crate) fn boxed() -> Box<dyn Scheduler> {
+        Box::new(Batch::<B>::default())
     }
 
-    fn dispatch(&mut self, state: &SimState) -> Plan {
-        let mut free = free_nodes(state);
-        let mut plan = Plan::noop();
-        while let Some(&head) = self.queue.front() {
-            let tasks = state.job(head).spec.tasks as usize;
-            if tasks > free.len() {
-                break; // strict FIFO: nothing may overtake the head
-            }
-            plan.push_run(head, 1.0, free.drain(..tasks));
-            self.queue.pop_front();
-        }
-        plan
+    fn schedule(&mut self, state: &SimState) -> Plan {
+        self.policy
+            .schedule(&mut self.queue, free_nodes(state), state)
     }
 }
 
-impl Scheduler for Fcfs {
+impl<B: Backfill> Scheduler for Batch<B> {
     fn name(&self) -> String {
-        "FCFS".into()
+        B::NAME.into()
     }
     fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
         match ev {
             SchedEvent::Submit(id) => {
                 self.queue.push_back(id);
-                self.dispatch(state)
+                self.schedule(state)
             }
-            SchedEvent::Complete(_) => self.dispatch(state),
+            SchedEvent::Complete(_) => self.schedule(state),
             SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => {
                 // Killed jobs are Pending again: rebuild the queue from
-                // the pending set (id = submission order, so victims
-                // rejoin at their original rank) and redispatch.
+                // the waiting set (id = submission order, so victims
+                // rejoin at their original rank), rebuild every
+                // reservation against the surviving nodes, reschedule.
                 self.queue = waiting_jobs(state).into();
-                self.dispatch(state)
+                self.schedule(state)
             }
             SchedEvent::Withdraw(id) => {
                 // Rebalanced to another shard: purge, or the stale entry
-                // would head-block the queue forever.
+                // would head-block the queue (or hold a phantom
+                // reservation) forever.
                 self.queue.retain(|&q| q != id);
                 Plan::noop()
             }
@@ -82,25 +92,63 @@ impl Scheduler for Fcfs {
     }
 }
 
-/// EASY backfilling with perfect runtime estimates.
-#[derive(Debug, Default)]
-pub struct Easy {
-    queue: VecDeque<JobId>,
+/// Start queue heads, in order, while they fit on `free`; `started`
+/// sees each one. Strict FIFO: nothing may overtake a head that does
+/// not fit.
+fn start_heads(
+    queue: &mut VecDeque<JobId>,
+    free: &mut Vec<NodeId>,
+    state: &SimState,
+    plan: &mut Plan,
+    mut started: impl FnMut(&JobSpec),
+) {
+    while let Some(&head) = queue.front() {
+        let spec = &state.job(head).spec;
+        let tasks = spec.tasks as usize;
+        if tasks > free.len() {
+            break;
+        }
+        started(spec);
+        plan.push_run(head, 1.0, free.drain(..tasks));
+        queue.pop_front();
+    }
 }
 
-impl Easy {
-    /// Fresh instance.
-    pub fn new() -> Self {
-        Easy::default()
-    }
+/// `FCFS`: no backfilling.
+#[derive(Debug, Default)]
+pub(crate) struct Never;
 
-    /// One full scheduling pass: start queue heads while they fit, then
-    /// backfill behind the head's reservation.
-    fn schedule(&mut self, state: &SimState) -> Plan {
-        let mut free = free_nodes(state);
+impl Backfill for Never {
+    const NAME: &'static str = "FCFS";
+
+    fn schedule(
+        &self,
+        queue: &mut VecDeque<JobId>,
+        mut free: Vec<NodeId>,
+        state: &SimState,
+    ) -> Plan {
+        let mut plan = Plan::noop();
+        start_heads(queue, &mut free, state, &mut plan, |_| {});
+        plan
+    }
+}
+
+/// `EASY`: backfill behind the head's reservation.
+#[derive(Debug, Default)]
+pub(crate) struct Head;
+
+impl Backfill for Head {
+    const NAME: &'static str = "EASY";
+
+    fn schedule(
+        &self,
+        queue: &mut VecDeque<JobId>,
+        mut free: Vec<NodeId>,
+        state: &SimState,
+    ) -> Plan {
         let mut plan = Plan::noop();
         // (completion_time, nodes_released) of jobs that will be running
-        // after this plan; seeded with currently running jobs.
+        // after this plan: running jobs, then the heads started below.
         let mut releases: Vec<(f64, u32)> = state
             .jobs
             .iter()
@@ -110,25 +158,17 @@ impl Easy {
                 (state.now + j.remaining(), j.spec.tasks)
             })
             .collect();
-
-        // Start heads while they fit.
-        while let Some(&head) = self.queue.front() {
-            let spec = &state.job(head).spec;
-            if spec.tasks as usize > free.len() {
-                break;
-            }
+        start_heads(queue, &mut free, state, &mut plan, |spec| {
             releases.push((state.now + spec.oracle_runtime(), spec.tasks));
-            plan.push_run(head, 1.0, free.drain(..spec.tasks as usize));
-            self.queue.pop_front();
-        }
+        });
 
-        if self.queue.is_empty() {
+        let Some(&head) = queue.front() else {
             return plan;
-        }
+        };
 
         // Reservation for the head: earliest time `head.tasks` nodes are
         // simultaneously free, assuming perfect estimates.
-        let head_tasks = state.job(*self.queue.front().expect("nonempty")).spec.tasks;
+        let head_tasks = state.job(head).spec.tasks;
         releases.sort_by(|a, b| a.0.total_cmp(&b.0));
         let mut cum = free.len() as u32;
         let mut shadow = f64::INFINITY;
@@ -155,7 +195,7 @@ impl Easy {
 
         // Backfill pass: jobs behind the head, in order.
         let mut started: Vec<JobId> = Vec::new();
-        for &cand in self.queue.iter().skip(1) {
+        for &cand in queue.iter().skip(1) {
             let spec = &state.job(cand).spec;
             let tasks = spec.tasks as usize;
             if tasks > free.len() {
@@ -171,43 +211,15 @@ impl Easy {
                 }
             }
         }
-        self.queue.retain(|j| !started.contains(j));
+        queue.retain(|j| !started.contains(j));
         plan
-    }
-}
-
-impl Scheduler for Easy {
-    fn name(&self) -> String {
-        "EASY".into()
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        match ev {
-            SchedEvent::Submit(id) => {
-                self.queue.push_back(id);
-                self.schedule(state)
-            }
-            SchedEvent::Complete(_) => self.schedule(state),
-            SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => {
-                // Requeue killed jobs (see `Fcfs`), rebuild the head's
-                // reservation against the surviving nodes, reschedule.
-                self.queue = waiting_jobs(state).into();
-                self.schedule(state)
-            }
-            SchedEvent::Withdraw(id) => {
-                // Rebalanced to another shard: purge the stale entry.
-                self.queue.retain(|&q| q != id);
-                Plan::noop()
-            }
-            _ => Plan::noop(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfrs_core::ids::NodeId;
-    use dfrs_core::{ClusterSpec, JobSpec};
+    use dfrs_core::ClusterSpec;
     use dfrs_sim::{simulate, SimConfig};
 
     fn cluster(n: u32) -> ClusterSpec {
@@ -228,7 +240,7 @@ mod tests {
     #[test]
     fn fcfs_runs_in_order() {
         let jobs = vec![job(0, 0.0, 2, 100.0), job(1, 10.0, 2, 50.0)];
-        let out = simulate(cluster(2), &jobs, &mut Fcfs::new(), &cfg());
+        let out = simulate(cluster(2), &jobs, &mut Batch::<Never>::default(), &cfg());
         assert!((out.records[0].completion - 100.0).abs() < 1e-6);
         // Job 1 waits for both nodes: starts 100, ends 150.
         assert!((out.records[1].completion - 150.0).abs() < 1e-6);
@@ -244,7 +256,7 @@ mod tests {
             job(1, 1.0, 4, 50.0),  // head of queue, needs all 4
             job(2, 2.0, 1, 10.0),  // small job stuck behind
         ];
-        let out = simulate(cluster(4), &jobs, &mut Fcfs::new(), &cfg());
+        let out = simulate(cluster(4), &jobs, &mut Batch::<Never>::default(), &cfg());
         assert!((out.records[1].first_start.unwrap() - 100.0).abs() < 1e-6);
         assert!(
             out.records[2].first_start.unwrap() >= 150.0 - 1e-6,
@@ -262,7 +274,7 @@ mod tests {
             job(1, 1.0, 4, 50.0),
             job(2, 2.0, 1, 10.0),
         ];
-        let out = simulate(cluster(4), &jobs, &mut Easy::new(), &cfg());
+        let out = simulate(cluster(4), &jobs, &mut Batch::<Head>::default(), &cfg());
         assert!((out.records[2].first_start.unwrap() - 2.0).abs() < 1e-6);
         // Head still starts exactly at its reservation.
         assert!((out.records[1].first_start.unwrap() - 100.0).abs() < 1e-6);
@@ -277,7 +289,7 @@ mod tests {
             job(1, 1.0, 4, 50.0),
             job(2, 2.0, 1, 200.0),
         ];
-        let out = simulate(cluster(4), &jobs, &mut Easy::new(), &cfg());
+        let out = simulate(cluster(4), &jobs, &mut Batch::<Head>::default(), &cfg());
         assert!((out.records[1].first_start.unwrap() - 100.0).abs() < 1e-6);
         assert!(out.records[2].first_start.unwrap() >= 100.0 - 1e-6);
     }
@@ -291,7 +303,7 @@ mod tests {
             job(1, 1.0, 3, 50.0),  // head: reservation at t=100, extra=1
             job(2, 2.0, 1, 500.0), // long, 1 node → fits the extra node
         ];
-        let out = simulate(cluster(4), &jobs, &mut Easy::new(), &cfg());
+        let out = simulate(cluster(4), &jobs, &mut Batch::<Head>::default(), &cfg());
         assert!((out.records[2].first_start.unwrap() - 2.0).abs() < 1e-6);
         assert!((out.records[1].first_start.unwrap() - 100.0).abs() < 1e-6);
     }
@@ -301,7 +313,10 @@ mod tests {
         let jobs: Vec<JobSpec> = (0..6)
             .map(|i| job(i, i as f64, 1 + i % 3, 30.0 + i as f64))
             .collect();
-        for sched in [&mut Fcfs::new() as &mut dyn Scheduler, &mut Easy::new()] {
+        for sched in [
+            &mut Batch::<Never>::default() as &mut dyn Scheduler,
+            &mut Batch::<Head>::default(),
+        ] {
             let out = simulate(cluster(3), &jobs, sched, &cfg());
             assert_eq!(out.preemption_count, 0);
             assert_eq!(out.migration_count, 0);
@@ -313,8 +328,8 @@ mod tests {
     fn easy_equals_fcfs_without_backfill_opportunities() {
         // Single-node jobs of equal length leave no backfill gaps.
         let jobs: Vec<JobSpec> = (0..5).map(|i| job(i, 0.0, 1, 100.0)).collect();
-        let f = simulate(cluster(2), &jobs, &mut Fcfs::new(), &cfg());
-        let e = simulate(cluster(2), &jobs, &mut Easy::new(), &cfg());
+        let f = simulate(cluster(2), &jobs, &mut Batch::<Never>::default(), &cfg());
+        let e = simulate(cluster(2), &jobs, &mut Batch::<Head>::default(), &cfg());
         assert_eq!(f.max_stretch, e.max_stretch);
     }
 
@@ -340,7 +355,7 @@ mod tests {
             ],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(2), &jobs, &mut Fcfs::new(), &cfg);
+        let out = simulate(cluster(2), &jobs, &mut Batch::<Never>::default(), &cfg);
         assert_eq!(out.restart_count, 1);
         assert_eq!(out.records[0].restarts, 1);
         assert!((out.lost_virtual_seconds - 50.0).abs() < 1e-6);
@@ -371,7 +386,7 @@ mod tests {
             ],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(2), &jobs, &mut Fcfs::new(), &cfg);
+        let out = simulate(cluster(2), &jobs, &mut Batch::<Never>::default(), &cfg);
         // Job 0 restarts at the repair (t=20) and job 1 still runs after
         // it: strict FIFO survives the failure.
         assert!((out.records[0].completion - 120.0).abs() < 1e-6);
@@ -403,7 +418,7 @@ mod tests {
             ],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(4), &jobs, &mut Easy::new(), &cfg);
+        let out = simulate(cluster(4), &jobs, &mut Batch::<Head>::default(), &cfg);
         assert_eq!(out.restart_count, 1, "head killed by the failure");
         // The short jobs run on surviving nodes long before the repair.
         assert!(out.records[1].completion < 100.0);
@@ -420,7 +435,7 @@ mod tests {
             JobSpec::new(JobId(0), 0.0, 2, 0.25, 0.1, 100.0).unwrap(),
             JobSpec::new(JobId(1), 0.0, 2, 0.25, 0.1, 100.0).unwrap(),
         ];
-        let out = simulate(cluster(2), &jobs, &mut Fcfs::new(), &cfg());
+        let out = simulate(cluster(2), &jobs, &mut Batch::<Never>::default(), &cfg());
         // Batch: job 1 waits for job 0's nodes → stretch 2.
         assert!((out.records[1].completion - 200.0).abs() < 1e-6);
         assert!((out.max_stretch - 2.0).abs() < 1e-6);

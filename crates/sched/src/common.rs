@@ -89,14 +89,6 @@ impl NodeScratch {
         }
     }
 
-    /// An empty cluster of `n` nodes.
-    pub fn empty(n: usize) -> Self {
-        NodeScratch {
-            mem_free: vec![1.0; n],
-            cpu_load: vec![0.0; n],
-        }
-    }
-
     /// Account one task added to `node`.
     pub fn add_task(&mut self, node: NodeId, cpu_need: f64, mem_req: f64) {
         self.mem_free[node.index()] -= mem_req;
@@ -212,16 +204,6 @@ impl AllocSet {
 
     fn nodes_of(&self, job: &AllocJob) -> &[NodeId] {
         &self.nodes[job.start..job.end]
-    }
-
-    /// Number of jobs.
-    pub fn len(&self) -> usize {
-        self.jobs.len()
-    }
-
-    /// True when no jobs were added.
-    pub fn is_empty(&self) -> bool {
-        self.jobs.is_empty()
     }
 
     /// Per-node CPU load of this allocation.
@@ -378,17 +360,6 @@ impl AllocSet {
     }
 }
 
-/// Build an [`AllocSet`] from the currently running jobs (used by the
-/// greedy algorithms after membership changes have been decided).
-pub fn alloc_set_of_running(state: &SimState) -> AllocSet {
-    let mut set = AllocSet::new();
-    for j in state.running_jobs() {
-        let placement = state.placement(j.spec.id);
-        set.push(j.spec.id, j.spec.cpu_need, j.spec.gpu_need, placement);
-    }
-    set
-}
-
 /// The GPU feasibility clamp of [`AllocSet::optimized_yields`] for the
 /// run entries of a plan, the shape the stretch and fairness schedulers
 /// settle their yields in: scale each GPU consumer's yield down by the
@@ -420,19 +391,11 @@ pub fn gpu_clamp_assignments(n_nodes: usize, gpu_of: impl Fn(JobId) -> f64, plan
 }
 
 /// Jobs in the system ordered by **increasing** priority (pause
-/// candidates first). Reverse for resume order. Only jobs currently in
-/// the system are considered (every caller filters on a status subset
-/// of pending/running/paused anyway).
+/// candidates first), with virtual-time exponent `exponent` in the
+/// priority function (paper: 2). Reverse for resume order. Only jobs
+/// currently in the system are considered (every caller filters on a
+/// status subset of pending/running/paused anyway).
 pub fn by_increasing_priority<'a>(
-    state: &'a SimState,
-    filter: impl Fn(&dfrs_sim::JobState) -> bool + 'a,
-) -> Vec<JobId> {
-    by_increasing_priority_exp(state, filter, 2.0)
-}
-
-/// [`by_increasing_priority`] with a custom virtual-time exponent in the
-/// priority function (the paper's power-of-two ablation).
-pub fn by_increasing_priority_exp<'a>(
     state: &'a SimState,
     filter: impl Fn(&dfrs_sim::JobState) -> bool + 'a,
     exponent: f64,
@@ -460,6 +423,23 @@ pub fn by_increasing_priority_exp<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl NodeScratch {
+        /// An empty cluster of `n` nodes.
+        fn empty(n: usize) -> Self {
+            NodeScratch {
+                mem_free: vec![1.0; n],
+                cpu_load: vec![0.0; n],
+            }
+        }
+    }
+
+    impl AllocSet {
+        /// True when no jobs were added.
+        fn is_empty(&self) -> bool {
+            self.jobs.is_empty()
+        }
+    }
 
     fn scratch3() -> NodeScratch {
         NodeScratch::empty(3)

@@ -6,14 +6,16 @@
 //! how much of DFRS's advantage comes from fractional sharing vs from
 //! queue policy.
 //!
-//! Like EASY here, it is clairvoyant (perfect runtime estimates).
+//! Like EASY here, it is clairvoyant (perfect runtime estimates). The
+//! queue, its event handling and the free list are the shared batch
+//! driver's ([`crate::batch::Batch`]); this module is the policy.
 
 use std::collections::VecDeque;
 
-use dfrs_core::ids::JobId;
-use dfrs_sim::{JobStatus, Plan, SchedEvent, Scheduler, SimState};
+use dfrs_core::ids::{JobId, NodeId};
+use dfrs_sim::{JobStatus, Plan, SimState};
 
-use crate::common::{free_nodes, waiting_jobs};
+use crate::batch::Backfill;
 
 /// Piecewise-constant future free-node profile: `points[i] = (t_i,
 /// free_i)` means `free_i` nodes are free on `[t_i, t_{i+1})`; the last
@@ -100,20 +102,21 @@ impl Profile {
     }
 }
 
-/// Conservative backfilling over whole nodes with perfect estimates.
+/// Conservative backfilling over whole nodes with perfect estimates:
+/// the [`Backfill`] policy of [`crate::batch::Batch`] that reserves for
+/// every queued job.
 #[derive(Debug, Default)]
-pub struct ConservativeBf {
-    queue: VecDeque<JobId>,
-}
+pub(crate) struct All;
 
-impl ConservativeBf {
-    /// Fresh instance.
-    pub fn new() -> Self {
-        ConservativeBf::default()
-    }
+impl Backfill for All {
+    const NAME: &'static str = "Conservative-BF";
 
-    fn schedule(&mut self, state: &SimState) -> Plan {
-        let mut free = free_nodes(state);
+    fn schedule(
+        &self,
+        queue: &mut VecDeque<JobId>,
+        mut free: Vec<NodeId>,
+        state: &SimState,
+    ) -> Plan {
         let releases: Vec<(f64, u32)> = state
             .jobs
             .iter()
@@ -124,7 +127,7 @@ impl ConservativeBf {
 
         let mut plan = Plan::noop();
         let mut started: Vec<JobId> = Vec::new();
-        for &id in self.queue.iter() {
+        for &id in queue.iter() {
             let spec = &state.job(id).spec;
             // While failures keep the in-service count below this job's
             // width, it holds no reservation (nothing to reserve
@@ -143,44 +146,15 @@ impl ConservativeBf {
                 started.push(id);
             }
         }
-        self.queue.retain(|j| !started.contains(j));
+        queue.retain(|j| !started.contains(j));
         plan
-    }
-}
-
-impl Scheduler for ConservativeBf {
-    fn name(&self) -> String {
-        "Conservative-BF".into()
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        match ev {
-            SchedEvent::Submit(id) => {
-                self.queue.push_back(id);
-                self.schedule(state)
-            }
-            SchedEvent::Complete(_) => self.schedule(state),
-            SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => {
-                // Killed jobs are Pending again: rebuild the queue in
-                // submission order and rebuild every reservation against
-                // the surviving nodes.
-                self.queue = waiting_jobs(state).into();
-                self.schedule(state)
-            }
-            SchedEvent::Withdraw(id) => {
-                // Rebalanced to another shard: purge, or the stale entry
-                // would hold a phantom reservation in every later pass.
-                self.queue.retain(|&q| q != id);
-                Plan::noop()
-            }
-            _ => Plan::noop(),
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfrs_core::ids::NodeId;
+    use crate::batch::Batch;
     use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
 
@@ -232,7 +206,7 @@ mod tests {
             job(1, 1.0, 4, 50.0),
             job(2, 2.0, 1, 10.0),
         ];
-        let out = simulate(cluster(4), &jobs, &mut ConservativeBf::new(), &cfg());
+        let out = simulate(cluster(4), &jobs, &mut Batch::<All>::default(), &cfg());
         assert!((out.records[2].first_start.unwrap() - 2.0).abs() < 1e-6);
         assert!((out.records[1].first_start.unwrap() - 100.0).abs() < 1e-6);
     }
@@ -249,7 +223,7 @@ mod tests {
             job(2, 2.0, 2, 200.0),
             job(3, 3.0, 1, 60.0),
         ];
-        let out = simulate(cluster(4), &jobs, &mut ConservativeBf::new(), &cfg());
+        let out = simulate(cluster(4), &jobs, &mut Batch::<All>::default(), &cfg());
         // Reservations: job1 at 100 (all 4), job2 at 150. Job 3 (60 s,
         // 1 node) finishing at 63 < 100: safe to start now.
         assert!((out.records[3].first_start.unwrap() - 3.0).abs() < 1e-6);
@@ -271,7 +245,7 @@ mod tests {
             job(1, 1.0, 4, 50.0),
             job(2, 2.0, 2, 300.0),
         ];
-        let out = simulate(cluster(4), &jobs, &mut ConservativeBf::new(), &cfg());
+        let out = simulate(cluster(4), &jobs, &mut Batch::<All>::default(), &cfg());
         assert!(out.records[2].first_start.unwrap() >= 150.0 - 1e-6);
     }
 
@@ -297,7 +271,7 @@ mod tests {
             ],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(4), &jobs, &mut ConservativeBf::new(), &cfg);
+        let out = simulate(cluster(4), &jobs, &mut Batch::<All>::default(), &cfg);
         assert_eq!(out.restart_count, 1);
         assert!((out.lost_virtual_seconds - 30.0).abs() < 1e-6);
         // Job 1 runs on a surviving node right after the failure freed
@@ -311,7 +285,7 @@ mod tests {
         let jobs: Vec<JobSpec> = (0..14)
             .map(|i| job(i, (i as f64) * 7.0, 1 + i % 4, 20.0 + (i as f64) * 11.0))
             .collect();
-        let out = simulate(cluster(4), &jobs, &mut ConservativeBf::new(), &cfg());
+        let out = simulate(cluster(4), &jobs, &mut Batch::<All>::default(), &cfg());
         assert_eq!(out.records.len(), 14);
         assert_eq!(out.preemption_count, 0);
         for r in &out.records {

@@ -21,24 +21,18 @@ use dfrs_core::constants::BACKOFF_CAP_SECS;
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_sim::{JobStatus, Plan, SchedEvent, Scheduler, SimState};
 
-use crate::common::{by_increasing_priority_exp, AllocSet, NodeScratch};
+use crate::common::{by_increasing_priority, AllocSet, NodeScratch};
 
-/// Behaviour switches distinguishing the three variants.
-#[derive(Debug, Clone, Copy)]
-struct GreedyFlags {
-    /// Force admission by pausing lower-priority jobs.
+/// The greedy driver: one scheduler, two switches.
+#[derive(Debug)]
+pub(crate) struct Greedy {
+    /// Force admission by pausing lower-priority jobs (GREEDY-PMTN).
     pmtn: bool,
-    /// Allow same-event re-placement of paused jobs (migration).
+    /// Also re-place the jobs paused at this event (GREEDY-PMTN-MIGR).
     migr: bool,
     /// Virtual-time exponent of the priority function (paper: 2; the
     /// exponent-1 variant exists for the ablation of Section III-A).
     priority_exponent: f64,
-}
-
-/// Shared implementation.
-#[derive(Debug)]
-struct GreedyCore {
-    flags: GreedyFlags,
     backoff: HashMap<JobId, u32>,
     /// Jobs with an outstanding backoff timer. Kept so the node-event
     /// rescue pass never arms a second concurrent timer chain for a job
@@ -47,10 +41,17 @@ struct GreedyCore {
     armed: HashSet<JobId>,
 }
 
-impl GreedyCore {
-    fn new(flags: GreedyFlags) -> Self {
-        GreedyCore {
-            flags,
+impl Greedy {
+    /// `GREEDY`, `GREEDY-PMTN` (`pmtn`) or `GREEDY-PMTN-MIGR` (`pmtn`
+    /// and `migr`), pausing by a priority with virtual-time exponent
+    /// `priority_exponent`.
+    pub(crate) fn new(pmtn: bool, migr: bool, priority_exponent: f64) -> Self {
+        debug_assert!(pmtn || !migr, "migration re-places paused jobs");
+        debug_assert!(priority_exponent > 0.0);
+        Greedy {
+            pmtn,
+            migr,
+            priority_exponent,
             backoff: HashMap::new(),
             armed: HashSet::new(),
         }
@@ -100,10 +101,10 @@ impl GreedyCore {
         runs: &mut Vec<(JobId, Vec<NodeId>)>,
         eligible: impl Fn(JobId) -> bool,
     ) {
-        let order = by_increasing_priority_exp(
+        let order = by_increasing_priority(
             state,
             |j| j.status == JobStatus::Paused,
-            self.flags.priority_exponent,
+            self.priority_exponent,
         );
         for id in order.into_iter().rev() {
             if !eligible(id) {
@@ -125,23 +126,23 @@ impl GreedyCore {
 
         if let Some(placement) = scratch.greedy_place(spec.tasks, spec.cpu_need, spec.mem_req) {
             let mut runs = vec![(id, placement)];
-            if self.flags.pmtn {
+            if self.pmtn {
                 self.resume_paused(state, &mut scratch, &mut runs, |_| true);
             }
             return self.emit(state, Vec::new(), runs);
         }
 
-        if !self.flags.pmtn {
+        if !self.pmtn {
             // Postpone with bounded exponential backoff.
             return Plan::noop().timer(id, self.next_backoff(id, state.now));
         }
 
         // Forced admission. Mark running jobs by increasing priority
         // until the newcomer would fit if all marked were paused.
-        let order = by_increasing_priority_exp(
+        let order = by_increasing_priority(
             state,
             |j| j.status == JobStatus::Running,
-            self.flags.priority_exponent,
+            self.priority_exponent,
         );
         let mut marked: Vec<JobId> = Vec::new();
         let mut fits = false;
@@ -200,16 +201,16 @@ impl GreedyCore {
         let mut runs = vec![(id, placement)];
 
         let mut paused = still_marked;
-        if self.flags.migr {
+        if self.migr {
             // Re-place the just-paused jobs immediately where possible:
             // emitted as Run entries on running jobs = migration.
             let mut kept: Vec<JobId> = Vec::new();
             let order: Vec<JobId> = {
                 // Decreasing priority among the marked jobs.
-                let mut v = by_increasing_priority_exp(
+                let mut v = by_increasing_priority(
                     state,
                     |j| paused.contains(&j.spec.id),
-                    self.flags.priority_exponent,
+                    self.priority_exponent,
                 );
                 v.reverse();
                 v
@@ -271,10 +272,10 @@ impl GreedyCore {
         let mut scratch = NodeScratch::from_state(state);
         let mut runs: Vec<(JobId, Vec<NodeId>)> = Vec::new();
         let mut timers: Vec<(JobId, f64)> = Vec::new();
-        let order = by_increasing_priority_exp(
+        let order = by_increasing_priority(
             state,
             |j| j.status == JobStatus::Pending,
-            self.flags.priority_exponent,
+            self.priority_exponent,
         );
         for id in order.into_iter().rev() {
             let spec = &state.job(id).spec;
@@ -299,6 +300,17 @@ impl GreedyCore {
         plan.timers.extend(timers);
         plan
     }
+}
+
+impl Scheduler for Greedy {
+    fn name(&self) -> String {
+        match (self.pmtn, self.migr) {
+            (false, _) => "Greedy",
+            (true, false) => "Greedy-pmtn",
+            (true, true) => "Greedy-pmtn-migr",
+        }
+        .into()
+    }
 
     fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
         match ev {
@@ -314,108 +326,6 @@ impl GreedyCore {
                 Plan::noop()
             }
         }
-    }
-}
-
-/// `GREEDY` (Section III-A): no preemption, bounded exponential backoff.
-#[derive(Debug)]
-pub struct Greedy(GreedyCore);
-
-impl Greedy {
-    /// Fresh instance.
-    pub fn new() -> Self {
-        Greedy(GreedyCore::new(GreedyFlags {
-            pmtn: false,
-            migr: false,
-            priority_exponent: 2.0,
-        }))
-    }
-}
-
-impl Default for Greedy {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for Greedy {
-    fn name(&self) -> String {
-        "Greedy".into()
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.0.on_event(ev, state)
-    }
-}
-
-/// `GREEDY-PMTN`: forced admission via priority-ordered pausing.
-#[derive(Debug)]
-pub struct GreedyPmtn(GreedyCore);
-
-impl GreedyPmtn {
-    /// Fresh instance.
-    pub fn new() -> Self {
-        GreedyPmtn(GreedyCore::new(GreedyFlags {
-            pmtn: true,
-            migr: false,
-            priority_exponent: 2.0,
-        }))
-    }
-
-    /// Ablation constructor: custom virtual-time exponent in the
-    /// pause/resume priority (the paper reports exponent 1 is markedly
-    /// worse than the default 2).
-    pub fn with_priority_exponent(exponent: f64) -> Self {
-        assert!(exponent > 0.0);
-        GreedyPmtn(GreedyCore::new(GreedyFlags {
-            pmtn: true,
-            migr: false,
-            priority_exponent: exponent,
-        }))
-    }
-}
-
-impl Default for GreedyPmtn {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for GreedyPmtn {
-    fn name(&self) -> String {
-        "Greedy-pmtn".into()
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.0.on_event(ev, state)
-    }
-}
-
-/// `GREEDY-PMTN-MIGR`: forced admission plus same-event re-placement.
-#[derive(Debug)]
-pub struct GreedyPmtnMigr(GreedyCore);
-
-impl GreedyPmtnMigr {
-    /// Fresh instance.
-    pub fn new() -> Self {
-        GreedyPmtnMigr(GreedyCore::new(GreedyFlags {
-            pmtn: true,
-            migr: true,
-            priority_exponent: 2.0,
-        }))
-    }
-}
-
-impl Default for GreedyPmtnMigr {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl Scheduler for GreedyPmtnMigr {
-    fn name(&self) -> String {
-        "Greedy-pmtn-migr".into()
-    }
-    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.0.on_event(ev, state)
     }
 }
 
@@ -440,6 +350,18 @@ mod tests {
         JobSpec::new(JobId(id), submit, tasks, cpu, mem, rt).unwrap()
     }
 
+    fn greedy() -> Greedy {
+        Greedy::new(false, false, 2.0)
+    }
+
+    fn pmtn() -> Greedy {
+        Greedy::new(true, false, 2.0)
+    }
+
+    fn pmtn_migr() -> Greedy {
+        Greedy::new(true, true, 2.0)
+    }
+
     #[test]
     fn greedy_time_shares_cpu_heavy_jobs() {
         // Two 1-task CPU-bound jobs with small memory on a 2-node cluster:
@@ -448,7 +370,7 @@ mod tests {
             job(0, 0.0, 1, 1.0, 0.1, 100.0),
             job(1, 0.0, 1, 1.0, 0.1, 100.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut Greedy::new(), &cfg());
+        let out = simulate(cluster(), &jobs, &mut greedy(), &cfg());
         assert_eq!(out.max_stretch, 1.0);
         assert!((out.records[0].completion - 100.0).abs() < 1e-6);
     }
@@ -458,7 +380,7 @@ mod tests {
         // Three 2-task CPU-bound jobs, memory 0.3 each: 6 tasks over 2
         // nodes → 3 per node, load 3 → yield 1/3 → 300 s completions.
         let jobs: Vec<JobSpec> = (0..3).map(|i| job(i, 0.0, 2, 1.0, 0.3, 100.0)).collect();
-        let out = simulate(cluster(), &jobs, &mut Greedy::new(), &cfg());
+        let out = simulate(cluster(), &jobs, &mut greedy(), &cfg());
         for r in &out.records {
             assert!(
                 (r.completion - 300.0).abs() < 1e-6,
@@ -478,7 +400,7 @@ mod tests {
             job(0, 0.0, 2, 0.25, 1.0, 100.0),
             job(1, 1.0, 1, 0.25, 0.5, 10.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut Greedy::new(), &cfg());
+        let out = simulate(cluster(), &jobs, &mut greedy(), &cfg());
         let r1 = &out.records[1];
         assert!(
             r1.first_start.unwrap() > 100.0,
@@ -498,7 +420,7 @@ mod tests {
             job(0, 0.0, 2, 0.25, 1.0, 100.0),
             job(1, 1.0, 1, 0.25, 0.5, 10.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut GreedyPmtn::new(), &cfg());
+        let out = simulate(cluster(), &jobs, &mut pmtn(), &cfg());
         let r1 = &out.records[1];
         assert!((r1.first_start.unwrap() - 1.0).abs() < 1e-9);
         assert!((r1.completion - 11.0).abs() < 1e-6);
@@ -517,7 +439,7 @@ mod tests {
             job(1, 5.0, 1, 0.25, 0.6, 50.0),
             job(2, 10.0, 2, 0.25, 0.7, 20.0), // needs 0.7 on both nodes
         ];
-        let out = simulate(cluster(), &jobs, &mut GreedyPmtn::new(), &cfg());
+        let out = simulate(cluster(), &jobs, &mut pmtn(), &cfg());
         // Both 0 and 1 must be marked (job 2 needs 0.7 free on both
         // nodes), so expect 2 preemptions... unmark can keep neither.
         assert_eq!(out.preemption_count, 2);
@@ -530,7 +452,7 @@ mod tests {
             job(0, 0.0, 2, 0.25, 1.0, 100.0),
             job(1, 1.0, 1, 0.25, 0.5, 10.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut GreedyPmtn::new(), &cfg());
+        let out = simulate(cluster(), &jobs, &mut pmtn(), &cfg());
         // Job 0 resumes when job 1 completes at t=11; its remaining 99 s
         // finish at t=110.
         assert!((out.records[0].completion - 110.0).abs() < 1e-6);
@@ -550,7 +472,7 @@ mod tests {
             job(1, 1.0, 1, 0.25, 0.15, 100.0),
             job(2, 10.0, 2, 0.25, 0.8, 20.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut GreedyPmtnMigr::new(), &cfg());
+        let out = simulate(cluster(), &jobs, &mut pmtn_migr(), &cfg());
         // With 0.15+0.8 < 1: nothing needs pausing at all (greedy fit).
         // Check no preemptions and everyone runs immediately.
         assert_eq!(out.preemption_count + out.migration_count, 0);
@@ -569,7 +491,7 @@ mod tests {
             job(1, 1.0, 1, 0.25, 0.55, 100.0),
             job(2, 10.0, 2, 0.25, 0.5, 20.0),
         ];
-        let out = simulate(cluster(), &jobs, &mut GreedyPmtnMigr::new(), &cfg());
+        let out = simulate(cluster(), &jobs, &mut pmtn_migr(), &cfg());
         // One of jobs 0/1 is paused (lower priority = job 1, same vt but
         // later submission... job 1 has less virtual time: priorities:
         // both finite; job 0 vt=10, job 1 vt=9 → priority 0 = 30/100,
@@ -614,9 +536,9 @@ mod tests {
             ..SimConfig::default()
         };
         for sched in [
-            &mut Greedy::new() as &mut dyn dfrs_sim::Scheduler,
-            &mut GreedyPmtn::new(),
-            &mut GreedyPmtnMigr::new(),
+            &mut greedy() as &mut dyn dfrs_sim::Scheduler,
+            &mut pmtn(),
+            &mut pmtn_migr(),
         ] {
             let out = simulate(cluster(), &jobs, sched, &cfg);
             assert_eq!(out.restart_count, 1);
@@ -644,7 +566,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(), &jobs, &mut Greedy::new(), &cfg);
+        let out = simulate(cluster(), &jobs, &mut greedy(), &cfg);
         assert_eq!(out.restart_count, 0);
         assert_eq!(out.lost_virtual_seconds, 0.0);
         assert_eq!(out.preemption_count, 1, "failure pause is a preemption");
@@ -665,7 +587,7 @@ mod tests {
             }],
             ..SimConfig::default()
         };
-        let out = simulate(cluster(), &jobs, &mut GreedyPmtn::new(), &cfg);
+        let out = simulate(cluster(), &jobs, &mut pmtn(), &cfg);
         // Resumes at t=10 on node 1 but progress is frozen until t=310,
         // then 90 s remain.
         assert!((out.records[0].completion - 400.0).abs() < 1e-6);
@@ -693,10 +615,7 @@ mod tests {
             ],
             ..SimConfig::default()
         };
-        for sched in [
-            &mut Greedy::new() as &mut dyn dfrs_sim::Scheduler,
-            &mut GreedyPmtn::new(),
-        ] {
+        for sched in [&mut greedy() as &mut dyn dfrs_sim::Scheduler, &mut pmtn()] {
             let out = simulate(cluster(), &jobs, sched, &cfg);
             let start = out.records[0].first_start.unwrap();
             assert!(
@@ -709,9 +628,11 @@ mod tests {
 
     #[test]
     fn variants_report_distinct_names() {
-        assert_eq!(Greedy::new().name(), "Greedy");
-        assert_eq!(GreedyPmtn::new().name(), "Greedy-pmtn");
-        assert_eq!(GreedyPmtnMigr::new().name(), "Greedy-pmtn-migr");
+        assert_eq!(greedy().name(), "Greedy");
+        assert_eq!(pmtn().name(), "Greedy-pmtn");
+        assert_eq!(pmtn_migr().name(), "Greedy-pmtn-migr");
+        // The priority exponent does not enter the name.
+        assert_eq!(Greedy::new(true, false, 1.0).name(), "Greedy-pmtn");
     }
 
     #[test]
@@ -726,7 +647,7 @@ mod tests {
             job(0, 0.0, 1, 1.0, 0.3, 100.0),
             job(1, 0.0, 1, 1.0, 0.3, 50.0),
         ];
-        let out = simulate(tight, &jobs, &mut Greedy::new(), &cfg());
+        let out = simulate(tight, &jobs, &mut greedy(), &cfg());
         assert!((out.records[1].completion - 100.0).abs() < 1e-6);
         assert!((out.records[0].completion - 150.0).abs() < 1e-6);
     }
@@ -737,7 +658,7 @@ mod tests {
         // at yield 1.0 simultaneously.
         let tight = ClusterSpec::new(1, 4, 8.0).unwrap();
         let jobs: Vec<JobSpec> = (0..4).map(|i| job(i, 0.0, 1, 0.25, 0.2, 100.0)).collect();
-        let out = simulate(tight, &jobs, &mut Greedy::new(), &cfg());
+        let out = simulate(tight, &jobs, &mut greedy(), &cfg());
         assert_eq!(out.max_stretch, 1.0);
     }
 }

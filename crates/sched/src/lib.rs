@@ -7,20 +7,27 @@
 //!
 //! | Registry key | Paper name | Mechanisms |
 //! |---|---|---|
-//! | `fcfs` ([`batch::Fcfs`]) | FCFS | integral nodes, FIFO queue |
-//! | `easy` ([`batch::Easy`]) | EASY | integral nodes + backfilling, perfect estimates |
-//! | `greedy` ([`greedy::Greedy`]) | GREEDY | fractional CPU, backoff postponing |
-//! | `greedy-pmtn` ([`greedy::GreedyPmtn`]) | GREEDY-PMTN | + priority-based pausing |
-//! | `greedy-pmtn-migr` ([`greedy::GreedyPmtnMigr`]) | GREEDY-PMTN-MIGR | + same-event re-placement |
+//! | `fcfs` | FCFS | integral nodes, FIFO queue |
+//! | `easy` | EASY | integral nodes + backfilling, perfect estimates |
+//! | `greedy` | GREEDY | fractional CPU, backoff postponing |
+//! | `greedy-pmtn` | GREEDY-PMTN | + priority-based pausing |
+//! | `greedy-pmtn-migr` | GREEDY-PMTN-MIGR | + same-event re-placement |
 //! | `dynmcb8` | DYNMCB8 | MCB8 repack at every event |
 //! | `dynmcb8-per` | DYNMCB8-PER-600 | periodic repack |
 //! | `dynmcb8-asap-per` | DYNMCB8-ASAP-PER-600 | periodic + greedy admission |
 //! | `dynmcb8-stretch-per` | DYNMCB8-STRETCH-PER-600 | periodic, minimizes estimated stretch |
 //!
-//! The DYNMCB8 family is one scheduler, a trigger (every event, every
-//! `T`, every `T` with ASAP admission) × an objective (max-min yield,
-//! min-max estimated stretch, max-min dominant share, damped yield). It
-//! has no public type: the registry's seven `dynmcb8*` keys build it.
+//! Each family is one crate-private scheduler with no public type; the
+//! registry's keys build them:
+//!
+//! - the batch baselines are one FIFO queue that backfills behind
+//!   nobody (FCFS), behind the head (EASY) or behind every queued job
+//!   (`conservative-bf`);
+//! - the greedy family is one driver with two switches: pause to admit
+//!   (PMTN), and re-place the paused at once (MIGR);
+//! - the DYNMCB8 family is one repacker, a trigger (every event, every
+//!   `T`, every `T` with ASAP admission) × an objective (max-min yield,
+//!   min-max estimated stretch, max-min dominant share, damped yield).
 //!
 //! Only the batch baselines are clairvoyant (EASY backfills with perfect
 //! runtime estimates, as in the paper's evaluation); no DFRS algorithm
@@ -31,11 +38,11 @@
 //! by user code, and the only way to name a scheduler.
 //! [`PAPER_SPECS`] and [`PREEMPTING_SPECS`] list the keys of the
 //! paper's Table I and Table II rows. Extensions beyond the paper:
-//! [`conservative::ConservativeBf`] (conservative backfilling),
-//! `dynmcb8-fair-per` (long-job yield damping, the paper's future-work
-//! sketch), and the multi-resource `dynmcb8-drf` / `dynmcb8-drf-per`
-//! pair (max-min **dominant share** over CPU+GPU instead of max-min
-//! yield).
+//! `conservative-bf` (conservative backfilling), `dynmcb8-fair-per`
+//! (long-job yield damping, the paper's future-work sketch), the
+//! multi-resource `dynmcb8-drf` / `dynmcb8-drf-per` pair (max-min
+//! **dominant share** over CPU+GPU instead of max-min yield), and the
+//! [`Sharded`] coordinator (`sharded:<inner-spec>:shards=N`).
 //!
 //! ```
 //! use dfrs_core::ids::JobId;
@@ -56,22 +63,19 @@
 //! assert_eq!(dfrs.max_stretch, 1.0);
 //! ```
 
-pub mod batch;
-pub mod common;
-pub mod conservative;
+mod batch;
+mod common;
+mod conservative;
 mod drf;
 mod dynmcb8;
 mod evict;
 mod fairness;
-pub mod greedy;
+mod greedy;
 pub mod registry;
 pub mod sharded;
 pub mod spec;
 mod stretch_per;
 
-pub use batch::{Easy, Fcfs};
-pub use conservative::ConservativeBf;
-pub use greedy::{Greedy, GreedyPmtn, GreedyPmtnMigr};
 pub use registry::{PAPER_SPECS, PREEMPTING_SPECS};
 pub use sharded::Sharded;
 pub use spec::{SchedulerFactory, SchedulerRegistry, SchedulerSpec, SpecError, SpecParams};

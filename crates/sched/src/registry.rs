@@ -86,8 +86,17 @@ mod tests {
     #[test]
     fn build_produces_matching_names() {
         let reg = SchedulerRegistry::builtin();
-        for (s, name) in PAPER_SPECS.iter().zip(PAPER_NAMES) {
-            assert_eq!(reg.build_str(s).unwrap().name(), name);
+        let extensions = [
+            ("conservative-bf", "Conservative-BF"),
+            ("greedy-pmtn:exponent=1", "Greedy-pmtn"),
+        ];
+        for (s, name) in PAPER_SPECS
+            .iter()
+            .copied()
+            .zip(PAPER_NAMES)
+            .chain(extensions)
+        {
+            assert_eq!(reg.build_str(s).unwrap().name(), name, "{s}");
         }
     }
 

@@ -1,6 +1,7 @@
 //! Sharded scheduling: partition the cluster, run one independent
 //! inner scheduler per shard, coordinate through a thin deterministic
-//! layer (its cost is ROADMAP item 5).
+//! layer (its cost is the ROADMAP item "Sharding: price its quality,
+//! then cut the coordinator").
 //!
 //! ## Model
 //!

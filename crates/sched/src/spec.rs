@@ -17,13 +17,13 @@
 //! User code registers its own factories instead of editing an enum:
 //!
 //! ```
-//! use dfrs_sched::{GreedyPmtn, SchedulerRegistry};
+//! use dfrs_sched::SchedulerRegistry;
 //!
 //! let mut reg = SchedulerRegistry::builtin();
 //! reg.register_fn("greedy-linear", "GREEDY-PMTN with flow/vt priority", &[], |_| {
-//!     Ok(Box::new(GreedyPmtn::with_priority_exponent(1.0)))
+//!     SchedulerRegistry::builtin().build_str("greedy-pmtn:exponent=1")
 //! });
-//! assert!(reg.build_str("greedy-linear").is_ok());
+//! assert_eq!(reg.build_str("greedy-linear").unwrap().name(), "Greedy-pmtn");
 //! ```
 //!
 //! ## Spec grammar
@@ -43,12 +43,12 @@ use std::sync::Arc;
 use dfrs_core::constants::DEFAULT_PERIOD_SECS;
 use dfrs_sim::Scheduler;
 
-use crate::batch::{Easy, Fcfs};
-use crate::conservative::ConservativeBf;
+use crate::batch::{Batch, Head, Never};
+use crate::conservative::All;
 use crate::drf::DominantShare;
 use crate::dynmcb8::{MaxMinYield, PackerChoice, Repacker, Trigger};
 use crate::fairness::LongJobDamping;
-use crate::greedy::{Greedy, GreedyPmtn, GreedyPmtnMigr};
+use crate::greedy::Greedy;
 use crate::stretch_per::MinMaxStretch;
 
 /// Why a spec failed to parse, resolve, or build.
@@ -457,31 +457,33 @@ impl SchedulerRegistry {
 
     /// The built-in registry: the paper's nine algorithms plus the
     /// repository's extensions (`conservative-bf`, `dynmcb8-fair-per`,
-    /// `dynmcb8-drf`, `dynmcb8-drf-per`, `sharded`). The seven
-    /// `dynmcb8*` keys are the only way to build the DYNMCB8 repacker.
-    /// Construction is cheap; call it on demand.
+    /// `dynmcb8-drf`, `dynmcb8-drf-per`, `sharded`). Its keys are the
+    /// only way to build the batch driver, the greedy driver and the
+    /// DYNMCB8 repacker. Construction is cheap; call it on demand.
     pub fn builtin() -> Self {
         let mut reg = SchedulerRegistry::empty();
+        // The batch baselines: one FIFO queue, a backfilling policy.
         reg.register_fn("fcfs", "First-Come-First-Serve batch baseline", &[], |_| {
-            Ok(Box::new(Fcfs::new()))
+            Ok(Batch::<Never>::boxed())
         });
         reg.register_fn(
             "easy",
             "EASY backfilling with perfect estimates (batch baseline)",
             &[],
-            |_| Ok(Box::new(Easy::new())),
+            |_| Ok(Batch::<Head>::boxed()),
         );
         reg.register_fn(
             "conservative-bf",
             "Conservative backfilling with perfect estimates (extension)",
             &[],
-            |_| Ok(Box::new(ConservativeBf::new())),
+            |_| Ok(Batch::<All>::boxed()),
         );
+        // The greedy family: one driver, two switches (pmtn, migr).
         reg.register_fn(
             "greedy",
             "GREEDY: fractional CPU, backoff postponing",
             &[],
-            |_| Ok(Box::new(Greedy::new())),
+            |_| Ok(Box::new(Greedy::new(false, false, 2.0))),
         );
         reg.register_fn(
             "greedy-pmtn",
@@ -489,18 +491,14 @@ impl SchedulerRegistry {
             &["exponent"],
             |p| {
                 let e = p.positive_f64_or("exponent", 2.0)?;
-                Ok(if e == 2.0 {
-                    Box::new(GreedyPmtn::new())
-                } else {
-                    Box::new(GreedyPmtn::with_priority_exponent(e))
-                })
+                Ok(Box::new(Greedy::new(true, false, e)))
             },
         );
         reg.register_fn(
             "greedy-pmtn-migr",
             "GREEDY-PMTN-MIGR: greedy with pausing and same-event re-placement",
             &[],
-            |_| Ok(Box::new(GreedyPmtnMigr::new())),
+            |_| Ok(Box::new(Greedy::new(true, true, 2.0))),
         );
         // The DYNMCB8 family: one repacker, a trigger × an objective.
         reg.register_fn(

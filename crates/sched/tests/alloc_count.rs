@@ -1,6 +1,7 @@
-//! Count guard for the flat placement buffer: heap allocations per
-//! engine event under `sharded:dynmcb8:shards=2` must not grow with the
-//! number of jobs a decision places.
+//! Count guards on heap allocations: per engine event under
+//! `sharded:dynmcb8:shards=2`, which must not grow with the number of
+//! jobs a decision places, and per `fcfs` scheduler call, the
+//! host-independent guard on the batch hot path.
 //!
 //! A decision used to copy every job's nodes into a `Vec` of its own
 //! three times on the way from the packer's `bin_of` to `apply_plan`
@@ -24,7 +25,10 @@ use std::cell::Cell;
 use dfrs_core::ids::JobId;
 use dfrs_core::{ClusterSpec, JobSpec};
 use dfrs_sched::SchedulerRegistry;
-use dfrs_sim::{simulate, Plan, SchedEvent, Scheduler, SimConfig, SimState};
+use dfrs_sim::{
+    simulate, simulate_stream, DiscardRecords, IterSource, Plan, SchedEvent, Scheduler, SimConfig,
+    SimState,
+};
 
 thread_local! {
     /// Allocations (and growing reallocations) made by this thread.
@@ -60,6 +64,7 @@ static GLOBAL: Counting = Counting;
 /// Reads the counter at the scheduler calls that open and close the
 /// measured window, so the window covers whole engine events: the
 /// scheduler call, `apply_plan`, and the event loop around them.
+/// `inside` sums only what the scheduler calls in the window allocate.
 struct Window {
     inner: Box<dyn Scheduler>,
     calls: u64,
@@ -67,6 +72,7 @@ struct Window {
     to: u64,
     at_from: u64,
     at_to: u64,
+    inside: u64,
 }
 
 impl Scheduler for Window {
@@ -81,8 +87,13 @@ impl Scheduler for Window {
         if self.calls == self.to {
             self.at_to = now;
         }
+        let in_window = (self.from..self.to).contains(&self.calls);
         self.calls += 1;
-        self.inner.on_event(ev, state)
+        let plan = self.inner.on_event(ev, state);
+        if in_window {
+            self.inside += ALLOCS.with(Cell::get) - now;
+        }
+        plan
     }
 }
 
@@ -109,6 +120,7 @@ fn allocations_per_event(per_shard: u32) -> f64 {
         to,
         at_from: 0,
         at_to: 0,
+        inside: 0,
     };
     let cluster = ClusterSpec::new(2 * live, 4, 8.0).unwrap();
     let out = simulate(cluster, &jobs, &mut window, &SimConfig::default());
@@ -128,4 +140,47 @@ fn allocations_per_event_do_not_grow_with_the_jobs_placed() {
         large <= small + 16.0,
         "four times the jobs: {small:.1} -> {large:.1} allocations per event"
     );
+}
+
+/// Allocations per `fcfs` scheduler call (the call alone, not the
+/// engine around it) on a streamed single-task trace: one arrival every
+/// 4 s, runtimes cycling over 60..600 s, on the 128-node synthetic
+/// cluster, so ≈ 80 nodes are busy and the queue stays short (the
+/// benchmark's `stream-fcfs` regime). Measured 6.0 on the commit before
+/// the three batch schedulers became one driver: the whole-node free
+/// list and its doublings, and the plan's buffers.
+fn allocations_per_fcfs_call() -> f64 {
+    let jobs = (0..4_000u32).map(|i| {
+        let runtime = 60.0 + f64::from(i * 37 % 541);
+        JobSpec::new(JobId(i), 4.0 * f64::from(i), 1, 1.0, 0.5, runtime).unwrap()
+    });
+    let inner = SchedulerRegistry::builtin().build_str("fcfs").unwrap();
+    let (from, to) = (2_000, 6_000);
+    let mut window = Window {
+        inner,
+        calls: 0,
+        from,
+        to,
+        at_from: 0,
+        at_to: 0,
+        inside: 0,
+    };
+    let out = simulate_stream(
+        ClusterSpec::synthetic(),
+        &mut IterSource::new(jobs),
+        &mut DiscardRecords,
+        &mut window,
+        &SimConfig::default(),
+    )
+    .unwrap();
+    assert_eq!(out.jobs_completed, 4_000);
+    assert!(window.calls > to, "the run outlasts the window");
+    window.inside as f64 / (to - from) as f64
+}
+
+#[test]
+fn allocations_per_fcfs_call_stay_at_the_batch_hot_path_figure() {
+    let per_call = allocations_per_fcfs_call();
+    println!("allocations per fcfs call: {per_call:.4}");
+    assert!(per_call <= 6.0, "{per_call:.4} allocations per fcfs call");
 }

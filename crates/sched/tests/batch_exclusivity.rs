@@ -4,7 +4,7 @@
 
 use dfrs_core::ids::NodeId;
 use dfrs_core::{ClusterSpec, JobSpec};
-use dfrs_sched::{ConservativeBf, Easy, Fcfs};
+use dfrs_sched::SchedulerRegistry;
 use dfrs_sim::{simulate, AllocEvent, Scheduler, SimConfig};
 use dfrs_workload::{Annotator, LublinModel, Trace};
 use proptest::prelude::*;
@@ -24,15 +24,21 @@ fn workload(seed: u64, n: usize) -> (ClusterSpec, Vec<JobSpec>) {
     (cluster, trace.jobs().to_vec())
 }
 
-/// Replay the timeline; assert at most one job occupies a node at any
-/// time and that batch jobs are never adjusted, paused, or migrated.
-fn assert_exclusive(scheduler: &mut dyn Scheduler, cluster: ClusterSpec, jobs: &[JobSpec]) {
+/// A fresh scheduler built from a registry spec.
+fn build(spec: &str) -> Box<dyn Scheduler> {
+    SchedulerRegistry::builtin().build_str(spec).unwrap()
+}
+
+/// Replay the timeline of `spec`'s run; assert at most one job occupies
+/// a node at any time and that batch jobs are never adjusted, paused,
+/// or migrated.
+fn assert_exclusive(spec: &str, cluster: ClusterSpec, jobs: &[JobSpec]) {
     let cfg = SimConfig {
         record_timeline: true,
         validate: true,
         ..SimConfig::default()
     };
-    let out = simulate(cluster, jobs, scheduler, &cfg);
+    let out = simulate(cluster, jobs, build(spec).as_mut(), &cfg);
     let mut owner: Vec<Option<dfrs_core::JobId>> = vec![None; cluster.nodes as usize];
     let mut nodes_of: std::collections::HashMap<dfrs_core::JobId, Vec<NodeId>> =
         std::collections::HashMap::new();
@@ -77,19 +83,19 @@ fn assert_exclusive(scheduler: &mut dyn Scheduler, cluster: ClusterSpec, jobs: &
 #[test]
 fn fcfs_is_exclusive() {
     let (cluster, jobs) = workload(1, 60);
-    assert_exclusive(&mut Fcfs::new(), cluster, &jobs);
+    assert_exclusive("fcfs", cluster, &jobs);
 }
 
 #[test]
 fn easy_is_exclusive() {
     let (cluster, jobs) = workload(2, 60);
-    assert_exclusive(&mut Easy::new(), cluster, &jobs);
+    assert_exclusive("easy", cluster, &jobs);
 }
 
 #[test]
 fn conservative_bf_is_exclusive() {
     let (cluster, jobs) = workload(3, 60);
-    assert_exclusive(&mut ConservativeBf::new(), cluster, &jobs);
+    assert_exclusive("conservative-bf", cluster, &jobs);
 }
 
 #[test]
@@ -101,11 +107,16 @@ fn conservative_never_beats_easy_by_definition_of_aggressiveness() {
     let total = 6;
     for seed in 0..total {
         let (cluster, jobs) = workload(100 + seed, 50);
-        let e = simulate(cluster, &jobs, &mut Easy::new(), &SimConfig::default());
+        let e = simulate(
+            cluster,
+            &jobs,
+            build("easy").as_mut(),
+            &SimConfig::default(),
+        );
         let c = simulate(
             cluster,
             &jobs,
-            &mut ConservativeBf::new(),
+            build("conservative-bf").as_mut(),
             &SimConfig::default(),
         );
         if e.mean_stretch <= c.mean_stretch + 1e-9 {
@@ -122,8 +133,8 @@ proptest! {
     #[test]
     fn batch_exclusivity_random(seed in 0u64..5_000) {
         let (cluster, jobs) = workload(seed, 30);
-        assert_exclusive(&mut Fcfs::new(), cluster, &jobs);
-        assert_exclusive(&mut Easy::new(), cluster, &jobs);
-        assert_exclusive(&mut ConservativeBf::new(), cluster, &jobs);
+        assert_exclusive("fcfs", cluster, &jobs);
+        assert_exclusive("easy", cluster, &jobs);
+        assert_exclusive("conservative-bf", cluster, &jobs);
     }
 }

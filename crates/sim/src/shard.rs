@@ -134,15 +134,6 @@ impl ShardView {
         self.state.live.len()
     }
 
-    /// Total CPU demand of the jobs in this shard's system (coarse
-    /// pressure metric for routing and rebalancing).
-    pub fn total_cpu_demand(&self) -> f64 {
-        self.state
-            .jobs_in_system()
-            .map(|j| j.spec.total_cpu_need())
-            .sum()
-    }
-
     /// Local ids of waiting (`Pending` or `Paused`) jobs, ascending.
     pub fn waiting_locals(&self) -> Vec<JobId> {
         self.state

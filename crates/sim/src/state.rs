@@ -152,18 +152,6 @@ impl NodeState {
         1.0 - self.mem_used
     }
 
-    /// Remaining allocatable CPU.
-    #[inline]
-    pub fn cpu_slack(&self) -> f64 {
-        1.0 - self.cpu_alloc
-    }
-
-    /// Remaining allocatable GPU.
-    #[inline]
-    pub fn gpu_slack(&self) -> f64 {
-        1.0 - self.gpu_alloc
-    }
-
     /// True when no task is placed here (candidate for power-down).
     #[inline]
     pub fn is_idle(&self) -> bool {

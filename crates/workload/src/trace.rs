@@ -198,11 +198,6 @@ impl Trace {
         }
         out
     }
-
-    /// Largest task count in the trace.
-    pub fn max_tasks(&self) -> u32 {
-        self.jobs.iter().map(|j| j.tasks).max().unwrap_or(0)
-    }
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 
 use dfrs::core::ids::JobId;
 use dfrs::core::{ClusterSpec, JobSpec};
-use dfrs::sched::{ConservativeBf, GreedyPmtn, SchedulerRegistry};
+use dfrs::sched::SchedulerRegistry;
 use dfrs::sim::{simulate, MigrationMode, SimConfig};
 use dfrs::workload::{Annotator, LublinModel, Trace};
 use rand::rngs::SmallRng;
@@ -123,7 +123,15 @@ fn conservative_bf_slots_between_fcfs_and_easy_qualitatively() {
             .as_mut(),
         &cfg,
     );
-    let cons = simulate(t.cluster, t.jobs(), &mut ConservativeBf::new(), &cfg);
+    let cons = simulate(
+        t.cluster,
+        t.jobs(),
+        SchedulerRegistry::builtin()
+            .build_str("conservative-bf")
+            .unwrap()
+            .as_mut(),
+        &cfg,
+    );
     // Backfilling (even conservative) must not be worse than plain FIFO
     // on mean stretch for this workload family.
     assert!(
@@ -160,11 +168,17 @@ fn priority_exponent_changes_pause_victims() {
         validate: true,
         ..SimConfig::default()
     };
-    let sq = simulate(t.cluster, t.jobs(), &mut GreedyPmtn::new(), &cfg);
+    let reg = SchedulerRegistry::builtin();
+    let sq = simulate(
+        t.cluster,
+        t.jobs(),
+        reg.build_str("greedy-pmtn").unwrap().as_mut(),
+        &cfg,
+    );
     let lin = simulate(
         t.cluster,
         t.jobs(),
-        &mut GreedyPmtn::with_priority_exponent(1.0),
+        reg.build_str("greedy-pmtn:exponent=1").unwrap().as_mut(),
         &cfg,
     );
     assert_eq!(sq.records.len(), lin.records.len());
