@@ -153,6 +153,9 @@ pub struct AllocSet {
     /// Every job's placement, back to back in insertion order.
     nodes: Vec<NodeId>,
     n_nodes: usize,
+    /// The improvement pass's buffers, kept by a set that is
+    /// [cleared](Self::clear) and reused.
+    pass: YieldPass,
 }
 
 #[derive(Debug, Clone)]
@@ -165,6 +168,29 @@ struct AllocJob {
     end: usize,
 }
 
+/// Buffers of [`AllocSet::optimized_yields`]; only `yields`, the
+/// answer, outlives a call.
+#[derive(Debug, Clone, Default)]
+struct YieldPass {
+    /// Per job: its yield.
+    yields: Vec<f64>,
+    /// Per job: it can no longer be picked.
+    retired: Vec<bool>,
+    /// The jobs not yet retired, in insertion order (compacted as a
+    /// round scans it).
+    live: Vec<u32>,
+    /// Per node: allocated CPU; in the GPU clamp, allocated GPU.
+    alloc: Vec<f64>,
+    /// Per node: no CPU slack is left.
+    saturated: Vec<bool>,
+    /// Per node: the picked job's tasks on it, zeroed as it is read.
+    tally: Vec<u32>,
+    /// Node → jobs index: the jobs with a task on node `n` are
+    /// `node_jobs[node_start[n]..node_start[n + 1]]`, once per task.
+    node_start: Vec<u32>,
+    node_jobs: Vec<u32>,
+}
+
 impl AllocSet {
     /// Empty set. The per-node buffers are sized by the highest node
     /// actually pushed, not by the cluster: they are only ever indexed
@@ -173,6 +199,13 @@ impl AllocSet {
     /// cluster-sized zeroing per allocation set.
     pub fn new() -> Self {
         AllocSet::default()
+    }
+
+    /// Empty the set, keeping every buffer for the next one.
+    pub fn clear(&mut self) {
+        self.jobs.clear();
+        self.nodes.clear();
+        self.n_nodes = 0;
     }
 
     /// Add a job with its (planned or current) placement, copied into
@@ -228,69 +261,118 @@ impl AllocSet {
     /// every job at `base` yield: repeatedly select the job with the
     /// lowest total CPU need among jobs whose yield can still grow (yield
     /// < 1 and CPU slack on every hosting node) and raise its yield as
-    /// far as the tightest node allows. Returns `(job, yield)` pairs in
-    /// insertion order.
-    pub fn optimized_yields(&self, base: f64) -> Vec<(JobId, f64)> {
+    /// far as the tightest node allows. Returns the yields in insertion
+    /// order.
+    ///
+    /// Per-node allocation and yields only grow and a frozen job stays
+    /// frozen, so a job that cannot grow never can again: each job is
+    /// tested for slack once, and after a raise only the raised job's
+    /// nodes are, a node that runs out of slack retiring every job on
+    /// it (DESIGN.md "Average-yield improvement pass"). A round scans
+    /// the survivors in insertion order with the one comparison below;
+    /// its `approx::eq` ties are not transitive, so the candidates are
+    /// never pre-sorted.
+    pub fn optimized_yields(&mut self, base: f64) -> &[f64] {
         debug_assert!(base > 0.0 && base <= 1.0 + approx::EPS);
         let base = base.min(1.0);
-        let n = self.jobs.len();
-        // At full yield the selection loop below skips every job on its
-        // first test (`yields[i] >= 1 - EPS`), so with no GPU demand the
-        // answer is `base` for everyone — return it without building the
-        // per-node allocation table. Bit-identical to the general path.
-        if base >= 1.0 - approx::EPS && !self.jobs.iter().any(|j| j.gpu_need > 0.0) {
-            return self.jobs.iter().map(|j| (j.id, base)).collect();
+        let YieldPass {
+            yields,
+            retired,
+            live,
+            alloc,
+            saturated,
+            tally,
+            node_start,
+            node_jobs,
+        } = &mut self.pass;
+        let (jobs, nodes, n_nodes) = (&self.jobs, &self.nodes, self.n_nodes);
+        yields.clear();
+        yields.resize(jobs.len(), base);
+        let any_gpu = jobs.iter().any(|j| j.gpu_need > 0.0);
+        // At full yield no job can grow, so with no GPU demand the
+        // answer is `base` for everyone.
+        if base >= 1.0 - approx::EPS && !any_gpu {
+            return yields;
         }
-        let mut yields = vec![base; n];
-        // Allocated CPU per node under the base yield.
-        let mut alloc = vec![0.0; self.n_nodes];
-        for j in &self.jobs {
-            for &node in self.nodes_of(j) {
+        // Allocated CPU per node under the base yield, and the tasks on
+        // each node: the sizes of the node → jobs index's buckets.
+        alloc.clear();
+        alloc.resize(n_nodes, 0.0);
+        node_start.clear();
+        node_start.resize(n_nodes + 1, 0);
+        for j in jobs {
+            for &node in &nodes[j.start..j.end] {
                 alloc[node.index()] += j.cpu_need * base;
+                node_start[node.index()] += 1;
             }
         }
-        // Tasks-per-node count for each job (to bound its yield increase).
-        let mut frozen = vec![false; n];
+        saturated.clear();
+        saturated.extend(alloc.iter().map(|&a| !approx::pos(1.0 - a)));
+        tally.clear();
+        tally.resize(n_nodes, 0);
+        // Bucket ends; filling each bucket backwards leaves
+        // `node_start[n]` at its start. The candidates, in the same
+        // pass: every job below full yield with slack on all its nodes.
+        for k in 1..=n_nodes {
+            node_start[k] += node_start[k - 1];
+        }
+        node_jobs.clear();
+        node_jobs.resize(nodes.len(), 0);
+        retired.clear();
+        live.clear();
+        for (i, j) in jobs.iter().enumerate() {
+            let mut grows = base < 1.0 - approx::EPS;
+            for &node in &nodes[j.start..j.end] {
+                let k = node.index();
+                node_start[k] -= 1;
+                node_jobs[node_start[k] as usize] = i as u32;
+                grows &= !saturated[k];
+            }
+            retired.push(!grows);
+            if grows {
+                live.push(i as u32);
+            }
+        }
+        let total_need = |j: &AllocJob| j.cpu_need * (j.end - j.start) as f64;
         loop {
-            // Lowest total CPU need among improvable jobs, ties by id.
+            // Lowest total CPU need among the survivors, ties by id;
+            // the retired leave the list as it is scanned.
             let mut pick: Option<usize> = None;
-            for (i, j) in self.jobs.iter().enumerate() {
-                if frozen[i] || yields[i] >= 1.0 - approx::EPS {
+            let mut kept = 0;
+            for r in 0..live.len() {
+                let i = live[r] as usize;
+                if retired[i] {
                     continue;
                 }
-                let has_slack = self
-                    .nodes_of(j)
-                    .iter()
-                    .all(|&node| approx::pos(1.0 - alloc[node.index()]));
-                if !has_slack {
-                    continue;
-                }
+                live[kept] = i as u32;
+                kept += 1;
                 let better = match pick {
                     None => true,
                     Some(p) => {
-                        let (tp, ti) = (
-                            self.jobs[p].cpu_need * self.placement(p).len() as f64,
-                            j.cpu_need * self.nodes_of(j).len() as f64,
-                        );
-                        ti < tp - approx::EPS || (approx::eq(ti, tp) && j.id < self.jobs[p].id)
+                        let (tp, ti) = (total_need(&jobs[p]), total_need(&jobs[i]));
+                        ti < tp - approx::EPS || (approx::eq(ti, tp) && jobs[i].id < jobs[p].id)
                     }
                 };
                 if better {
                     pick = Some(i);
                 }
             }
+            live.truncate(kept);
             let Some(i) = pick else { break };
-            let (job, placement) = (&self.jobs[i], self.placement(i));
+            let job = &jobs[i];
+            let placement = &nodes[job.start..job.end];
             // Tightest increase over hosting nodes: slack / (need × count
-            // of this job's tasks on that node). Placements are short, so
-            // unique nodes are found by scanning (no per-step map); the
-            // running minimum is order-independent.
+            // of this job's tasks on that node), each node counted at its
+            // first occurrence; the running minimum is order-independent.
+            for &node in placement {
+                tally[node.index()] += 1;
+            }
             let mut delta = 1.0 - yields[i];
-            for (k, &node) in placement.iter().enumerate() {
-                if placement[..k].contains(&node) {
+            for &node in placement {
+                let count = std::mem::take(&mut tally[node.index()]);
+                if count == 0 {
                     continue; // already counted
                 }
-                let count = placement[k..].iter().filter(|&&n| n == node).count() as u32;
                 let slack = 1.0 - alloc[node.index()];
                 delta = delta.min(yield_math::max_yield_increase(
                     slack,
@@ -298,7 +380,7 @@ impl AllocSet {
                 ));
             }
             if delta <= approx::EPS {
-                frozen[i] = true;
+                retired[i] = true;
                 continue;
             }
             for &node in placement {
@@ -307,6 +389,17 @@ impl AllocSet {
             yields[i] += delta;
             if yields[i] > 1.0 {
                 yields[i] = 1.0;
+            }
+            retired[i] |= yields[i] >= 1.0 - approx::EPS;
+            for &node in placement {
+                let k = node.index();
+                if !saturated[k] && !approx::pos(1.0 - alloc[k]) {
+                    saturated[k] = true;
+                    let on_node = &node_jobs[node_start[k] as usize..node_start[k + 1] as usize];
+                    for &other in on_node {
+                        retired[other as usize] = true;
+                    }
+                }
             }
         }
         // GPU feasibility clamp: the optimization above is deliberately
@@ -317,19 +410,21 @@ impl AllocSet {
         // pass, since every consumer on an oversubscribed node shrinks
         // by at least that node's factor. With no GPU demand this is a
         // guarded no-op, keeping GPU-free runs bit-identical.
-        if self.jobs.iter().any(|j| j.gpu_need > 0.0) {
-            let mut gpu = vec![0.0; self.n_nodes];
-            for (j, y) in self.jobs.iter().zip(&yields) {
-                for &node in self.nodes_of(j) {
+        if any_gpu {
+            let gpu = alloc;
+            gpu.clear();
+            gpu.resize(n_nodes, 0.0);
+            for (j, y) in jobs.iter().zip(yields.iter()) {
+                for &node in &nodes[j.start..j.end] {
                     gpu[node.index()] += j.gpu_need * y;
                 }
             }
-            for (j, y) in self.jobs.iter().zip(yields.iter_mut()) {
+            for (j, y) in jobs.iter().zip(yields.iter_mut()) {
                 if j.gpu_need <= 0.0 {
                     continue;
                 }
                 let mut factor = 1.0f64;
-                for &node in self.nodes_of(j) {
+                for &node in &nodes[j.start..j.end] {
                     let load = gpu[node.index()];
                     if load > 1.0 {
                         factor = factor.min(load.recip());
@@ -338,23 +433,20 @@ impl AllocSet {
                 *y *= factor;
             }
         }
-        self.jobs
-            .iter()
-            .zip(yields)
-            .map(|(j, y)| (j.id, y))
-            .collect()
+        yields
     }
 
     /// Convenience: equal-share base followed by the improvement pass.
-    pub fn greedy_yields(&self) -> Vec<(JobId, f64)> {
+    pub fn greedy_yields(&mut self) -> &[f64] {
         self.optimized_yields(self.equal_share_yield())
     }
 
     /// `plan` plus one run per job of the set, in insertion order, at
     /// the [`greedy_yields`](Self::greedy_yields).
-    pub fn run_all(&self, mut plan: Plan) -> Plan {
-        for (i, (id, yld)) in self.greedy_yields().into_iter().enumerate() {
-            plan.push_run(id, yld, self.placement(i).iter().copied());
+    pub fn run_all(&mut self, mut plan: Plan) -> Plan {
+        self.greedy_yields();
+        for (i, &yld) in self.pass.yields.iter().enumerate() {
+            plan.push_run(self.jobs[i].id, yld, self.placement(i).iter().copied());
         }
         plan
     }
@@ -419,6 +511,9 @@ pub fn by_increasing_priority<'a>(
     jobs.sort_by_key(|&(key, _)| key);
     jobs.into_iter().map(|(_, id)| id).collect()
 }
+
+#[cfg(test)]
+mod reference;
 
 #[cfg(test)]
 mod tests {
@@ -509,9 +604,9 @@ mod tests {
         set.push(JobId(1), 1.0, 0.0, &[NodeId(0)]);
         set.push(JobId(2), 0.5, 0.0, &[NodeId(1)]);
         let yields = set.greedy_yields();
-        assert!((yields[0].1 - 0.5).abs() < 1e-9);
-        assert!((yields[1].1 - 0.5).abs() < 1e-9);
-        assert!((yields[2].1 - 1.0).abs() < 1e-9);
+        assert!((yields[0] - 0.5).abs() < 1e-9);
+        assert!((yields[1] - 0.5).abs() < 1e-9);
+        assert!((yields[2] - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -532,9 +627,9 @@ mod tests {
         // Base = 0.5. Node 1 slack = 1 − 0.3 = 0.7. C (total need 0.2)
         // picked first → raised to 1.0 (consumes 0.1); B raised with
         // remaining slack 0.6 → Δ = 0.6/0.4 = 1.5 → capped at 1.0.
-        assert!((yields[2].1 - 1.0).abs() < 1e-9, "B {}", yields[2].1);
-        assert!((yields[3].1 - 1.0).abs() < 1e-9, "C {}", yields[3].1);
-        assert!((yields[0].1 - 0.5).abs() < 1e-9);
+        assert!((yields[2] - 1.0).abs() < 1e-9, "B {}", yields[2]);
+        assert!((yields[3] - 1.0).abs() < 1e-9, "C {}", yields[3]);
+        assert!((yields[0] - 0.5).abs() < 1e-9);
     }
 
     #[test]
@@ -545,8 +640,8 @@ mod tests {
         set.push(JobId(0), 1.0, 0.0, &[NodeId(0)]);
         set.push(JobId(1), 0.5, 0.0, &[NodeId(0)]);
         let yields = set.greedy_yields();
-        assert!((yields[0].1 - 2.0 / 3.0).abs() < 1e-9);
-        assert!((yields[1].1 - 2.0 / 3.0).abs() < 1e-9);
+        assert!((yields[0] - 2.0 / 3.0).abs() < 1e-9);
+        assert!((yields[1] - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -560,8 +655,8 @@ mod tests {
         set.push(JobId(0), 0.5, 0.0, &[NodeId(0), NodeId(1)]);
         set.push(JobId(1), 1.0, 0.0, &[NodeId(1)]);
         let yields = set.greedy_yields();
-        assert!((yields[0].1 - 2.0 / 3.0).abs() < 1e-9);
-        assert!((yields[1].1 - 2.0 / 3.0).abs() < 1e-9);
+        assert!((yields[0] - 2.0 / 3.0).abs() < 1e-9);
+        assert!((yields[1] - 2.0 / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -572,7 +667,7 @@ mod tests {
         set.push(JobId(0), 0.4, 0.0, &[NodeId(0), NodeId(0)]);
         set.push(JobId(1), 1.0, 0.0, &[NodeId(0)]);
         let yields = set.greedy_yields();
-        for (_, y) in yields {
+        for &y in yields {
             assert!((y - 1.0 / 1.8).abs() < 1e-9);
         }
     }
@@ -586,9 +681,9 @@ mod tests {
         set.push(JobId(1), 0.2, 1.0, &[NodeId(0)]);
         set.push(JobId(2), 0.2, 0.0, &[NodeId(0)]);
         let yields = set.greedy_yields();
-        assert!((yields[0].1 - 0.5).abs() < 1e-9, "{}", yields[0].1);
-        assert!((yields[1].1 - 0.5).abs() < 1e-9, "{}", yields[1].1);
-        assert!((yields[2].1 - 1.0).abs() < 1e-9, "{}", yields[2].1);
+        assert!((yields[0] - 0.5).abs() < 1e-9, "{}", yields[0]);
+        assert!((yields[1] - 0.5).abs() < 1e-9, "{}", yields[1]);
+        assert!((yields[2] - 1.0).abs() < 1e-9, "{}", yields[2]);
     }
 
     #[test]
@@ -609,7 +704,7 @@ mod tests {
 
     #[test]
     fn empty_alloc_set_is_trivial() {
-        let set = AllocSet::new();
+        let mut set = AllocSet::new();
         assert!(set.is_empty());
         assert_eq!(set.equal_share_yield(), 1.0);
         assert!(set.greedy_yields().is_empty());

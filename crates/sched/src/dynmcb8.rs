@@ -214,6 +214,8 @@ pub(crate) struct MaxMinYield {
     /// (`dfrs_packing::memo` has the exactness argument).
     memo: RepackMemo,
     loads: Vec<JobLoad>,
+    /// The improvement pass's set, cleared and refilled per decision.
+    set: AllocSet,
 }
 
 impl MaxMinYield {
@@ -241,6 +243,7 @@ impl MaxMinYield {
             search,
             memo,
             loads,
+            ..
         } = self;
         memo.set_caps_identity(front.platform_identity(state));
         let alloc = front.pack(state, VictimOrder::Priority, |candidates, nodes| {
@@ -294,14 +297,13 @@ impl Objective for MaxMinYield {
                 .runs_mut()
                 .all(|(id, ..)| state.job(id).spec.gpu_need <= 0.0);
         if !full_speed {
-            let mut set = AllocSet::new();
+            let set = &mut self.set;
+            set.clear();
             for (id, placement, _) in plan.runs_mut() {
                 let spec = &state.job(id).spec;
                 set.push(id, spec.cpu_need, spec.gpu_need, placement);
             }
-            for ((id, _, yld), (yid, improved)) in plan.runs_mut().zip(set.optimized_yields(yield_))
-            {
-                debug_assert_eq!(id, yid);
+            for ((_, _, yld), &improved) in plan.runs_mut().zip(set.optimized_yields(yield_)) {
                 *yld = improved;
             }
         }

@@ -9,8 +9,9 @@
 //! one per node. A set violating either makes every search return
 //! `None`, so the loop takes that branch without running the search:
 //! victims go in a once-sorted order with O(1) running updates until
-//! a set passes both tests, and only those sets are searched
-//! (DESIGN.md "Eviction front" has the exactness argument).
+//! a set passes both tests, only those sets are searched, and the
+//! victims popped between two searches leave the candidates in one
+//! pass (DESIGN.md "Eviction front" has the exactness argument).
 
 use dfrs_core::approx::EPS;
 use dfrs_core::ids::{JobId, NodeId};
@@ -54,6 +55,8 @@ pub(crate) struct EvictionFront {
     /// `(total dominant demand, priority key)` of every candidate of
     /// this decision, in eviction order (built on the first eviction).
     victims: Vec<(f64, PriorityKey)>,
+    /// The victims one eviction step removes, ascending id.
+    batch: Vec<JobId>,
     /// The available-node slice: packing runs over `avail.len()`
     /// anonymous bins and bin `b` maps to physical node `avail[b]`
     /// (the identity with every node up).
@@ -166,15 +169,28 @@ impl EvictionFront {
                 self.victims
                     .sort_unstable_by(|a, b| b.0.total_cmp(&a.0).then_with(|| a.1.cmp(&b.1)));
             }
-            // The empty set passes both tests (the running total's
-            // residue is far inside the slack) and packs trivially, so
-            // a victim remains.
-            let victim = self.victims[evicted].1.id;
-            evicted += 1;
-            let (m, b) = rigid_demand(state.job(victim));
-            mem -= m;
-            big -= b;
-            self.candidates.retain(|&c| c != victim);
+            // Pop victims until the set passes both tests again: every
+            // set in between would fail one, so none is searched. The
+            // empty set passes both (the running total's residue is far
+            // inside the slack) and packs trivially, so a victim
+            // remains at every pop.
+            let first = evicted;
+            loop {
+                let (m, b) = rigid_demand(state.job(self.victims[evicted].1.id));
+                evicted += 1;
+                mem -= m;
+                big -= b;
+                if mem <= limit && big <= nodes as u64 {
+                    break;
+                }
+            }
+            // One pass removes the batch: the candidates ascend by id.
+            self.batch.clear();
+            self.batch
+                .extend(self.victims[first..evicted].iter().map(|v| v.1.id));
+            self.batch.sort_unstable();
+            let mut next = self.batch.iter().peekable();
+            self.candidates.retain(|&c| next.next_if_eq(&&c).is_none());
         }
     }
 }

@@ -95,7 +95,7 @@ impl Objective for LongJobDamping {
                 set_all.push(id, spec.cpu_need, spec.gpu_need, placement);
             }
             let improved = set_all.optimized_yields(yield_);
-            for ((id, _, yld), (_, y)) in plan.runs_mut().zip(improved) {
+            for ((id, _, yld), &y) in plan.runs_mut().zip(improved) {
                 let vt = state.job(id).virtual_time;
                 *yld = self.damped(y, vt).max(yld.min(y));
             }

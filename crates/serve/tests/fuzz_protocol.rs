@@ -191,6 +191,46 @@ fn oversized_lines_get_a_typed_error() {
     );
 }
 
+/// A submit whose completion instant the clock cannot represent is a
+/// typed error that leaves the session untouched, not a spin to the
+/// event cap (`1e17 + 1 == 1e17`) or a deadlock (`1e308 + 1e308` is
+/// infinite); the daemon then drains at once.
+#[test]
+fn unrepresentable_completion_is_a_typed_error() {
+    for (advance, submit) in [
+        (
+            Some(r#"{"cmd":"advance","time":1e17}"#),
+            r#"{"cmd":"submit","cpu":0.5,"mem":0.2,"runtime":1}"#,
+        ),
+        (
+            Some(r#"{"cmd":"advance","time":1.7976931348623157e308}"#),
+            r#"{"cmd":"submit","cpu":0.5,"mem":0.2,"runtime":10}"#,
+        ),
+        (
+            None,
+            r#"{"cmd":"submit","time":1e308,"cpu":0.5,"mem":0.2,"runtime":1e308}"#,
+        ),
+    ] {
+        let mut d = seeded();
+        if let Some(line) = advance {
+            let (ev, _) = d.handle_line(line);
+            assert!(!ev[0].compact().contains("error"), "{line}: {ev:?}");
+        }
+        let before = stats(&mut d);
+        let (ev, flow) = d.handle_line(submit);
+        assert_eq!(flow, Flow::Continue);
+        assert_eq!(ev.len(), 1, "{submit}: {ev:?}");
+        let text = ev[0].compact();
+        assert!(
+            text.contains("error") && text.contains("cannot complete"),
+            "{text}"
+        );
+        assert_eq!(stats(&mut d), before, "{submit}");
+        let (ev, _) = d.handle_line(r#"{"cmd":"drain"}"#);
+        assert!(!ev.iter().any(|e| e.compact().contains("error")), "{ev:?}");
+    }
+}
+
 /// A duplicated record (valid seal, repeated seq) is a typed SeqGap.
 #[test]
 fn duplicate_seq_is_a_typed_error() {

@@ -411,7 +411,10 @@ impl EngineCore {
     }
 
     /// Check a submission against the contract: dense ids in admission
-    /// order, finite submit times no earlier than the clock.
+    /// order, finite submit times no earlier than the clock, and a
+    /// completion instant the clock can represent (`submit_time +
+    /// runtime` finite and later than `submit_time`; otherwise the job
+    /// could never finish and the loop would spin to its event cap).
     pub(crate) fn check_submission(&self, spec: &JobSpec) -> Result<(), SimError> {
         let expected = JobId(self.state.jobs.len() as u32);
         if spec.id != expected {
@@ -425,6 +428,15 @@ impl EngineCore {
                 job: spec.id,
                 time: spec.submit_time,
                 now: self.state.now,
+            });
+        }
+        let (time, runtime) = (spec.submit_time, spec.oracle_runtime());
+        let end = time + runtime;
+        if !end.is_finite() || end <= time {
+            return Err(SimError::UnrepresentableCompletion {
+                job: spec.id,
+                time,
+                runtime,
             });
         }
         Ok(())
@@ -1085,7 +1097,8 @@ struct RunAction {
 
 /// Number of tasks that change nodes between two placements (multiset
 /// difference; task identity within a job is interchangeable). `buf_a`
-/// and `buf_b` are caller-owned sort scratch.
+/// and `buf_b` are caller-owned sort scratch; an unchanged placement
+/// (the common case under repacking) returns before touching them.
 fn moved_tasks(
     old: &[NodeId],
     new: &[NodeId],
@@ -1093,6 +1106,9 @@ fn moved_tasks(
     buf_b: &mut Vec<NodeId>,
 ) -> usize {
     debug_assert_eq!(old.len(), new.len());
+    if old == new {
+        return 0;
+    }
     buf_a.clear();
     buf_a.extend_from_slice(old);
     buf_b.clear();
@@ -1130,6 +1146,33 @@ mod tests {
         assert_eq!(mt(&[0, 0, 1], &[0, 1, 1]), 1, "multiplicity matters");
         assert_eq!(mt(&[4, 5], &[6, 7]), 2);
         assert_eq!(mt(&[], &[]), 0);
+    }
+
+    /// A job whose completion instant the clock cannot represent is
+    /// refused at admission with a typed error, before the scheduler
+    /// sees it: `1e17 + 1 == 1e17` used to spin the loop to its event
+    /// cap, and `1e308 + 1e308` overflowed into a deadlock.
+    #[test]
+    fn unrepresentable_completion_is_refused_at_submission() {
+        for (time, runtime) in [(1e17, 1.0), (f64::MAX, 10.0), (1e308, 1e308)] {
+            let jobs = [
+                JobSpec::new(JobId(0), 0.0, 1, 0.5, 0.2, 1.0).unwrap(),
+                JobSpec::new(JobId(1), time, 1, 0.5, 0.2, runtime).unwrap(),
+            ];
+            let err = simulate_stream(
+                ClusterSpec::new(2, 4, 8.0).unwrap(),
+                &mut crate::source::IterSource::new(jobs.into_iter()),
+                &mut crate::source::DiscardRecords,
+                &mut StartAll,
+                &SimConfig::default(),
+            )
+            .unwrap_err();
+            let job = JobId(1);
+            assert_eq!(
+                err,
+                SimError::UnrepresentableCompletion { job, time, runtime }
+            );
+        }
     }
 
     /// Starts every pending job at full yield on node `id % nodes`.

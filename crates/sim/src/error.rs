@@ -48,6 +48,17 @@ pub enum SimError {
         /// The simulation clock when it arrived.
         now: f64,
     },
+    /// A submission whose completion instant the clock cannot
+    /// represent: `submit_time + runtime` overflows to infinity or
+    /// rounds back to `submit_time`, so the job could never finish.
+    UnrepresentableCompletion {
+        /// Offending job.
+        job: JobId,
+        /// Its submit time.
+        time: f64,
+        /// Its runtime.
+        runtime: f64,
+    },
     /// A session command referenced a node outside the cluster.
     UnknownNode {
         /// The nonexistent node.
@@ -121,6 +132,13 @@ impl fmt::Display for SimError {
                     "submission of {job} at t={time} is in the past (clock is at {now}); sources must yield non-decreasing submit times"
                 )
             }
+            SimError::UnrepresentableCompletion { job, time, runtime } => {
+                write!(
+                    f,
+                    "{job} submitted at t={time} with runtime {runtime} cannot complete: \
+                     t + runtime must be finite and later than t"
+                )
+            }
             SimError::UnknownNode { node, nodes } => {
                 write!(f, "{node} does not exist (cluster has {nodes} nodes)")
             }
@@ -185,5 +203,15 @@ mod tests {
             now: 9.0,
         };
         assert!(o.to_string().contains("non-decreasing"));
+        let u = SimError::UnrepresentableCompletion {
+            job: JobId(0),
+            time: 1e17,
+            runtime: 1.0,
+        };
+        assert_eq!(
+            u.to_string(),
+            "j0 submitted at t=100000000000000000 with runtime 1 cannot complete: \
+             t + runtime must be finite and later than t"
+        );
     }
 }

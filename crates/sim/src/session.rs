@@ -157,7 +157,8 @@ impl SimSession {
     ///
     /// # Errors
     /// [`SimError::NonDenseSubmission`] / [`SimError::SubmissionOutOfOrder`]
-    /// on contract violations (the session state is untouched);
+    /// / [`SimError::UnrepresentableCompletion`] on contract violations
+    /// (the session state is untouched);
     /// [`SimError::EventCapExceeded`] from the runaway guard.
     pub fn submit(&mut self, job: JobSpec) -> Result<JobId, SimError> {
         self.core.check_submission(&job)?;
