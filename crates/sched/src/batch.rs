@@ -20,17 +20,17 @@
 //! ([`crate::common::waiting_jobs`]: pending, plus paused victims of
 //! the preserve policy) in submission order — killed jobs rejoin ahead
 //! of later arrivals, exactly where a resubmission with the original
-//! timestamp would sit — and reschedules. Free lists come from
-//! [`crate::common::free_nodes`], which never offers an out-of-service
-//! node.
+//! timestamp would sit — and reschedules. The whole nodes free now come
+//! from [`dfrs_sim::ClusterState::free_nodes`], a lazy ascending cursor
+//! that never offers an out-of-service node and is read only as far as
+//! the policy places; a call on an empty queue does no work at all.
 
 use std::collections::VecDeque;
 
-use dfrs_core::ids::{JobId, NodeId};
-use dfrs_core::JobSpec;
-use dfrs_sim::{JobStatus, Plan, SchedEvent, Scheduler, SimState};
+use dfrs_core::ids::JobId;
+use dfrs_sim::{FreeNodes, Plan, PlanEntry, SchedEvent, Scheduler, SimState};
 
-use crate::common::{free_nodes, waiting_jobs};
+use crate::common::waiting_jobs;
 
 /// How far a batch queue backfills: one full scheduling pass over the
 /// queue against the whole nodes free now.
@@ -38,8 +38,9 @@ pub(crate) trait Backfill: Default + Send + 'static {
     /// The scheduler's display name.
     const NAME: &'static str;
 
-    /// Start what may start now, removing it from `queue`.
-    fn schedule(&self, queue: &mut VecDeque<JobId>, free: Vec<NodeId>, state: &SimState) -> Plan;
+    /// Start what may start now, removing it from the non-empty `queue`;
+    /// `free` reads only its length and its next nodes in order.
+    fn schedule(&self, queue: &mut VecDeque<JobId>, free: FreeNodes<'_>, state: &SimState) -> Plan;
 }
 
 /// A FIFO batch queue under backfilling policy `B`.
@@ -56,8 +57,12 @@ impl<B: Backfill> Batch<B> {
     }
 
     fn schedule(&mut self, state: &SimState) -> Plan {
+        // Every policy starts nothing without a queued job.
+        if self.queue.is_empty() {
+            return Plan::noop();
+        }
         self.policy
-            .schedule(&mut self.queue, free_nodes(state), state)
+            .schedule(&mut self.queue, state.cluster.free_nodes(), state)
     }
 }
 
@@ -92,24 +97,21 @@ impl<B: Backfill> Scheduler for Batch<B> {
     }
 }
 
-/// Start queue heads, in order, while they fit on `free`; `started`
-/// sees each one. Strict FIFO: nothing may overtake a head that does
+/// Start queue heads, in order, while they fit on `free`, each as a run
+/// entry of `plan`. Strict FIFO: nothing may overtake a head that does
 /// not fit.
 fn start_heads(
     queue: &mut VecDeque<JobId>,
-    free: &mut Vec<NodeId>,
+    free: &mut FreeNodes<'_>,
     state: &SimState,
     plan: &mut Plan,
-    mut started: impl FnMut(&JobSpec),
 ) {
     while let Some(&head) = queue.front() {
-        let spec = &state.job(head).spec;
-        let tasks = spec.tasks as usize;
+        let tasks = state.job(head).spec.tasks as usize;
         if tasks > free.len() {
             break;
         }
-        started(spec);
-        plan.push_run(head, 1.0, free.drain(..tasks));
+        plan.push_run(head, 1.0, free.by_ref().take(tasks));
         queue.pop_front();
     }
 }
@@ -124,11 +126,11 @@ impl Backfill for Never {
     fn schedule(
         &self,
         queue: &mut VecDeque<JobId>,
-        mut free: Vec<NodeId>,
+        mut free: FreeNodes<'_>,
         state: &SimState,
     ) -> Plan {
         let mut plan = Plan::noop();
-        start_heads(queue, &mut free, state, &mut plan, |_| {});
+        start_heads(queue, &mut free, state, &mut plan);
         plan
     }
 }
@@ -143,28 +145,33 @@ impl Backfill for Head {
     fn schedule(
         &self,
         queue: &mut VecDeque<JobId>,
-        mut free: Vec<NodeId>,
+        mut free: FreeNodes<'_>,
         state: &SimState,
     ) -> Plan {
         let mut plan = Plan::noop();
-        // (completion_time, nodes_released) of jobs that will be running
-        // after this plan: running jobs, then the heads started below.
-        let mut releases: Vec<(f64, u32)> = state
-            .jobs
-            .iter()
-            .filter(|j| j.status == JobStatus::Running)
-            .map(|j| {
-                // Batch jobs run at yield 1: remaining vt = remaining wall.
-                (state.now + j.remaining(), j.spec.tasks)
-            })
-            .collect();
-        start_heads(queue, &mut free, state, &mut plan, |spec| {
-            releases.push((state.now + spec.oracle_runtime(), spec.tasks));
-        });
+        start_heads(queue, &mut free, state, &mut plan);
 
         let Some(&head) = queue.front() else {
             return plan;
         };
+
+        // (completion_time, nodes_released) of jobs that will be running
+        // after this plan: running jobs by ascending id, then the heads
+        // started above in start order (the sort below is stable, so
+        // this order breaks ties between equal release times).
+        let started_heads = plan.entries.iter().filter_map(|e| match e {
+            PlanEntry::Run { job, .. } => {
+                let spec = &state.job(*job).spec;
+                Some((state.now + spec.oracle_runtime(), spec.tasks))
+            }
+            PlanEntry::Pause { .. } => None,
+        });
+        let mut releases: Vec<(f64, u32)> = state
+            .running_jobs()
+            // Batch jobs run at yield 1: remaining vt = remaining wall.
+            .map(|j| (state.now + j.remaining(), j.spec.tasks))
+            .chain(started_heads)
+            .collect();
 
         // Reservation for the head: earliest time `head.tasks` nodes are
         // simultaneously free, assuming perfect estimates.
@@ -204,7 +211,7 @@ impl Backfill for Head {
             let finishes_before_shadow = state.now + spec.oracle_runtime() <= shadow;
             let fits_extra = spec.tasks <= extra;
             if finishes_before_shadow || fits_extra {
-                plan.push_run(cand, 1.0, free.drain(..tasks));
+                plan.push_run(cand, 1.0, free.by_ref().take(tasks));
                 started.push(cand);
                 if !finishes_before_shadow {
                     extra -= spec.tasks;
@@ -219,7 +226,8 @@ impl Backfill for Head {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dfrs_core::ClusterSpec;
+    use dfrs_core::ids::NodeId;
+    use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
 
     fn cluster(n: u32) -> ClusterSpec {

@@ -1,28 +1,12 @@
-//! Machinery shared by all the algorithms: node-availability views
-//! (which nodes are in service, which are free for whole-node
-//! placement), scratch node state for incremental placement, the greedy
-//! task placer, and the yield optimization pipeline (equal-share base +
-//! the paper's average-yield improvement heuristic).
+//! Machinery shared by all the algorithms: the waiting set, scratch
+//! node state for incremental placement (down nodes poisoned), the
+//! greedy task placer, and the yield optimization pipeline (equal-share
+//! base + the paper's average-yield improvement heuristic).
 
 use dfrs_core::approx;
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_core::yield_math;
 use dfrs_sim::{Plan, SimState};
-
-/// Ids of the in-service, completely idle nodes, ascending — the
-/// whole-node free list the batch schedulers (FCFS, EASY, conservative
-/// backfilling) draw placements from. Down nodes are never free: they
-/// host nothing *and* accept nothing until repaired.
-pub fn free_nodes(state: &SimState) -> Vec<NodeId> {
-    state
-        .cluster
-        .nodes()
-        .iter()
-        .enumerate()
-        .filter(|&(i, n)| n.is_idle() && state.cluster.is_up(NodeId(i as u32)))
-        .map(|(i, _)| NodeId(i as u32))
-        .collect()
-}
 
 /// Jobs waiting to be (re)placed, ascending id (= submission) order —
 /// the queue the batch schedulers rebuild after a platform event.

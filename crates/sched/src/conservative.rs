@@ -12,8 +12,8 @@
 
 use std::collections::VecDeque;
 
-use dfrs_core::ids::{JobId, NodeId};
-use dfrs_sim::{JobStatus, Plan, SimState};
+use dfrs_core::ids::JobId;
+use dfrs_sim::{FreeNodes, Plan, SimState};
 
 use crate::batch::Backfill;
 
@@ -114,13 +114,11 @@ impl Backfill for All {
     fn schedule(
         &self,
         queue: &mut VecDeque<JobId>,
-        mut free: Vec<NodeId>,
+        mut free: FreeNodes<'_>,
         state: &SimState,
     ) -> Plan {
         let releases: Vec<(f64, u32)> = state
-            .jobs
-            .iter()
-            .filter(|j| j.status == JobStatus::Running)
+            .running_jobs()
             .map(|j| (state.now + j.remaining(), j.spec.tasks))
             .collect();
         let mut profile = Profile::new(state.now, free.len() as u32, &releases);
@@ -141,8 +139,11 @@ impl Backfill for All {
                 continue;
             };
             profile.reserve(start, spec.oracle_runtime(), spec.tasks);
-            if (start - state.now).abs() < 1e-9 {
-                plan.push_run(id, 1.0, free.drain(..spec.tasks as usize));
+            // The profile merges a release within 1e-9 s of now into
+            // now, though its nodes are still busy: a job counting on
+            // them keeps its reservation and starts at that completion.
+            if (start - state.now).abs() < 1e-9 && spec.tasks as usize <= free.len() {
+                plan.push_run(id, 1.0, free.by_ref().take(spec.tasks as usize));
                 started.push(id);
             }
         }
@@ -155,6 +156,7 @@ impl Backfill for All {
 mod tests {
     use super::*;
     use crate::batch::Batch;
+    use dfrs_core::ids::NodeId;
     use dfrs_core::{ClusterSpec, JobSpec};
     use dfrs_sim::{simulate, SimConfig};
 
@@ -247,6 +249,26 @@ mod tests {
         ];
         let out = simulate(cluster(4), &jobs, &mut Batch::<All>::default(), &cfg());
         assert!(out.records[2].first_start.unwrap() >= 150.0 - 1e-6);
+    }
+
+    #[test]
+    fn a_release_merged_into_now_does_not_start_a_job_early() {
+        // Jobs 0 and 1 hold 2 nodes each and end at the same instant.
+        // The engine settles them one round at a time, so job 0's
+        // `Complete` round still sees job 1 running with ~0 s left: the
+        // profile merges that release into now, and job 2 (4 nodes)
+        // finds its slot "now" while only 2 nodes are free. It must
+        // keep its reservation and start once job 1 has completed.
+        let jobs = vec![
+            job(0, 0.0, 2, 100.0),
+            job(1, 0.0, 2, 100.0),
+            job(2, 1.0, 4, 10.0),
+        ];
+        let out = simulate(cluster(4), &jobs, &mut Batch::<All>::default(), &cfg());
+        assert_eq!(out.records.len(), 3);
+        let r = &out.records;
+        assert!(r[2].first_start.unwrap() >= r[0].completion.max(r[1].completion));
+        assert!((r[2].first_start.unwrap() - 100.0).abs() < 1e-6);
     }
 
     #[test]

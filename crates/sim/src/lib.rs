@@ -90,6 +90,6 @@ pub use plan::{NodeSpan, Plan, PlanEntry, RepackStats, SchedEvent, Scheduler};
 pub use session::{snapshot_spec, SimSession, SNAPSHOT_SCHEMA};
 pub use shard::{partition, ShardView};
 pub use source::{DiscardRecords, FnSink, IterSource, RecordSink, SliceSource, SubmissionSource};
-pub use state::{ClusterState, JobState, JobStatus, JobStore, NodeState, SimState};
+pub use state::{ClusterState, FreeNodes, JobState, JobStatus, JobStore, NodeState, SimState};
 pub use timeline::{AllocEvent, Timeline, TimelineEntry};
 pub use validate::{check_invariants, check_plan, PlanError, ValidationError};

@@ -280,6 +280,34 @@ impl ClusterState {
             .map(|(i, _)| NodeId(i as u32))
     }
 
+    /// The idle in-service nodes, ascending, as a lazy cursor: the
+    /// whole-node free list of the batch schedulers, read only as far
+    /// as they place.
+    ///
+    /// Its length is [`idle_nodes`](Self::idle_nodes), known without a
+    /// scan, and equal to the count of `is_idle() && is_up()` over every
+    /// node: a busy node is always in service (the engine evicts a
+    /// node's tasks before taking it down, and no task lands on a down
+    /// node), so the idle in-service nodes number `up − busy`. Each node
+    /// handed out costs a step through the gaps of the busy index.
+    pub fn free_nodes(&self) -> FreeNodes<'_> {
+        debug_assert_eq!(
+            self.idle_nodes() as usize,
+            self.nodes
+                .iter()
+                .zip(&self.node_up)
+                .filter(|&(n, &up)| n.is_idle() && up)
+                .count(),
+            "a busy node is out of service"
+        );
+        FreeNodes {
+            up: &self.node_up,
+            busy: &self.busy_ids,
+            next: 0,
+            left: self.idle_nodes() as usize,
+        }
+    }
+
     /// Take `node` out of service or return it. The engine evicts every
     /// resident task *before* marking a node down; bumps the change
     /// epoch so schedulers caching decisions observe the node-set
@@ -463,6 +491,50 @@ impl ClusterState {
         self.touch(node);
     }
 }
+
+/// Ascending cursor over a cluster's idle in-service nodes (see
+/// [`ClusterState::free_nodes`]); [`len`](ExactSizeIterator::len) is
+/// how many it has left.
+#[derive(Debug, Clone)]
+pub struct FreeNodes<'a> {
+    up: &'a [bool],
+    /// The busy ids not yet passed, ascending.
+    busy: &'a [u32],
+    /// The next node id to consider.
+    next: u32,
+    /// Idle in-service nodes at or after `next`.
+    left: usize,
+}
+
+impl Iterator for FreeNodes<'_> {
+    type Item = NodeId;
+
+    fn next(&mut self) -> Option<NodeId> {
+        // `left > 0` guarantees an idle in-service node at or after
+        // `next`, so the walk stops inside the cluster.
+        while self.left > 0 {
+            let id = self.next;
+            self.next += 1;
+            if let [b, rest @ ..] = self.busy {
+                if *b == id {
+                    self.busy = rest;
+                    continue;
+                }
+            }
+            if self.up[id as usize] {
+                self.left -= 1;
+                return Some(NodeId(id));
+            }
+        }
+        None
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for FreeNodes<'_> {}
 
 /// Resident job table with a sliding eviction window.
 ///
@@ -845,6 +917,26 @@ mod tests {
         c.set_node_up(NodeId(3), false);
         assert_eq!(c.idle_nodes(), 2, "a down node is not idle");
         assert_eq!(c.busy_nodes(), 1);
+    }
+
+    #[test]
+    fn free_nodes_skip_busy_and_down_nodes_lazily() {
+        let mut c = ClusterState::new(ClusterSpec::new(8, 4, 8.0).unwrap());
+        for n in [0, 3, 4, 7] {
+            c.add_task(NodeId(n), 0.3, 0.1, 0.0, 1.0);
+        }
+        c.set_node_up(NodeId(5), false);
+        let mut free = c.free_nodes();
+        assert_eq!(free.len(), 3);
+        assert_eq!(
+            free.by_ref().take(2).collect::<Vec<_>>(),
+            [NodeId(1), NodeId(2)]
+        );
+        assert_eq!(free.len(), 1);
+        assert_eq!(free.collect::<Vec<_>>(), [NodeId(6)]);
+        c.remove_task(NodeId(0), 0.3, 0.1, 0.0, 1.0);
+        let free: Vec<NodeId> = c.free_nodes().collect();
+        assert_eq!(free, [NodeId(0), NodeId(1), NodeId(2), NodeId(6)]);
     }
 
     #[test]

@@ -467,6 +467,10 @@ impl std::error::Error for PlanError {}
 /// nodes), then a two-phase capacity simulation mirroring the engine's
 /// removals-before-additions application order. Returns the first
 /// violation as a typed [`PlanError`].
+///
+/// A plan without a run entry places nothing, so no node can overflow:
+/// its verdict is the structural and timer checks alone, and the
+/// capacity pass is skipped.
 pub fn check_plan(state: &SimState, plan: &Plan) -> Result<(), PlanError> {
     let n_jobs = state.jobs.len();
     let n_nodes = state.cluster.nodes().len();
@@ -489,6 +493,7 @@ pub fn check_plan(state: &SimState, plan: &Plan) -> Result<(), PlanError> {
         Ok(())
     };
 
+    let mut has_run = false;
     for e in &plan.entries {
         match e {
             PlanEntry::Pause { job } => {
@@ -503,6 +508,7 @@ pub fn check_plan(state: &SimState, plan: &Plan) -> Result<(), PlanError> {
                 }
             }
             PlanEntry::Run { job, yld, .. } => {
+                has_run = true;
                 let placement = plan.placement(e);
                 check_job(*job)?;
                 let Some(j) = state.jobs.get(job.index()) else {
@@ -551,6 +557,9 @@ pub fn check_plan(state: &SimState, plan: &Plan) -> Result<(), PlanError> {
                 now: state.now,
             });
         }
+    }
+    if !has_run {
+        return Ok(());
     }
 
     // Capacity simulation, mirroring the engine's two-phase order:

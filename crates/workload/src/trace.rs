@@ -113,8 +113,8 @@ impl Trace {
     }
 
     /// A copy with every inter-arrival gap multiplied by `factor`
-    /// (runtimes and resource requirements untouched; first submission
-    /// preserved).
+    /// (every field but the submission time untouched, GPU demand
+    /// included; first submission preserved).
     pub fn scale_interarrival(&self, factor: f64) -> Result<Trace, CoreError> {
         if !factor.is_finite() || factor <= 0.0 {
             return Err(CoreError::NonPositive {
@@ -137,10 +137,17 @@ impl Trace {
                     j.cpu_need,
                     j.mem_req,
                     j.oracle_runtime(),
-                )
+                )?
+                .with_gpu(j.gpu_need)
             })
             .collect::<Result<Vec<_>, _>>()?;
-        Trace::new(self.cluster, jobs)
+        // A positive factor keeps the submission order and the ids
+        // dense, so this is already the trace `Trace::new` would build,
+        // minus its rebuild of every spec.
+        Ok(Trace {
+            cluster: self.cluster,
+            jobs,
+        })
     }
 
     /// A copy rescaled so its offered load equals `target` (paper:
@@ -269,6 +276,32 @@ mod tests {
         assert_eq!(s.jobs()[1].submit_time, 40.0);
         assert_eq!(s.jobs()[2].submit_time, 100.0);
         assert!((s.span() - 3.0 * t.span()).abs() < 1e-9);
+    }
+
+    #[test]
+    fn scale_interarrival_keeps_every_field_but_the_submit_time() {
+        let mut gpu = Trace::new(
+            cluster(),
+            vec![
+                job(0, 10.0, 2, 5.0),
+                job(1, 20.0, 1, 7.0),
+                job(2, 40.0, 3, 9.0),
+            ],
+        )
+        .unwrap();
+        // `Trace::new` rebuilds every spec without its GPU demand, so
+        // annotate the built trace's jobs in place.
+        gpu.jobs[0] = gpu.jobs[0].with_gpu(0.25).unwrap();
+        gpu.jobs[2] = gpu.jobs[2].with_gpu(1.0).unwrap();
+        let scaled = gpu.scale_interarrival(2.0).unwrap();
+        assert_eq!(scaled.cluster, gpu.cluster);
+        for (before, after) in gpu.jobs().iter().zip(scaled.jobs()) {
+            let mut expected = *before;
+            expected.submit_time = after.submit_time;
+            assert_eq!(*after, expected);
+        }
+        let submits: Vec<f64> = scaled.jobs().iter().map(|j| j.submit_time).collect();
+        assert_eq!(submits, [10.0, 30.0, 70.0]);
     }
 
     #[test]
