@@ -36,21 +36,6 @@ pub fn pos(a: f64) -> bool {
     a > EPS
 }
 
-/// Clamp a value into `[lo, hi]`, first snapping values within `EPS` of a
-/// bound onto the bound (useful after arithmetic that should land exactly
-/// on 0 or 1).
-#[inline]
-pub fn clamp_snap(x: f64, lo: f64, hi: f64) -> f64 {
-    debug_assert!(lo <= hi);
-    if (x - lo).abs() <= EPS {
-        lo
-    } else if (x - hi).abs() <= EPS {
-        hi
-    } else {
-        x.clamp(lo, hi)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -78,13 +63,5 @@ mod tests {
     fn pos_rejects_noise() {
         assert!(!pos(1e-12));
         assert!(pos(1e-6));
-    }
-
-    #[test]
-    fn clamp_snap_snaps_to_bounds() {
-        assert_eq!(clamp_snap(1.0 + 1e-12, 0.0, 1.0), 1.0);
-        assert_eq!(clamp_snap(-1e-12, 0.0, 1.0), 0.0);
-        assert_eq!(clamp_snap(0.5, 0.0, 1.0), 0.5);
-        assert_eq!(clamp_snap(2.0, 0.0, 1.0), 1.0);
     }
 }

@@ -134,13 +134,6 @@ impl JobSpec {
         self.runtime
     }
 
-    /// Total CPU need summed over tasks — the quantity the average-yield
-    /// improvement heuristic sorts by (Section III-A).
-    #[inline]
-    pub fn total_cpu_need(&self) -> f64 {
-        self.cpu_need * self.tasks as f64
-    }
-
     /// Total memory footprint in node-memory units (e.g. `2.5` means two
     /// and a half nodes' worth of memory).
     #[inline]
@@ -154,13 +147,6 @@ impl JobSpec {
     #[inline]
     pub fn node_seconds(&self) -> f64 {
         self.tasks as f64 * self.runtime
-    }
-
-    /// Whether this job could ever run on a cluster of `nodes` nodes under
-    /// the *batch* model (one task per node, exclusive).
-    #[inline]
-    pub fn fits_batch(&self, nodes: u32) -> bool {
-        self.tasks <= nodes
     }
 }
 
@@ -228,7 +214,6 @@ mod tests {
     #[test]
     fn totals_scale_with_tasks() {
         let j = ok_job();
-        assert!((j.total_cpu_need() - 1.0).abs() < 1e-12);
         assert!((j.total_mem() - 0.4).abs() < 1e-12);
         assert!((j.node_seconds() - 4.0 * 3600.0).abs() < 1e-9);
     }
@@ -246,12 +231,5 @@ mod tests {
             assert!(ok_job().with_gpu(bad).is_err(), "gpu {bad}");
         }
         assert_eq!(ok_job().with_gpu(0.0).unwrap().gpu_need, 0.0);
-    }
-
-    #[test]
-    fn fits_batch_boundary() {
-        let j = JobSpec::new(JobId(0), 0.0, 128, 1.0, 0.1, 60.0).unwrap();
-        assert!(j.fits_batch(128));
-        assert!(!j.fits_batch(127));
     }
 }

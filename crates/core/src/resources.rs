@@ -16,8 +16,6 @@
 //!   occupies its full requirement regardless of yield, exactly the
 //!   paper's treatment of memory.
 
-use crate::approx;
-
 /// Number of resource dimensions the stack models.
 pub const RESOURCE_DIMS: usize = 3;
 
@@ -42,12 +40,6 @@ impl ResourceVec {
     #[inline]
     pub fn new(cpu: f64, mem: f64, gpu: f64) -> Self {
         ResourceVec([cpu, mem, gpu])
-    }
-
-    /// The unit capacity vector (a full node in every dimension).
-    #[inline]
-    pub fn unit() -> Self {
-        ResourceVec([1.0; RESOURCE_DIMS])
     }
 
     /// CPU component.
@@ -106,16 +98,6 @@ impl ResourceVec {
         }
         ResourceVec(out)
     }
-
-    /// Whether every component of `self` fits under `cap` within
-    /// [`approx::le`] tolerance.
-    #[inline]
-    pub fn fits_within(&self, cap: &ResourceVec) -> bool {
-        self.0
-            .iter()
-            .zip(cap.0.iter())
-            .all(|(x, c)| approx::le(*x, *c))
-    }
 }
 
 /// The dominant dimension of a raw demand slice: index of the largest
@@ -167,16 +149,15 @@ mod tests {
 
     #[test]
     fn add_and_fits_within() {
-        let a = ResourceVec::new(0.4, 0.3, 0.0);
-        let b = ResourceVec::new(0.6, 0.5, 0.2);
+        // Dyadic components, so every sum is exact.
+        let a = ResourceVec::new(0.25, 0.5, 0.0);
+        let b = ResourceVec::new(0.5, 0.25, 0.125);
         let sum = a.add(&b);
-        assert!(sum.fits_within(&ResourceVec::unit()));
-        assert!(!sum
-            .add(&ResourceVec::new(0.1, 0.0, 0.0))
-            .fits_within(&ResourceVec::unit()));
-        // The approx::le boundary: exactly-at-capacity fits.
-        let full = ResourceVec::new(1.0, 1.0, 1.0);
-        assert!(full.fits_within(&ResourceVec::unit()));
+        assert_eq!(sum.0, [0.75, 0.75, 0.125]);
+        assert_eq!(sum.add(&sum).0, [1.5, 1.5, 0.25]);
+        // `add` leaves its operands untouched.
+        assert_eq!(a.0, [0.25, 0.5, 0.0]);
+        assert_eq!(b.0, [0.5, 0.25, 0.125]);
     }
 
     #[test]

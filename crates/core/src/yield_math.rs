@@ -18,13 +18,6 @@ pub fn equal_share_yield(max_cpu_load: f64) -> f64 {
     1.0 / max_cpu_load.max(1.0)
 }
 
-/// CPU fraction actually allocated to a task given its need and yield.
-#[inline]
-pub fn allocated_fraction(cpu_need: f64, yld: f64) -> f64 {
-    debug_assert!((0.0..=1.0 + approx::EPS).contains(&yld), "yield {yld}");
-    cpu_need * yld
-}
-
 /// Largest yield increase a single node can grant a job: `slack / need`,
 /// where `need` is the job's total CPU need on that node.
 #[inline]
@@ -98,11 +91,6 @@ mod tests {
     fn equal_share_shrinks_with_overload() {
         assert!((equal_share_yield(2.0) - 0.5).abs() < 1e-12);
         assert!((equal_share_yield(4.0) - 0.25).abs() < 1e-12);
-    }
-
-    #[test]
-    fn allocated_fraction_scales() {
-        assert!((allocated_fraction(0.6, 0.5) - 0.3).abs() < 1e-12);
     }
 
     #[test]

@@ -103,8 +103,9 @@ pub struct Opts {
     pub mttr_secs: f64,
     /// What a failure does to struck jobs (`--failure-policy`).
     pub failure_policy: FailurePolicy,
-    /// Fraction of jobs annotated with a GPU demand (`--gpu-frac`) for
-    /// the DRF study; `0` leaves every trace CPU+memory only.
+    /// Fraction of jobs annotated with a GPU demand (`--gpu-frac`); read
+    /// only by the DRF study (`drf`), where `0` leaves every trace
+    /// CPU+memory only.
     pub gpu_frac: f64,
     /// Cluster shards (`--shards`); above 1, every selected spec is
     /// wrapped in `sharded:<spec>:shards=N`.
@@ -286,7 +287,8 @@ Options:
   --mtbf SECS       per-node mean time between failures (availability)
   --mttr SECS       per-node mean time to repair (availability)
   --failure-policy P restart | preserve (what a failure does to jobs)
-  --gpu-frac F      fraction of jobs given a GPU demand (DRF study)
+  --gpu-frac F      fraction of jobs given a GPU demand; read only by drf
+                    (every other binary ignores it)
   --shards N        partition the cluster: wrap every spec in
                     sharded:<spec>:shards=N (default 1 = unsharded)";
 

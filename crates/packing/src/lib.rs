@@ -29,7 +29,6 @@
 //!   maximizing the minimum dominant share (DRF) over three resources;
 //! * [`memo::RepackMemo`] — replay of yield searches whose exact inputs
 //!   recur across scheduling events;
-//! * [`bounds`] — lower bounds on the bins an instance needs.
 //!
 //! The three searches are one sequential bisection (probe the ideal
 //! target, probe the floor, then halve) with one objective each.
@@ -55,7 +54,6 @@
 use dfrs_core::ids::JobId;
 
 mod bisect;
-pub mod bounds;
 pub mod drf_search;
 pub mod fit;
 pub mod item;
@@ -66,7 +64,6 @@ pub mod stretch_search;
 pub mod vecpack;
 pub mod yield_search;
 
-pub use bounds::{lower_bound_bins, min_bins_with, provably_infeasible};
 pub use drf_search::{
     drf_feasible_at_share, max_min_dominant_share, DrfAllocation, DrfJob, DrfSearchScratch,
     DRF_DIMS,

@@ -641,18 +641,6 @@ impl<const D: usize> McbVec<D> {
 
         placed == n
     }
-
-    /// One-shot convenience over expanded items and uniform unit bins
-    /// (tests, examples). Returns the assignment when everything fits.
-    pub fn pack_unit(&self, items: &[VecItem<D>], bins: usize) -> Option<Vec<u32>> {
-        let mut scratch = VecPackScratch::new();
-        let mut runs = Vec::new();
-        for &it in items {
-            push_as_run(&mut runs, it);
-        }
-        self.pack_runs_uniform(&runs, [1.0; D], bins, &mut scratch)
-            .then(|| scratch.bin_of.clone())
-    }
 }
 
 /// Validate an assignment: every item placed exactly once, no bin over
@@ -694,10 +682,23 @@ mod tests {
             .collect()
     }
 
+    /// Pack expanded items into `bins` unit bins; the assignment when
+    /// everything fits.
+    fn unit_bins(items: &[VecItem<3>], bins: usize) -> Option<Vec<u32>> {
+        let mut scratch = VecPackScratch::new();
+        let mut runs = Vec::new();
+        for &it in items {
+            push_as_run(&mut runs, it);
+        }
+        McbVec::<3>
+            .pack_runs_uniform(&runs, [1.0; 3], bins, &mut scratch)
+            .then(|| scratch.bin_of.clone())
+    }
+
     #[test]
     fn empty_input_packs_trivially() {
-        assert!(McbVec::<3>.pack_unit(&[], 0).is_some());
-        assert!(McbVec::<3>.pack_unit(&[], 4).is_some());
+        assert!(unit_bins(&[], 0).is_some());
+        assert!(unit_bins(&[], 4).is_some());
     }
 
     #[test]
@@ -705,10 +706,7 @@ mod tests {
         for d in 0..3 {
             let mut req = [0.1; 3];
             req[d] = 1.2;
-            assert!(
-                McbVec::<3>.pack_unit(&items3(&[req]), 4).is_none(),
-                "dim {d}"
-            );
+            assert!(unit_bins(&items3(&[req]), 4).is_none(), "dim {d}");
         }
     }
 
@@ -734,8 +732,8 @@ mod tests {
         // Three items needing 60% GPU each: two nodes can host at most
         // two, whatever their CPU/memory slack.
         let its = items3(&[[0.1, 0.1, 0.6]; 3]);
-        assert!(McbVec::<3>.pack_unit(&its, 2).is_none());
-        assert!(McbVec::<3>.pack_unit(&its, 3).is_some());
+        assert!(unit_bins(&its, 2).is_none());
+        assert!(unit_bins(&its, 3).is_some());
     }
 
     #[test]
@@ -750,7 +748,7 @@ mod tests {
             [0.1, 0.8, 0.05],
             [0.05, 0.1, 0.8],
         ]);
-        let bin_of = McbVec::<3>.pack_unit(&its, 2).unwrap();
+        let bin_of = unit_bins(&its, 2).unwrap();
         assert!(assignment_is_valid(&its, &[[1.0; 3]; 2], &bin_of));
     }
 
@@ -775,8 +773,8 @@ mod tests {
             [0.3, 0.5, 0.1],
             [0.2, 0.1, 0.6],
         ]);
-        let a = McbVec::<3>.pack_unit(&its, 2).unwrap();
-        let b = McbVec::<3>.pack_unit(&its, 2).unwrap();
+        let a = unit_bins(&its, 2).unwrap();
+        let b = unit_bins(&its, 2).unwrap();
         assert_eq!(a, b);
     }
 
@@ -790,7 +788,7 @@ mod tests {
             [0.9, 0.1, 0.0],
             [0.1, 0.9, 0.0],
         ]);
-        let bin_of = McbVec::<3>.pack_unit(&its, 2).unwrap();
+        let bin_of = unit_bins(&its, 2).unwrap();
         assert!(assignment_is_valid(&its, &[[1.0; 3]; 2], &bin_of));
         assert_ne!(bin_of[0], bin_of[2], "two CPU-heavy items can't share");
     }

@@ -302,12 +302,96 @@ proptest! {
     }
 }
 
+/// A valid lower bound on the number of unit bins any packing needs —
+/// the oracle the packers are measured against. The maximum of
+///
+/// * `⌈Σ cpu⌉` — total CPU volume,
+/// * `⌈Σ mem⌉` — total memory volume,
+/// * the *pairwise-conflict* bound: items with `max component > 1/2`
+///   cannot share a bin along that dimension, so each needs its own bin
+///   among themselves (the classical L2-style argument specialized to
+///   the > ½ class).
+fn lower_bound_bins(items: &[PackItem]) -> usize {
+    if items.is_empty() {
+        return 0;
+    }
+    let cpu: f64 = items.iter().map(|i| i.cpu).sum();
+    let mem: f64 = items.iter().map(|i| i.mem).sum();
+    let volume = cpu.max(mem).ceil() as usize;
+    let big_cpu = items.iter().filter(|i| i.cpu > 0.5 + 1e-12).count();
+    let big_mem = items.iter().filter(|i| i.mem > 0.5 + 1e-12).count();
+    volume.max(big_cpu).max(big_mem).max(1)
+}
+
+/// Smallest bin count at which `packer` succeeds, scanning up from the
+/// lower bound; `None` if no success up to `max_bins`.
+fn min_bins_with(packer: &dyn VectorPacker, items: &[PackItem], max_bins: usize) -> Option<usize> {
+    let lo = lower_bound_bins(items);
+    (lo..=max_bins).find(|&b| packer.pack(items, b).is_some())
+}
+
+fn items(reqs: &[(f64, f64)]) -> Vec<PackItem> {
+    reqs.iter()
+        .enumerate()
+        .map(|(i, &(cpu, mem))| PackItem {
+            id: i as u32,
+            cpu,
+            mem,
+        })
+        .collect()
+}
+
+#[test]
+fn volume_bound() {
+    // 10 × (0.5, 0.3): CPU volume 5, memory volume 3 → LB 5.
+    assert_eq!(lower_bound_bins(&items(&[(0.5, 0.3); 10])), 5);
+}
+
+#[test]
+fn big_item_bound_dominates_volume() {
+    // 4 items with cpu 0.6 but tiny memory: volume bound is ⌈2.4⌉ = 3
+    // but the pairwise-conflict bound is 4.
+    assert_eq!(lower_bound_bins(&items(&[(0.6, 0.05); 4])), 4);
+}
+
+#[test]
+fn memory_conflicts_counted_too() {
+    assert_eq!(lower_bound_bins(&items(&[(0.05, 0.7); 3])), 3);
+}
+
+#[test]
+fn empty_and_singleton() {
+    assert_eq!(lower_bound_bins(&[]), 0);
+    assert_eq!(lower_bound_bins(&items(&[(0.1, 0.1)])), 1);
+}
+
+#[test]
+fn mcb8_hits_the_bound_on_complementary_instances() {
+    // Perfectly complementary pairs: LB = 4, MCB8 must achieve 4.
+    let its = items(&[(0.9, 0.1), (0.1, 0.9)].repeat(4));
+    assert_eq!(min_bins_with(&Mcb8, &its, 16), Some(4));
+}
+
+#[test]
+fn heuristic_quality_within_factor_two_of_bound() {
+    // Mixed synthetic instance: both heuristics must land within 2×
+    // of the lower bound (a loose but absolute sanity band).
+    let reqs: Vec<(f64, f64)> = (0..30)
+        .map(|i| (0.1 + 0.025 * (i % 8) as f64, 0.3 - 0.03 * (i % 5) as f64))
+        .collect();
+    let its = items(&reqs);
+    let lb = lower_bound_bins(&its);
+    for packer in [&Mcb8 as &dyn VectorPacker, &FirstFitDecreasing] {
+        let used = min_bins_with(packer, &its, 64).unwrap();
+        assert!(used <= 2 * lb, "{}: {used} bins vs LB {lb}", packer.name());
+    }
+}
+
 proptest! {
     /// Soundness of the lower bound: whenever a packer succeeds with b
     /// bins, the lower bound is ≤ b.
     #[test]
     fn lower_bound_is_sound(items in arb_items(40), bins in 1usize..20) {
-        use dfrs_packing::lower_bound_bins;
         if Mcb8.pack(&items, bins).is_some() {
             prop_assert!(lower_bound_bins(&items) <= bins);
         }
@@ -319,7 +403,6 @@ proptest! {
     /// MCB8 lands within 2× of the lower bound on random instances.
     #[test]
     fn mcb8_quality_band(items in arb_items(30)) {
-        use dfrs_packing::{lower_bound_bins, min_bins_with};
         prop_assume!(!items.is_empty());
         let lb = lower_bound_bins(&items);
         let used = min_bins_with(&Mcb8, &items, 4 * lb + 4).expect("ample bins");

@@ -52,10 +52,12 @@ proptest! {
         items in arb_items3(40),
         bins in 1usize..12,
     ) {
-        if let Some(bin_of) = McbVec::<3>.pack_unit(&items, bins) {
-            let caps = vec![[1.0f64; 3]; bins];
+        let caps = vec![[1.0f64; 3]; bins];
+        let runs: Vec<(VecItem<3>, u32)> = items.iter().map(|&it| (it, 1u32)).collect();
+        let mut scratch = VecPackScratch::new();
+        if McbVec::<3>.pack_runs_into(&runs, &caps, &mut scratch) {
             prop_assert!(
-                assignment_is_valid(&items, &caps, &bin_of),
+                assignment_is_valid(&items, &caps, scratch.bin_of()),
                 "oversubscribed: items {:?} bins {}", items, bins
             );
         }

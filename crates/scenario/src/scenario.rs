@@ -7,8 +7,8 @@ use dfrs_core::ids::NodeId;
 use dfrs_core::{ClusterSpec, CoreError, JobSpec};
 use dfrs_sched::{SchedulerRegistry, SchedulerSpec, SpecError};
 use dfrs_sim::{
-    simulate, simulate_stream, FailurePolicy, MigrationMode, NodeEvent, RecordSink, Scheduler,
-    SimConfig, SimError, SimOutcome, SliceSource,
+    simulate, FailurePolicy, MigrationMode, NodeEvent, Scheduler, SimConfig, SimOutcome,
+    SliceSource,
 };
 use dfrs_workload::{Annotator, DowneyModel, Hpc2nLikeGenerator, LublinModel, Trace};
 use rand::rngs::SmallRng;
@@ -335,30 +335,6 @@ impl Scenario {
     /// [`JobSpec`]; the vector itself is never copied.
     pub fn stream(&self) -> SliceSource<'_> {
         SliceSource::new(&self.jobs)
-    }
-
-    /// Run an already-constructed scheduler over the streamed workload,
-    /// pushing each completed job's record into `sink` instead of
-    /// materializing them. Aggregates are bit-identical to
-    /// [`run_scheduler`](Self::run_scheduler); the returned outcome's
-    /// `records` vector is empty.
-    ///
-    /// # Errors
-    /// Returns [`SimError`] when the engine cannot make progress
-    /// (deadlock, event cap) — the conditions
-    /// [`run_scheduler`](Self::run_scheduler) panics on.
-    pub fn run_streamed(
-        &self,
-        scheduler: &mut dyn Scheduler,
-        sink: &mut dyn RecordSink,
-    ) -> Result<SimOutcome, SimError> {
-        simulate_stream(
-            self.cluster,
-            &mut self.stream(),
-            sink,
-            scheduler,
-            &self.config,
-        )
     }
 
     /// This scenario with a different engine config.

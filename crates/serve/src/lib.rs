@@ -1093,6 +1093,43 @@ mod tests {
         );
     }
 
+    #[test]
+    fn snapshot_schema_and_spec_skew_is_typed() {
+        // A real snapshot with its schema or spec replaced. `restore`
+        // builds the scheduler from the spec first, so a foreign schema
+        // under a known spec reaches the session and ends in
+        // `ServeError::Sim`; an unknown spec ends in `ServeError::Spec`,
+        // whatever the schema says.
+        let mut d = daemon("dynmcb8-per:t=300");
+        let (events, _) = d.handle_line(r#"{"cmd":"snapshot"}"#);
+        let doc = events[0].get("data").unwrap();
+        let skewed = |schema: &str, spec: &str| {
+            let mut v = doc.clone();
+            let Value::Obj(top) = &mut v else {
+                panic!("snapshot is an object")
+            };
+            top.insert("schema".into(), Value::Str(schema.into()));
+            top.insert("spec".into(), Value::Str(spec.into()));
+            Daemon::restore(&v.pretty()).err()
+        };
+        assert!(skewed("dfrs-snapshot-v1", "dynmcb8-per:t=300").is_none());
+        for schema in ["dfrs-snapshot-v0", "dfrs-snapshot-v2"] {
+            let err = skewed(schema, "dynmcb8-per:t=300").unwrap();
+            assert!(
+                matches!(
+                    err,
+                    ServeError::Sim(dfrs_sim::SimError::SnapshotMalformed { .. })
+                ),
+                "{schema}: {err}"
+            );
+            assert!(err.to_string().contains(schema), "{err}");
+        }
+        for schema in ["dfrs-snapshot-v0", "dfrs-snapshot-v1", "dfrs-snapshot-v2"] {
+            let err = skewed(schema, "no-such-scheduler").unwrap();
+            assert!(matches!(err, ServeError::Spec(_)), "{schema}: {err}");
+        }
+    }
+
     /// A batch of journaled commands is one group commit: one write and
     /// one fsync under `always`, however many lines it holds.
     #[test]

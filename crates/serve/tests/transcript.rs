@@ -125,6 +125,24 @@ fn smoke_and_resume_transcripts_match_golden() {
     check_or_regen("resume.transcript", &transcript);
 }
 
+#[test]
+fn a_parent_format_snapshot_resumes_byte_identically() {
+    // `smoke-v1-parent.snapshot.json` is the smoke script's snapshot as
+    // written while `dfrs-snapshot-v1` still carried the per-node
+    // `cluster.node_epoch` array. Today's reader ignores that field, so
+    // the resume half replays the pinned transcript unchanged.
+    let snapshot = golden("smoke-v1-parent.snapshot.json");
+    let doc = std::fs::read_to_string(&snapshot).expect("parent snapshot");
+    assert!(
+        doc.contains("\"node_epoch\""),
+        "the pin carries the old field"
+    );
+    let commands = std::fs::read_to_string(golden("resume.commands")).expect("resume.commands");
+    let transcript = run(&["--restore", snapshot.to_str().unwrap()], &commands);
+    let pinned = std::fs::read_to_string(golden("resume.transcript")).expect("resume.transcript");
+    assert_eq!(transcript, pinned);
+}
+
 /// Where the journal smoke scripts keep their write-ahead log and
 /// snapshot (fixed paths: the `ready` event echoes the journal dir, so
 /// it is part of the pinned bytes).

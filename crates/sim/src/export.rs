@@ -1,13 +1,10 @@
-//! CSV export/import of simulation outcomes.
+//! CSV export of simulation outcomes.
 //!
-//! Per-job records round-trip through a documented CSV schema so results
+//! Per-job records are written in a documented CSV schema so results
 //! can be archived, diffed across code versions, and plotted by external
 //! tooling without re-running simulations.
 
-use dfrs_core::ids::JobId;
-use dfrs_core::CoreError;
-
-use crate::outcome::{JobRecord, SimOutcome};
+use crate::outcome::SimOutcome;
 
 /// CSV header for per-job records.
 pub const RECORDS_HEADER: &str =
@@ -36,82 +33,11 @@ pub fn records_to_csv(outcome: &SimOutcome) -> String {
     out
 }
 
-/// Parse records back from CSV produced by [`records_to_csv`].
-pub fn records_from_csv(text: &str) -> Result<Vec<JobRecord>, CoreError> {
-    let mut lines = text.lines().enumerate();
-    match lines.next() {
-        Some((_, h)) if h.trim() == RECORDS_HEADER => {}
-        _ => {
-            return Err(CoreError::Parse {
-                line: 1,
-                reason: "missing records header".into(),
-            });
-        }
-    }
-    let mut records = Vec::new();
-    for (idx, line) in lines {
-        let lineno = idx + 1;
-        if line.trim().is_empty() {
-            continue;
-        }
-        let f: Vec<&str> = line.split(',').collect();
-        if f.len() != 10 {
-            return Err(CoreError::Parse {
-                line: lineno,
-                reason: format!("expected 10 fields, found {}", f.len()),
-            });
-        }
-        let num = |s: &str| -> Result<f64, CoreError> {
-            s.parse::<f64>().map_err(|_| CoreError::Parse {
-                line: lineno,
-                reason: format!("bad number {s:?}"),
-            })
-        };
-        let int = |s: &str| -> Result<u32, CoreError> {
-            s.parse::<u32>().map_err(|_| CoreError::Parse {
-                line: lineno,
-                reason: format!("bad integer {s:?}"),
-            })
-        };
-        records.push(JobRecord {
-            id: JobId(int(f[0])?),
-            submit: num(f[1])?,
-            first_start: if f[2].is_empty() {
-                None
-            } else {
-                Some(num(f[2])?)
-            },
-            completion: num(f[3])?,
-            dedicated: num(f[4])?,
-            turnaround: num(f[5])?,
-            stretch: num(f[6])?,
-            preemptions: int(f[7])?,
-            migrations: int(f[8])?,
-            restarts: int(f[9])?,
-        });
-    }
-    Ok(records)
-}
-
-/// One-line summary of an outcome (for logs and quick comparisons).
-pub fn summary_line(outcome: &SimOutcome) -> String {
-    format!(
-        "{}: jobs={} max_stretch={:.3} mean_stretch={:.3} makespan={:.0}s pmtn={} migr={} moved={:.1}GB",
-        outcome.algorithm,
-        outcome.records.len(),
-        outcome.max_stretch,
-        outcome.mean_stretch,
-        outcome.makespan,
-        outcome.preemption_count,
-        outcome.migration_count,
-        outcome.preemption_gb + outcome.migration_gb,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::outcome::make_record;
+    use dfrs_core::ids::JobId;
 
     fn sample_outcome() -> SimOutcome {
         SimOutcome {
@@ -128,43 +54,32 @@ mod tests {
 
     #[test]
     fn csv_round_trip() {
-        let o = sample_outcome();
-        let csv = records_to_csv(&o);
-        let parsed = records_from_csv(&csv).unwrap();
-        assert_eq!(parsed, o.records);
+        // Every field in schema order; floats in Rust's shortest
+        // round-trip form, so the text parses back to the same bits.
+        assert_eq!(
+            records_to_csv(&sample_outcome()),
+            format!("{RECORDS_HEADER}\n0,0,5,105,100,105,1.05,1,2,1\n1,10,,40,25,30,1,0,0,0\n")
+        );
     }
 
     #[test]
     fn none_first_start_round_trips() {
-        let o = sample_outcome();
-        let parsed = records_from_csv(&records_to_csv(&o)).unwrap();
-        assert_eq!(parsed[1].first_start, None);
-        assert_eq!(parsed[0].first_start, Some(5.0));
-    }
-
-    #[test]
-    fn bad_inputs_are_rejected_with_line_numbers() {
-        assert!(records_from_csv("nonsense\n").is_err());
-        let bad_fields = format!("{RECORDS_HEADER}\n1,2,3\n");
-        match records_from_csv(&bad_fields) {
-            Err(CoreError::Parse { line, .. }) => assert_eq!(line, 2),
-            other => panic!("expected parse error, got {other:?}"),
-        }
-        let bad_number = format!("{RECORDS_HEADER}\n1,x,,4,5,6,7,8,9,0\n");
-        assert!(records_from_csv(&bad_number).is_err());
-    }
-
-    #[test]
-    fn summary_line_contains_key_metrics() {
-        let s = summary_line(&sample_outcome());
-        assert!(s.contains("max_stretch"));
-        assert!(s.contains("jobs=2"));
+        // A job that never started leaves the `first_start` field empty.
+        let csv = records_to_csv(&sample_outcome());
+        let rows: Vec<Vec<&str>> = csv
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').collect())
+            .collect();
+        assert_eq!(rows[0][2], "5");
+        assert_eq!(rows[1][2], "");
     }
 
     #[test]
     fn empty_outcome_round_trips() {
-        let o = SimOutcome::default();
-        let parsed = records_from_csv(&records_to_csv(&o)).unwrap();
-        assert!(parsed.is_empty());
+        assert_eq!(
+            records_to_csv(&SimOutcome::default()),
+            format!("{RECORDS_HEADER}\n")
+        );
     }
 }

@@ -170,16 +170,6 @@ impl SimOutcome {
         }
     }
 
-    /// Failure-induced restarts per job (the availability study's
-    /// occurrence-rate analogue of Table II).
-    pub fn restarts_per_job(&self) -> f64 {
-        if self.jobs_completed == 0 {
-            0.0
-        } else {
-            self.restart_count as f64 / self.jobs_completed as f64
-        }
-    }
-
     /// Mean fraction of the cluster out of service over the makespan
     /// (0 on a static cluster).
     pub fn mean_unavailability(&self, nodes: u32) -> f64 {
@@ -289,7 +279,6 @@ mod tests {
         let mut o = outcome_with(vec![rec((100.0, 50.0)); 4], 1_000.0);
         o.restart_count = 2;
         o.down_node_seconds = 500.0;
-        assert!((o.restarts_per_job() - 0.5).abs() < 1e-12);
         // 500 down node-seconds over 1000 s × 10 nodes = 5 %.
         assert!((o.mean_unavailability(10) - 0.05).abs() < 1e-12);
         assert_eq!(o.mean_unavailability(0), 0.0);

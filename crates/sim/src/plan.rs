@@ -191,14 +191,6 @@ impl Plan {
         })
     }
 
-    /// Rewrite every node of every placement through `f` (a shard
-    /// view's local → global translation).
-    pub(crate) fn map_nodes(&mut self, f: impl Fn(NodeId) -> NodeId) {
-        for n in &mut self.nodes {
-            *n = f(*n);
-        }
-    }
-
     /// Add a pause entry (builder style).
     pub fn pause(mut self, job: JobId) -> Self {
         self.entries.push(PlanEntry::Pause { job });

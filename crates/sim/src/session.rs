@@ -49,14 +49,15 @@
 //!   from the registry spec recorded in the snapshot
 //!   ([`snapshot_spec`] reads it back).
 //!
-//! Floats are stored as bit-exact `"0x…"` strings ([`json::bits`]);
+//! Floats are stored as bit-exact `"0x…"` strings
+//! ([`dfrs_core::json::bits`]);
 //! wall-clock scheduler timings are zeroed on restore (they are
 //! measurements of the host, not simulation state). Emitted records,
 //! decision samples, and timeline entries are *outputs*, not state —
 //! drain them before snapshotting or they stay behind.
 
 use dfrs_core::ids::{JobId, NodeId};
-use dfrs_core::json::{self, bits, obj, Value};
+use dfrs_core::json::{bits, obj, Value};
 use dfrs_core::{ClusterSpec, JobSpec};
 
 use crate::engine::{EngineCore, FailurePolicy, MigrationMode, SimConfig};
@@ -353,9 +354,6 @@ impl SimSession {
             .filter(|&n| !c.state.cluster.is_up(NodeId(n)))
             .map(|n| Value::Num(n as f64))
             .collect();
-        let node_epoch: Vec<Value> = (0..spec.nodes)
-            .map(|n| Value::Num(c.state.cluster.node_epoch(NodeId(n)) as f64))
-            .collect();
         let (entries, seq, timer_base) = c.queue.snapshot_parts();
         let entries: Vec<Value> = entries
             .iter()
@@ -400,7 +398,6 @@ impl SimSession {
                     ("node_memory_gb".into(), bits(spec.node_memory_gb)),
                     ("down".into(), Value::Arr(down)),
                     ("epoch".into(), Value::Num(c.state.cluster.epoch() as f64)),
-                    ("node_epoch".into(), Value::Arr(node_epoch)),
                 ]),
             ),
             (
@@ -514,17 +511,6 @@ impl SimSession {
         {
             return Err(format!("snapshot: down node {bad} outside the cluster"));
         }
-        let node_epoch: Vec<u64> = arr_field(cl, "node_epoch")?
-            .iter()
-            .map(|x| as_num(x, "cluster.node_epoch[]").map(|n| n as u64))
-            .collect::<Result<_, _>>()?;
-        if node_epoch.len() != cluster_spec.nodes as usize {
-            return Err(format!(
-                "snapshot: node_epoch has {} entries for {} nodes",
-                node_epoch.len(),
-                cluster_spec.nodes
-            ));
-        }
         let cluster_epoch = num_field(cl, "epoch")? as u64;
 
         let cf = field(v, "config")?;
@@ -606,12 +592,7 @@ impl SimSession {
         let mut core = EngineCore::new(cluster_spec);
         core.state = SimState {
             now,
-            cluster: crate::state::ClusterState::restore(
-                cluster_spec,
-                &down,
-                cluster_epoch,
-                node_epoch,
-            ),
+            cluster: crate::state::ClusterState::restore(cluster_spec, &down, cluster_epoch),
             jobs: JobStore::with_base(admitted),
             live: Vec::new(),
             running: Vec::new(),
@@ -704,12 +685,6 @@ fn as_num(v: &Value, what: &str) -> Result<f64, String> {
         .ok_or_else(|| format!("snapshot: {what} is not a number"))
 }
 
-/// Round-trip a snapshot through its canonical text form (what a daemon
-/// writing to disk does); useful in tests to prove text stability.
-pub fn reparse(v: &Value) -> Result<Value, json::ParseError> {
-    json::parse(&v.pretty())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -740,6 +715,12 @@ mod tests {
 
     fn cluster() -> ClusterSpec {
         ClusterSpec::new(4, 4, 8.0).unwrap()
+    }
+
+    /// Round-trip a snapshot through its canonical text form (what a
+    /// daemon writing to disk does).
+    fn reparse(v: &Value) -> Result<Value, dfrs_core::json::ParseError> {
+        dfrs_core::json::parse(&v.pretty())
     }
 
     fn job(id: u32, t: f64, runtime: f64) -> JobSpec {
@@ -825,6 +806,21 @@ mod tests {
         }
         let (oa, ob) = (a.outcome(), b.outcome());
         assert_eq!(fingerprint(&oa), fingerprint(&ob));
+    }
+
+    #[test]
+    fn snapshot_size_does_not_grow_with_the_cluster() {
+        // An idle session on `huge-sharded`'s 102 400 nodes: the document
+        // holds the down nodes and the queue rows, not one entry per node.
+        const BOUND: usize = 4096;
+        let s = SimSession::new(
+            ClusterSpec::new(102_400, 4, 8.0).unwrap(),
+            "round-robin",
+            Box::new(RoundRobin),
+            SimConfig::default(),
+        );
+        let len = s.snapshot().unwrap().compact().len();
+        assert!(len < BOUND, "snapshot is {len} bytes, bound {BOUND}");
     }
 
     #[test]
@@ -1001,6 +997,29 @@ mod tests {
         assert_eq!(s.now(), 10.0);
         let snap = s.snapshot().unwrap();
         assert!(SimSession::restore(&snap, Box::new(RoundRobin)).is_ok());
+
+        // Documents written before the per-node epochs were dropped carry
+        // `cluster.node_epoch`, one number per node. The reader looks
+        // fields up by name, so such a document restores and runs on to
+        // the same bits as the clean one.
+        let mut legacy = snap.clone();
+        let Value::Obj(top) = &mut legacy else {
+            panic!("snapshot is an object")
+        };
+        let Some(Value::Obj(cl)) = top.get_mut("cluster") else {
+            panic!("snapshot has a cluster object")
+        };
+        let per_node = [0.0, 0.0, 0.0, 2.0].map(Value::Num).to_vec();
+        cl.insert("node_epoch".into(), Value::Arr(per_node));
+        let run_on = |doc: &Value| {
+            let mut r = SimSession::restore(doc, Box::new(RoundRobin)).unwrap();
+            r.submit(job(1, 20.0, 30.0)).unwrap();
+            r.submit(job(2, 25.0, 10.0)).unwrap();
+            r.drain().unwrap();
+            fingerprint(&r.outcome())
+        };
+        assert_eq!(run_on(&legacy), run_on(&snap));
+
         let with = |now: f64, row: Option<(f64, &str, f64)>| {
             let mut doc = snap.clone();
             let Value::Obj(top) = &mut doc else {

@@ -426,19 +426,6 @@ impl ShardView {
         }
     }
 
-    /// Translate a local plan into global ids (jobs and nodes), in place.
-    pub fn translate_plan(&self, mut plan: Plan) -> Plan {
-        plan.map_nodes(|n| self.global_node(n));
-        for e in &mut plan.entries {
-            let (PlanEntry::Run { job, .. } | PlanEntry::Pause { job }) = e;
-            *job = self.global_job(*job);
-        }
-        for (job, _) in &mut plan.timers {
-            *job = self.global_job(*job);
-        }
-        plan
-    }
-
     /// Evict the completed window prefix (records are the global
     /// engine's business; the view just drops retired jobs).
     fn evict_completed(&mut self) {
@@ -524,21 +511,6 @@ mod tests {
         v.withdraw(a);
         assert_eq!(v.in_system(), 1);
         assert_eq!(v.waiting_locals(), vec![b]);
-    }
-
-    #[test]
-    fn translate_plan_maps_jobs_and_nodes_global() {
-        let mut v = ShardView::new(&spec4(), 4, 3);
-        let l = v.admit(&gjob(42, 1));
-        let p = v.translate_plan(Plan::noop().run(l, vec![NodeId(2)], 0.5).timer(l, 9.0));
-        match &p.entries[0] {
-            PlanEntry::Run { job, .. } => {
-                assert_eq!(*job, JobId(42));
-                assert_eq!(p.placement(&p.entries[0]), &[NodeId(6)]);
-            }
-            other => panic!("unexpected {other:?}"),
-        }
-        assert_eq!(p.timers, vec![(JobId(42), 9.0)]);
     }
 
     #[test]

@@ -179,10 +179,9 @@ pub struct ClusterState {
     node_up: Vec<bool>,
     /// Number of nodes currently in service.
     up_count: u32,
-    /// Bumped on every task add/remove/retarget.
+    /// Bumped on every task add/remove/retarget and on every node
+    /// leaving or rejoining service.
     epoch: u64,
-    /// Epoch at which each node last changed (dirty-node tracking).
-    node_epoch: Vec<u64>,
     /// Bumped only when a node leaves or rejoins service — unlike
     /// `epoch`, never by load changes. Schedulers key caches of the
     /// available-node set on this, so a no-churn run computes that set
@@ -201,28 +200,21 @@ impl ClusterState {
             node_up: vec![true; spec.nodes as usize],
             up_count: spec.nodes,
             epoch: 0,
-            node_epoch: vec![0; spec.nodes as usize],
             membership_epoch: 0,
         }
     }
 
     /// Rebuild a cluster from snapshot parts: all nodes idle (snapshots
     /// are taken at quiescence, when nothing is placed) with the
-    /// down-node set and both epoch counters restored exactly, so every
+    /// down-node set and the change epoch restored exactly, so every
     /// future epoch value matches the uninterrupted run.
-    pub(crate) fn restore(
-        spec: ClusterSpec,
-        down: &[NodeId],
-        epoch: u64,
-        node_epoch: Vec<u64>,
-    ) -> Self {
+    pub(crate) fn restore(spec: ClusterSpec, down: &[NodeId], epoch: u64) -> Self {
         let mut c = ClusterState::new(spec);
         for &n in down {
             c.node_up[n.index()] = false;
         }
         c.up_count = spec.nodes - down.len() as u32;
         c.epoch = epoch;
-        c.node_epoch = node_epoch;
         // Snapshots don't carry the membership counter; any value no
         // smaller than past ones keeps it monotone, and `epoch` counts
         // a superset of membership changes. Schedulers are rebuilt on
@@ -327,7 +319,7 @@ impl ClusterState {
             self.up_count - 1
         };
         self.membership_epoch += 1;
-        self.touch(node);
+        self.epoch += 1;
     }
 
     /// Monotone counter of node-membership changes (see the field doc).
@@ -342,22 +334,6 @@ impl ClusterState {
     #[inline]
     pub fn epoch(&self) -> u64 {
         self.epoch
-    }
-
-    /// Epoch at which `node` last changed.
-    #[inline]
-    pub fn node_epoch(&self, node: NodeId) -> u64 {
-        self.node_epoch[node.index()]
-    }
-
-    /// Nodes whose load changed strictly after `since` (dirty-node
-    /// tracking for schedulers that cache decisions between events).
-    pub fn dirty_nodes_since(&self, since: u64) -> impl Iterator<Item = NodeId> + '_ {
-        self.node_epoch
-            .iter()
-            .enumerate()
-            .filter(move |(_, &e)| e > since)
-            .map(|(i, _)| NodeId(i as u32))
     }
 
     /// Sum of allocated CPU over all nodes (for utilization integrals).
@@ -381,12 +357,6 @@ impl ClusterState {
             .iter()
             .map(|&i| self.nodes[i as usize].cpu_load)
             .fold(0.0, f64::max)
-    }
-
-    #[inline]
-    fn touch(&mut self, node: NodeId) {
-        self.epoch += 1;
-        self.node_epoch[node.index()] = self.epoch;
     }
 
     fn node_mut(&mut self, id: NodeId) -> &mut NodeState {
@@ -426,7 +396,7 @@ impl ClusterState {
             "GPU overallocated: {}",
             n.gpu_alloc
         );
-        self.touch(node);
+        self.epoch += 1;
     }
 
     /// Remove one task of `job` from `node`.
@@ -460,7 +430,7 @@ impl ClusterState {
             n.mem_used = 0.0;
             n.gpu_alloc = 0.0;
         }
-        self.touch(node);
+        self.epoch += 1;
     }
 
     /// Adjust the allocated fluid resources (CPU, GPU) of a hosted task
@@ -488,7 +458,7 @@ impl ClusterState {
             "GPU overallocated: {}",
             n.gpu_alloc
         );
-        self.touch(node);
+        self.epoch += 1;
     }
 }
 
@@ -872,17 +842,30 @@ mod tests {
 
     #[test]
     fn epochs_mark_dirty_nodes() {
+        // `epoch` rises on every load change; `membership_epoch` never does.
         let mut c = cluster();
+        let m0 = c.membership_epoch();
         let e0 = c.epoch();
         c.add_task(NodeId(2), 0.3, 0.1, 0.0, 1.0);
-        c.add_task(NodeId(1), 0.3, 0.1, 0.0, 1.0);
-        assert!(c.epoch() > e0);
-        let dirty: Vec<NodeId> = c.dirty_nodes_since(e0).collect();
-        assert_eq!(dirty, vec![NodeId(1), NodeId(2)]);
         let e1 = c.epoch();
-        assert_eq!(c.dirty_nodes_since(e1).count(), 0);
-        c.retarget_task(NodeId(1), 0.3, 0.0, 1.0, 0.5);
-        assert_eq!(c.dirty_nodes_since(e1).collect::<Vec<_>>(), [NodeId(1)]);
+        assert!(e1 > e0, "add_task bumps the epoch");
+        c.retarget_task(NodeId(2), 0.3, 0.0, 1.0, 0.5);
+        let e2 = c.epoch();
+        assert!(e2 > e1, "retarget_task bumps the epoch");
+        c.remove_task(NodeId(2), 0.3, 0.1, 0.0, 0.5);
+        let e3 = c.epoch();
+        assert!(e3 > e2, "remove_task bumps the epoch");
+        assert_eq!(
+            c.membership_epoch(),
+            m0,
+            "load changes leave membership alone"
+        );
+        // A node leaving and rejoining service bumps both counters.
+        c.set_node_up(NodeId(2), false);
+        assert_eq!(c.membership_epoch(), m0 + 1);
+        assert!(c.epoch() > e3);
+        c.set_node_up(NodeId(2), true);
+        assert_eq!(c.membership_epoch(), m0 + 2);
     }
 
     #[test]
