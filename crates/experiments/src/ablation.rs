@@ -178,13 +178,21 @@ mod tests {
     #[test]
     fn period_ablation_monotone_overhead() {
         let data = period_ablation(1, 40, 0.8, 23, 2);
-        // Longer periods move (weakly) less data.
-        let moved: Vec<f64> = data.rows.iter().map(|r| r.3).collect();
-        assert!(
-            moved[0] + 1e-9 >= moved[2],
-            "T=60 {} vs T=3600 {}",
-            moved[0],
-            moved[2]
-        );
+        // The GB moved per period on this instance (T=60, 600, 3600)
+        // before a repack kept jobs that all still fit at yield 1 in
+        // place. Keeping may only save moves. The T=60 ≥ T=3600
+        // ordering no longer holds on this small instance: short
+        // periods stop paying for all-fit remaps (T=60 now moves 0 GB)
+        // and T=3600 still moves 600 GB.
+        const BEFORE_KEEP_GB: [f64; 3] = [1619.2, 1800.0, 811.2];
+        assert_eq!(data.rows.len(), BEFORE_KEEP_GB.len());
+        for (row, before) in data.rows.iter().zip(BEFORE_KEEP_GB) {
+            assert!(
+                row.3 <= before + 1e-6,
+                "{}: {} GB moved, {before} GB before keeping",
+                row.0,
+                row.3
+            );
+        }
     }
 }

@@ -76,7 +76,7 @@ pub use scratch::{PackScratch, SearchScratch};
 pub use stretch_search::{
     min_max_estimated_stretch, min_max_estimated_stretch_with, StretchAllocation, StretchJob,
 };
-pub use vecpack::{assignment_is_valid, McbVec, VecBin, VecItem, VecPackScratch};
+pub use vecpack::{McbVec, VecBin, VecItem, VecPackScratch};
 pub use yield_search::{max_min_yield, max_min_yield_with, JobLoad, YieldAllocation};
 
 /// The per-job slices of a flat per-task vector (a packing's `bin_of`,

@@ -643,37 +643,37 @@ impl<const D: usize> McbVec<D> {
     }
 }
 
-/// Validate an assignment: every item placed exactly once, no bin over
-/// capacity in any dimension (tests and debug assertions).
-pub fn assignment_is_valid<const D: usize>(
-    items: &[VecItem<D>],
-    caps: &[[f64; D]],
-    bin_of: &[u32],
-) -> bool {
-    if bin_of.len() != items.len() {
-        return false;
-    }
-    let mut used = vec![[0.0f64; D]; caps.len()];
-    for item in items {
-        let Some(&b) = bin_of.get(item.id as usize) else {
-            return false;
-        };
-        let b = b as usize;
-        if b >= caps.len() {
-            return false;
-        }
-        for (u, &r) in used[b].iter_mut().zip(item.req.iter()) {
-            *u += r;
-        }
-    }
-    used.iter()
-        .zip(caps.iter())
-        .all(|(u, c)| (0..D).all(|d| u[d] <= c[d] + EPS))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Validate an assignment: every item placed exactly once, no bin over
+    /// capacity in any dimension.
+    fn assignment_is_valid<const D: usize>(
+        items: &[VecItem<D>],
+        caps: &[[f64; D]],
+        bin_of: &[u32],
+    ) -> bool {
+        if bin_of.len() != items.len() {
+            return false;
+        }
+        let mut used = vec![[0.0f64; D]; caps.len()];
+        for item in items {
+            let Some(&b) = bin_of.get(item.id as usize) else {
+                return false;
+            };
+            let b = b as usize;
+            if b >= caps.len() {
+                return false;
+            }
+            for (u, &r) in used[b].iter_mut().zip(item.req.iter()) {
+                *u += r;
+            }
+        }
+        used.iter()
+            .zip(caps.iter())
+            .all(|(u, c)| (0..D).all(|d| u[d] <= c[d] + EPS))
+    }
 
     fn items3(reqs: &[[f64; 3]]) -> Vec<VecItem<3>> {
         reqs.iter()

@@ -4,12 +4,41 @@
 //! (Byte-identity of the kernel against a textbook MCB, `D = 2`
 //! included, is `mcb_reference.rs`.)
 
+use dfrs_core::approx::EPS;
 use dfrs_core::ids::JobId;
 use dfrs_packing::{
-    assignment_is_valid, drf_feasible_at_share, max_min_dominant_share, DrfJob, DrfSearchScratch,
-    McbVec, VecItem, VecPackScratch,
+    drf_feasible_at_share, max_min_dominant_share, DrfJob, DrfSearchScratch, McbVec, VecItem,
+    VecPackScratch,
 };
 use proptest::prelude::*;
+
+/// Validate an assignment: every item placed exactly once, no bin over
+/// capacity in any dimension.
+fn assignment_is_valid<const D: usize>(
+    items: &[VecItem<D>],
+    caps: &[[f64; D]],
+    bin_of: &[u32],
+) -> bool {
+    if bin_of.len() != items.len() {
+        return false;
+    }
+    let mut used = vec![[0.0f64; D]; caps.len()];
+    for item in items {
+        let Some(&b) = bin_of.get(item.id as usize) else {
+            return false;
+        };
+        let b = b as usize;
+        if b >= caps.len() {
+            return false;
+        }
+        for (u, &r) in used[b].iter_mut().zip(item.req.iter()) {
+            *u += r;
+        }
+    }
+    used.iter()
+        .zip(caps.iter())
+        .all(|(u, c)| (0..D).all(|d| u[d] <= c[d] + EPS))
+}
 
 fn arb_items3(max_items: usize) -> impl Strategy<Value = Vec<VecItem<3>>> {
     prop::collection::vec((0.0f64..=1.0, 0.001f64..=1.0, 0.0f64..=1.0), 0..max_items).prop_map(

@@ -204,7 +204,9 @@ impl<O: Objective> Scheduler for Repacker<O> {
 
 /// The paper's objective: maximize the minimum yield (accuracy 0.01)
 /// over the chosen packer, then raise yields with the average-yield
-/// improvement heuristic.
+/// improvement heuristic. A repack in which every job can run at yield
+/// 1 without moving a running task keeps what still fits and runs no
+/// search ([`EvictionFront::keep`]).
 #[derive(Debug, Default)]
 pub(crate) struct MaxMinYield {
     packer: PackerChoice,
@@ -287,6 +289,12 @@ impl Objective for MaxMinYield {
     }
 
     fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan {
+        // Keep what still fits: with every job at yield 1 and no task
+        // moved, no search can find a higher yield (DESIGN.md "Keep
+        // what still fits").
+        if let Some(plan) = front.keep(state) {
+            return plan;
+        }
         let (yield_, mut plan) = self.pack(front, state);
         // At full yield with no GPU demand the improvement pass is the
         // identity (see `AllocSet::optimized_yields`' fast path), so the

@@ -17,7 +17,7 @@ use dfrs_core::approx::EPS;
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_core::priority::PriorityKey;
 use dfrs_packing::{split_tasks, RepackMemo};
-use dfrs_sim::{JobState, Plan, SimState};
+use dfrs_sim::{JobState, JobStatus, Plan, SimState};
 
 /// Relative slack on the memory-total test. A valid packing holds at
 /// most `1 + EPS` per bin *as the packers sum it*; this covers that
@@ -94,10 +94,45 @@ impl EvictionFront {
         self.avail_at = None;
     }
 
-    /// Whether the last [`pack`](Self::pack) kept every job in the
-    /// system: no candidate dropped, so no running job to pause.
+    /// Whether the last [`pack`](Self::pack) or [`keep`](Self::keep)
+    /// kept every job in the system: no candidate dropped, so no running
+    /// job to pause.
     pub(crate) fn kept_all(&self, state: &SimState) -> bool {
         self.candidates.len() == state.in_system_len()
+    }
+
+    /// Keep what still fits: when every running job runs at yield 1
+    /// and the waiting jobs' tasks number at most the idle in-service
+    /// nodes, the plan that starts every waiting job (ascending id) at
+    /// yield 1 with one task on each next idle node
+    /// ([`free_nodes`](dfrs_sim::ClusterState::free_nodes)), and leaves
+    /// every running job where it is. Every job then runs at the
+    /// maximum yield, so no search could raise one. `None` otherwise.
+    /// Every job in the system stays a candidate, so
+    /// [`kept_all`](Self::kept_all) holds after it. O(jobs in system +
+    /// tasks placed).
+    pub(crate) fn keep(&mut self, state: &SimState) -> Option<Plan> {
+        if state.running_jobs().any(|j| j.yld != 1.0) {
+            return None;
+        }
+        let waiting = || {
+            state
+                .jobs_in_system()
+                .filter(|j| j.status != JobStatus::Running)
+        };
+        let tasks: u64 = waiting().map(|j| u64::from(j.spec.tasks)).sum();
+        if tasks > u64::from(state.cluster.idle_nodes()) {
+            return None;
+        }
+        self.candidates.clear();
+        self.candidates
+            .extend(state.jobs_in_system().map(|j| j.spec.id));
+        let mut free = state.cluster.free_nodes();
+        let mut plan = Plan::with_capacity(waiting().count(), tasks as usize);
+        for j in waiting() {
+            plan.push_run(j.spec.id, 1.0, free.by_ref().take(j.spec.tasks as usize));
+        }
+        Some(plan)
     }
 
     /// The decision of the last [`pack`](Self::pack) as a plan: a pause

@@ -156,9 +156,9 @@ fn repack_probe_counts_are_pinned() {
     // pairing of the one repacker is pinned.
     let reg = SchedulerRegistry::builtin();
     for (spec, want) in [
-        ("dynmcb8", (160, 497, 53, 170)),
-        ("dynmcb8-per", (51, 223, 11, 49)),
-        ("dynmcb8-asap-per", (46, 149, 16, 69)),
+        ("dynmcb8", (67, 443, 16, 144)),
+        ("dynmcb8-per", (33, 212, 5, 45)),
+        ("dynmcb8-asap-per", (23, 136, 7, 63)),
         ("dynmcb8-stretch-per", (92, 350, 0, 0)),
         ("dynmcb8-drf", (160, 475, 0, 0)),
         ("dynmcb8-drf-per", (61, 338, 0, 0)),

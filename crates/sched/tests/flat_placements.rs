@@ -15,6 +15,12 @@
 //! reference. `sharded:dynmcb8:shards=4` is compared in lockstep: the
 //! real coordinator over the real inners against the same coordinator
 //! over reference inners, decision by decision.
+//!
+//! A *keep* decision (every running job at yield 1, the waiting tasks
+//! one per idle node: no search) is not the reference's plan; it is
+//! recognized from its plan and checked against the keep witness
+//! (`keep_witness`) instead. The sharded reference's inners apply the
+//! keep rule as its definition states it before the nested pipeline.
 
 use dfrs_core::approx;
 use dfrs_core::constants::{MIN_STRETCH_PER_YIELD, YIELD_SEARCH_ACCURACY};
@@ -26,7 +32,13 @@ use dfrs_packing::{
     JobLoad, Mcb8, StretchJob,
 };
 use dfrs_sched::{SchedulerRegistry, Sharded};
-use dfrs_sim::{simulate, NodeEvent, Plan, PlanEntry, SchedEvent, Scheduler, SimConfig, SimState};
+use dfrs_sim::{
+    simulate, JobStatus, NodeEvent, Plan, PlanEntry, SchedEvent, Scheduler, SimConfig, SimState,
+};
+use std::sync::{Arc, Mutex};
+
+mod keep_witness;
+use keep_witness::{assert_keep, keep_shaped, runs_all_at_full_yield, KeepTally};
 
 /// Tick period of the periodic schedulers under test.
 const PERIOD: f64 = 100.0;
@@ -35,6 +47,7 @@ const PERIOD: f64 = 100.0;
 enum Family {
     DynMcb8,
     DynMcb8Per,
+    DynMcb8AsapPer,
     Drf,
     StretchPer,
 }
@@ -44,6 +57,7 @@ impl Family {
         match self {
             Family::DynMcb8 => "dynmcb8".into(),
             Family::DynMcb8Per => format!("dynmcb8-per:t={PERIOD}"),
+            Family::DynMcb8AsapPer => format!("dynmcb8-asap-per:t={PERIOD}"),
             Family::Drf => "dynmcb8-drf".into(),
             Family::StretchPer => format!("dynmcb8-stretch-per:t={PERIOD}"),
         }
@@ -57,7 +71,11 @@ impl Family {
 
     fn repacks_on(self, ev: SchedEvent) -> bool {
         match self {
-            Family::DynMcb8Per | Family::StretchPer => ev == SchedEvent::Tick,
+            // ASAP admission between ticks runs no search: only its
+            // tick repacks are compared.
+            Family::DynMcb8Per | Family::DynMcb8AsapPer | Family::StretchPer => {
+                ev == SchedEvent::Tick
+            }
             Family::DynMcb8 | Family::Drf => matches!(
                 ev,
                 SchedEvent::Submit(_)
@@ -342,7 +360,7 @@ impl Reference {
         let (survivors, (bins, yields)) =
             evict_until_packed(state, family, avail.len(), |ids, nodes| -> Option<Found> {
                 match family {
-                    Family::DynMcb8 | Family::DynMcb8Per => {
+                    Family::DynMcb8 | Family::DynMcb8Per | Family::DynMcb8AsapPer => {
                         let loads: Vec<JobLoad> = ids
                             .iter()
                             .map(|&id| {
@@ -418,7 +436,7 @@ impl Reference {
             .collect();
         // The family's yield pass.
         match family {
-            Family::DynMcb8 | Family::DynMcb8Per => {
+            Family::DynMcb8 | Family::DynMcb8Per | Family::DynMcb8AsapPer => {
                 let mut set = NestedAllocSet::default();
                 for (id, _, placement) in &assignments {
                     let spec = &state.job(*id).spec;
@@ -455,7 +473,11 @@ impl Scheduler for Reference {
         format!("reference {:?}", self.0)
     }
     fn period(&self) -> Option<f64> {
-        matches!(self.0, Family::DynMcb8Per | Family::StretchPer).then_some(PERIOD)
+        matches!(
+            self.0,
+            Family::DynMcb8Per | Family::DynMcb8AsapPer | Family::StretchPer
+        )
+        .then_some(PERIOD)
     }
     fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
         if self.0.repacks_on(ev) {
@@ -501,6 +523,21 @@ struct Tally {
     /// Decisions the persistent scheduler answered itself (no
     /// clean-epoch skip).
     persistent: u64,
+    /// The fresh instance's keep decisions.
+    keep: KeepTally,
+}
+
+/// Checks `plan` against the reference's entries: a keep decision
+/// passes the keep witness, any other equals the reference entry for
+/// entry. Returns whether it was a keep.
+fn check(state: &SimState, plan: &Plan, expected: &[Entry], at: &str) -> bool {
+    let got = entries_of(plan);
+    if got != expected && keep_shaped(state, plan) {
+        assert_keep(state, plan, at);
+        return true;
+    }
+    assert_eq!(got, expected, "{at}");
+    false
 }
 
 /// Drives a run with a persistent scheduler of `family`, checking it
@@ -522,16 +559,20 @@ impl Scheduler for Probe {
         let plan = self.inner.on_event(ev, state);
         if self.family.repacks_on(ev) {
             let at = format!("{:?} at t={} on {ev:?}", self.family, state.now);
-            let expected = Reference(self.family).on_event(ev, state);
-            let expected = entries_of(&expected);
+            let reference = Reference(self.family).on_event(ev, state);
+            let expected = entries_of(&reference);
             let fresh = self.family.build().on_event(ev, state);
-            assert_eq!(entries_of(&fresh), expected, "fresh instance, {at}");
+            if check(state, &fresh, &expected, &format!("fresh instance, {at}")) {
+                let full = runs_all_at_full_yield(state, &reference);
+                self.tally.keep.record(full);
+            }
             assert!(fresh.timers.is_empty());
             // The persistent instance may skip a repack that would
             // re-derive the allocation in force; what it does emit is
-            // the same plan (its memo replays included).
+            // the fresh instance's plan (its memo replays included).
             if !plan.entries.is_empty() {
-                assert_eq!(entries_of(&plan), expected, "persistent instance, {at}");
+                let (got, want) = (entries_of(&plan), entries_of(&fresh));
+                assert_eq!(got, want, "persistent instance, {at}");
                 self.tally.persistent += 1;
             }
             self.tally.decisions += 1;
@@ -547,7 +588,7 @@ impl Scheduler for Probe {
     }
 }
 
-fn run(family: Family, nodes: u32, jobs: &[JobSpec], churn: Vec<NodeEvent>) -> Tally {
+fn run(family: Family, nodes: u32, jobs: &[JobSpec], churn: Vec<NodeEvent>, penalty: f64) -> Tally {
     let mut probe = Probe {
         family,
         inner: family.build(),
@@ -556,6 +597,7 @@ fn run(family: Family, nodes: u32, jobs: &[JobSpec], churn: Vec<NodeEvent>) -> T
     let cfg = SimConfig {
         validate: true,
         node_events: churn,
+        penalty,
         ..SimConfig::default()
     };
     let cluster = ClusterSpec::new(nodes, 4, 8.0).unwrap();
@@ -588,6 +630,28 @@ fn trace(n: u32, gpu: bool) -> Vec<JobSpec> {
         .collect()
 }
 
+/// Bursts of six 1–3-task jobs every 1 200 s: each burst drives yields
+/// below 1, and between bursts every job runs at yield 1 with nodes to
+/// spare, so keep decisions and searches alternate.
+fn bursty_trace(n: u32) -> Vec<JobSpec> {
+    (0..n)
+        .map(|i| {
+            let mem = [0.15, 0.3, 0.45][(i % 3) as usize];
+            let cpu = [0.9, 0.5, 0.7, 0.3][(i % 4) as usize];
+            let submit = (i / 6) as f64 * 1200.0 + (i % 6) as f64 * 3.0;
+            JobSpec::new(
+                JobId(i),
+                submit,
+                1 + i % 3,
+                cpu,
+                mem,
+                120.0 + (i % 5) as f64 * 40.0,
+            )
+            .unwrap()
+        })
+        .collect()
+}
+
 /// Nodes 1 and 4 fail and come back, overlapping, mid-trace.
 fn churn() -> Vec<NodeEvent> {
     let ev = |time, node, up| NodeEvent {
@@ -603,9 +667,10 @@ fn churn() -> Vec<NodeEvent> {
     ]
 }
 
-const FAMILIES: [Family; 4] = [
+const FAMILIES: [Family; 5] = [
     Family::DynMcb8,
     Family::DynMcb8Per,
+    Family::DynMcb8AsapPer,
     Family::Drf,
     Family::StretchPer,
 ];
@@ -613,7 +678,7 @@ const FAMILIES: [Family; 4] = [
 #[test]
 fn plans_equal_the_nested_pipeline_on_a_loaded_trace() {
     for family in FAMILIES {
-        let tally = run(family, 6, &trace(90, false), Vec::new());
+        let tally = run(family, 6, &trace(90, false), Vec::new(), 0.0);
         assert!(tally.decisions > 10, "{family:?}: {tally:?}");
         assert!(tally.evicting > 0, "{family:?}: {tally:?}");
         assert!(tally.below_full_speed > 0, "{family:?}: {tally:?}");
@@ -624,16 +689,53 @@ fn plans_equal_the_nested_pipeline_on_a_loaded_trace() {
 #[test]
 fn plans_equal_the_nested_pipeline_with_failures_and_repairs() {
     for family in FAMILIES {
-        let tally = run(family, 6, &trace(90, false), churn());
-        assert!(tally.with_node_down > 2, "{family:?}: {tally:?}");
+        for penalty in [0.0, 300.0] {
+            let tally = run(family, 6, &trace(90, false), churn(), penalty);
+            assert!(tally.with_node_down > 2, "{family:?}: {tally:?}");
+        }
     }
 }
 
 #[test]
 fn plans_equal_the_nested_pipeline_with_gpu_jobs() {
     for family in FAMILIES {
-        let tally = run(family, 6, &trace(90, true), churn());
+        let tally = run(family, 6, &trace(90, true), churn(), 0.0);
         assert!(tally.below_full_speed > 0, "{family:?}: {tally:?}");
+    }
+}
+
+/// Node 0 is down across the second burst of [`bursty_trace`]: the
+/// jobs that arrive then find the cluster idle but its lowest node out
+/// of service.
+fn outage_at_second_burst() -> Vec<NodeEvent> {
+    let ev = |time, up| NodeEvent {
+        time,
+        node: NodeId(0),
+        up,
+    };
+    vec![ev(1100.0, false), ev(1300.0, true)]
+}
+
+/// Keep fires between bursts, with and without churn and the paper's
+/// rescheduling penalty, under every trigger of the max-min yield
+/// objective; the other objectives never keep. Every keep decision
+/// passes the witness, and every other decision equals the reference.
+#[test]
+fn keep_decisions_pass_the_witness() {
+    for family in FAMILIES {
+        let yield_objective = !matches!(family, Family::Drf | Family::StretchPer);
+        for penalty in [0.0, 300.0] {
+            for churn in [Vec::new(), churn(), outage_at_second_burst()] {
+                let tally = run(family, 6, &bursty_trace(72), churn, penalty);
+                eprintln!("{family:?}, penalty {penalty}: {tally:?}");
+                if yield_objective {
+                    assert!(tally.keep.total() > 0, "{family:?}: {tally:?}");
+                    assert!(tally.decisions > tally.keep.total(), "{tally:?}");
+                } else {
+                    assert_eq!(tally.keep, KeepTally::default(), "{family:?}");
+                }
+            }
+        }
     }
 }
 
@@ -662,39 +764,101 @@ impl Scheduler for Recorder {
     }
 }
 
+/// The keep rule as its definition states it: every running job at
+/// yield 1, and the waiting jobs' tasks at most the idle in-service
+/// nodes (found by a scan of every node). Then every waiting job,
+/// ascending id, runs at yield 1 with one task on each next idle node.
+fn reference_keep(state: &SimState) -> Option<Plan> {
+    if state.running_jobs().any(|j| j.yld != 1.0) {
+        return None;
+    }
+    let cluster = &state.cluster;
+    let idle: Vec<NodeId> = (0..cluster.nodes().len() as u32)
+        .map(NodeId)
+        .filter(|&n| cluster.is_up(n) && cluster.nodes()[n.index()].is_idle())
+        .collect();
+    let waiting: Vec<(JobId, usize)> = state
+        .jobs_in_system()
+        .filter(|j| j.status != JobStatus::Running)
+        .map(|j| (j.spec.id, j.spec.tasks as usize))
+        .collect();
+    if waiting.iter().map(|w| w.1).sum::<usize>() > idle.len() {
+        return None;
+    }
+    let mut free = idle.into_iter();
+    let mut plan = Plan::noop();
+    for (id, tasks) in waiting {
+        plan = plan.run(id, free.by_ref().take(tasks).collect(), 1.0);
+    }
+    Some(plan)
+}
+
+/// A reference inner of the sharded lockstep: [`reference_keep`], else
+/// the nested pipeline. Tallies its keep decisions against what the
+/// pipeline would have decided.
+struct KeepOrReference(Arc<Mutex<KeepTally>>);
+
+impl Scheduler for KeepOrReference {
+    fn name(&self) -> String {
+        "reference keep, then the nested DynMCB8".into()
+    }
+    fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
+        let nested = Reference(Family::DynMcb8).on_event(ev, state);
+        if !Family::DynMcb8.repacks_on(ev) {
+            return nested;
+        }
+        match reference_keep(state) {
+            Some(plan) => {
+                let full = runs_all_at_full_yield(state, &nested);
+                self.0.lock().unwrap().record(full);
+                plan
+            }
+            None => nested,
+        }
+    }
+}
+
 #[test]
 fn sharded_plans_equal_the_coordinator_over_nested_inners() {
+    let tally = Arc::new(Mutex::new(KeepTally::default()));
     for (jobs, churn) in [(trace(120, false), Vec::new()), (trace(120, true), churn())] {
-        let real = SchedulerRegistry::builtin()
-            .build_str("sharded:dynmcb8:shards=4")
-            .unwrap();
-        let inners = (0..4).map(|_| Box::new(Reference(Family::DynMcb8)) as Box<dyn Scheduler>);
-        let nested = Box::new(Sharded::new(inners.collect()));
-        let mut logs = Vec::new();
-        for inner in [real, nested] {
-            let mut recorder = Recorder {
-                inner,
-                log: Vec::new(),
-            };
-            let cfg = SimConfig {
-                validate: true,
-                node_events: churn.clone(),
-                ..SimConfig::default()
-            };
-            // Four shards of three nodes: 4-task jobs are wide and go
-            // through the coordinator's own placement.
-            let cluster = ClusterSpec::new(12, 4, 8.0).unwrap();
-            let out = simulate(cluster, &jobs, &mut recorder, &cfg);
-            assert_eq!(out.records.len(), jobs.len());
-            logs.push(recorder.log);
+        for penalty in [0.0, 300.0] {
+            let real = SchedulerRegistry::builtin()
+                .build_str("sharded:dynmcb8:shards=4")
+                .unwrap();
+            let inners =
+                (0..4).map(|_| Box::new(KeepOrReference(tally.clone())) as Box<dyn Scheduler>);
+            let nested = Box::new(Sharded::new(inners.collect()));
+            let mut logs = Vec::new();
+            for inner in [real, nested] {
+                let mut recorder = Recorder {
+                    inner,
+                    log: Vec::new(),
+                };
+                let cfg = SimConfig {
+                    validate: true,
+                    node_events: churn.clone(),
+                    penalty,
+                    ..SimConfig::default()
+                };
+                // Four shards of three nodes: 4-task jobs are wide and go
+                // through the coordinator's own placement.
+                let cluster = ClusterSpec::new(12, 4, 8.0).unwrap();
+                let out = simulate(cluster, &jobs, &mut recorder, &cfg);
+                assert_eq!(out.records.len(), jobs.len());
+                logs.push(recorder.log);
+            }
+            let (nested, real) = (logs.pop().unwrap(), logs.pop().unwrap());
+            assert_eq!(real.len(), nested.len());
+            let mut moving = 0;
+            for (r, n) in real.iter().zip(&nested) {
+                assert_eq!(r, n);
+                moving += r.1.iter().any(|e| matches!(e, Entry::Run(..))) as u32;
+            }
+            assert!(moving > 50, "{moving} decisions ran a job");
         }
-        let (nested, real) = (logs.pop().unwrap(), logs.pop().unwrap());
-        assert_eq!(real.len(), nested.len());
-        let mut moving = 0;
-        for (r, n) in real.iter().zip(&nested) {
-            assert_eq!(r, n);
-            moving += r.1.iter().any(|e| matches!(e, Entry::Run(..))) as u32;
-        }
-        assert!(moving > 50, "{moving} decisions ran a job");
     }
+    let tally = *tally.lock().unwrap();
+    eprintln!("sharded keep decisions: {tally:?}");
+    assert!(tally.total() > 0, "{tally:?}");
 }

@@ -129,8 +129,11 @@ fn smoke_and_resume_transcripts_match_golden() {
 fn a_parent_format_snapshot_resumes_byte_identically() {
     // `smoke-v1-parent.snapshot.json` is the smoke script's snapshot as
     // written while `dfrs-snapshot-v1` still carried the per-node
-    // `cluster.node_epoch` array. Today's reader ignores that field, so
-    // the resume half replays the pinned transcript unchanged.
+    // `cluster.node_epoch` array. Today's reader ignores that field.
+    // The document's quiescent state is no longer the one the smoke
+    // script reaches: it was written while a repack still migrated job
+    // 0 at t = 600 (`now` 1200; today 900), so its replay has its own
+    // pinned transcript.
     let snapshot = golden("smoke-v1-parent.snapshot.json");
     let doc = std::fs::read_to_string(&snapshot).expect("parent snapshot");
     assert!(
@@ -139,8 +142,7 @@ fn a_parent_format_snapshot_resumes_byte_identically() {
     );
     let commands = std::fs::read_to_string(golden("resume.commands")).expect("resume.commands");
     let transcript = run(&["--restore", snapshot.to_str().unwrap()], &commands);
-    let pinned = std::fs::read_to_string(golden("resume.transcript")).expect("resume.transcript");
-    assert_eq!(transcript, pinned);
+    check_or_regen("resume-parent.transcript", &transcript);
 }
 
 /// Where the journal smoke scripts keep their write-ahead log and

@@ -198,3 +198,33 @@ fn sharded_survives_churn_with_validation() {
         assert!(r.stretch >= 1.0);
     }
 }
+
+/// The host-independent count guard of keep-what-fits on a
+/// `huge-sharded`-shaped input: 10 240 nodes under eight shards and
+/// 3 000 single-task jobs, about 500 of them live at once (~1 s gaps,
+/// 300–700 s runtimes), so every job always fits at yield 1. Every
+/// repack then keeps what still fits: no search, no migration.
+#[test]
+fn keep_what_fits_runs_no_search_on_a_huge_cluster() {
+    let mut rng = SmallRng::seed_from_u64(1);
+    let mut t = 0.0;
+    let jobs: Vec<JobSpec> = (0..3_000u32)
+        .map(|i| {
+            t += rng.gen_range(0.6..1.4);
+            let cpu = rng.gen_range(0.1..1.0);
+            let mem = rng.gen_range(0.05..0.9);
+            let runtime = rng.gen_range(300.0..700.0);
+            JobSpec::new(JobId(i), t, 1, cpu, mem, runtime).expect("valid job")
+        })
+        .collect();
+    let mut scheduler = SchedulerRegistry::builtin()
+        .build_str("sharded:dynmcb8:shards=8")
+        .unwrap();
+    let cluster = ClusterSpec::new(10_240, 4, 8.0).expect("valid cluster");
+    let out = simulate(cluster, &jobs, scheduler.as_mut(), &SimConfig::default());
+    assert_eq!(out.records.len(), jobs.len());
+    let repack = out.repack.expect("a packing inner");
+    assert_eq!(repack.searches, 0, "{repack:?}");
+    assert_eq!(out.migration_count, 0);
+    assert!(out.max_stretch < 1.0 + 1e-9, "{}", out.max_stretch);
+}
