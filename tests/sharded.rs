@@ -11,12 +11,16 @@
 //! 3. Sharded runs complete every job under full invariant validation,
 //!    across churn — the coordinator's view bookkeeping, net-diff plan
 //!    emission, and queue rebalancing never wedge the engine.
+//! 4. At shards 2 and 4 the output is pinned byte for byte: a checksum
+//!    of every fingerprint in a fixed matrix (inners, failure policies,
+//!    penalties, live migration) is committed in
+//!    `tests/golden/sharded_pins.txt`.
 //!
 //! Floats are compared through `to_bits`: bit-for-bit claims.
 
 use dfrs::core::{ClusterSpec, JobId, JobSpec, NodeId};
 use dfrs::sched::SchedulerRegistry;
-use dfrs::sim::{simulate, NodeEvent, SimConfig, SimOutcome};
+use dfrs::sim::{simulate, FailurePolicy, MigrationMode, NodeEvent, SimConfig, SimOutcome};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -75,14 +79,25 @@ fn churn(seed: u64, pairs: usize) -> Vec<NodeEvent> {
 }
 
 fn run(spec: &str, jobs: &[JobSpec], events: &[NodeEvent]) -> SimOutcome {
+    run_cfg(
+        spec,
+        jobs,
+        SimConfig {
+            node_events: events.to_vec(),
+            ..SimConfig::default()
+        },
+    )
+}
+
+/// [`run`] under `cfg`, with validation and the timeline switched on.
+fn run_cfg(spec: &str, jobs: &[JobSpec], cfg: SimConfig) -> SimOutcome {
     let mut scheduler = SchedulerRegistry::builtin()
         .build_str(spec)
         .unwrap_or_else(|e| panic!("spec {spec:?}: {e}"));
     let cfg = SimConfig {
         validate: true,
         record_timeline: true,
-        node_events: events.to_vec(),
-        ..SimConfig::default()
+        ..cfg
     };
     simulate(cluster(), jobs, scheduler.as_mut(), &cfg)
 }
@@ -110,6 +125,88 @@ fn fingerprint(o: &SimOutcome) -> String {
     ));
     s.push_str(&format!("{:?}\n", o.timeline));
     s
+}
+
+/// FNV-1a over a fingerprint: a short, stable checksum to commit.
+fn checksum(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// The pinned sharded matrix, one line per run: every inner at shards
+/// 2 and 4, under churn with both failure policies, at penalty 0 and
+/// 300, plus one live-migration run. `dynmcb8-drf` runs GPU jobs.
+fn pin_lines() -> String {
+    const PINNED: &[&str] = &[
+        "dynmcb8",
+        "dynmcb8-per:t=300",
+        "dynmcb8-asap-per:t=600",
+        "greedy-pmtn-migr",
+        "dynmcb8-drf",
+    ];
+    let mut out = String::new();
+    let mut pin = |spec: &str, gpu: bool, cfg: SimConfig, label: &str| {
+        let jobs = workload(5, 30, gpu);
+        let cfg = SimConfig {
+            node_events: churn(5, 3),
+            ..cfg
+        };
+        let o = run_cfg(spec, &jobs, cfg);
+        assert_eq!(
+            o.records.len(),
+            jobs.len(),
+            "{spec} {label}: all jobs complete"
+        );
+        out.push_str(&format!(
+            "{spec} {label} {:016x}\n",
+            checksum(&fingerprint(&o))
+        ));
+    };
+    for inner in PINNED {
+        for shards in [2, 4] {
+            let spec = format!("sharded:{inner}:shards={shards}");
+            for (policy, name) in [
+                (FailurePolicy::Restart, "restart"),
+                (FailurePolicy::PausePreserve, "preserve"),
+            ] {
+                for penalty in [0.0, 300.0] {
+                    let cfg = SimConfig {
+                        penalty,
+                        failure_policy: policy,
+                        ..SimConfig::default()
+                    };
+                    let label = format!("{name} penalty={penalty}");
+                    pin(&spec, *inner == "dynmcb8-drf", cfg, &label);
+                }
+            }
+        }
+    }
+    let cfg = SimConfig {
+        penalty: 300.0,
+        migration_mode: MigrationMode::Live { freeze_secs: 5.0 },
+        ..SimConfig::default()
+    };
+    pin("sharded:dynmcb8:shards=4", false, cfg, "restart live=5");
+    out
+}
+
+/// Sharded output at shards ≥ 2 is pinned byte for byte, not only by
+/// replay stability: the checksums of [`pin_lines`] must equal the
+/// committed file. `DFRS_GOLDEN_REGEN=1` rewrites it.
+#[test]
+fn sharded_fingerprints_match_the_pin_file() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/sharded_pins.txt");
+    let got = pin_lines();
+    if std::env::var_os("DFRS_GOLDEN_REGEN").is_some() {
+        std::fs::write(path, &got).expect("write the pin file");
+        return;
+    }
+    let want = std::fs::read_to_string(path).expect("read the pin file");
+    for (g, w) in got.lines().zip(want.lines()) {
+        assert_eq!(g, w, "sharded pin moved");
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "pin line count");
 }
 
 proptest! {
