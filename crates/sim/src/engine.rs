@@ -58,9 +58,9 @@ use dfrs_core::{ClusterSpec, JobSpec};
 use crate::error::SimError;
 use crate::event::{EventKind, EventQueue};
 use crate::outcome::{make_record, DecisionSample, SimOutcome};
-use crate::plan::{Plan, PlanEntry, SchedEvent, Scheduler};
+use crate::plan::{Plan, SchedEvent, Scheduler};
 use crate::source::{RecordSink, SliceSource, SubmissionSource};
-use crate::state::{JobState, JobStatus, SimState};
+use crate::state::{Applied, JobStatus, RunAction, RunKind, SimState};
 use crate::validate;
 
 /// Virtual-time slack below which a job counts as finished (absorbs the
@@ -201,11 +201,8 @@ pub(crate) struct EngineCore {
     pub(crate) peak_resident: usize,
     pub(crate) decisions: Vec<DecisionSample>,
     pub(crate) timeline: crate::timeline::Timeline,
-    // Reused per-event scratch (never observable in results).
-    actions: Vec<RunAction>,
-    pauses: Vec<JobId>,
-    moved_a: Vec<NodeId>,
-    moved_b: Vec<NodeId>,
+    /// Reused per-plan scratch (never observable in results).
+    applied: Applied,
     /// Running-index entries handed to the per-event scans (the visit
     /// guard in `tests`).
     #[cfg(test)]
@@ -295,10 +292,7 @@ impl EngineCore {
             peak_resident: 0,
             decisions: Vec::new(),
             timeline: crate::timeline::Timeline::default(),
-            actions: Vec::new(),
-            pauses: Vec::new(),
-            moved_a: Vec::new(),
-            moved_b: Vec::new(),
+            applied: Applied::default(),
             #[cfg(test)]
             running_visits: Default::default(),
         }
@@ -459,12 +453,7 @@ impl EngineCore {
         scheduler: &mut dyn Scheduler,
         config: &SimConfig,
     ) -> JobId {
-        let id = spec.id;
-        let mut js = JobState::new(spec);
-        js.status = JobStatus::Pending;
-        self.state.jobs.push(js);
-        self.state
-            .index_transition(id, JobStatus::Unsubmitted, JobStatus::Pending);
+        let id = self.state.admit(spec);
         self.peak_live = self.peak_live.max(self.state.live.len());
         self.peak_resident = self.peak_resident.max(self.state.jobs.resident());
         self.round(scheduler, SchedEvent::Submit(id), config);
@@ -638,102 +627,35 @@ impl EngineCore {
         due
     }
 
-    /// Take every task of `id` off the cluster; `yld` is the yield the
-    /// tasks were allocated at.
-    fn vacate(&mut self, id: JobId, yld: f64) {
-        let spec = self.state.jobs[id.index()].spec;
-        for k in 0..spec.tasks as usize {
-            let node = self.state.placement_raw(id)[k];
-            self.state
-                .cluster
-                .remove_task(node, spec.cpu_need, spec.mem_req, spec.gpu_need, yld);
-        }
-    }
-
-    /// Put every task of `id` on `placement` at yield `yld`.
-    fn place(&mut self, id: JobId, placement: &[NodeId], yld: f64) {
-        let spec = self.state.jobs[id.index()].spec;
-        for &n in placement {
-            self.state
-                .cluster
-                .add_task(n, spec.cpu_need, spec.mem_req, spec.gpu_need, yld);
-        }
-        self.state.placement_slot(id).copy_from_slice(placement);
-        self.state.jobs[id.index()].yld = yld;
-    }
-
-    /// Change the yield of `id`'s tasks in place, from `old` to `new`.
-    fn retarget(&mut self, id: JobId, old: f64, new: f64) {
-        let spec = self.state.jobs[id.index()].spec;
-        for k in 0..spec.tasks as usize {
-            let node = self.state.placement_raw(id)[k];
-            self.state
-                .cluster
-                .retarget_task(node, spec.cpu_need, spec.gpu_need, old, new);
-        }
-        self.state.jobs[id.index()].yld = new;
-    }
-
     fn finish_job(&mut self, id: JobId, config: &SimConfig) {
-        let now = self.state.now;
         debug_assert_eq!(self.state.jobs[id.index()].status, JobStatus::Running);
-        self.vacate(id, self.state.jobs[id.index()].yld);
-        let j = &mut self.state.jobs[id.index()];
-        j.status = JobStatus::Completed;
-        j.completion = Some(now);
-        j.yld = 0.0;
-        self.state
-            .index_transition(id, JobStatus::Running, JobStatus::Completed);
+        self.state.retire(id);
         self.completed += 1;
         if config.record_timeline {
             self.timeline
-                .push(now, id, crate::timeline::AllocEvent::Complete);
+                .push(self.state.now, id, crate::timeline::AllocEvent::Complete);
         }
     }
 
-    /// Take `node` out of service: every running job with a task there
-    /// is struck (all its tasks leave the cluster, healthy-node ones
-    /// included — a parallel job that loses one task loses its
-    /// synchronized state) under the configured [`FailurePolicy`], then
-    /// the node is marked down. The scheduler is notified *after* this
-    /// bookkeeping, mirroring how completions are delivered.
+    /// Take `node` out of service: [`SimState::strike`] evicts every
+    /// running job with a task there under the configured
+    /// [`FailurePolicy`], then the node is marked down. The scheduler
+    /// is notified *after* this bookkeeping, mirroring how completions
+    /// are delivered. A restart crosses no storage — the state died
+    /// with the node — and its progress counts as lost work.
     fn fail_node(&mut self, node: NodeId, config: &SimConfig) {
-        // Victims in ascending id order (the running index's order).
-        let mut victims: Vec<JobId> = Vec::new();
-        for &i in self.state.running_ids() {
-            let id = JobId(i);
-            if self.state.placement_raw(id).contains(&node) {
-                victims.push(id);
+        let preserve = config.failure_policy == FailurePolicy::PausePreserve;
+        for (id, vt) in self.state.strike(node, |_| preserve) {
+            if preserve {
+                self.count_pause(id, config);
+                continue;
             }
-        }
-        for id in victims {
-            match config.failure_policy {
-                FailurePolicy::Restart => self.kill_job(id, config),
-                FailurePolicy::PausePreserve => self.do_pause(id, config),
+            self.lost_vt += vt;
+            self.restart_count += 1;
+            if config.record_timeline {
+                self.timeline
+                    .push(self.state.now, id, crate::timeline::AllocEvent::Kill);
             }
-        }
-        self.state.cluster.set_node_up(node, false);
-    }
-
-    /// [`FailurePolicy::Restart`]: evict every task of `id` and resubmit
-    /// the job with its progress discarded. Unlike a pause, nothing
-    /// crosses storage — the state died with the node.
-    fn kill_job(&mut self, id: JobId, config: &SimConfig) {
-        debug_assert_eq!(self.state.jobs[id.index()].status, JobStatus::Running);
-        self.vacate(id, self.state.jobs[id.index()].yld);
-        let j = &mut self.state.jobs[id.index()];
-        self.lost_vt += j.virtual_time;
-        j.virtual_time = 0.0;
-        j.yld = 0.0;
-        j.penalty_until = 0.0;
-        j.status = JobStatus::Pending;
-        j.restarts += 1;
-        self.restart_count += 1;
-        self.state
-            .index_transition(id, JobStatus::Running, JobStatus::Pending);
-        if config.record_timeline {
-            self.timeline
-                .push(self.state.now, id, crate::timeline::AllocEvent::Kill);
         }
     }
 
@@ -748,25 +670,15 @@ impl EngineCore {
         let Some(j) = self.state.jobs.get(id.index()) else {
             return Err(SimError::UnknownJob { job: id });
         };
-        let status = j.status;
-        let was_running = status == JobStatus::Running;
-        match status {
-            JobStatus::Running => self.vacate(id, j.yld),
-            JobStatus::Pending | JobStatus::Paused => {}
-            st => {
-                return Err(SimError::NotCancelable {
-                    job: id,
-                    status: st,
-                })
-            }
+        if !j.in_system() {
+            return Err(SimError::NotCancelable {
+                job: id,
+                status: j.status,
+            });
         }
-        let j = &mut self.state.jobs[id.index()];
+        let was_running = j.status == JobStatus::Running;
         self.lost_vt += j.virtual_time;
-        j.status = JobStatus::Completed;
-        j.completion = Some(self.state.now);
-        j.yld = 0.0;
-        self.state
-            .index_transition(id, status, JobStatus::Completed);
+        self.state.retire(id);
         self.completed += 1;
         if config.record_timeline {
             self.timeline.push(
@@ -801,112 +713,32 @@ impl EngineCore {
         self.apply_plan(plan, config);
     }
 
-    /// Apply a plan in two phases — all removals (pauses, migration
-    /// departures) strictly before all additions — so that plans which
-    /// permute jobs across nodes never trip capacity checks on transient
-    /// intermediate states. Placements are read from the plan entries in
-    /// place and copied into the per-job slots; nothing is cloned.
+    /// Apply a plan through [`SimState::apply_plan`], then book what it
+    /// did — preemption and migration counts and traffic, penalty
+    /// windows, timeline entries, timers — in the order the transitions
+    /// ran: pauses, the yield decreases of phase 1, then phase 2.
     pub(crate) fn apply_plan(&mut self, plan: Plan, config: &SimConfig) {
         if config.validate {
             if let Err(e) = validate::check_plan(&self.state, &plan) {
                 panic!("invalid plan at t={}: {e}", self.state.now);
             }
         }
-
-        // Classify run entries against the *pre-plan* state.
-        let mut actions = std::mem::take(&mut self.actions);
-        let mut pauses = std::mem::take(&mut self.pauses);
-        actions.clear();
-        pauses.clear();
-        for (idx, e) in plan.entries.iter().enumerate() {
-            match e {
-                PlanEntry::Pause { job } => pauses.push(*job),
-                PlanEntry::Run { job, yld, .. } => {
-                    let placement = plan.placement(e);
-                    let js = &self.state.jobs[job.index()];
-                    assert_eq!(
-                        placement.len(),
-                        js.spec.tasks as usize,
-                        "plan places {} tasks for {job} ({} expected)",
-                        placement.len(),
-                        js.spec.tasks
-                    );
-                    assert!(
-                        *yld > 0.0 && *yld <= 1.0 + approx::EPS,
-                        "plan sets invalid yield {yld} for {job}"
-                    );
-                    let kind = match js.status {
-                        JobStatus::Pending => RunKind::Start,
-                        JobStatus::Paused => RunKind::Resume,
-                        JobStatus::Running => {
-                            let moved = moved_tasks(
-                                self.state.placement_raw(*job),
-                                placement,
-                                &mut self.moved_a,
-                                &mut self.moved_b,
-                            );
-                            if moved == 0 {
-                                RunKind::Adjust
-                            } else {
-                                RunKind::Migrate { moved }
-                            }
-                        }
-                        st => panic!("plan runs job {job} in status {st:?}"),
-                    };
-                    actions.push(RunAction {
-                        entry: idx as u32,
-                        job: *job,
-                        yld: yld.min(1.0),
-                        kind,
-                        old_yld: js.yld,
-                    });
-                }
+        let mut applied = std::mem::take(&mut self.applied);
+        self.state.apply_plan(&plan, &mut applied);
+        for &job in &applied.pauses {
+            self.count_pause(job, config);
+        }
+        if config.record_timeline {
+            for a in applied.actions.iter().filter(|a| a.lowers()) {
+                let ev = crate::timeline::AllocEvent::Adjust { yld: a.yld };
+                self.timeline.push(self.state.now, a.job, ev);
             }
         }
-        debug_assert!(
-            {
-                let mut seen = std::collections::HashSet::new();
-                actions.iter().all(|a| seen.insert(a.job)) && pauses.iter().all(|p| seen.insert(*p))
-            },
-            "plan mentions a job twice (pause+run or duplicate run)"
-        );
-
-        // Phase 1: removals — pauses, migration departures, and yield
-        // *decreases*. Doing every release before any addition keeps the
-        // per-node capacity monotone below its final value, so transient
-        // states never overshoot even when a plan permutes jobs.
-        for &job in &pauses {
-            self.do_pause(job, config);
-        }
-        for a in &actions {
-            match a.kind {
-                RunKind::Migrate { .. } => self.vacate(a.job, a.old_yld),
-                RunKind::Adjust if a.yld < a.old_yld => {
-                    // Applied here in phase 1 (a release); recorded here
-                    // too — phase 2 skips this action entirely.
-                    if config.record_timeline {
-                        self.timeline.push(
-                            self.state.now,
-                            a.job,
-                            crate::timeline::AllocEvent::Adjust { yld: a.yld },
-                        );
-                    }
-                    self.retarget(a.job, a.old_yld, a.yld);
-                }
-                _ => {}
-            }
-        }
-
-        // Phase 2: additions and upward adjustments.
-        for a in &actions {
-            if matches!(a.kind, RunKind::Adjust) && a.yld < a.old_yld {
-                continue; // already applied in phase 1
-            }
+        for a in applied.actions.iter().filter(|a| !a.lowers()) {
             let placement = plan.placement(&plan.entries[a.entry as usize]);
-            self.do_run(a, placement, config);
+            self.count_run(a, placement, config);
         }
-        self.actions = actions;
-        self.pauses = pauses;
+        self.applied = applied;
 
         for (job, at) in plan.timers {
             assert!(
@@ -924,30 +756,20 @@ impl EngineCore {
         }
     }
 
-    fn do_pause(&mut self, id: JobId, config: &SimConfig) {
-        let j = &self.state.jobs[id.index()];
-        assert_eq!(
-            j.status,
-            JobStatus::Running,
-            "plan pauses non-running job {id}"
-        );
-        let (yld, tasks, mem) = (j.yld, j.spec.tasks, j.spec.mem_req);
-        self.vacate(id, yld);
-        let j = &mut self.state.jobs[id.index()];
-        j.status = JobStatus::Paused;
-        j.yld = 0.0;
-        j.preemptions += 1;
-        self.state
-            .index_transition(id, JobStatus::Running, JobStatus::Paused);
+    /// Book a pause: one preemption, its memory written to storage.
+    fn count_pause(&mut self, id: JobId, config: &SimConfig) {
+        let spec = self.state.jobs[id.index()].spec;
         self.pmtn_count += 1;
-        self.pmtn_gb += tasks as f64 * self.state.cluster.spec.task_move_gb(mem);
+        self.pmtn_gb += spec.tasks as f64 * self.state.cluster.spec.task_move_gb(spec.mem_req);
         if config.record_timeline {
             self.timeline
                 .push(self.state.now, id, crate::timeline::AllocEvent::Pause);
         }
     }
 
-    fn do_run(&mut self, a: &RunAction, placement: &[NodeId], config: &SimConfig) {
+    /// Book a phase-2 run: its timeline entry, and for a resume or a
+    /// migration the traffic and the penalty window.
+    fn count_run(&mut self, a: &RunAction, placement: &[NodeId], config: &SimConfig) {
         let now = self.state.now;
         let spec = self.state.jobs[a.job.index()].spec;
         if config.record_timeline {
@@ -976,37 +798,17 @@ impl EngineCore {
             }
         }
         match a.kind {
-            RunKind::Start => {
-                // First start: free (no VM state to move yet).
-                self.place(a.job, placement, a.yld);
-                let j = &mut self.state.jobs[a.job.index()];
-                j.status = JobStatus::Running;
-                j.first_start.get_or_insert(now);
-                self.state
-                    .index_transition(a.job, JobStatus::Pending, JobStatus::Running);
-                // Any outstanding backoff timer is now obsolete.
-                self.queue.cancel_timers(a.job);
-            }
+            // First start: free (no VM state to move yet), and any
+            // outstanding backoff timer is now obsolete.
+            RunKind::Start => self.queue.cancel_timers(a.job),
             RunKind::Resume => {
-                // Restore from storage, charge the penalty.
-                self.place(a.job, placement, a.yld);
+                // Restored from storage; the penalty applies.
                 self.pmtn_gb +=
                     spec.tasks as f64 * self.state.cluster.spec.task_move_gb(spec.mem_req);
-                let j = &mut self.state.jobs[a.job.index()];
-                j.status = JobStatus::Running;
-                j.penalty_until = now + config.penalty;
-                self.state
-                    .index_transition(a.job, JobStatus::Paused, JobStatus::Running);
+                self.state.jobs[a.job.index()].penalty_until = now + config.penalty;
             }
-            RunKind::Adjust => {
-                // Pure yield adjustment; placement is unchanged.
-                if (a.yld - a.old_yld).abs() > 0.0 {
-                    self.retarget(a.job, a.old_yld, a.yld);
-                }
-            }
+            RunKind::Adjust => {}
             RunKind::Migrate { moved } => {
-                // Old tasks were removed in phase 1.
-                self.place(a.job, placement, a.yld);
                 let gb_per_task = self.state.cluster.spec.task_move_gb(spec.mem_req);
                 let (gb, freeze) = match config.migration_mode {
                     MigrationMode::StopAndCopy => {
@@ -1020,9 +822,7 @@ impl EngineCore {
                 };
                 self.migr_gb += gb;
                 self.migr_count += 1;
-                let j = &mut self.state.jobs[a.job.index()];
-                j.migrations += 1;
-                j.penalty_until = now + freeze;
+                self.state.jobs[a.job.index()].penalty_until = now + freeze;
             }
         }
     }
@@ -1075,61 +875,6 @@ impl EngineCore {
     }
 }
 
-/// How a run entry affects its job, classified against pre-plan state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum RunKind {
-    Start,
-    Resume,
-    Adjust,
-    Migrate { moved: usize },
-}
-
-/// One classified run entry; the placement is read from the plan entry
-/// at index `entry` (no clone).
-#[derive(Debug, Clone, Copy)]
-struct RunAction {
-    entry: u32,
-    job: JobId,
-    yld: f64,
-    kind: RunKind,
-    old_yld: f64,
-}
-
-/// Number of tasks that change nodes between two placements (multiset
-/// difference; task identity within a job is interchangeable). `buf_a`
-/// and `buf_b` are caller-owned sort scratch; an unchanged placement
-/// (the common case under repacking) returns before touching them.
-fn moved_tasks(
-    old: &[NodeId],
-    new: &[NodeId],
-    buf_a: &mut Vec<NodeId>,
-    buf_b: &mut Vec<NodeId>,
-) -> usize {
-    debug_assert_eq!(old.len(), new.len());
-    if old == new {
-        return 0;
-    }
-    buf_a.clear();
-    buf_a.extend_from_slice(old);
-    buf_b.clear();
-    buf_b.extend_from_slice(new);
-    buf_a.sort_unstable();
-    buf_b.sort_unstable();
-    let (mut i, mut k, mut common) = (0usize, 0usize, 0usize);
-    while i < buf_a.len() && k < buf_b.len() {
-        match buf_a[i].cmp(&buf_b[k]) {
-            std::cmp::Ordering::Equal => {
-                common += 1;
-                i += 1;
-                k += 1;
-            }
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => k += 1,
-        }
-    }
-    old.len() - common
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1139,7 +884,7 @@ mod tests {
         let n = |v: &[u32]| v.iter().map(|&x| NodeId(x)).collect::<Vec<_>>();
         let mt = |a: &[u32], b: &[u32]| {
             let (mut ba, mut bb) = (Vec::new(), Vec::new());
-            moved_tasks(&n(a), &n(b), &mut ba, &mut bb)
+            crate::state::moved_tasks(&n(a), &n(b), &mut ba, &mut bb)
         };
         assert_eq!(mt(&[0, 1, 2], &[2, 1, 0]), 0, "permutation is no move");
         assert_eq!(mt(&[0, 1, 2], &[0, 1, 3]), 1);

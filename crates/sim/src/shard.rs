@@ -11,17 +11,20 @@
 //! The view is maintained **incrementally** by the coordinator from the
 //! only three sources of global mutation it witnesses:
 //!
-//! 1. plans its inner schedulers returned (mirrored via
-//!    [`ShardView::mirror_plan`] with the engine's own
-//!    classification: start/resume adds, migrate remove+add, pure
-//!    yield changes retarget — so per-node arithmetic replays the
-//!    engine's operations and stays within the same `EPS` tolerances);
+//! 1. plans its inner schedulers returned, applied by
+//!    [`ShardView::mirror_plan`] through the engine's own
+//!    [`SimState`] plan application — the same classification, the
+//!    same two phases, the same per-node operations;
 //! 2. engine lifecycle events (completion, node failure/repair),
-//!    mirrored before the inner scheduler is notified, matching the
-//!    engine's "state reflects the event's bookkeeping" contract;
+//!    applied through the same `SimState` transitions the engine ran,
+//!    before the inner scheduler is notified, matching the engine's
+//!    "state reflects the event's bookkeeping" contract;
 //! 3. the continuous virtual-time accrual of running jobs, copied from
 //!    the global state by [`ShardView::refresh`] before every
 //!    delivery (`O(running jobs in shard)`).
+//!
+//! The view keeps only the id and node translation, that refresh, and
+//! the window eviction; it has no transition code of its own.
 //!
 //! Job ids inside a view are **local and dense** (the
 //! [`JobStore`](crate::state::JobStore) window requires density);
@@ -36,8 +39,8 @@
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_core::ClusterSpec;
 
-use crate::plan::{Plan, PlanEntry};
-use crate::state::{JobState, JobStatus, SimState};
+use crate::plan::Plan;
+use crate::state::{Applied, JobState, JobStatus, SimState};
 
 /// Contiguous near-equal node partition: shard `i` of `shards` gets
 /// `nodes/shards` nodes plus one of the `nodes % shards` remainder
@@ -67,6 +70,8 @@ pub struct ShardView {
     /// `global_of[local]` = global job id (grows monotonically; local
     /// ids are never reused).
     global_of: Vec<u32>,
+    /// Reused plan-application scratch.
+    applied: Applied,
 }
 
 impl ShardView {
@@ -80,6 +85,7 @@ impl ShardView {
             lo,
             count,
             global_of: Vec::new(),
+            applied: Applied::default(),
         }
     }
 
@@ -152,13 +158,10 @@ impl ShardView {
         let local = JobId(self.state.jobs.len() as u32);
         let mut spec = global.spec;
         spec.id = local;
-        let mut js = JobState::new(spec);
-        js.status = JobStatus::Pending;
+        self.state.admit(spec);
+        let js = &mut self.state.jobs[local.index()];
         js.virtual_time = global.virtual_time;
         js.penalty_until = global.penalty_until;
-        self.state.jobs.push(js);
-        self.state
-            .index_transition(local, JobStatus::Unsubmitted, JobStatus::Pending);
         self.global_of.push(global.spec.id.0);
         local
     }
@@ -168,244 +171,61 @@ impl ShardView {
     /// state, e.g. a restored session). `placement` is global.
     pub fn adopt_running(&mut self, global: &JobState, placement: &[NodeId]) -> JobId {
         let local = self.admit(global);
-        let spec = self.state.jobs[local.index()].spec;
-        for &n in placement {
-            let ln = self.local_node(n);
-            self.state
-                .cluster
-                .add_task(ln, spec.cpu_need, spec.mem_req, spec.gpu_need, global.yld);
-        }
-        for (slot, &n) in self.state.placement_slot(local).iter_mut().zip(placement) {
-            *slot = NodeId(n.0 - self.lo);
-        }
-        let js = &mut self.state.jobs[local.index()];
-        js.status = JobStatus::Running;
-        js.yld = global.yld;
-        js.first_start = global.first_start;
-        self.state
-            .index_transition(local, JobStatus::Pending, JobStatus::Running);
+        let placement: Vec<NodeId> = placement.iter().map(|&n| self.local_node(n)).collect();
+        self.state.start(local, &placement, global.yld);
+        self.state.jobs[local.index()].first_start = global.first_start;
         local
     }
 
     /// Remove a waiting job from this shard's jurisdiction (it is being
     /// rebalanced elsewhere). The job must be `Pending` or `Paused`
-    /// (it holds no tasks); it is marked `Completed` locally so the
-    /// window can evict it.
+    /// (it holds no tasks); it is retired locally so the window can
+    /// evict it.
     pub fn withdraw(&mut self, local: JobId) {
-        let js = &mut self.state.jobs[local.index()];
+        let status = self.state.jobs[local.index()].status;
         debug_assert!(
-            matches!(js.status, JobStatus::Pending | JobStatus::Paused),
-            "withdrawing {local} in status {:?}",
-            js.status
+            matches!(status, JobStatus::Pending | JobStatus::Paused),
+            "withdrawing {local} in status {status:?}"
         );
-        js.status = JobStatus::Completed;
-        match self.state.live.binary_search(&local.0) {
-            Ok(pos) => {
-                self.state.live.remove(pos);
-            }
-            Err(_) => debug_assert!(false, "withdrawn {local} not in live index"),
-        }
-        self.state.epoch += 1;
+        self.state.retire(local);
         self.evict_completed();
     }
 
     /// Mirror a completion the engine just finalized: free the tasks,
     /// retire the job locally.
     pub fn mirror_complete(&mut self, local: JobId) {
-        let js = &self.state.jobs[local.index()];
-        debug_assert_eq!(js.status, JobStatus::Running, "completing {local}");
-        let (need, mem, gpu, yld, tasks) = (
-            js.spec.cpu_need,
-            js.spec.mem_req,
-            js.spec.gpu_need,
-            js.yld,
-            js.spec.tasks,
-        );
-        for k in 0..tasks as usize {
-            let node = self.state.placement_raw(local)[k];
-            self.state.cluster.remove_task(node, need, mem, gpu, yld);
-        }
-        let js = &mut self.state.jobs[local.index()];
-        js.status = JobStatus::Completed;
-        js.completion = Some(self.state.now);
-        js.yld = 0.0;
-        self.state
-            .index_transition(local, JobStatus::Running, JobStatus::Completed);
+        debug_assert_eq!(self.state.jobs[local.index()].status, JobStatus::Running);
+        self.state.retire(local);
         self.evict_completed();
     }
 
     /// Mirror a node availability transition. For a failure the
-    /// engine has already struck every resident job globally (victims
-    /// are `Pending` or `Paused` per the failure policy); the same
-    /// eviction replays here, with each victim's post-event status
-    /// copied from `global`.
+    /// engine has already struck every resident job globally; the same
+    /// strike runs here, each victim paused or restarted as it was
+    /// globally, with its virtual time and penalty window copied from
+    /// `global`.
     pub fn mirror_node_event(&mut self, local_node: NodeId, up: bool, global: &SimState) {
-        if !up {
-            let mut victims: Vec<JobId> = Vec::new();
-            for &i in self.state.running.iter() {
-                let id = JobId(i);
-                if self.state.placement_raw(id).contains(&local_node) {
-                    victims.push(id);
-                }
-            }
-            for local in victims {
-                let js = &self.state.jobs[local.index()];
-                let (need, mem, gpu, yld, tasks) = (
-                    js.spec.cpu_need,
-                    js.spec.mem_req,
-                    js.spec.gpu_need,
-                    js.yld,
-                    js.spec.tasks,
-                );
-                for k in 0..tasks as usize {
-                    let node = self.state.placement_raw(local)[k];
-                    self.state.cluster.remove_task(node, need, mem, gpu, yld);
-                }
-                let g = &global.jobs[self.global_of[local.index()] as usize];
-                debug_assert!(
-                    matches!(g.status, JobStatus::Pending | JobStatus::Paused),
-                    "victim {local} globally {:?}",
-                    g.status
-                );
-                let js = &mut self.state.jobs[local.index()];
-                js.status = g.status;
-                js.virtual_time = g.virtual_time;
-                js.penalty_until = g.penalty_until;
-                js.yld = 0.0;
-                self.state
-                    .index_transition(local, JobStatus::Running, g.status);
-            }
+        if up {
+            self.state.cluster.set_node_up(local_node, true);
+            return;
         }
-        self.state.cluster.set_node_up(local_node, up);
+        let global_of = &self.global_of;
+        let global_job = |local: JobId| &global.jobs[global_of[local.index()] as usize];
+        let struck = self.state.strike(local_node, |j| {
+            global_job(j.spec.id).status == JobStatus::Paused
+        });
+        for (local, _) in struck {
+            let (g, js) = (global_job(local), &mut self.state.jobs[local.index()]);
+            js.virtual_time = g.virtual_time;
+            js.penalty_until = g.penalty_until;
+        }
     }
 
     /// Mirror a plan this shard's inner scheduler returned (local ids,
-    /// local nodes), replaying the engine's two-phase application:
-    /// all releases (pauses, migration departures, yield decreases)
-    /// before any addition, with the same per-case arithmetic
-    /// (start/resume add, same-placement yield change retarget) so the
+    /// local nodes) through the engine's own plan application, so the
     /// view's node loads track the global ones operation for operation.
     pub fn mirror_plan(&mut self, plan: &Plan) {
-        // Phase 1: releases.
-        for e in &plan.entries {
-            match e {
-                PlanEntry::Pause { job } => {
-                    let js = &self.state.jobs[job.index()];
-                    debug_assert_eq!(js.status, JobStatus::Running, "pausing {job}");
-                    let (need, mem, gpu, yld, tasks) = (
-                        js.spec.cpu_need,
-                        js.spec.mem_req,
-                        js.spec.gpu_need,
-                        js.yld,
-                        js.spec.tasks,
-                    );
-                    for k in 0..tasks as usize {
-                        let node = self.state.placement_raw(*job)[k];
-                        self.state.cluster.remove_task(node, need, mem, gpu, yld);
-                    }
-                    let js = &mut self.state.jobs[job.index()];
-                    js.status = JobStatus::Paused;
-                    js.yld = 0.0;
-                    js.preemptions += 1;
-                    self.state
-                        .index_transition(*job, JobStatus::Running, JobStatus::Paused);
-                }
-                PlanEntry::Run { job, yld, .. } => {
-                    let placement = plan.placement(e);
-                    let js = &self.state.jobs[job.index()];
-                    if js.status != JobStatus::Running {
-                        continue;
-                    }
-                    let (need, gpu, old_yld) = (js.spec.cpu_need, js.spec.gpu_need, js.yld);
-                    if placement == self.state.placement_raw(*job) {
-                        // Pure yield change; decreases release in
-                        // phase 1, increases wait for phase 2.
-                        if *yld < old_yld {
-                            for k in 0..placement.len() {
-                                let node = self.state.placement_raw(*job)[k];
-                                self.state
-                                    .cluster
-                                    .retarget_task(node, need, gpu, old_yld, *yld);
-                            }
-                            self.state.jobs[job.index()].yld = *yld;
-                        }
-                    } else {
-                        // Migration: vacate the old placement now.
-                        let (mem, tasks) = (js.spec.mem_req, js.spec.tasks);
-                        for k in 0..tasks as usize {
-                            let node = self.state.placement_raw(*job)[k];
-                            self.state
-                                .cluster
-                                .remove_task(node, need, mem, gpu, old_yld);
-                        }
-                    }
-                }
-            }
-        }
-        // Phase 2: additions and upward adjustments.
-        for e in &plan.entries {
-            let PlanEntry::Run { job, yld, .. } = e else {
-                continue;
-            };
-            let placement = plan.placement(e);
-            let js = &self.state.jobs[job.index()];
-            let spec = js.spec;
-            let yld = yld.min(1.0);
-            match js.status {
-                JobStatus::Pending | JobStatus::Paused => {
-                    let from = js.status;
-                    for &n in placement {
-                        self.state.cluster.add_task(
-                            n,
-                            spec.cpu_need,
-                            spec.mem_req,
-                            spec.gpu_need,
-                            yld,
-                        );
-                    }
-                    self.state.placement_slot(*job).copy_from_slice(placement);
-                    let js = &mut self.state.jobs[job.index()];
-                    js.status = JobStatus::Running;
-                    js.first_start.get_or_insert(self.state.now);
-                    js.yld = yld;
-                    self.state.index_transition(*job, from, JobStatus::Running);
-                }
-                JobStatus::Running => {
-                    if placement == self.state.placement_raw(*job) {
-                        let old_yld = js.yld;
-                        if yld > old_yld {
-                            for k in 0..placement.len() {
-                                let node = self.state.placement_raw(*job)[k];
-                                self.state.cluster.retarget_task(
-                                    node,
-                                    spec.cpu_need,
-                                    spec.gpu_need,
-                                    old_yld,
-                                    yld,
-                                );
-                            }
-                            self.state.jobs[job.index()].yld = yld;
-                        }
-                    } else {
-                        // Migration arrival (departure ran in phase 1).
-                        for &n in placement {
-                            self.state.cluster.add_task(
-                                n,
-                                spec.cpu_need,
-                                spec.mem_req,
-                                spec.gpu_need,
-                                yld,
-                            );
-                        }
-                        self.state.placement_slot(*job).copy_from_slice(placement);
-                        let js = &mut self.state.jobs[job.index()];
-                        js.yld = yld;
-                        js.migrations += 1;
-                    }
-                }
-                st => debug_assert!(false, "plan runs {job} in status {st:?}"),
-            }
-        }
+        self.state.apply_plan(plan, &mut self.applied);
     }
 
     /// Bring the view's clock and its running jobs' continuously
