@@ -31,7 +31,6 @@ pub mod checksum;
 pub mod cluster;
 pub mod constants;
 pub mod error;
-pub mod fxhash;
 pub mod histogram;
 pub mod ids;
 pub mod job;

@@ -60,17 +60,6 @@ pub struct AvailabilityStudy {
     pub nodes: u32,
 }
 
-/// Every spec the registry knows, in sorted key order — the study's
-/// column set tracks the registry, so user-registered schedulers would
-/// appear automatically if run through [`run_with_registry`].
-pub fn all_registry_specs(registry: &SchedulerRegistry) -> Vec<SchedulerSpec> {
-    registry
-        .keys()
-        .iter()
-        .map(|k| registry.parse(k).expect("registry keys parse"))
-        .collect()
-}
-
 /// The churn-study scenario pair for one seed: identical workloads,
 /// one static and one with the exponential failure model attached.
 /// Validation is **on** in both: every plan of every scheduler is
@@ -117,12 +106,10 @@ pub fn study_load(opts: &Opts) -> f64 {
 }
 
 /// [`run`] against an explicit (possibly user-extended) registry.
+/// Without `--algo` the study runs every key the registry knows, in
+/// sorted order, so user-registered schedulers appear automatically.
 pub fn run_with_registry(opts: &Opts, registry: SchedulerRegistry) -> AvailabilityStudy {
-    let specs = if opts.algos.is_empty() {
-        all_registry_specs(&registry)
-    } else {
-        opts.algos.clone()
-    };
+    let specs = opts.specs_or(&registry, &registry.keys());
     let load = study_load(opts);
     let mut base_scenarios = Vec::new();
     let mut churn_scenarios = Vec::new();
@@ -134,11 +121,16 @@ pub fn run_with_registry(opts: &Opts, registry: SchedulerRegistry) -> Availabili
     let nodes = base_scenarios[0].cluster.nodes;
 
     let run_campaign = |scenarios: &[Scenario]| {
-        Campaign::from_specs(scenarios, specs.clone())
-            .penalty(opts.penalty)
-            .threads(opts.threads)
-            .migration_opt(opts.migration)
-            .run()
+        Campaign::with_registry(
+            scenarios,
+            registry.clone(),
+            specs.iter().map(|s| s.to_string()),
+        )
+        .expect("specs parsed against this registry")
+        .penalty(opts.penalty)
+        .threads(opts.threads)
+        .migration_opt(opts.migration)
+        .run()
     };
     let baseline = run_campaign(&base_scenarios);
     let churn = run_campaign(&churn_scenarios);
@@ -256,5 +248,29 @@ mod tests {
         assert_eq!(study.rows[0].name, "FCFS");
         let rendered = study.table().render();
         assert!(rendered.contains("restarts"), "{rendered}");
+    }
+
+    #[test]
+    fn shards_wrap_every_row() {
+        let mut opts = tiny_opts();
+        opts.algos = vec!["fcfs".parse().unwrap(), "dynmcb8".parse().unwrap()];
+        opts.shards = 2;
+        let study = run(&opts);
+        let names: Vec<&str> = study.rows.iter().map(|r| r.name.as_str()).collect();
+        assert_eq!(names, ["Sharded[2] FCFS", "Sharded[2] DynMCB8"]);
+    }
+
+    #[test]
+    fn user_registered_schedulers_run() {
+        let mut reg = SchedulerRegistry::builtin();
+        reg.register_fn("my-greedy", "custom", &[], |_| {
+            SchedulerRegistry::builtin().build_str("greedy-pmtn")
+        });
+        let mut opts = tiny_opts();
+        opts.algos = vec![reg.parse("my-greedy").unwrap()];
+        opts.shards = 2;
+        let study = run_with_registry(&opts, reg);
+        assert_eq!(study.rows[0].spec.to_string(), "sharded:my-greedy:shards=2");
+        assert_eq!(study.rows[0].name, "Sharded[2] Greedy-pmtn");
     }
 }

@@ -6,7 +6,7 @@
 
 use dfrs_experiments::cli::Opts;
 use dfrs_experiments::fig1;
-use dfrs_sched::PAPER_SPECS;
+use dfrs_sched::{SchedulerRegistry, PAPER_SPECS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -30,7 +30,7 @@ fn main() {
         opts.instances,
         opts.jobs,
         &opts.loads,
-        opts.specs_or(&PAPER_SPECS),
+        opts.specs_or(&SchedulerRegistry::builtin(), &PAPER_SPECS),
         opts.penalty,
         opts.seed,
         opts.threads,

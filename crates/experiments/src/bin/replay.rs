@@ -7,7 +7,7 @@ use dfrs_experiments::cli::{swf_instances, Opts};
 use dfrs_experiments::instances::hpc2n_like_instances;
 use dfrs_experiments::report::{f2, TextTable};
 use dfrs_scenario::{Campaign, CellResult};
-use dfrs_sched::PAPER_SPECS;
+use dfrs_sched::{SchedulerRegistry, PAPER_SPECS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -41,7 +41,8 @@ fn main() {
         opts.penalty
     );
 
-    let result = Campaign::from_specs(&instances, opts.specs_or(&PAPER_SPECS))
+    let specs = opts.specs_or(&SchedulerRegistry::builtin(), &PAPER_SPECS);
+    let result = Campaign::from_specs(&instances, specs)
         .penalty(opts.penalty)
         .threads(opts.threads)
         .on_cell(|u| {

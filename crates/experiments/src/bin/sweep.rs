@@ -11,7 +11,7 @@
 use dfrs_experiments::cli::Opts;
 use dfrs_experiments::instances::scaled_instances;
 use dfrs_scenario::Campaign;
-use dfrs_sched::PAPER_SPECS;
+use dfrs_sched::{SchedulerRegistry, PAPER_SPECS};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -22,7 +22,7 @@ fn main() {
             std::process::exit(2);
         }
     };
-    let specs = opts.specs_or(&PAPER_SPECS);
+    let specs = opts.specs_or(&SchedulerRegistry::builtin(), &PAPER_SPECS);
     let mut csv = String::from(
         "scheduler,load,penalty,instance,max_stretch,mean_stretch,makespan,\
          preemptions,migrations,preemption_gb,migration_gb\n",

@@ -223,19 +223,27 @@ impl Opts {
     }
 
     /// The specs `--algo` selected, or `default` (usually
-    /// [`dfrs_sched::PAPER_SPECS`]) when none were given. With `--shards N` for
-    /// `N > 1`, every spec is wrapped in `sharded:<spec>:shards=N`
-    /// (specs already sharded are left alone — nesting is rejected by
-    /// the registry grammar).
+    /// [`dfrs_sched::PAPER_SPECS`]) parsed against `registry` when none
+    /// were given. With `--shards N` for `N > 1`, every spec is wrapped
+    /// in `sharded:<spec>:shards=N` (specs already sharded are left
+    /// alone — nesting is rejected by the registry grammar).
     ///
     /// # Panics
     ///
-    /// Panics if a `default` spec does not parse.
-    pub fn specs_or(&self, default: &[&str]) -> Vec<SchedulerSpec> {
+    /// Panics if a `default` spec does not parse against `registry`.
+    pub fn specs_or(
+        &self,
+        registry: &SchedulerRegistry,
+        default: &[impl AsRef<str>],
+    ) -> Vec<SchedulerSpec> {
         let specs = if self.algos.is_empty() {
             default
                 .iter()
-                .map(|s| s.parse().expect("default specs are built-in"))
+                .map(|s| {
+                    registry
+                        .parse(s.as_ref())
+                        .expect("default specs are registered")
+                })
                 .collect()
         } else {
             self.algos.clone()
@@ -243,15 +251,14 @@ impl Opts {
         if self.shards <= 1 {
             return specs;
         }
-        let reg = SchedulerRegistry::builtin();
         specs
             .into_iter()
             .map(|s| {
-                let text = s.to_string();
-                if text.starts_with("sharded:") {
+                if s.key() == "sharded" {
                     return s;
                 }
-                reg.parse(&format!("sharded:{text}:shards={}", self.shards))
+                registry
+                    .parse(&format!("sharded:{s}:shards={}", self.shards))
                     .expect("wrapping a canonical spec in sharded: cannot fail")
             })
             .collect()
@@ -270,7 +277,8 @@ pub fn swf_instances(path: &str) -> Result<Vec<Scenario>, String> {
 pub const USAGE: &str = "\
 Options:
   --algo S1,S2,..   scheduler specs to run instead of the default set
-                    (any registry spec, e.g. dynmcb8-per:t=60,packer=ffd)
+                    (any registry spec, e.g. dynmcb8-per:t=60,packer=ffd);
+                    read by fig1, sweep, replay, availability and drf
   --instances N     base synthetic traces (default 10; paper: 100)
   --jobs N          jobs per synthetic trace (default 400; paper: 1000)
   --loads L1,L2,..  offered loads (default 0.1..0.9)
@@ -290,7 +298,8 @@ Options:
   --gpu-frac F      fraction of jobs given a GPU demand; read only by drf
                     (every other binary ignores it)
   --shards N        partition the cluster: wrap every spec in
-                    sharded:<spec>:shards=N (default 1 = unsharded)";
+                    sharded:<spec>:shards=N (default 1 = unsharded);
+                    read by the same binaries as --algo";
 
 #[cfg(test)]
 mod tests {
@@ -410,21 +419,22 @@ mod tests {
 
     #[test]
     fn shards_wrap_every_selected_spec() {
+        let reg = SchedulerRegistry::builtin();
         let o = parse(&["--algo", "fcfs,dynmcb8-per:T=60", "--shards", "4"]).unwrap();
-        let specs = o.specs_or(&PAPER_SPECS);
+        let specs = o.specs_or(&reg, &PAPER_SPECS);
         assert_eq!(specs[0].to_string(), "sharded:fcfs:shards=4");
         assert_eq!(specs[1].to_string(), "sharded:dynmcb8-per:t=60:shards=4");
 
-        // Already-sharded specs are not double-wrapped.
-        let o = parse(&["--algo", "sharded:fcfs:shards=2", "--shards", "4"]).unwrap();
-        assert_eq!(
-            o.specs_or(&PAPER_SPECS)[0].to_string(),
-            "sharded:fcfs:shards=2"
-        );
+        // Already-sharded specs, the bare `sharded` key included, are
+        // not double-wrapped.
+        let o = parse(&["--algo", "sharded:fcfs:shards=2,sharded", "--shards", "4"]).unwrap();
+        let specs = o.specs_or(&reg, &PAPER_SPECS);
+        assert_eq!(specs[0].to_string(), "sharded:fcfs:shards=2");
+        assert_eq!(specs[1].to_string(), "sharded");
 
         // shards=1 leaves everything bare; 0 is rejected.
         let o = parse(&["--algo", "fcfs", "--shards", "1"]).unwrap();
-        assert_eq!(o.specs_or(&PAPER_SPECS)[0].to_string(), "fcfs");
+        assert_eq!(o.specs_or(&reg, &PAPER_SPECS)[0].to_string(), "fcfs");
         assert!(parse(&["--shards", "0"]).is_err());
     }
 
@@ -470,13 +480,14 @@ mod tests {
 
     #[test]
     fn algo_specs_parse_and_default() {
+        let reg = SchedulerRegistry::builtin();
         let o = parse(&["--algo", "fcfs,dynmcb8-per:T=60"]).unwrap();
         assert_eq!(o.algos.len(), 2);
         assert_eq!(o.algos[1].to_string(), "dynmcb8-per:t=60");
-        assert_eq!(o.specs_or(&PAPER_SPECS), o.algos);
+        assert_eq!(o.specs_or(&reg, &PAPER_SPECS), o.algos);
 
         let d = parse(&[]).unwrap();
-        assert_eq!(d.specs_or(&PAPER_SPECS).len(), 9);
+        assert_eq!(d.specs_or(&reg, &PAPER_SPECS).len(), 9);
 
         let err = parse(&["--algo", "dynmbc8"]).unwrap_err();
         assert!(err.contains("known:"), "{err}");

@@ -19,7 +19,7 @@
 //! the yield family's.
 
 use dfrs_scenario::{Campaign, CampaignResult, Scenario, ScenarioBuilder};
-use dfrs_sched::SchedulerSpec;
+use dfrs_sched::{SchedulerRegistry, SchedulerSpec};
 
 use crate::availability::study_load;
 use crate::cli::Opts;
@@ -61,14 +61,12 @@ pub struct DrfStudy {
 
 /// The study's default head-to-head: the event-driven and periodic
 /// members of the yield family against their DRF counterparts.
-pub fn default_specs() -> Vec<SchedulerSpec> {
-    vec![
-        SchedulerSpec::new("dynmcb8"),
-        SchedulerSpec::new("dynmcb8-per").with("t", 600),
-        SchedulerSpec::new("dynmcb8-drf"),
-        SchedulerSpec::new("dynmcb8-drf-per").with("t", 600),
-    ]
-}
+pub const DEFAULT_SPECS: [&str; 4] = [
+    "dynmcb8",
+    "dynmcb8-per:t=600",
+    "dynmcb8-drf",
+    "dynmcb8-drf-per:t=600",
+];
 
 /// The scenario pair for one seed: identical Lublin workloads, one
 /// CPU-only and one with `gpu_frac` of the jobs carrying a GPU demand.
@@ -97,11 +95,7 @@ fn scenario_pair(opts: &Opts, seed: u64, load: f64) -> (Scenario, Scenario) {
 /// head-to-head when none were given) at the availability study's
 /// single high-pressure load point.
 pub fn run(opts: &Opts) -> DrfStudy {
-    let specs = if opts.algos.is_empty() {
-        default_specs()
-    } else {
-        opts.algos.clone()
-    };
+    let specs = opts.specs_or(&SchedulerRegistry::builtin(), &DEFAULT_SPECS);
     let load = study_load(opts);
     let mut cpu_scenarios = Vec::new();
     let mut gpu_scenarios = Vec::new();

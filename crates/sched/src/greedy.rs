@@ -315,7 +315,11 @@ impl Scheduler for Greedy {
     fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
         match ev {
             SchedEvent::Submit(id) | SchedEvent::Timer(id) => self.on_arrival(id, state),
-            SchedEvent::Complete(_) => self.on_completion(state),
+            SchedEvent::Complete(id) => {
+                // A completed job never backs off again.
+                self.backoff.remove(&id);
+                self.on_completion(state)
+            }
             SchedEvent::NodeDown(_) | SchedEvent::NodeUp(_) => self.on_node_event(state),
             SchedEvent::Tick => Plan::noop(),
             SchedEvent::Withdraw(id) => {
@@ -410,6 +414,20 @@ mod tests {
         // Backoff: retries at t=3, 7, 15, 31, 63, 127 → starts at 127.
         assert!((r1.first_start.unwrap() - 127.0).abs() < 1e-6);
         assert_eq!(out.preemption_count, 0);
+    }
+
+    #[test]
+    fn backoff_counts_leave_with_their_jobs() {
+        // The backoff scenario above: job 1 retries six times, then
+        // runs; once both jobs completed, no count is left behind.
+        let jobs = vec![
+            job(0, 0.0, 2, 0.25, 1.0, 100.0),
+            job(1, 1.0, 1, 0.25, 0.5, 10.0),
+        ];
+        let mut g = greedy();
+        let out = simulate(cluster(), &jobs, &mut g, &cfg());
+        assert!((out.records[1].first_start.unwrap() - 127.0).abs() < 1e-6);
+        assert!(g.backoff.is_empty(), "{:?}", g.backoff);
     }
 
     #[test]

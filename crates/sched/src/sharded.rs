@@ -25,10 +25,10 @@
 //! * shard boundaries depend only on `(M, N)`;
 //! * routing and rebalancing read only view load counts, with
 //!   lowest-index tie-breaks;
-//! * the periodic tick fans out to the inners on scoped threads (when
-//!   more than one hardware thread is available), but each inner's
-//!   plan depends only on its own view, and plans are merged in shard
-//!   index order — thread interleaving cannot reach any output;
+//! * the periodic tick fans out to the inners on the persistent worker
+//!   pool (when it has at least two workers), but each inner's plan
+//!   depends only on its own view, and plans are merged in shard index
+//!   order — thread interleaving cannot reach any output;
 //! * the merged plan is emitted per job in ascending global id.
 //!
 //! ## Plan merging
@@ -81,10 +81,9 @@
 //! inners keep their shards busy, so it may start much later than it
 //! would on the unsharded cluster.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use dfrs_core::fxhash::FxHashMap;
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_core::pool::WorkerPool;
 use dfrs_core::JobSpec;
@@ -97,20 +96,26 @@ use dfrs_sim::{JobStatus, Plan, PlanEntry, RepackStats, SchedEvent, Scheduler, S
 /// `shards=1` case never constructs this type — the registry returns
 /// the bare inner scheduler, making single-shard operation byte-
 /// identical to the unsharded scheduler by construction.
+///
+/// The views are built at the first event, which must find no job in
+/// the system but the one a `Submit` announces: the engine admits one
+/// job per `Submit` round, and a session snapshots (so restores) only
+/// at quiescence. So the coordinator never adopts jobs it did not
+/// route itself.
 pub struct Sharded {
     inners: Vec<Box<dyn Scheduler>>,
     views: Vec<ShardView>,
     /// Global job id → (shard index, shard-local id).
-    assign: FxHashMap<JobId, (usize, JobId)>,
+    assign: BTreeMap<JobId, (usize, JobId)>,
     period: Option<f64>,
     /// Jobs no single shard can host, waiting at the coordinator for a
     /// cross-shard placement; ascending global id = submission FIFO.
     wide_waiting: BTreeSet<JobId>,
     /// Wide jobs currently running → the nodes borrowed for them
     /// (global ids, ascending, deduplicated).
-    wide_running: FxHashMap<JobId, Vec<NodeId>>,
+    wide_running: BTreeMap<JobId, Vec<NodeId>>,
     /// Borrowed global node → the wide job holding it.
-    borrowed_by: FxHashMap<NodeId, JobId>,
+    borrowed_by: BTreeMap<NodeId, JobId>,
     /// Worker pool override for the tick fan-out; `None` means the
     /// machine-sized [`dfrs_core::pool::global`] pool. Tests inject a
     /// pool here to pin parallel == serial byte-identity regardless of
@@ -127,11 +132,11 @@ impl Sharded {
         Sharded {
             inners,
             views: Vec::new(),
-            assign: FxHashMap::default(),
+            assign: BTreeMap::new(),
             period,
             wide_waiting: BTreeSet::new(),
-            wide_running: FxHashMap::default(),
-            borrowed_by: FxHashMap::default(),
+            wide_running: BTreeMap::new(),
+            borrowed_by: BTreeMap::new(),
             pool: None,
         }
     }
@@ -146,21 +151,19 @@ impl Sharded {
         self
     }
 
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.inners.len()
-    }
-
-    /// Lazily build the views at the first event (the cluster size is
-    /// only known from the state), clamping the shard count to the
-    /// node count, and adopt whatever jobs are already in the system
-    /// (a restored session): waiting jobs are routed normally; a
-    /// running job is adopted by the shard holding its placement, or
-    /// left unmanaged (it completes on its own) if it straddles one.
-    fn init(&mut self, state: &SimState) {
+    /// Build the views at the first event (the cluster size is only
+    /// known from the state), clamping the shard count to the node
+    /// count. See the type docs for why no job needs adopting.
+    fn init(&mut self, ev: SchedEvent, state: &SimState) {
         if !self.views.is_empty() {
             return;
         }
+        debug_assert!(
+            state
+                .jobs_in_system()
+                .all(|j| ev == SchedEvent::Submit(j.spec.id)),
+            "the coordinator's first event ({ev:?}) found jobs it did not route"
+        );
         let nodes = state.cluster.spec.nodes;
         if (self.inners.len() as u32) > nodes {
             self.inners.truncate(nodes as usize);
@@ -169,53 +172,6 @@ impl Sharded {
             .into_iter()
             .map(|(lo, count)| ShardView::new(&state.cluster.spec, lo, count))
             .collect();
-        let ids: Vec<JobId> = state.jobs_in_system().map(|j| j.spec.id).collect();
-        for g in ids {
-            let js = state.job(g);
-            match js.status {
-                JobStatus::Pending | JobStatus::Paused => match self.route(&js.spec) {
-                    Some(s) => {
-                        let local = self.views[s].admit(js);
-                        self.assign.insert(g, (s, local));
-                    }
-                    None => {
-                        self.wide_waiting.insert(g);
-                    }
-                },
-                JobStatus::Running => {
-                    let placement = state.placement(g);
-                    let s = self
-                        .views
-                        .iter()
-                        .position(|v| placement.iter().all(|&n| v.owns_node(n)));
-                    if let Some(s) = s {
-                        let local = self.views[s].adopt_running(js, placement);
-                        self.assign.insert(g, (s, local));
-                    } else {
-                        // Straddles shard boundaries (a snapshot taken
-                        // under a different scheduler). If it holds its
-                        // nodes exclusively, adopt it as a coordinator-
-                        // placed wide job (nodes borrowed, returned on
-                        // completion); otherwise leave it unmanaged —
-                        // it completes on its own.
-                        let mut nodes: Vec<NodeId> = placement.to_vec();
-                        nodes.sort_unstable();
-                        nodes.dedup();
-                        let exclusive = nodes.iter().all(|&n| {
-                            let own = placement.iter().filter(|&&m| m == n).count() as u32;
-                            state.cluster.nodes()[n.index()].task_count == own
-                        });
-                        if exclusive {
-                            for &n in &nodes {
-                                self.lend(n, Some(g), state);
-                            }
-                            self.wide_running.insert(g, nodes);
-                        }
-                    }
-                }
-                _ => {}
-            }
-        }
     }
 
     /// Tasks of `spec` that fit one empty node by memory (the only
@@ -302,6 +258,36 @@ impl Sharded {
         view.mirror_plan(&plan);
     }
 
+    /// Admit global job `g` to shard `s` as a fresh local job and
+    /// deliver its `Submit` there.
+    fn admit_to(&mut self, s: usize, g: JobId, state: &SimState, out: &mut MergeState) {
+        let local = self.views[s].admit(state.job(g));
+        self.assign.insert(g, (s, local));
+        self.deliver(s, SchedEvent::Submit(local), state, out);
+    }
+
+    /// Admit `g` to the shard [`Self::route`] picks, or queue it for a
+    /// wide placement when no single shard can host it.
+    fn admit(&mut self, g: JobId, state: &SimState, out: &mut MergeState) {
+        match self.route(&state.job(g).spec) {
+            Some(s) => self.admit_to(s, g, state, out),
+            None => {
+                self.wide_waiting.insert(g);
+            }
+        }
+    }
+
+    /// Take the waiting job `g` out of its shard and deliver the
+    /// `Withdraw` there; `false` when no shard holds it.
+    fn withdraw(&mut self, g: JobId, state: &SimState, out: &mut MergeState) -> bool {
+        let Some((s, local)) = self.assign.remove(&g) else {
+            return false;
+        };
+        self.views[s].withdraw(local);
+        self.deliver(s, SchedEvent::Withdraw(local), state, out);
+        true
+    }
+
     /// Move waiting jobs from overloaded to underloaded shards until no
     /// single move strictly improves the normalized-load imbalance.
     /// Jobs already touched by this event's plans are pinned (moving
@@ -332,46 +318,31 @@ impl Sharded {
             let candidate = self.views[hi]
                 .waiting_locals()
                 .into_iter()
-                .map(|l| (self.views[hi].global_job(l), l))
-                .filter(|(g, _)| !out.touched.contains(g))
-                .filter(|(g, _)| Self::fits_shard(&self.views[lo], &state.job(*g).spec))
+                .map(|l| self.views[hi].global_job(l))
+                .filter(|g| !out.touched.contains(g))
+                .filter(|&g| Self::fits_shard(&self.views[lo], &state.job(g).spec))
                 .min();
-            let Some((g, local)) = candidate else {
+            let Some(g) = candidate else {
                 return;
             };
-            self.views[hi].withdraw(local);
-            self.assign.remove(&g);
-            self.deliver(hi, SchedEvent::Withdraw(local), state, out);
-            let dest_local = self.views[lo].admit(state.job(g));
-            self.assign.insert(g, (lo, dest_local));
-            self.deliver(lo, SchedEvent::Submit(dest_local), state, out);
+            self.withdraw(g, state, out);
+            self.admit_to(lo, g, state, out);
         }
     }
 
     /// After shard `s` lost capacity, re-route any of its waiting jobs
     /// it can no longer host at all (they would wedge there forever).
     fn reroute_infeasible(&mut self, s: usize, state: &SimState, out: &mut MergeState) {
-        let stuck: Vec<(JobId, JobId)> = self.views[s]
+        let stuck: Vec<JobId> = self.views[s]
             .waiting_locals()
             .into_iter()
-            .map(|l| (self.views[s].global_job(l), l))
-            .filter(|(g, _)| !out.touched.contains(g))
-            .filter(|(g, _)| !Self::fits_shard(&self.views[s], &state.job(*g).spec))
+            .map(|l| self.views[s].global_job(l))
+            .filter(|g| !out.touched.contains(g))
+            .filter(|&g| !Self::fits_shard(&self.views[s], &state.job(g).spec))
             .collect();
-        for (g, local) in stuck {
-            self.views[s].withdraw(local);
-            self.assign.remove(&g);
-            self.deliver(s, SchedEvent::Withdraw(local), state, out);
-            match self.route(&state.job(g).spec) {
-                Some(d) => {
-                    let dl = self.views[d].admit(state.job(g));
-                    self.assign.insert(g, (d, dl));
-                    self.deliver(d, SchedEvent::Submit(dl), state, out);
-                }
-                None => {
-                    self.wide_waiting.insert(g);
-                }
-            }
+        for g in stuck {
+            self.withdraw(g, state, out);
+            self.admit(g, state, out);
         }
     }
 
@@ -541,37 +512,10 @@ impl Scheduler for Sharded {
     }
 
     fn on_event(&mut self, ev: SchedEvent, state: &SimState) -> Plan {
-        self.init(state);
+        self.init(ev, state);
         let mut out = MergeState::default();
         match ev {
-            SchedEvent::Submit(g) => {
-                // `init` adopts every job already in the system — on the
-                // run's first event that includes the job this very
-                // Submit announces, so only admit if it isn't placed yet
-                // (it may also already sit in the wide queue).
-                if !self.wide_waiting.contains(&g) && !self.wide_running.contains_key(&g) {
-                    let routed = match self.assign.get(&g) {
-                        Some(&(s, local)) => Some((s, local)),
-                        None => {
-                            let spec = state.job(g).spec;
-                            match self.route(&spec) {
-                                Some(s) => {
-                                    let local = self.views[s].admit(state.job(g));
-                                    self.assign.insert(g, (s, local));
-                                    Some((s, local))
-                                }
-                                None => {
-                                    self.wide_waiting.insert(g);
-                                    None
-                                }
-                            }
-                        }
-                    };
-                    if let Some((s, local)) = routed {
-                        self.deliver(s, SchedEvent::Submit(local), state, &mut out);
-                    }
-                }
-            }
+            SchedEvent::Submit(g) => self.admit(g, state, &mut out),
             SchedEvent::Complete(g) => {
                 if let Some(nodes) = self.wide_running.remove(&g) {
                     // A wide job finished: its borrowed nodes go home.
@@ -582,7 +526,6 @@ impl Scheduler for Sharded {
                     self.deliver(s, SchedEvent::Complete(local), state, &mut out);
                     self.rebalance(state, &mut out);
                 }
-                // Unknown ids are unmanaged adoptions: nothing to do.
             }
             SchedEvent::Timer(g) => {
                 // Routed to the *current* owner — the job may have been
@@ -642,14 +585,9 @@ impl Scheduler for Sharded {
                 // arrives as `Complete` instead; a wide job holding
                 // borrowed nodes is running by definition, so only the
                 // waiting set needs checking here.)
-                if !self.wide_waiting.remove(&g) {
-                    if let Some((s, local)) = self.assign.remove(&g) {
-                        self.views[s].withdraw(local);
-                        self.deliver(s, SchedEvent::Withdraw(local), state, &mut out);
-                        self.rebalance(state, &mut out);
-                    }
+                if !self.wide_waiting.remove(&g) && self.withdraw(g, state, &mut out) {
+                    self.rebalance(state, &mut out);
                 }
-                // Unknown ids are unmanaged adoptions: nothing to do.
             }
         }
         self.place_wide(state, &mut out);

@@ -29,12 +29,15 @@
 //! Job ids inside a view are **local and dense** (the
 //! [`JobStore`](crate::state::JobStore) window requires density);
 //! [`ShardView::global_job`] translates a
-//! local id back. Node ids translate by offset: local node `k` is
-//! global node `lo + k`.
+//! resident local id back. Node ids translate by offset: local node `k`
+//! is global node `lo + k`.
 //!
 //! Withdrawn jobs (rebalanced away by the coordinator) and completed
 //! jobs are marked `Completed` locally and evicted once they reach the
-//! window front, exactly like the streaming engine's eviction.
+//! window front, exactly like the streaming engine's eviction; their
+//! global ids leave the id map with them.
+
+use std::collections::VecDeque;
 
 use dfrs_core::ids::{JobId, NodeId};
 use dfrs_core::ClusterSpec;
@@ -67,9 +70,10 @@ pub struct ShardView {
     state: SimState,
     lo: u32,
     count: u32,
-    /// `global_of[local]` = global job id (grows monotonically; local
-    /// ids are never reused).
-    global_of: Vec<u32>,
+    /// Global id of every resident local job: `global_of[k]` belongs to
+    /// local id `state.jobs.first_resident() + k` (local ids are never
+    /// reused; evicted ones are dropped from the front).
+    global_of: VecDeque<u32>,
     /// Reused plan-application scratch.
     applied: Applied,
 }
@@ -84,7 +88,7 @@ impl ShardView {
             state: SimState::empty(shard_spec),
             lo,
             count,
-            global_of: Vec::new(),
+            global_of: VecDeque::new(),
             applied: Applied::default(),
         }
     }
@@ -93,12 +97,6 @@ impl ShardView {
     #[inline]
     pub fn state(&self) -> &SimState {
         &self.state
-    }
-
-    /// First global node of this shard.
-    #[inline]
-    pub fn lo(&self) -> u32 {
-        self.lo
     }
 
     /// Number of nodes in this shard.
@@ -127,10 +125,10 @@ impl ShardView {
         NodeId(node.0 + self.lo)
     }
 
-    /// Local → global job id.
+    /// Local → global job id (the local job must be resident).
     #[inline]
     pub fn global_job(&self, local: JobId) -> JobId {
-        JobId(self.global_of[local.index()])
+        JobId(self.global_of[local.index() - self.state.jobs.first_resident()])
     }
 
     /// Jobs currently in this shard's system (its load metric for
@@ -162,18 +160,7 @@ impl ShardView {
         let js = &mut self.state.jobs[local.index()];
         js.virtual_time = global.virtual_time;
         js.penalty_until = global.penalty_until;
-        self.global_of.push(global.spec.id.0);
-        local
-    }
-
-    /// Adopt a job that is already `Running` with every task inside
-    /// this shard (coordinator initialization against a non-empty
-    /// state, e.g. a restored session). `placement` is global.
-    pub fn adopt_running(&mut self, global: &JobState, placement: &[NodeId]) -> JobId {
-        let local = self.admit(global);
-        let placement: Vec<NodeId> = placement.iter().map(|&n| self.local_node(n)).collect();
-        self.state.start(local, &placement, global.yld);
-        self.state.jobs[local.index()].first_start = global.first_start;
+        self.global_of.push_back(global.spec.id.0);
         local
     }
 
@@ -209,8 +196,8 @@ impl ShardView {
             self.state.cluster.set_node_up(local_node, true);
             return;
         }
-        let global_of = &self.global_of;
-        let global_job = |local: JobId| &global.jobs[global_of[local.index()] as usize];
+        let (global_of, base) = (&self.global_of, self.state.jobs.first_resident());
+        let global_job = |local: JobId| &global.jobs[global_of[local.index() - base] as usize];
         let struck = self.state.strike(local_node, |j| {
             global_job(j.spec.id).status == JobStatus::Paused
         });
@@ -233,9 +220,10 @@ impl ShardView {
     /// the global state. Called before every event delivery.
     pub fn refresh(&mut self, now: f64, global: &SimState) {
         self.state.now = now;
+        let base = self.state.jobs.first_resident();
         for k in 0..self.state.running.len() {
             let i = self.state.running[k] as usize;
-            let gid = self.global_of[i] as usize;
+            let gid = self.global_of[i - base] as usize;
             // A job evicted from the global window is already
             // completed; its mirror event is on the way.
             if let Some(g) = global.jobs.get(gid) {
@@ -246,8 +234,9 @@ impl ShardView {
         }
     }
 
-    /// Evict the completed window prefix (records are the global
-    /// engine's business; the view just drops retired jobs).
+    /// Evict the completed window prefix and its global ids (records
+    /// are the global engine's business; the view just drops retired
+    /// jobs).
     fn evict_completed(&mut self) {
         while self
             .state
@@ -256,6 +245,7 @@ impl ShardView {
             .is_some_and(|j| j.status == JobStatus::Completed)
         {
             self.state.jobs.evict_front();
+            self.global_of.pop_front();
         }
     }
 }
@@ -331,6 +321,21 @@ mod tests {
         v.withdraw(a);
         assert_eq!(v.in_system(), 1);
         assert_eq!(v.waiting_locals(), vec![b]);
+    }
+
+    #[test]
+    fn id_map_holds_only_resident_jobs() {
+        let mut v = ShardView::new(&spec4(), 0, 3);
+        for g in 0..50 {
+            let l = v.admit(&gjob(100 + g, 1));
+            v.mirror_plan(&Plan::noop().run(l, vec![NodeId(0)], 1.0));
+            v.mirror_complete(l);
+            assert!(v.global_of.len() <= v.state().jobs.resident());
+        }
+        let (a, b) = (v.admit(&gjob(7, 1)), v.admit(&gjob(8, 1)));
+        v.withdraw(a);
+        assert_eq!(v.global_of.len(), 1);
+        assert_eq!(v.global_job(b), JobId(8));
     }
 
     #[test]

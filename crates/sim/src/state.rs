@@ -841,7 +841,7 @@ impl SimState {
 
     /// Run the waiting (`Pending` or `Paused`) job `id` on `placement`
     /// at `yld`. A first start records its start time.
-    pub(crate) fn start(&mut self, id: JobId, placement: &[NodeId], yld: f64) {
+    fn start(&mut self, id: JobId, placement: &[NodeId], yld: f64) {
         let from = self.jobs[id.index()].status;
         self.place(id, placement, yld);
         let j = &mut self.jobs[id.index()];

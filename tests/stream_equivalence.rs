@@ -30,7 +30,9 @@ use rand::{Rng, SeedableRng};
 /// Registry specs covering every scheduler family the daemon can host:
 /// queue-based, greedy with preemption/migration, and the DynMCB8
 /// variants (including the periodic one, whose tick chain lives in the
-/// event queue and therefore inside snapshots).
+/// event queue and therefore inside snapshots), plus the sharded
+/// coordinator, whose views a restored session builds afresh at its
+/// first event.
 const SPECS: &[&str] = &[
     "fcfs",
     "greedy-pmtn",
@@ -38,6 +40,9 @@ const SPECS: &[&str] = &[
     "dynmcb8",
     "dynmcb8-per:t=300",
     "dynmcb8-drf",
+    "sharded:dynmcb8:shards=2",
+    "sharded:dynmcb8-per:t=300:shards=2",
+    "sharded:greedy-pmtn:shards=3",
 ];
 
 fn cluster() -> ClusterSpec {
