@@ -31,12 +31,6 @@ impl LogHistogram {
         }
     }
 
-    /// Suitable default for bounded stretches: 1.0 … ~10⁴ in 40 buckets
-    /// (ratio ≈ 1.26, i.e. 10 buckets per decade).
-    pub fn for_stretch() -> Self {
-        LogHistogram::new(1.0, 10f64.powf(0.1), 40)
-    }
-
     /// Bucket index of a value.
     fn bucket_of(&self, x: f64) -> usize {
         if x < self.lo {
@@ -98,16 +92,6 @@ impl LogHistogram {
         self.total += other.total;
         self.sum += other.sum;
     }
-
-    /// `(bucket_lower_edge, count)` pairs for non-empty buckets.
-    pub fn nonempty_buckets(&self) -> Vec<(f64, u64)> {
-        self.counts
-            .iter()
-            .enumerate()
-            .filter(|(_, &c)| c > 0)
-            .map(|(i, &c)| (self.lo * self.ratio.powi(i as i32), c))
-            .collect()
-    }
 }
 
 impl Extend<f64> for LogHistogram {
@@ -122,20 +106,36 @@ impl Extend<f64> for LogHistogram {
 mod tests {
     use super::*;
 
+    /// Bounded-stretch geometry: 1.0 … ~10⁴ in 40 buckets (ratio ≈ 1.26,
+    /// i.e. 10 buckets per decade).
+    fn for_stretch() -> LogHistogram {
+        LogHistogram::new(1.0, 10f64.powf(0.1), 40)
+    }
+
+    /// `(bucket_lower_edge, count)` pairs for non-empty buckets.
+    fn nonempty_buckets(h: &LogHistogram) -> Vec<(f64, u64)> {
+        h.counts
+            .iter()
+            .enumerate()
+            .filter(|(_, &c)| c > 0)
+            .map(|(i, &c)| (h.lo * h.ratio.powi(i as i32), c))
+            .collect()
+    }
+
     #[test]
     fn buckets_cover_decades() {
-        let mut h = LogHistogram::for_stretch();
+        let mut h = for_stretch();
         for x in [1.0, 2.0, 10.0, 100.0, 5_000.0, 1e9] {
             h.push(x);
         }
         assert_eq!(h.count(), 6);
         // The 1e9 outlier is clamped into the last bucket, not lost.
-        assert_eq!(h.nonempty_buckets().iter().map(|(_, c)| c).sum::<u64>(), 6);
+        assert_eq!(nonempty_buckets(&h).iter().map(|(_, c)| c).sum::<u64>(), 6);
     }
 
     #[test]
     fn quantiles_bracket_the_data() {
-        let mut h = LogHistogram::for_stretch();
+        let mut h = for_stretch();
         for i in 1..=1000 {
             h.push(i as f64 / 10.0); // 0.1 .. 100, median 50.05
         }
@@ -147,16 +147,16 @@ mod tests {
 
     #[test]
     fn mean_is_exact() {
-        let mut h = LogHistogram::for_stretch();
+        let mut h = for_stretch();
         h.extend([1.0, 3.0, 5.0]);
         assert!((h.mean() - 3.0).abs() < 1e-12);
     }
 
     #[test]
     fn merge_adds_counts() {
-        let mut a = LogHistogram::for_stretch();
+        let mut a = for_stretch();
         a.extend([1.0, 10.0]);
-        let mut b = LogHistogram::for_stretch();
+        let mut b = for_stretch();
         b.extend([100.0]);
         a.merge(&b);
         assert_eq!(a.count(), 3);
@@ -167,7 +167,7 @@ mod tests {
     fn below_range_clamps_to_first_bucket() {
         let mut h = LogHistogram::new(1.0, 2.0, 4);
         h.push(0.01);
-        assert_eq!(h.nonempty_buckets()[0].0, 1.0);
+        assert_eq!(nonempty_buckets(&h)[0].0, 1.0);
     }
 
     #[test]
@@ -180,10 +180,10 @@ mod tests {
 
     #[test]
     fn empty_histogram_defaults() {
-        let h = LogHistogram::for_stretch();
+        let h = for_stretch();
         assert_eq!(h.count(), 0);
         assert_eq!(h.mean(), 0.0);
         assert_eq!(h.quantile(0.5), 0.0);
-        assert!(h.nonempty_buckets().is_empty());
+        assert!(nonempty_buckets(&h).is_empty());
     }
 }

@@ -14,8 +14,8 @@
 //! task, exactly like the `thread::scope` pattern it replaces) and
 //! read them back in index order after [`WorkerPool::scope`] returns,
 //! so the *schedule* of workers is invisible: outputs are a pure
-//! function of the inputs regardless of interleaving. DESIGN.md §14
-//! carries the full argument.
+//! function of the inputs regardless of interleaving. DESIGN.md
+//! "Worker pool" carries the full argument.
 //!
 //! ## Scoped borrows
 //!

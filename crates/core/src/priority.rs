@@ -44,7 +44,7 @@ impl Priority {
     /// The priority with a configurable virtual-time exponent:
     /// `max(30, flow) / vt^exponent`. The paper uses exponent 2 and
     /// reports that exponent 1 is markedly worse; this generalization
-    /// exists for that ablation (DESIGN.md §6).
+    /// exists for that ablation (DESIGN.md "Extensions and ablations").
     pub fn compute_with_exponent(
         now: f64,
         submit_time: f64,

@@ -1,4 +1,5 @@
-//! Ablations of the design choices DESIGN.md §6 calls out:
+//! Ablations of the design choices DESIGN.md "Extensions and ablations"
+//! lists:
 //!
 //! 1. **Packer** — MCB8 vs first-fit vs best-fit inside the yield binary
 //!    search (how much does balance-aware packing buy?);

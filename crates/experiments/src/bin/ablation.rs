@@ -1,5 +1,6 @@
 //! Runs the three design-choice ablations (packer, priority exponent,
-//! scheduling period) and prints one table each. See DESIGN.md §6.
+//! scheduling period) and prints one table each. See DESIGN.md
+//! "Extensions and ablations".
 
 use dfrs_experiments::ablation;
 use dfrs_experiments::cli::Opts;

@@ -17,7 +17,7 @@ use dfrs_experiments::{availability, drf};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let opts = match Opts::parse(&args) {
+    let opts = match Opts::parse_drf(&args) {
         Ok(o) => o,
         Err(e) => {
             eprintln!("{e}");

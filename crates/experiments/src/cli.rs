@@ -144,8 +144,19 @@ impl Default for Opts {
 
 impl Opts {
     /// Parse `--key value` style arguments. Returns an error string
-    /// suitable for printing with usage.
+    /// suitable for printing with usage. `--gpu-frac` is an error here:
+    /// only [`parse_drf`](Self::parse_drf) reads it.
     pub fn parse(args: &[String]) -> Result<Opts, String> {
+        Self::parse_as(args, false)
+    }
+
+    /// [`parse`](Self::parse) for the `drf` binary, the one reader of
+    /// `--gpu-frac`.
+    pub fn parse_drf(args: &[String]) -> Result<Opts, String> {
+        Self::parse_as(args, true)
+    }
+
+    fn parse_as(args: &[String], reads_gpu_frac: bool) -> Result<Opts, String> {
         let mut o = Opts::default();
         let mut it = args.iter();
         while let Some(arg) = it.next() {
@@ -184,6 +195,11 @@ impl Opts {
                 "--mtbf" => o.mtbf_secs = grab()?.parse().map_err(|e| format!("{e}"))?,
                 "--mttr" => o.mttr_secs = grab()?.parse().map_err(|e| format!("{e}"))?,
                 "--failure-policy" => o.failure_policy = parse_failure_policy(&grab()?)?,
+                "--gpu-frac" if !reads_gpu_frac => {
+                    return Err("--gpu-frac is read only by drf; this binary builds \
+                                CPU-only traces"
+                        .into())
+                }
                 "--gpu-frac" => o.gpu_frac = grab()?.parse().map_err(|e| format!("{e}"))?,
                 "--shards" => o.shards = grab()?.parse().map_err(|e| format!("{e}"))?,
                 "--help" | "-h" => return Err(USAGE.to_string()),
@@ -296,7 +312,7 @@ Options:
   --mttr SECS       per-node mean time to repair (availability)
   --failure-policy P restart | preserve (what a failure does to jobs)
   --gpu-frac F      fraction of jobs given a GPU demand; read only by drf
-                    (every other binary ignores it)
+                    (every other binary rejects it)
   --shards N        partition the cluster: wrap every spec in
                     sharded:<spec>:shards=N (default 1 = unsharded);
                     read by the same binaries as --algo";
@@ -410,11 +426,20 @@ mod tests {
 
     #[test]
     fn gpu_frac_parses_and_is_bounded() {
+        let parse = |words: &[&str]| {
+            Opts::parse_drf(&words.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+        };
         assert_eq!(parse(&["--gpu-frac", "0.25"]).unwrap().gpu_frac, 0.25);
         assert_eq!(parse(&["--gpu-frac", "0"]).unwrap().gpu_frac, 0.0);
         assert!(parse(&["--gpu-frac", "1.5"]).is_err());
         assert!(parse(&["--gpu-frac", "-0.1"]).is_err());
         assert!(parse(&["--gpu-frac", "NaN"]).is_err());
+    }
+
+    #[test]
+    fn gpu_frac_is_rejected_by_every_binary_but_drf() {
+        let err = parse(&["--jobs", "40", "--gpu-frac", "0.3"]).unwrap_err();
+        assert!(err.contains("--gpu-frac") && err.contains("drf"), "{err}");
     }
 
     #[test]

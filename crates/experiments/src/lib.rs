@@ -1,7 +1,7 @@
 //! # dfrs-experiments
 //!
 //! The harness that regenerates **every table and figure** of the IPDPS
-//! 2010 DFRS paper (see DESIGN.md §4 for the experiment index):
+//! 2010 DFRS paper (see EXPERIMENTS.md "Binary index"):
 //!
 //! * Figure 1(a)/(b) — average stretch-degradation factor vs offered
 //!   load, without/with the 5-minute rescheduling penalty

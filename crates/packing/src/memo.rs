@@ -27,8 +27,8 @@
 //! proves a packing *exists* at a yield, but the search's verdicts are
 //! "does MCB8 *find* one", and MCB8 can fail feasible instances, so a
 //! certificate-seeded bracket could diverge from the cold verdict path
-//! (DESIGN.md §8). Replay-of-pure-functions is the strongest sound
-//! shortcut, and it is what this module implements.
+//! (DESIGN.md "The memo"). Replay-of-pure-functions is the strongest
+//! sound shortcut, and it is what this module implements.
 //!
 //! ## Where the hits come from
 //!

@@ -258,7 +258,6 @@ pub struct Campaign<'a> {
     penalty: Option<f64>,
     failure_policy: Option<dfrs_sim::FailurePolicy>,
     migration: Option<dfrs_sim::MigrationMode>,
-    config: Option<SimConfig>,
     observer: Option<Observer<'a>>,
 }
 
@@ -309,7 +308,6 @@ impl<'a> Campaign<'a> {
             penalty: None,
             failure_policy: None,
             migration: None,
-            config: None,
             observer: None,
         }
     }
@@ -335,23 +333,10 @@ impl<'a> Campaign<'a> {
         self
     }
 
-    /// Override every scenario's migration mechanism for this campaign.
-    pub fn migration(mut self, mode: dfrs_sim::MigrationMode) -> Self {
-        self.migration = Some(mode);
-        self
-    }
-
-    /// [`migration`](Self::migration) taking an optional mode — CLI
-    /// plumbing where `None` means "keep each scenario's config".
+    /// Override every scenario's migration mechanism for this campaign;
+    /// `None` keeps each scenario's own (CLI plumbing).
     pub fn migration_opt(mut self, mode: Option<dfrs_sim::MigrationMode>) -> Self {
         self.migration = mode.or(self.migration);
-        self
-    }
-
-    /// Override every scenario's engine config wholesale. Applied
-    /// before [`penalty`](Self::penalty).
-    pub fn config(mut self, config: SimConfig) -> Self {
-        self.config = Some(config);
         self
     }
 
@@ -463,14 +448,10 @@ impl<'a> Campaign<'a> {
         order
     }
 
-    /// The config a given scenario's cells run under: the campaign-wide
-    /// override (or the scenario's own config), with the per-knob
-    /// overrides applied on top.
+    /// The config a given scenario's cells run under: the scenario's own
+    /// config with the per-knob overrides applied on top.
     fn effective_config(&self, scenario: &Scenario) -> SimConfig {
-        let mut config = self
-            .config
-            .clone()
-            .unwrap_or_else(|| scenario.config.clone());
+        let mut config = scenario.config.clone();
         if let Some(p) = self.penalty {
             config.penalty = p;
         }

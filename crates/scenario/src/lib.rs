@@ -8,7 +8,7 @@
 //! specs` across threads with deterministic results and a streaming
 //! per-cell observer.
 //!
-//! The three layers (see DESIGN.md §1):
+//! The three layers (see DESIGN.md "Experiment API"):
 //!
 //! 1. **registry** ([`dfrs_sched::SchedulerRegistry`]) — string-keyed
 //!    scheduler factories, `"dynmcb8-per:t=300"`;

@@ -37,7 +37,7 @@ use crate::evict::{EvictionFront, VictimOrder};
 
 /// Which vector-packing heuristic [`MaxMinYield`] uses inside the yield
 /// binary search. The paper uses MCB8 everywhere; the alternatives
-/// exist for the packer ablation (DESIGN.md §6).
+/// exist for the packer ablation (DESIGN.md "Extensions and ablations").
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) enum PackerChoice {
     /// Leinberger et al.'s balance-aware heuristic (the paper's choice).

@@ -10,7 +10,7 @@
 //! CPU goes to the jobs whose estimated stretch improves the most per
 //! unit of CPU consumed — the paper names (but does not detail) an
 //! average-estimated-stretch improvement pass; this marginal-benefit
-//! greedy is our reading, documented in DESIGN.md.
+//! greedy is our reading (DESIGN.md "Stretch and damping").
 
 use dfrs_core::approx;
 use dfrs_core::ids::{JobId, NodeId};

@@ -210,7 +210,12 @@ fn journaled_crash_and_recovery_transcripts_match_golden() {
 
 #[test]
 fn transcripts_are_run_to_run_deterministic() {
-    let commands = std::fs::read_to_string(golden("smoke.commands")).expect("smoke.commands");
+    // Its own snapshot file: `smoke_and_resume_transcripts_match_golden`
+    // restores from SNAPSHOT_PATH while this test may be running, and a
+    // `snapshot` command rewrites its file in place.
+    let commands = std::fs::read_to_string(golden("smoke.commands"))
+        .expect("smoke.commands")
+        .replace(SNAPSHOT_PATH, "/tmp/dfrs-serve-determinism.snapshot.json");
     let a = run(SMOKE_ARGS, &commands);
     let b = run(SMOKE_ARGS, &commands);
     assert_eq!(a, b, "same commands, same bytes");

@@ -30,7 +30,7 @@
 //!
 //! Hot-path internals (indexed state, per-job placement slots, versioned
 //! timers, why completions stay derived) are documented in DESIGN.md
-//! §"Engine internals".
+//! "Engine".
 //!
 //! ## Rescheduling-penalty semantics (Section IV-A, made precise)
 //!

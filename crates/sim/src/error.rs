@@ -74,7 +74,8 @@ pub enum SimError {
         now: f64,
     },
     /// A snapshot was requested while jobs were still in the system
-    /// (snapshots are only defined at quiescence; see DESIGN.md §11).
+    /// (snapshots are only defined at quiescence; see DESIGN.md
+    /// "Sessions and snapshots").
     NotQuiescent {
         /// Jobs still in the system.
         live: usize,

@@ -8,10 +8,10 @@
 //! `EngineCore::step`, never as queue entries. Job completions are
 //! **derived** — between decisions yields are constant, so the engine
 //! computes the earliest completion analytically and merges it with the
-//! queue head (see DESIGN.md §"Engine internals" for why they must stay
-//! derived; §9 for why failures are external). A monotonically
-//! increasing sequence number makes same-instant ordering deterministic
-//! (FIFO).
+//! queue head (see DESIGN.md "Derived completions" for why they must
+//! stay derived and DESIGN.md "Platform events" for why failures are
+//! external). A monotonically increasing sequence number makes
+//! same-instant ordering deterministic (FIFO).
 //!
 //! ## Versioned entries
 //!

@@ -3,8 +3,8 @@
 //! A from-scratch reproduction of Stillwell, Vivien & Casanova,
 //! *"Dynamic Fractional Resource Scheduling for HPC Workloads"*, IEEE
 //! IPDPS 2010. This meta-crate re-exports the whole workspace; see the
-//! README for a guided tour and DESIGN.md for the system inventory and
-//! the three-layer experiment API (registry → scenario → campaign).
+//! README for a guided tour and DESIGN.md for the design layer by
+//! layer, from the experiment API (registry → scenario → campaign) down.
 //!
 //! The front door is [`ScenarioBuilder`]: pick a workload source, a
 //! cluster, and engine knobs, then run any scheduler the

@@ -1,6 +1,7 @@
 //! Integration tests for the features that extend the paper
 //! (live migration, fairness damping, conservative backfilling,
-//! packer/priority ablations) — the pieces DESIGN.md §6 commits to.
+//! packer/priority ablations) — the pieces DESIGN.md "Extensions and
+//! ablations" lists.
 
 use dfrs::core::ids::JobId;
 use dfrs::core::{ClusterSpec, JobSpec};
