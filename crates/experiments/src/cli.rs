@@ -467,7 +467,7 @@ mod tests {
     fn algo_list_keeps_multi_parameter_specs_whole() {
         let o = parse(&[
             "--algo",
-            "fcfs,dynmcb8-fair-per:t=300,alpha=0.5,dynmcb8-per:packer=ffd,t=60,DynMCB8-PER:T=600",
+            "fcfs,dynmcb8-asap-per:t=300,packer=bfd,dynmcb8-per:packer=ffd,t=60,DynMCB8-PER:T=600",
         ])
         .unwrap();
         let specs: Vec<String> = o.algos.iter().map(|s| s.to_string()).collect();
@@ -475,7 +475,7 @@ mod tests {
             specs,
             [
                 "fcfs",
-                "dynmcb8-fair-per:alpha=0.5,t=300",
+                "dynmcb8-asap-per:packer=bfd,t=300",
                 "dynmcb8-per:packer=ffd,t=60",
                 "dynmcb8-per:t=600",
             ]

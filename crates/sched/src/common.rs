@@ -437,9 +437,9 @@ impl AllocSet {
 }
 
 /// The GPU feasibility clamp of [`AllocSet::optimized_yields`] for the
-/// run entries of a plan, the shape the stretch and fairness schedulers
-/// settle their yields in: scale each GPU consumer's yield down by the
-/// worst oversubscription among its hosting nodes. A guarded no-op on
+/// run entries of a plan, the shape the stretch scheduler settles its
+/// yields in: scale each GPU consumer's yield down by the worst
+/// oversubscription among its hosting nodes. A guarded no-op on
 /// GPU-free workloads (bit-identical runs).
 pub fn gpu_clamp_assignments(n_nodes: usize, gpu_of: impl Fn(JobId) -> f64, plan: &mut Plan) {
     if !plan.runs_mut().any(|(id, _, _)| gpu_of(id) > 0.0) {

@@ -55,8 +55,8 @@ pub(crate) struct DominantShare {
 impl Objective for DominantShare {
     const TIME_FREE: bool = true;
 
-    fn name_parts(&self) -> (&'static str, String) {
-        ("-drf", String::new())
+    fn name_parts(&self) -> (&'static str, &'static str) {
+        ("-drf", "")
     }
 
     fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan {

@@ -20,9 +20,9 @@
 //!   (and possibly finish) between ticks (`-ASAP-PER-T`).
 //!
 //! The objectives: [`MaxMinYield`] (the paper's max-min yield plus the
-//! average-yield improvement), `stretch_per::MinMaxStretch`,
-//! `drf::DominantShare` and `fairness::LongJobDamping`. The registry's
-//! seven `dynmcb8*` keys are the only way to build it.
+//! average-yield improvement), `stretch_per::MinMaxStretch` and
+//! `drf::DominantShare`. The registry's six `dynmcb8*` keys are the
+//! only way to build it.
 
 use dfrs_core::constants::{MIN_STRETCH_PER_YIELD, YIELD_SEARCH_ACCURACY};
 use dfrs_core::ids::{JobId, NodeId};
@@ -83,7 +83,7 @@ pub(crate) trait Objective: Send + 'static {
     /// The name's infix after `DynMCB8` and its suffix after the
     /// trigger: `("-drf", "")` under `Period(600)` renders
     /// `DynMCB8-drf-per 600`.
-    fn name_parts(&self) -> (&'static str, String);
+    fn name_parts(&self) -> (&'static str, &'static str);
 
     /// One repack decision.
     fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan;
@@ -279,13 +279,13 @@ impl MaxMinYield {
 impl Objective for MaxMinYield {
     const TIME_FREE: bool = true;
 
-    fn name_parts(&self) -> (&'static str, String) {
+    fn name_parts(&self) -> (&'static str, &'static str) {
         let tag = match self.packer {
             PackerChoice::Mcb8 => "",
             PackerChoice::FirstFit => "[ffd]",
             PackerChoice::BestFit => "[bfd]",
         };
-        ("", tag.into())
+        ("", tag)
     }
 
     fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan {

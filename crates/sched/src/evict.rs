@@ -1,5 +1,5 @@
 //! The eviction front shared by every vector-packing family
-//! (`dynmcb8*`, `fairness`, `stretch_per`, `drf`): the paper's "drop the
+//! (`dynmcb8*`, `stretch_per`, `drf`): the paper's "drop the
 //! lowest-priority job and search again" loop (Section III-B), entered
 //! at the first candidate set that can possibly pack.
 //!

@@ -27,7 +27,7 @@
 //!   (PMTN), and re-place the paused at once (MIGR);
 //! - the DYNMCB8 family is one repacker, a trigger (every event, every
 //!   `T`, every `T` with ASAP admission) × an objective (max-min yield,
-//!   min-max estimated stretch, max-min dominant share, damped yield).
+//!   min-max estimated stretch, max-min dominant share).
 //!
 //! Only the batch baselines are clairvoyant (EASY backfills with perfect
 //! runtime estimates, as in the paper's evaluation); no DFRS algorithm
@@ -38,10 +38,9 @@
 //! by user code, and the only way to name a scheduler.
 //! [`PAPER_SPECS`] and [`PREEMPTING_SPECS`] list the keys of the
 //! paper's Table I and Table II rows. Extensions beyond the paper:
-//! `conservative-bf` (conservative backfilling), `dynmcb8-fair-per`
-//! (long-job yield damping, the paper's future-work sketch), the
-//! multi-resource `dynmcb8-drf` / `dynmcb8-drf-per` pair (max-min
-//! **dominant share** over CPU+GPU instead of max-min yield), and the
+//! `conservative-bf` (conservative backfilling), the multi-resource
+//! `dynmcb8-drf` / `dynmcb8-drf-per` pair (max-min **dominant share**
+//! over CPU+GPU instead of max-min yield), and the
 //! [`Sharded`] coordinator (`sharded:<inner-spec>:shards=N`).
 //!
 //! ```
@@ -69,7 +68,6 @@ mod conservative;
 mod drf;
 mod dynmcb8;
 mod evict;
-mod fairness;
 mod greedy;
 pub mod registry;
 pub mod sharded;

@@ -973,7 +973,6 @@ mod tests {
             "dynmcb8-per",
             "dynmcb8-asap-per",
             "dynmcb8-stretch-per",
-            "dynmcb8-fair-per",
             "dynmcb8-drf",
             "dynmcb8-drf-per",
         ];

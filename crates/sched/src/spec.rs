@@ -47,7 +47,6 @@ use crate::batch::{Batch, Head, Never};
 use crate::conservative::All;
 use crate::drf::DominantShare;
 use crate::dynmcb8::{MaxMinYield, PackerChoice, Repacker, Trigger};
-use crate::fairness::LongJobDamping;
 use crate::greedy::Greedy;
 use crate::stretch_per::MinMaxStretch;
 
@@ -194,27 +193,15 @@ impl SpecParams {
 
     /// `name` as a strictly positive float, or `default` when absent.
     pub fn positive_f64_or(&self, name: &str, default: f64) -> Result<f64, SpecError> {
-        self.finite_f64_or(name, default, |v| v > 0.0, "a positive number")
-    }
-
-    /// `name` as a finite float accepted by `ok`, or `default` when
-    /// absent; `expected` describes the accepted values.
-    fn finite_f64_or(
-        &self,
-        name: &str,
-        default: f64,
-        ok: impl Fn(f64) -> bool,
-        expected: &str,
-    ) -> Result<f64, SpecError> {
         let v = self.f64_or(name, default)?;
-        if ok(v) && v.is_finite() {
+        if v > 0.0 && v.is_finite() {
             Ok(v)
         } else {
             Err(SpecError::InvalidParam {
                 key: self.key.clone(),
                 param: name.to_string(),
                 value: format!("{v}"),
-                expected: expected.into(),
+                expected: "a positive number".into(),
             })
         }
     }
@@ -456,10 +443,10 @@ impl SchedulerRegistry {
     }
 
     /// The built-in registry: the paper's nine algorithms plus the
-    /// repository's extensions (`conservative-bf`, `dynmcb8-fair-per`,
-    /// `dynmcb8-drf`, `dynmcb8-drf-per`, `sharded`). Its keys are the
-    /// only way to build the batch driver, the greedy driver and the
-    /// DYNMCB8 repacker. Construction is cheap; call it on demand.
+    /// repository's extensions (`conservative-bf`, `dynmcb8-drf`,
+    /// `dynmcb8-drf-per`, `sharded`). Its keys are the only way to build
+    /// the batch driver, the greedy driver and the DYNMCB8 repacker.
+    /// Construction is cheap; call it on demand.
     pub fn builtin() -> Self {
         let mut reg = SchedulerRegistry::empty();
         // The batch baselines: one FIFO queue, a backfilling policy.
@@ -574,19 +561,6 @@ impl SchedulerRegistry {
                     spec.params.map.insert("shards".into(), v.to_string());
                 }
                 SchedulerRegistry::builtin().build_sharded(&spec)
-            },
-        );
-        reg.register_fn(
-            "dynmcb8-fair-per",
-            "DYNMCB8-FAIR-PER: periodic repack with long-job yield damping (t, vt-threshold, alpha)",
-            &["t", "vt-threshold", "alpha"],
-            |p| {
-                let t = period(p)?;
-                let vt = p.positive_f64_or("vt-threshold", 1_800.0)?;
-                // alpha = 0 disables damping: the objective is then
-                // exactly DYNMCB8-PER's.
-                let alpha = p.finite_f64_or("alpha", 1.0, |a| a >= 0.0, "a non-negative number")?;
-                Ok(Repacker::boxed(Trigger::Period(t), LongJobDamping::new(vt, alpha)))
             },
         );
         reg
@@ -796,7 +770,7 @@ mod tests {
             "fcfs",
             "greedy-pmtn:exponent=1.5",
             "dynmcb8-asap-per:packer=first-fit,t=60",
-            "dynmcb8-fair-per:alpha=0.5,t=600,vt-threshold=1800",
+            "dynmcb8-per:packer=bfd,t=300",
         ] {
             let spec: SchedulerSpec = s.parse().unwrap();
             let again: SchedulerSpec = spec.to_string().parse().unwrap();
@@ -877,25 +851,6 @@ mod tests {
         assert_eq!(reg.build_str("greedy-pmtn").unwrap().name(), "Greedy-pmtn");
         assert!(reg.build_str("dynmcb8:packer=best-fit").is_ok());
         assert!(reg.build_str("dynmcb8:packer=quantum").is_err());
-    }
-
-    #[test]
-    fn fair_per_accepts_alpha_zero_and_rejects_negative() {
-        // alpha = 0 is the documented "damping off" setting.
-        let reg = SchedulerRegistry::builtin();
-        assert_eq!(
-            reg.build_str("dynmcb8-fair-per:alpha=0").unwrap().name(),
-            "DynMCB8-fair-per 600 (τ=1800, α=0)"
-        );
-        for bad in ["-0.5", "nan", "inf"] {
-            assert!(
-                matches!(
-                    reg.build_str(&format!("dynmcb8-fair-per:alpha={bad}")),
-                    Err(SpecError::InvalidParam { .. })
-                ),
-                "{bad}"
-            );
-        }
     }
 
     #[test]

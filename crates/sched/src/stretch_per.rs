@@ -10,7 +10,7 @@
 //! CPU goes to the jobs whose estimated stretch improves the most per
 //! unit of CPU consumed — the paper names (but does not detail) an
 //! average-estimated-stretch improvement pass; this marginal-benefit
-//! greedy is our reading (DESIGN.md "Stretch and damping").
+//! greedy is our reading (DESIGN.md "Stretch objective").
 
 use dfrs_core::approx;
 use dfrs_core::ids::{JobId, NodeId};
@@ -49,8 +49,8 @@ impl Objective for MinMaxStretch {
     /// Estimated stretches read flow and virtual times.
     const TIME_FREE: bool = false;
 
-    fn name_parts(&self) -> (&'static str, String) {
-        ("-stretch", String::new())
+    fn name_parts(&self) -> (&'static str, &'static str) {
+        ("-stretch", "")
     }
 
     fn repack(&mut self, front: &mut EvictionFront, state: &SimState) -> Plan {

@@ -162,7 +162,6 @@ fn repack_probe_counts_are_pinned() {
         ("dynmcb8-stretch-per", (92, 350, 0, 0)),
         ("dynmcb8-drf", (160, 475, 0, 0)),
         ("dynmcb8-drf-per", (61, 338, 0, 0)),
-        ("dynmcb8-fair-per", (202, 234, 159, 460)),
     ] {
         let mut sched = reg.build_str(spec).unwrap();
         let out = simulate(small_cluster(), &jobs, sched.as_mut(), &cfg);
@@ -203,21 +202,6 @@ fn dynmcb8_family_names_and_periods_are_pinned() {
         ),
         ("dynmcb8-drf", "DynMCB8-drf", None),
         ("dynmcb8-drf-per", "DynMCB8-drf-per 600", Some(600.0)),
-        (
-            "dynmcb8-fair-per",
-            "DynMCB8-fair-per 600 (τ=1800, α=1)",
-            Some(600.0),
-        ),
-        (
-            "dynmcb8-fair-per:t=300",
-            "DynMCB8-fair-per 300 (τ=1800, α=1)",
-            Some(300.0),
-        ),
-        (
-            "dynmcb8-fair-per:alpha=0.25",
-            "DynMCB8-fair-per 600 (τ=1800, α=0.25)",
-            Some(600.0),
-        ),
     ] {
         let sched = reg.build_str(spec).unwrap();
         assert_eq!(sched.name(), name, "{spec}");

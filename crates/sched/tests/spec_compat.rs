@@ -11,59 +11,59 @@ proptest! {
 
     /// display(parse(s)) == display(parse(display(parse(s)))) and the
     /// parsed specs are equal: the canonical form is a fixed point.
+    /// Every registry key is checked in every case.
     #[test]
     fn parse_display_round_trip(
-        key_idx in 0usize..13,
         t in prop::sample::select(vec![1u32, 60, 300, 600, 3600, 86_400]),
         with_t in prop::sample::select(vec![true, false]),
         packer in prop::sample::select(vec!["mcb8", "first-fit", "best-fit"]),
         with_packer in prop::sample::select(vec![true, false]),
     ) {
         let reg = SchedulerRegistry::builtin();
-        let keys = reg.keys();
-        let key = &keys[key_idx % keys.len()];
-        let allowed = reg.factory(key).unwrap().param_names().to_vec();
+        for key in reg.keys() {
+            let allowed = reg.factory(&key).unwrap().param_names().to_vec();
 
-        let mut spec = SchedulerSpec::new(key);
-        if with_t && allowed.iter().any(|p| p == "t") {
-            spec = spec.with("t", t);
+            let mut spec = SchedulerSpec::new(&key);
+            if with_t && allowed.iter().any(|p| p == "t") {
+                spec = spec.with("t", t);
+            }
+            if with_packer && allowed.iter().any(|p| p == "packer") {
+                spec = spec.with("packer", packer);
+            }
+
+            let rendered = spec.to_string();
+            let reparsed: SchedulerSpec = rendered.parse().unwrap();
+            prop_assert_eq!(&reparsed, &spec, "parse(display) changed the spec {}", rendered);
+            prop_assert_eq!(reparsed.to_string(), rendered);
+
+            // Whatever the spec, it must build through the registry.
+            prop_assert!(reg.build(&spec).is_ok(), "spec {} failed to build", spec);
         }
-        if with_packer && allowed.iter().any(|p| p == "packer") {
-            spec = spec.with("packer", packer);
-        }
-
-        let rendered = spec.to_string();
-        let reparsed: SchedulerSpec = rendered.parse().unwrap();
-        prop_assert_eq!(&reparsed, &spec, "parse(display) changed the spec {}", rendered);
-        prop_assert_eq!(reparsed.to_string(), rendered);
-
-        // Whatever the spec, it must build through the registry.
-        prop_assert!(reg.build(&spec).is_ok(), "spec {} failed to build", spec);
     }
 
     /// Uppercasing and surrounding whitespace never change what a spec
-    /// means; an underscore for a hyphen makes it an unknown key.
+    /// means; an underscore for a hyphen makes it an unknown key. Every
+    /// registry key is checked in every case.
     #[test]
     fn parse_is_case_and_separator_insensitive(
-        key_idx in 0usize..13,
         upper in prop::sample::select(vec![true, false]),
         underscores in prop::sample::select(vec![true, false]),
         pad in prop::sample::select(vec!["", " ", "  "]),
     ) {
         let reg = SchedulerRegistry::builtin();
-        let keys = reg.keys();
-        let key = &keys[key_idx % keys.len()];
-        let mut mangled = key.clone();
-        if upper {
-            mangled = mangled.to_ascii_uppercase();
-        }
-        let mangled = format!("{pad}{mangled}{pad}");
-        prop_assert_eq!(reg.parse(&mangled).unwrap(), SchedulerSpec::new(key));
-        if underscores && key.contains('-') {
-            prop_assert!(matches!(
-                reg.parse(&mangled.replace('-', "_")),
-                Err(SpecError::UnknownKey { .. })
-            ));
+        for key in reg.keys() {
+            let mut mangled = key.clone();
+            if upper {
+                mangled = mangled.to_ascii_uppercase();
+            }
+            let mangled = format!("{pad}{mangled}{pad}");
+            prop_assert_eq!(reg.parse(&mangled).unwrap(), SchedulerSpec::new(&key));
+            if underscores && key.contains('-') {
+                prop_assert!(matches!(
+                    reg.parse(&mangled.replace('-', "_")),
+                    Err(SpecError::UnknownKey { .. })
+                ));
+            }
         }
     }
 }

@@ -273,15 +273,24 @@ fn io_err(op: &str, path: &Path, e: std::io::Error) -> JournalError {
 
 /// Write `text` to `path` atomically: temp file, fsync, rename. A crash
 /// mid-write leaves only a `.tmp` file, which scans ignore.
-fn write_atomic(path: &Path, text: &str) -> Result<(), JournalError> {
+pub(crate) fn write_atomic(path: &Path, text: &str) -> Result<(), JournalError> {
     let tmp = path.with_extension("json.tmp");
     let mut f = File::create(&tmp).map_err(|e| io_err("create", &tmp, e))?;
     f.write_all(text.as_bytes())
         .map_err(|e| io_err("write", &tmp, e))?;
     f.sync_all().map_err(|e| io_err("sync", &tmp, e))?;
     fs::rename(&tmp, path).map_err(|e| io_err("rename", path, e))?;
-    sync_dir(path.parent().unwrap_or(Path::new(".")));
+    sync_dir(parent_dir(path));
     Ok(())
+}
+
+/// The directory holding `path`: a bare file name's parent is the
+/// empty path, which names no directory, so it maps to `.`.
+fn parent_dir(path: &Path) -> &Path {
+    match path.parent() {
+        Some(dir) if !dir.as_os_str().is_empty() => dir,
+        _ => Path::new("."),
+    }
 }
 
 /// Best-effort directory fsync so renames and creations are durable.
@@ -808,6 +817,14 @@ mod tests {
         let seq = j.append_async(raw).unwrap();
         j.wait_durable(seq).unwrap();
         seq
+    }
+
+    #[test]
+    fn parent_dir_of_a_bare_file_name_is_the_current_directory() {
+        assert_eq!(parent_dir(Path::new("snap.json")), Path::new("."));
+        assert_eq!(parent_dir(Path::new("out/snap.json")), Path::new("out"));
+        assert_eq!(parent_dir(Path::new("/snap.json")), Path::new("/"));
+        assert!(File::open(parent_dir(Path::new("snap.json"))).is_ok());
     }
 
     #[test]

@@ -639,7 +639,8 @@ impl Daemon {
         }
         let mut pairs = match v.get("path").and_then(Value::as_str) {
             Some(path) => {
-                std::fs::write(path, &text).map_err(|e| format!("writing {path}: {e}"))?;
+                journal::write_atomic(Path::new(path), &text)
+                    .map_err(|e| format!("writing {path}: {e}"))?;
                 vec![
                     ("event".into(), Value::Str("snapshot".into())),
                     ("path".into(), Value::Str(path.into())),
@@ -1042,6 +1043,30 @@ mod tests {
             .collect();
 
         assert_eq!(a_suffix, b_suffix);
+    }
+
+    #[test]
+    fn snapshot_to_a_path_replaces_the_file_instead_of_truncating_it() {
+        // A reader holding the old file (here: a hard link to it) must
+        // keep reading the old document, never a half-written new one.
+        let dir = std::env::temp_dir().join(format!("dfrs-serve-snap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("snap.json");
+        let link = dir.join("reader.json");
+        std::fs::write(&path, "old document").unwrap();
+        std::fs::hard_link(&path, &link).unwrap();
+
+        let mut d = daemon("fcfs");
+        let cmd = format!(r#"{{"cmd":"snapshot","path":"{}"}}"#, path.display());
+        let (events, _) = d.handle_line(&cmd);
+        assert_eq!(events[0].get("event").unwrap().as_str(), Some("snapshot"));
+
+        assert_eq!(std::fs::read_to_string(&link).unwrap(), "old document");
+        let new = std::fs::read_to_string(&path).unwrap();
+        assert!(Daemon::restore(&new).is_ok(), "{new}");
+        assert!(!path.with_extension("json.tmp").exists());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
